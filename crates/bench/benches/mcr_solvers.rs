@@ -1,7 +1,8 @@
 //! Micro-benchmark of the maximum-cycle-ratio solvers on event graphs of
 //! growing size (the inner kernel of every K-Iter iteration), head-to-head
-//! across [`mcr::SolverChoice`]s, plus the buffer-sized JPEG2000 reproducer
-//! whose infeasible event graphs made the parametric method run for minutes.
+//! across [`mcr::SolverChoice`]s (with Karp's cycle mean as an oracle
+//! timing), plus the buffer-sized JPEG2000 reproducer whose infeasible event
+//! graphs made the parametric method run for minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csdf_generators::apps::{industrial_app, jpeg2000};
@@ -46,16 +47,6 @@ fn bench_mcr(c: &mut Criterion) {
                 |b, ratio_graph| {
                     b.iter(|| maximum_cycle_ratio_with(ratio_graph, choice).expect("solve"));
                 },
-            );
-        }
-        // Integer vs scalar Howard kernel, on a long-lived solver (the
-        // K-Iter-shaped usage): same results, different inner loops.
-        for (label, integer) in [("howard_int_kernel", true), ("howard_scalar_kernel", false)] {
-            let mut solver = mcr::Solver::new(SolverChoice::Howard).with_integer_kernel(integer);
-            group.bench_with_input(
-                BenchmarkId::new(label, tasks),
-                event_graph.ratio_graph(),
-                |b, ratio_graph| b.iter(|| solver.solve(ratio_graph).expect("solve")),
             );
         }
         group.bench_with_input(

@@ -12,19 +12,14 @@
 //!   K-Iter loop would).
 //!
 //! The two paths produce bit-identical ratio graphs (asserted here and
-//! property-tested in `tests/properties.rs`), plus a `kiter_threads` group
-//! sweeping the MCR solver's per-SCC worker pool over 1/2/4 threads at
-//! 1k/10k tasks (identical results at every width, asserted per width).
+//! property-tested in `tests/properties.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csdf::TaskId;
 use csdf_baselines::Budget;
 use csdf_generators::{random_graph, RandomGraphConfig};
 use kiter_bench::{run_method, Method};
-use kperiodic::{
-    kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, EventGraph, EventGraphArena,
-    EventGraphLimits, KIterOptions, PeriodicityVector,
-};
+use kperiodic::{EventGraph, EventGraphArena, EventGraphLimits, PeriodicityVector};
 
 fn bench_scalability(c: &mut Criterion) {
     let budget = Budget::default();
@@ -61,48 +56,6 @@ fn bench_scalability(c: &mut Criterion) {
                 BenchmarkId::new(method.label(), tasks),
                 &graph,
                 |b, graph| b.iter(|| run_method(graph, method, &budget)),
-            );
-        }
-    }
-    group.finish();
-}
-
-/// Thread sweep over the incremental K-Iter pipeline at 1k/10k tasks: the
-/// MCR solver distributes independent cyclic strongly connected components
-/// over `AnalysisOptions::threads` scoped workers (results byte-identical at
-/// every width — asserted here per width against the single-thread run).
-fn bench_kiter_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kiter_threads");
-    group.sample_size(10);
-    for tasks in [1_000usize, 10_000] {
-        let graph =
-            random_graph(&RandomGraphConfig::large(tasks), 0xD0C5).expect("generation succeeds");
-        let reference = {
-            let mut pipeline = EvaluationPipeline::new(AnalysisOptions::default());
-            kiter_with_pipeline(&graph, &KIterOptions::default(), &mut pipeline)
-                .expect("k-iter completes")
-        };
-        for threads in [1usize, 2, 4] {
-            let options = AnalysisOptions {
-                threads,
-                ..AnalysisOptions::default()
-            };
-            let mut pipeline = EvaluationPipeline::new(options);
-            let result = kiter_with_pipeline(&graph, &KIterOptions::default(), &mut pipeline)
-                .expect("k-iter completes");
-            assert_eq!(result.throughput, reference.throughput);
-            assert_eq!(result.iterations, reference.iterations);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{threads}T"), tasks),
-                &graph,
-                |b, graph| {
-                    b.iter(|| {
-                        let mut pipeline = EvaluationPipeline::new(options);
-                        kiter_with_pipeline(graph, &KIterOptions::default(), &mut pipeline)
-                            .expect("k-iter completes")
-                            .iterations
-                    });
-                },
             );
         }
     }
@@ -157,10 +110,5 @@ fn bench_event_graph_updates(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_scalability,
-    bench_kiter_threads,
-    bench_event_graph_updates
-);
+criterion_group!(benches, bench_scalability, bench_event_graph_updates);
 criterion_main!(benches);

@@ -1,27 +1,18 @@
 //! Scalability smoke test: one large locality-bounded random CSDF graph
-//! through K-Iter, printing a JSON line per thread count with the outcome
-//! and the pipeline's construction/solve time split.
+//! through K-Iter, printing one JSON line with the outcome and the
+//! pipeline's construction/solve time split.
 //!
 //! CI runs this under a hard `timeout`, asserts a non-vacuous (finite)
 //! throughput, and — via `--check BENCH_TABLE1.json` — fails the build if
-//! the 10k-task MCR-solve split regresses more than [`CHECK_FACTOR`]× over
-//! the committed baseline (the `"table":"scale_smoke"` line of that file),
-//! mirroring the JPEG2000 sized-buffer guard: any regression of the
-//! event-graph construction path or the MCR solver at scale fails the build
-//! instead of silently slowing it down.
-//!
-//! Sweeping more than one thread count additionally enforces the intra-SCC
-//! determinism contract: every run must report byte-identical throughput,
-//! iteration count and event-graph size, or the binary exits non-zero. The
-//! parallel solver is contractually bit-identical to the serial one (see the
-//! `mcr::chunked` module), so any divergence here is a correctness bug, not
-//! noise.
+//! the MCR-solve split regresses more than [`CHECK_FACTOR`]× over the
+//! committed baseline (the `"table":"scale_smoke"` line of that file with
+//! the same task count), mirroring the JPEG2000 sized-buffer guard: any
+//! regression of the event-graph construction path or the MCR solver at
+//! scale fails the build instead of silently slowing it down.
 //!
 //! Run with `cargo run -p kiter-bench --bin scale_smoke --release -- [--json]
-//! [--threads 1,2,4] [--check BENCH_TABLE1.json]`.
-//! `KITER_SMOKE_TASKS` overrides the task count (default 10000, 100k+ is
-//! supported and CI-exercised); `KITER_SMOKE_THREADS` is the default thread
-//! sweep (default `1`).
+//! [--check BENCH_TABLE1.json]`. `KITER_SMOKE_TASKS` overrides the task count
+//! (default 10000, 100k+ is supported and CI-exercised).
 
 use std::time::Instant;
 
@@ -35,25 +26,15 @@ use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterO
 /// integer kernel, re-deriving the event graph per iteration) is >4×.
 const CHECK_FACTOR: f64 = 3.0;
 
-struct RunStats {
-    threads: usize,
-    total_ms: f64,
-    build_ms: f64,
-    patch_ms: f64,
-    solve_ms: f64,
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut check_path: Option<String> = None;
-    let mut threads_arg: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             // JSON is the only output format; the flag is accepted for
             // symmetry with the table binaries.
             "--json" => {}
             "--check" => check_path = args.next(),
-            "--threads" => threads_arg = args.next(),
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -64,118 +45,66 @@ fn main() {
         .ok()
         .and_then(|value| value.parse().ok())
         .unwrap_or(10_000);
-    let threads: Vec<usize> = threads_arg
-        .or_else(|| std::env::var("KITER_SMOKE_THREADS").ok())
-        .map_or_else(
-            || vec![1],
-            |list| {
-                list.split(',')
-                    .map(|value| value.trim().parse().expect("--threads takes integers"))
-                    .collect()
-            },
-        );
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let graph = random_graph(&RandomGraphConfig::large(tasks), 0xD0C5)
         .expect("large random graph generates");
 
-    let mut runs = Vec::new();
-    let mut first_outcome: Option<(usize, (String, usize, usize, usize))> = None;
-    for &thread_count in &threads {
-        let options = AnalysisOptions {
-            threads: thread_count,
-            ..AnalysisOptions::default()
-        };
-        let started = Instant::now();
-        let mut pipeline = EvaluationPipeline::new(options);
-        let result = kiter_with_pipeline(&graph, &KIterOptions::default(), &mut pipeline);
-        let total_ms = started.elapsed().as_secs_f64() * 1e3;
+    let started = Instant::now();
+    let mut pipeline = EvaluationPipeline::new(AnalysisOptions::default());
+    let result = kiter_with_pipeline(&graph, &KIterOptions::default(), &mut pipeline);
+    let total_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        match result {
-            Ok(result) => {
-                let stats = pipeline.stats();
-                let (nodes, arcs) = pipeline
-                    .arena()
-                    .map_or((0, 0), |arena| (arena.node_count(), arena.arc_count()));
-                let run = RunStats {
-                    threads: thread_count,
-                    total_ms,
-                    build_ms: stats.build_time.as_secs_f64() * 1e3,
-                    patch_ms: stats.patch_time.as_secs_f64() * 1e3,
-                    solve_ms: stats.solve_time.as_secs_f64() * 1e3,
-                };
-                println!(
-                    "{{\"tasks\":{},\"buffers\":{},\"threads\":{},\"throughput\":\"{}\",\
-                     \"iterations\":{},\"event_graph\":[{},{}],\"total_ms\":{:.1},\
-                     \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{:.1},\
-                     \"last_solve_ms\":{:.2},\"patched\":{},\"rebuilt_buffers\":{},\
-                     \"reused_buffers\":{},\"completed\":true}}",
-                    graph.task_count(),
-                    graph.buffer_count(),
-                    run.threads,
-                    json_escape(&result.throughput.to_string()),
-                    result.iterations,
-                    nodes,
-                    arcs,
-                    run.total_ms,
-                    run.build_ms,
-                    run.patch_ms,
-                    run.solve_ms,
-                    stats.last_solve_time.as_secs_f64() * 1e3,
-                    stats.patched,
-                    stats.rebuilt_buffers,
-                    stats.reused_buffers,
-                );
-                // Non-vacuous outcome: the generated graph is strongly
-                // connected and serialised, so its throughput must be finite.
-                if !matches!(result.throughput, Throughput::Finite(_)) {
-                    eprintln!("smoke failed: expected a finite throughput");
-                    std::process::exit(1);
-                }
-                // Determinism gate: the parallel solver must be bit-identical
-                // to the serial one, so every sweep entry has to agree on the
-                // outcome and the K-Iter trajectory length.
-                let outcome = (
-                    result.throughput.to_string(),
-                    result.iterations,
-                    nodes,
-                    arcs,
-                );
-                if let Some((first_threads, first)) = &first_outcome {
-                    if *first != outcome {
-                        eprintln!(
-                            "determinism gate failed: threads={thread_count} produced \
-                             {outcome:?} but threads={first_threads} produced {first:?}"
-                        );
-                        std::process::exit(1);
-                    }
-                } else {
-                    first_outcome = Some((thread_count, outcome));
-                }
-                runs.push(run);
-            }
-            Err(err) => {
-                println!(
-                    "{{\"tasks\":{},\"threads\":{},\"error\":\"{}\",\"total_ms\":{:.1},\
-                     \"completed\":false}}",
-                    graph.task_count(),
-                    thread_count,
-                    json_escape(&err.to_string()),
-                    total_ms,
-                );
-                std::process::exit(1);
-            }
+    let result = match result {
+        Ok(result) => result,
+        Err(err) => {
+            println!(
+                "{{\"tasks\":{},\"nproc\":{nproc},\"error\":\"{}\",\"total_ms\":{total_ms:.1},\
+                 \"completed\":false}}",
+                graph.task_count(),
+                json_escape(&err.to_string()),
+            );
+            std::process::exit(1);
         }
+    };
+    let stats = pipeline.stats();
+    let (nodes, arcs) = pipeline
+        .arena()
+        .map_or((0, 0), |arena| (arena.node_count(), arena.arc_count()));
+    let solve_ms = stats.solve_time.as_secs_f64() * 1e3;
+    println!(
+        "{{\"tasks\":{},\"buffers\":{},\"nproc\":{nproc},\"throughput\":\"{}\",\
+         \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"total_ms\":{total_ms:.1},\
+         \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{solve_ms:.1},\
+         \"last_solve_ms\":{:.2},\"patched\":{},\"rebuilt_buffers\":{},\
+         \"reused_buffers\":{},\"completed\":true}}",
+        graph.task_count(),
+        graph.buffer_count(),
+        json_escape(&result.throughput.to_string()),
+        result.iterations,
+        stats.build_time.as_secs_f64() * 1e3,
+        stats.patch_time.as_secs_f64() * 1e3,
+        stats.last_solve_time.as_secs_f64() * 1e3,
+        stats.patched,
+        stats.rebuilt_buffers,
+        stats.reused_buffers,
+    );
+    // Non-vacuous outcome: the generated graph is strongly connected and
+    // serialised, so its throughput must be finite.
+    if !matches!(result.throughput, Throughput::Finite(_)) {
+        eprintln!("smoke failed: expected a finite throughput");
+        std::process::exit(1);
     }
 
     if let Some(path) = check_path {
-        check_against_baseline(&path, tasks, &runs);
+        check_against_baseline(&path, tasks, solve_ms);
     }
 }
 
-/// Compares the best measured solve split against the committed baseline
-/// (the `"table":"scale_smoke"` JSON line whose `"tasks"` matches), failing
-/// the process on a regression beyond [`CHECK_FACTOR`].
-fn check_against_baseline(path: &str, tasks: usize, runs: &[RunStats]) {
+/// Compares the measured solve split against the committed baseline (the
+/// `"table":"scale_smoke"` JSON line whose `"tasks"` matches), failing the
+/// process on a regression beyond [`CHECK_FACTOR`].
+fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64) {
     let contents = match std::fs::read_to_string(path) {
         Ok(contents) => contents,
         Err(err) => {
@@ -189,21 +118,17 @@ fn check_against_baseline(path: &str, tasks: usize, runs: &[RunStats]) {
         );
         std::process::exit(1);
     };
-    let best_solve_ms = runs
-        .iter()
-        .map(|run| run.solve_ms)
-        .fold(f64::INFINITY, f64::min);
     let limit = baseline_solve_ms * CHECK_FACTOR;
-    if best_solve_ms > limit {
+    if solve_ms > limit {
         eprintln!(
-            "perf-smoke gate failed: solve split {best_solve_ms:.1} ms exceeds \
+            "perf-smoke gate failed: solve split {solve_ms:.1} ms exceeds \
              {CHECK_FACTOR}x the committed baseline ({baseline_solve_ms:.1} ms -> limit \
              {limit:.1} ms) at {tasks} tasks"
         );
         std::process::exit(1);
     }
     eprintln!(
-        "perf-smoke gate ok: solve split {best_solve_ms:.1} ms within {CHECK_FACTOR}x of \
+        "perf-smoke gate ok: solve split {solve_ms:.1} ms within {CHECK_FACTOR}x of \
          the {baseline_solve_ms:.1} ms baseline"
     );
 }

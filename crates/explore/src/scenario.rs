@@ -26,9 +26,8 @@ pub struct ScenarioOutcome {
 }
 
 /// A set of marking scenarios over one base graph, evaluated on a scoped
-/// worker pool — the workload where `AnalysisOptions::threads`-style
-/// parallelism pays off even when each event graph is one big SCC, because
-/// the *scenarios* are independent.
+/// worker pool — parallelism that pays off even when each event graph is
+/// one big SCC, because the *scenarios* are independent.
 ///
 /// Workers own one [`kperiodic::AnalysisSession`] each: between scenarios
 /// only the buffers touched by the previous and the next scenario are

@@ -35,17 +35,9 @@ pub struct AnalysisOptions {
     /// Which maximum cycle ratio algorithm solves the event graphs
     /// ([`SolverChoice::Auto`] picks Howard's policy iteration for large
     /// components, which is what makes buffer-sized instances tractable).
+    /// Every choice gives identical results, and every solve runs on the
+    /// calling thread.
     pub solver: SolverChoice,
-    /// Number of worker threads the MCR solver may use (`std::thread::scope`
-    /// workers; `0` is treated as `1`), at two levels: independent cyclic
-    /// strongly connected components are solved in parallel, and at `>= 2`
-    /// the Howard/certifier sweeps *inside* each component run on the
-    /// chunked kernels (`mcr::chunked`) — which is what helps on the
-    /// one-giant-SCC event graphs large strongly connected apps produce.
-    /// Results are byte-identical for every value: per-component outcomes
-    /// merge deterministically and the chunked kernels reproduce the serial
-    /// sweep order exactly. `1` is byte-for-byte the serial solver.
-    pub threads: usize,
     /// Run the `csdf-lint` static analyzer before building an event graph
     /// and fail fast with [`AnalysisError::RejectedByLint`] on any
     /// error-severity diagnostic (inconsistency, certain deadlock, capacity
@@ -63,7 +55,6 @@ impl Default for AnalysisOptions {
             limits: EventGraphLimits::default(),
             max_iterations: 256,
             solver: SolverChoice::Auto,
-            threads: 1,
             pre_lint: false,
         }
     }
@@ -238,7 +229,7 @@ impl EvaluationPipeline {
     pub fn new(options: AnalysisOptions) -> Self {
         EvaluationPipeline {
             options,
-            solver: Solver::new(options.solver).with_threads(options.threads),
+            solver: Solver::new(options.solver),
             arena: None,
             stats: PipelineStats::default(),
             cancel: CancelToken::default(),
@@ -442,7 +433,7 @@ pub fn evaluate_with_repetition(
     periodicity: &PeriodicityVector,
     options: &AnalysisOptions,
 ) -> Result<KPeriodicEvaluation, AnalysisError> {
-    let mut solver = Solver::new(options.solver).with_threads(options.threads);
+    let mut solver = Solver::new(options.solver);
     evaluate_with_solver(graph, repetition, periodicity, options, &mut solver)
 }
 

@@ -4,13 +4,12 @@
 //! solver (and, higher up, to an evaluation pipeline) so the hot loops can
 //! bail out of a solve that the caller no longer wants: an explicit
 //! [`CancelToken::cancel`] call or an elapsed deadline. The checks are
-//! *cooperative* — the serial solver polls [`CancelToken::is_cancelled`]
-//! once per policy-iteration / Bellman–Ford round, and the chunked
-//! intra-component kernels poll per chunk and every few hundred nodes
-//! within a chunk (so on a 100k-task single-SCC graph, whose rounds take
-//! hundreds of milliseconds, a deadline still lands promptly). Cancellation
-//! is never a partial write: every data structure stays reusable after a
-//! cancelled solve.
+//! *cooperative* — the solver polls [`CancelToken::is_cancelled`] once per
+//! policy-iteration round and once per Bellman–Ford round. One round is a
+//! single sweep over the component's arcs, so even on a 100k-task
+//! single-SCC graph a deadline lands within one sweep.
+//! Cancellation is never a partial write: every data structure stays
+//! reusable after a cancelled solve.
 //!
 //! The default token ([`CancelToken::default`]) holds no shared state and
 //! never cancels; polling it is a branch on a `None`, so code paths that do

@@ -8,10 +8,10 @@
 //! event graphs it converges after a handful of rounds, each of which costs a
 //! single sweep over the arcs.
 //!
-//! The `chunked` module carries intra-component parallel twins of this
-//! module's evaluate/improve sweeps (chunked over CSR row blocks,
-//! bit-identical by construction); an order-sensitive change here must be
-//! mirrored there.
+//! This scalar kernel is the fallback of the integer kernel in
+//! [`crate::kernel`] (which runs whenever a component's scaled weights fit
+//! `i128`) and the reference its tests compare against; an order-sensitive
+//! change here must be mirrored there.
 //!
 //! # Exactness
 //!
@@ -68,9 +68,13 @@ pub(crate) enum HowardOutcome {
     Bail,
 }
 
-enum Evaluation {
+/// What one policy evaluation found (shared with the integer kernel).
+pub(crate) enum Evaluation {
+    /// Every node has a gain and a value.
     Done,
+    /// A policy circuit certifies the `Infinite` outcome (arc positions).
     Infinite(Vec<usize>),
+    /// The circuit weights are outside what policy iteration handles.
     Bail,
 }
 
@@ -80,11 +84,14 @@ pub(crate) fn howard_component(scratch: &mut Scratch, n: usize) -> HowardOutcome
     if scratch.arc_len() == 0 {
         return HowardOutcome::Bail;
     }
+    // Sized independently: the integer kernel may have grown `policy`
+    // already before declining to this fallback.
     if scratch.policy.len() < n {
-        let len = n;
-        scratch.policy.resize(len, 0);
-        scratch.gain.resize(len, Rational::ZERO);
-        scratch.value.resize(len, Rational::ZERO);
+        scratch.policy.resize(n, 0);
+    }
+    if scratch.gain.len() < n {
+        scratch.gain.resize(n, Rational::ZERO);
+        scratch.value.resize(n, Rational::ZERO);
     }
     // Initial policy: the first outgoing arc of each node. Strong
     // connectivity guarantees one exists for components of more than one

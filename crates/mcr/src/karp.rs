@@ -79,8 +79,7 @@ pub fn maximum_cycle_mean(graph: &RatioGraph) -> Result<Option<Rational>, McrErr
 }
 
 /// Rolling-row Karp recurrence over a dense arc list (`(from, to, cost)` with
-/// local indices `< n`). Shared by [`maximum_cycle_mean`] and the
-/// `SolverChoice::Karp` path of the ratio solver.
+/// local indices `< n`), for one component of [`maximum_cycle_mean`].
 ///
 /// `D_k(v)` = maximum weight of a walk of exactly k arcs ending at v, starting
 /// anywhere in the component (classical Karp table with a virtual source).
@@ -89,7 +88,7 @@ pub fn maximum_cycle_mean(graph: &RatioGraph) -> Result<Option<Rational>, McrErr
 /// rows are kept and the recurrence runs twice: pass one computes the final
 /// row `D_n`, pass two recomputes each `D_k` and folds
 /// λ = `max_v` min_{0 ≤ k < n} (`D_n(v)` − `D_k(v)`) / (n − k) incrementally.
-pub(crate) fn rolling_cycle_mean(
+fn rolling_cycle_mean(
     n: usize,
     arcs: &[(usize, usize, Rational)],
 ) -> Result<Option<Rational>, McrError> {

@@ -1,4 +1,4 @@
-//! Integer-numerator Howard kernel.
+//! Integer-numerator Howard kernel — the Howard path of every solve.
 //!
 //! The scalar policy iteration in [`crate::howard`] performs a GCD-reducing
 //! exact [`Rational`] operation per arc per sweep — on K-Iter event graphs
@@ -21,9 +21,27 @@
 //! the critical circuit is re-materialised through the exact rational
 //! [`crate::solve::materialize_cycle`] path.
 //!
-//! The `chunked` module carries an intra-component parallel twin of this
-//! kernel (same scaling, chunked sweeps, identical overflow points); an
-//! order- or overflow-sensitive change here must be mirrored there.
+//! The kernel reads arc weights straight from the [`RatioGraph`] through the
+//! component's arc-id map, so the component view is loaded *lean* (without
+//! per-arc `Rational` copies); only the fallback paths fill those in.
+//!
+//! # Fast lane
+//!
+//! Scaling also records the largest scaled magnitude `B = max |L̂|, |Ĥ|`. If
+//! `B ≤ 2^62 / n`, every downstream quantity provably fits `i128`:
+//!
+//! * policy-circuit sums are at most `n·B ≤ 2^62`, so are the reduced gain
+//!   numerators and denominators;
+//! * a reduced weight `L̂·g_d − g_n·Ĥ` is at most `2n·B²`;
+//! * a value telescopes at most `n` reduced weights: at most `2n²·B²`;
+//! * gain cross-multiplications are at most `n²·B²`, and a bias candidate
+//!   (reduced weight plus value) at most `4n²·B² ≤ 2^126 < 2^127`.
+//!
+//! So the sweeps run unchecked arithmetic — the same values as the checked
+//! lane, without overflow branches — and the gain round skips the row scan of
+//! every node already at the round-start maximum gain (gain rounds only copy
+//! existing gains, so no strictly greater gain can appear within the round).
+//! Components outside the bound run the checked lane.
 //!
 //! # Exactness and fallback
 //!
@@ -31,29 +49,47 @@
 //! classification, the convergence test, the certificate condition) is the
 //! scalar decision multiplied through by positive common denominators, so the
 //! policy trajectory — and therefore the returned circuit and ratio — is
-//! **bit-identical** to the scalar path's. All arithmetic is checked: if a
-//! scaled numerator, a product, or a common denominator does not fit `i128`,
-//! [`howard_component_int`] returns `None` and the caller runs the scalar
-//! kernel instead, which has no such limits. The equivalence is pinned by
-//! `tests/properties.rs` across random graphs with negative/zero times.
+//! **bit-identical** to the scalar path's. In the checked lane all arithmetic
+//! is checked: if a scaled numerator, a product, or a common denominator does
+//! not fit `i128`, [`howard_component_int`] returns `None` and the caller
+//! runs the scalar kernel instead, which has no such limits. The equivalence
+//! (both lanes and the fallback) is pinned by this module's tests.
+
+use std::cmp::Ordering;
 
 use csdf::{gcd_i128, Rational};
 
-use crate::howard::{policy_cycle_from, HowardOutcome};
+use crate::graph::RatioGraph;
+use crate::howard::{policy_cycle_from, Evaluation, HowardOutcome};
 use crate::solve::Scratch;
 
 /// Runs Howard's policy iteration on the component currently loaded in
 /// `scratch` (`n` nodes) using the integer kernel. Returns `None` when the
-/// component cannot be scaled into `i128` range (the caller falls back to the
-/// scalar kernel).
-pub(crate) fn howard_component_int(scratch: &mut Scratch, n: usize) -> Option<HowardOutcome> {
-    let m = scratch.arc_len();
-    if m == 0 {
+/// component cannot be scaled into `i128` range or the checked lane
+/// overflows (the caller falls back to the scalar kernel).
+pub(crate) fn howard_component_int(
+    graph: &RatioGraph,
+    scratch: &mut Scratch,
+    n: usize,
+) -> Option<HowardOutcome> {
+    if scratch.arc_len() == 0 {
         return Some(HowardOutcome::Bail);
     }
-    let (den_cost, den_time) = common_denominators(scratch)?;
-    scale_arcs(scratch, den_cost, den_time)?;
+    let scaled = scale_component_int(graph, scratch)?;
+    if scaled.max_abs <= (1i128 << 62) / (n as i128) {
+        iterate::<true>(scratch, n, &scaled)
+    } else {
+        iterate::<false>(scratch, n, &scaled)
+    }
+}
 
+/// The policy iteration proper, on an already scaled component. `FAST`
+/// selects the unchecked lane (see the module docs for when it is sound).
+fn iterate<const FAST: bool>(
+    scratch: &mut Scratch,
+    n: usize,
+    scaled: &ScaledComponent,
+) -> Option<HowardOutcome> {
     if scratch.int_gain_num.len() < n {
         scratch.int_gain_num.resize(n, 0);
         scratch.int_gain_den.resize(n, 1);
@@ -70,7 +106,6 @@ pub(crate) fn howard_component_int(scratch: &mut Scratch, n: usize) -> Option<Ho
         }
         scratch.policy[node] = scratch.first[node];
     }
-    let costs_nonneg = scratch.int_cost.iter().take(m).all(|&cost| cost >= 0);
 
     // Same round budget as the scalar kernel: a guard against pathological
     // same-gain oscillation, after which the parametric method takes over.
@@ -82,17 +117,14 @@ pub(crate) fn howard_component_int(scratch: &mut Scratch, n: usize) -> Option<Ho
             // check turns the cancellation into `McrError::Cancelled`.
             return Some(HowardOutcome::Bail);
         }
-        match evaluate_int(scratch, n)? {
+        match evaluate::<FAST>(scratch, n)? {
             Evaluation::Done => {}
             Evaluation::Infinite(positions) => return Some(HowardOutcome::Infinite { positions }),
             Evaluation::Bail => return Some(HowardOutcome::Bail),
         }
-        match improve_int(scratch, n)? {
-            true => {}
-            false => {
-                converged = true;
-                break;
-            }
+        if !improve::<FAST>(scratch, n)? {
+            converged = true;
+            break;
         }
     }
     if !converged {
@@ -104,7 +136,7 @@ pub(crate) fn howard_component_int(scratch: &mut Scratch, n: usize) -> Option<Ho
     // rationals are equal).
     let mut best_node = 0usize;
     for node in 1..n {
-        if cmp_gain_checked(scratch, node, best_node)? != std::cmp::Ordering::Less {
+        if cmp_gain::<FAST>(scratch, node, best_node)? != Ordering::Less {
             best_node = node;
         }
     }
@@ -121,40 +153,132 @@ pub(crate) fn howard_component_int(scratch: &mut Scratch, n: usize) -> Option<Ho
         scratch.int_gain_den[best_node],
     )
     .expect("gain denominator is positive");
-    let scaling = Rational::new(den_time, den_cost).expect("common denominators are positive");
+    let scaling =
+        Rational::new(scaled.den_time, scaled.den_cost).expect("common denominators are positive");
     let lambda = gain.checked_mul(&scaling).ok()?;
     let positions = policy_cycle_from(scratch, best_node);
-    if costs_nonneg && (0..n).all(|node| scratch.int_gain_num[node] > 0) {
+    if scaled.costs_nonneg && (0..n).all(|node| scratch.int_gain_num[node] > 0) {
         Some(HowardOutcome::Certified { lambda, positions })
     } else {
         Some(HowardOutcome::Estimate { lambda, positions })
     }
 }
 
-enum Evaluation {
-    Done,
-    Infinite(Vec<usize>),
-    Bail,
+/// The component scaled onto `i128` numerators, plus the facts the kernel
+/// entry needs that would otherwise cost extra full passes over the arrays.
+struct ScaledComponent {
+    den_cost: i128,
+    den_time: i128,
+    /// Every scaled cost is non-negative (certification precondition).
+    costs_nonneg: bool,
+    /// Maximum absolute scaled magnitude, for the fast-lane bound.
+    max_abs: i128,
 }
 
-/// Least common multiples of the cost and time denominators of the component
-/// view, or `None` on overflow. One pass, with an equality fast path: on
-/// event graphs most arcs already share their buffer's K-invariant
-/// denominator, so the GCD rarely runs.
-fn common_denominators(scratch: &Scratch) -> Option<(i128, i128)> {
+/// Common denominators `Dc`/`Dt` and the scaled numerators
+/// (`L̂ = L·Dc/den(L)`, `Ĥ = H·Dt/den(H)`) of the component, reading the arc
+/// values from `graph`; `None` on overflow. One pass: arcs are scaled under
+/// the *running* lcm, and whenever a later arc grows it, the already-written
+/// prefix is rescaled by the growth factor (lcm is monotone, so prefix
+/// magnitudes only go up and an overflow in either step implies the final
+/// value overflows too). Event-graph arcs share a handful of denominators in
+/// long runs, so a one-entry scale memo skips almost every `i128` division,
+/// and [`mul_scale`] keeps the multiplies in native `i64` where they fit.
+fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<ScaledComponent> {
+    let m = scratch.arc_id.len();
+    scratch.int_cost.clear();
+    scratch.int_time.clear();
+    scratch.int_cost.reserve(m);
+    scratch.int_time.reserve(m);
     let mut den_cost: i128 = 1;
     let mut den_time: i128 = 1;
-    for position in 0..scratch.arc_len() {
-        let cost_den = scratch.arc_cost[position].denom();
-        if cost_den != den_cost {
-            den_cost = lcm_i128(den_cost, cost_den)?;
+    // (index where the previous lcm stopped applying, lcm used before that).
+    let mut cost_upgrades: Vec<(usize, i128)> = Vec::new();
+    let mut time_upgrades: Vec<(usize, i128)> = Vec::new();
+    // One-entry scale memos, reset on every lcm upgrade: arcs arrive in
+    // buffer/block order, so runs of consecutive arcs share a denominator.
+    let mut memo_cost = (1i128, 1i128);
+    let mut memo_time = (1i128, 1i128);
+    let mut costs_nonneg = true;
+    let mut max_abs: i128 = 0;
+    for (index, &arc_id) in scratch.arc_id.iter().enumerate() {
+        let arc = graph.arc(arc_id);
+        let cost_den = arc.cost.denom();
+        if cost_den != memo_cost.0 {
+            if den_cost % cost_den != 0 {
+                let grown = lcm_i128(den_cost, cost_den)?;
+                cost_upgrades.push((index, den_cost));
+                den_cost = grown;
+            }
+            memo_cost = (cost_den, den_cost / cost_den);
         }
-        let time_den = scratch.arc_time[position].denom();
-        if time_den != den_time {
-            den_time = lcm_i128(den_time, time_den)?;
+        let cost = mul_scale(arc.cost.numer(), memo_cost.1)?;
+        costs_nonneg &= cost >= 0;
+        max_abs = max_abs.max(abs_i128(cost));
+        scratch.int_cost.push(cost);
+        let time_den = arc.time.denom();
+        if time_den != memo_time.0 {
+            if den_time % time_den != 0 {
+                let grown = lcm_i128(den_time, time_den)?;
+                time_upgrades.push((index, den_time));
+                den_time = grown;
+            }
+            memo_time = (time_den, den_time / time_den);
+        }
+        let time = mul_scale(arc.time.numer(), memo_time.1)?;
+        max_abs = max_abs.max(abs_i128(time));
+        scratch.int_time.push(time);
+    }
+    // Rescale the prefixes written under a smaller lcm, walking the upgrades
+    // forward: entry `j` brings `values[..end_j]` from its recorded lcm up to
+    // the next entry's (or the final) lcm, so before entry `j + 1` runs, the
+    // whole prefix below `end_{j+1}` is uniformly under that entry's lcm.
+    for (upgrades, values, den) in [
+        (&cost_upgrades, &mut scratch.int_cost, den_cost),
+        (&time_upgrades, &mut scratch.int_time, den_time),
+    ] {
+        for (j, &(end, used)) in upgrades.iter().enumerate() {
+            let target = upgrades.get(j + 1).map_or(den, |&(_, next)| next);
+            let factor = target / used;
+            if factor == 1 {
+                continue;
+            }
+            for value in &mut values[..end] {
+                *value = mul_scale(*value, factor)?;
+                max_abs = max_abs.max(abs_i128(*value));
+            }
         }
     }
-    Some((den_cost, den_time))
+    Some(ScaledComponent {
+        den_cost,
+        den_time,
+        costs_nonneg,
+        max_abs,
+    })
+}
+
+/// `value.unsigned_abs()` clamped back into `i128` (saturating on the
+/// `i128::MIN` edge, which only makes the fast-lane bound more conservative).
+#[inline]
+fn abs_i128(value: i128) -> i128 {
+    i128::try_from(value.unsigned_abs()).unwrap_or(i128::MAX)
+}
+
+/// `numer * scale` with overflow reported as `None`. Exactly
+/// `numer.checked_mul(scale)`, but the common all-small case runs a native
+/// `i64` multiply instead of the much slower `i128` overflow-checked one; an
+/// `i64` overflow falls back to the `i128` check, so results are identical.
+#[inline]
+fn mul_scale(numer: i128, scale: i128) -> Option<i128> {
+    if scale == 1 {
+        return Some(numer);
+    }
+    if let (Ok(a), Ok(b)) = (i64::try_from(numer), i64::try_from(scale)) {
+        if let Some(product) = a.checked_mul(b) {
+            return Some(i128::from(product));
+        }
+    }
+    numer.checked_mul(scale)
 }
 
 fn lcm_i128(a: i128, b: i128) -> Option<i128> {
@@ -163,86 +287,102 @@ fn lcm_i128(a: i128, b: i128) -> Option<i128> {
     (a / g).checked_mul(b)
 }
 
-/// Rescales the component's arc costs and times onto the common denominators
-/// (`L̂ = L·Dc/den(L)`, `Ĥ = H·Dt/den(H)`), or `None` on overflow.
-fn scale_arcs(scratch: &mut Scratch, den_cost: i128, den_time: i128) -> Option<()> {
-    let m = scratch.arc_len();
-    scratch.int_cost.clear();
-    scratch.int_time.clear();
-    scratch.int_cost.reserve(m);
-    scratch.int_time.reserve(m);
-    for position in 0..m {
-        let cost = scratch.arc_cost[position];
-        let time = scratch.arc_time[position];
-        scratch
-            .int_cost
-            .push(cost.numer().checked_mul(den_cost / cost.denom())?);
-        scratch
-            .int_time
-            .push(time.numer().checked_mul(den_time / time.denom())?);
+/// `a · b`: unchecked in the fast lane (proven in range), checked otherwise.
+#[inline(always)]
+fn mul<const FAST: bool>(a: i128, b: i128) -> Option<i128> {
+    if FAST {
+        Some(a * b)
+    } else {
+        a.checked_mul(b)
     }
-    Some(())
+}
+
+/// `a + b`, with the lane semantics of [`mul`].
+#[inline(always)]
+fn add<const FAST: bool>(a: i128, b: i128) -> Option<i128> {
+    if FAST {
+        Some(a + b)
+    } else {
+        a.checked_add(b)
+    }
+}
+
+/// `L̂(e)·g_d − g_n·Ĥ(e)`: the reduced weight of an arc under gain
+/// `g_n / g_d`, scaled by the (positive) class denominator `g_d`.
+#[inline(always)]
+fn reduced_weight<const FAST: bool>(cost: i128, time: i128, num: i128, den: i128) -> Option<i128> {
+    let scaled_cost = mul::<FAST>(cost, den)?;
+    let scaled_time = mul::<FAST>(num, time)?;
+    if FAST {
+        Some(scaled_cost - scaled_time)
+    } else {
+        scaled_cost.checked_sub(scaled_time)
+    }
 }
 
 /// Compares the gains of two local nodes: canonical pairs with positive
 /// denominators, so one cross-multiplication decides. `None` on overflow
 /// (the caller abandons the integer kernel — a wrong ordering must never be
 /// returned silently).
-fn cmp_gain_checked(scratch: &Scratch, a: usize, b: usize) -> Option<std::cmp::Ordering> {
-    let lhs = scratch.int_gain_num[a].checked_mul(scratch.int_gain_den[b])?;
-    let rhs = scratch.int_gain_num[b].checked_mul(scratch.int_gain_den[a])?;
+#[inline(always)]
+fn cmp_gain<const FAST: bool>(scratch: &Scratch, a: usize, b: usize) -> Option<Ordering> {
+    let lhs = mul::<FAST>(scratch.int_gain_num[a], scratch.int_gain_den[b])?;
+    let rhs = mul::<FAST>(scratch.int_gain_num[b], scratch.int_gain_den[a])?;
     Some(lhs.cmp(&rhs))
-}
-
-/// `L̂(e)·g_d − g_n·Ĥ(e)`: the reduced weight of an arc under gain
-/// `g_n / g_d`, scaled by the (positive) class denominator `g_d`.
-fn reduced_weight_int(scratch: &Scratch, position: usize, num: i128, den: i128) -> Option<i128> {
-    scratch.int_cost[position]
-        .checked_mul(den)?
-        .checked_sub(num.checked_mul(scratch.int_time[position])?)
 }
 
 /// Integer policy evaluation: mirrors `howard::evaluate` decision for
 /// decision. Outer `None` means arithmetic overflow (caller falls back to
 /// the scalar kernel); the inner [`Evaluation`] values have the scalar
 /// meanings.
-fn evaluate_int(scratch: &mut Scratch, n: usize) -> Option<Evaluation> {
+fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluation> {
     scratch.epoch += 2;
     let on_walk = scratch.epoch - 1;
     let resolved = scratch.epoch;
+    let Scratch {
+        arc_to,
+        policy,
+        int_cost,
+        int_time,
+        int_gain_num,
+        int_gain_den,
+        int_value,
+        mark,
+        mark_pos,
+        resolved: resolved_stamp,
+        walk,
+        ..
+    } = scratch;
     for start in 0..n {
-        if scratch.resolved[start] == resolved {
+        if resolved_stamp[start] == resolved {
             continue;
         }
-        scratch.walk.clear();
+        walk.clear();
         let mut current = start;
-        while scratch.resolved[current] != resolved && scratch.mark[current] != on_walk {
-            scratch.mark[current] = on_walk;
-            scratch.mark_pos[current] = scratch.walk.len();
-            scratch.walk.push(current);
-            current = scratch.arc_to[scratch.policy[current]] as usize;
+        while resolved_stamp[current] != resolved && mark[current] != on_walk {
+            mark[current] = on_walk;
+            mark_pos[current] = walk.len();
+            walk.push(current);
+            current = arc_to[policy[current]] as usize;
         }
-        let tree_top = if scratch.resolved[current] == resolved {
-            scratch.walk.len()
+        let tree_top = if resolved_stamp[current] == resolved {
+            walk.len()
         } else {
             // New policy circuit: walk[p..] in traversal order. Sum the
-            // scaled costs and times — plain checked integer adds.
-            let p = scratch.mark_pos[current];
+            // scaled costs and times — plain integer adds.
+            let p = mark_pos[current];
             let mut cost: i128 = 0;
             let mut time: i128 = 0;
-            for &node in &scratch.walk[p..] {
-                let position = scratch.policy[node];
-                cost = cost.checked_add(scratch.int_cost[position])?;
-                time = time.checked_add(scratch.int_time[position])?;
+            for &node in &walk[p..] {
+                let position = policy[node];
+                cost = add::<FAST>(cost, int_cost[position])?;
+                time = add::<FAST>(time, int_time[position])?;
             }
             if time <= 0 {
                 // Same classification as the scalar kernel (the positive
                 // scaling preserves every sign).
                 if cost > 0 || (cost == 0 && time < 0) {
-                    let positions = scratch.walk[p..]
-                        .iter()
-                        .map(|&node| scratch.policy[node])
-                        .collect();
+                    let positions = walk[p..].iter().map(|&node| policy[node]).collect();
                     return Some(Evaluation::Infinite(positions));
                 }
                 return Some(Evaluation::Bail);
@@ -254,20 +394,22 @@ fn evaluate_int(scratch: &mut Scratch, n: usize) -> Option<Evaluation> {
             } else {
                 (cost, time)
             };
-            let anchor = scratch.walk[p];
-            scratch.int_gain_num[anchor] = num;
-            scratch.int_gain_den[anchor] = den;
-            scratch.int_value[anchor] = 0;
-            scratch.resolved[anchor] = resolved;
+            let anchor = walk[p];
+            int_gain_num[anchor] = num;
+            int_gain_den[anchor] = den;
+            int_value[anchor] = 0;
+            resolved_stamp[anchor] = resolved;
             let mut next_value: i128 = 0;
-            for walk_index in (p + 1..scratch.walk.len()).rev() {
-                let node = scratch.walk[walk_index];
-                let weight = reduced_weight_int(scratch, scratch.policy[node], num, den)?;
-                let value = weight.checked_add(next_value)?;
-                scratch.int_gain_num[node] = num;
-                scratch.int_gain_den[node] = den;
-                scratch.int_value[node] = value;
-                scratch.resolved[node] = resolved;
+            for walk_index in (p + 1..walk.len()).rev() {
+                let node = walk[walk_index];
+                let position = policy[node];
+                let weight =
+                    reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
+                let value = add::<FAST>(weight, next_value)?;
+                int_gain_num[node] = num;
+                int_gain_den[node] = den;
+                int_value[node] = value;
+                resolved_stamp[node] = resolved;
                 next_value = value;
             }
             p
@@ -275,44 +417,78 @@ fn evaluate_int(scratch: &mut Scratch, n: usize) -> Option<Evaluation> {
         // Tree part of the walk: propagate gain class and value backwards
         // from the (now resolved) junction.
         for walk_index in (0..tree_top).rev() {
-            let node = scratch.walk[walk_index];
-            let position = scratch.policy[node];
-            let successor = scratch.arc_to[position] as usize;
-            debug_assert_eq!(scratch.resolved[successor], resolved);
-            let num = scratch.int_gain_num[successor];
-            let den = scratch.int_gain_den[successor];
-            let weight = reduced_weight_int(scratch, position, num, den)?;
-            let value = weight.checked_add(scratch.int_value[successor])?;
-            scratch.int_gain_num[node] = num;
-            scratch.int_gain_den[node] = den;
-            scratch.int_value[node] = value;
-            scratch.resolved[node] = resolved;
+            let node = walk[walk_index];
+            let position = policy[node];
+            let successor = arc_to[position] as usize;
+            debug_assert_eq!(resolved_stamp[successor], resolved);
+            let num = int_gain_num[successor];
+            let den = int_gain_den[successor];
+            let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
+            let value = add::<FAST>(weight, int_value[successor])?;
+            int_gain_num[node] = num;
+            int_gain_den[node] = den;
+            int_value[node] = value;
+            resolved_stamp[node] = resolved;
         }
     }
     Some(Evaluation::Done)
 }
 
 /// Integer policy improvement, mirroring `howard::improve`: gain
-/// improvements first (multichain rule), then bias improvements between
-/// equal-gain nodes — where "equal gain" is equality of canonical pairs, so
-/// the bias comparison is a plain integer comparison over the shared class
-/// denominator. Returns `Some(changed)`, or `None` on overflow.
-fn improve_int(scratch: &mut Scratch, n: usize) -> Option<bool> {
+/// improvements first (multichain rule, Gauss–Seidel: later nodes see
+/// earlier commits), then bias improvements between equal-gain nodes — where
+/// "equal gain" is equality of canonical pairs, so the bias comparison is a
+/// plain integer comparison over the shared class denominator. Returns
+/// `Some(changed)`, or `None` on overflow.
+fn improve<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<bool> {
+    let Scratch {
+        arc_to,
+        first,
+        policy,
+        int_cost,
+        int_time,
+        int_gain_num,
+        int_gain_den,
+        int_value,
+        ..
+    } = scratch;
+
+    // Fast lane: the round-start maximum gain. A node already at it cannot
+    // strictly improve, so its row scan is skipped. Canonical pairs make the
+    // equality test two integer compares.
+    let (mut max_num, mut max_den) = (int_gain_num[0], int_gain_den[0]);
+    if FAST {
+        for node in 1..n {
+            if int_gain_num[node] * max_den > max_num * int_gain_den[node] {
+                max_num = int_gain_num[node];
+                max_den = int_gain_den[node];
+            }
+        }
+    }
+
     let mut changed = false;
     for node in 0..n {
-        let mut best_position = scratch.policy[node];
+        if FAST && int_gain_num[node] == max_num && int_gain_den[node] == max_den {
+            continue;
+        }
+        let mut best_position = policy[node];
         let mut best = node;
-        for position in scratch.first[node]..scratch.first[node + 1] {
-            let target = scratch.arc_to[position] as usize;
-            if cmp_gain_checked(scratch, target, best)? == std::cmp::Ordering::Greater {
+        let (lo, hi) = (first[node], first[node + 1]);
+        for (position, &to) in (lo..hi).zip(&arc_to[lo..hi]) {
+            let target = to as usize;
+            let lhs = mul::<FAST>(int_gain_num[target], int_gain_den[best])?;
+            let rhs = mul::<FAST>(int_gain_num[best], int_gain_den[target])?;
+            if lhs > rhs {
                 best = target;
                 best_position = position;
             }
         }
-        if cmp_gain_checked(scratch, best, node)? == std::cmp::Ordering::Greater {
-            scratch.policy[node] = best_position;
-            scratch.int_gain_num[node] = scratch.int_gain_num[best];
-            scratch.int_gain_den[node] = scratch.int_gain_den[best];
+        let lhs = mul::<FAST>(int_gain_num[best], int_gain_den[node])?;
+        let rhs = mul::<FAST>(int_gain_num[node], int_gain_den[best])?;
+        if lhs > rhs {
+            policy[node] = best_position;
+            int_gain_num[node] = int_gain_num[best];
+            int_gain_den[node] = int_gain_den[best];
             changed = true;
         }
     }
@@ -320,27 +496,208 @@ fn improve_int(scratch: &mut Scratch, n: usize) -> Option<bool> {
         return Some(true);
     }
     for node in 0..n {
-        let num = scratch.int_gain_num[node];
-        let den = scratch.int_gain_den[node];
+        let num = int_gain_num[node];
+        let den = int_gain_den[node];
         let mut best_position = usize::MAX;
-        let mut best_value = scratch.int_value[node];
-        for position in scratch.first[node]..scratch.first[node + 1] {
-            let target = scratch.arc_to[position] as usize;
+        let mut best_value = int_value[node];
+        for position in first[node]..first[node + 1] {
+            let target = arc_to[position] as usize;
             // Canonical pairs: different representation ⇔ different gain.
-            if scratch.int_gain_num[target] != num || scratch.int_gain_den[target] != den {
+            if int_gain_num[target] != num || int_gain_den[target] != den {
                 continue;
             }
-            let weight = reduced_weight_int(scratch, position, num, den)?;
-            let candidate = weight.checked_add(scratch.int_value[target])?;
+            let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
+            let candidate = add::<FAST>(weight, int_value[target])?;
             if candidate > best_value {
                 best_value = candidate;
                 best_position = position;
             }
         }
         if best_position != usize::MAX {
-            scratch.policy[node] = best_position;
+            policy[node] = best_position;
             changed = true;
         }
     }
     Some(changed)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::{CancelToken, McrError, Solver, SolverChoice};
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    fn arc_weights(next: &mut impl FnMut() -> u64, huge: bool) -> (Rational, Rational) {
+        let cost = if huge {
+            // Magnitudes from 2^64 to 2^120: the fast-lane bound
+            // `B ≤ 2^62 / n` always fails, and the larger ones overflow
+            // checked products, driving the checked lane, the scalar-kernel
+            // fallback and rational overflow errors.
+            let shift = 64 + next() % 57;
+            Rational::from_integer(((next() % 5) as i128 - 2) << shift)
+        } else {
+            Rational::new(-3 + (next() % 12) as i128, 1 + (next() % 4) as i128).unwrap()
+        };
+        // Times include negative and zero values, so Infinite classification
+        // and the lexicographic edge cases stay on the menu.
+        let time = Rational::new(-2 + (next() % 8) as i128, 1 + (next() % 3) as i128).unwrap();
+        (cost, time)
+    }
+
+    /// One strongly connected ring with random chords: the single-SCC shape
+    /// of K-Iter event graphs.
+    fn ring_graph(seed: u64, huge: bool) -> RatioGraph {
+        let mut next = xorshift(seed);
+        let n = 3 + (next() % 40) as usize;
+        let mut g = RatioGraph::new(n);
+        for i in 0..n {
+            let (cost, time) = arc_weights(&mut next, huge);
+            g.add_arc(g.node(i), g.node((i + 1) % n), cost, time);
+        }
+        for _ in 0..(n as u64 / 2 + next() % 8) {
+            let a = (next() % n as u64) as usize;
+            let b = (next() % n as u64) as usize;
+            let (cost, time) = arc_weights(&mut next, huge);
+            g.add_arc(g.node(a), g.node(b), cost, time);
+        }
+        g
+    }
+
+    /// Small random multigraphs (several components, self-loops, negative
+    /// and zero times).
+    fn random_graph(seed: u64) -> RatioGraph {
+        let mut next = xorshift(seed);
+        let n = 1 + (next() % 8) as usize;
+        let mut g = RatioGraph::new(n);
+        for _ in 0..(2 + next() % 20) {
+            let a = (next() % n as u64) as usize;
+            let b = (next() % n as u64) as usize;
+            g.add_arc(
+                g.node(a),
+                g.node(b),
+                Rational::new(-3 + (next() % 12) as i128, 1 + (next() % 4) as i128).unwrap(),
+                Rational::new(-2 + (next() % 8) as i128, 1 + (next() % 3) as i128).unwrap(),
+            );
+        }
+        g
+    }
+
+    /// The scalar reference kernel.
+    fn scalar(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
+        scratch.ensure_component_rationals(graph);
+        crate::howard::howard_component(scratch, n)
+    }
+
+    /// The integer kernel forced onto its checked lane.
+    fn checked_lane(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
+        if scratch.arc_len() == 0 {
+            return HowardOutcome::Bail;
+        }
+        scale_component_int(graph, scratch)
+            .and_then(|scaled| iterate::<false>(scratch, n, &scaled))
+            .unwrap_or_else(|| scalar(graph, scratch, n))
+    }
+
+    thread_local! {
+        static DECLINES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The production kernel, counting the components it hands to the
+    /// scalar fallback.
+    fn counted(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
+        howard_component_int(graph, scratch, n).unwrap_or_else(|| {
+            DECLINES.with(|count| count.set(count.get() + 1));
+            scalar(graph, scratch, n)
+        })
+    }
+
+    /// The integer kernel and the scalar kernel agree exactly: same outcome
+    /// variant, same λ, same circuit (arcs, nodes, cost, time) — or the same
+    /// error.
+    fn assert_kernels_agree(g: &RatioGraph, label: &str) {
+        for choice in [SolverChoice::Howard, SolverChoice::Auto] {
+            let reference = Solver::new(choice).solve_using(g, scalar);
+            assert_eq!(
+                Solver::new(choice).solve_using(g, counted),
+                reference,
+                "{label} {choice:?}"
+            );
+            assert_eq!(
+                Solver::new(choice).solve_using(g, checked_lane),
+                reference,
+                "{label} {choice:?} checked lane"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_kernel_matches_scalar_kernel_on_rings() {
+        for seed in 0..60u64 {
+            assert_kernels_agree(&ring_graph(seed, false), &format!("ring seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn integer_kernel_matches_scalar_kernel_on_random_multigraphs() {
+        for seed in 0..200u64 {
+            assert_kernels_agree(&random_graph(seed), &format!("random seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn huge_weights_take_the_fallbacks_and_still_match() {
+        DECLINES.with(|count| count.set(0));
+        let mut errors = 0;
+        for seed in 0..40u64 {
+            let g = ring_graph(seed, true);
+            assert_kernels_agree(&g, &format!("huge ring seed {seed}"));
+            errors += usize::from(Solver::new(SolverChoice::Howard).solve(&g).is_err());
+        }
+        // The huge rings must reach the scalar fallback and the rational
+        // overflow error, or this test would not cover them.
+        assert!(DECLINES.with(Cell::get) > 0, "no scalar fallback exercised");
+        assert!(errors > 0, "no overflow error exercised");
+    }
+
+    #[test]
+    fn solver_is_reusable_across_lean_and_fallback_components() {
+        // One solver alternating plain rings (lean loads, integer kernel)
+        // and huge rings (rational loads for the fallbacks): the per-component
+        // view must reload correctly every time.
+        let mut solver = Solver::new(SolverChoice::Auto);
+        for seed in 0..24u64 {
+            let g = ring_graph(seed / 2, seed % 2 == 1);
+            let expected = Solver::new(SolverChoice::Auto).solve(&g);
+            assert_eq!(solver.solve(&g), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn pre_cancelled_solves_fail_and_leave_the_solver_reusable() {
+        for seed in 0..8u64 {
+            let g = ring_graph(seed, false);
+            let token = CancelToken::new();
+            token.cancel();
+            let mut solver = Solver::new(SolverChoice::Auto);
+            solver.set_cancel_token(token);
+            assert_eq!(solver.solve(&g), Err(McrError::Cancelled), "seed {seed}");
+            solver.set_cancel_token(CancelToken::default());
+            assert_eq!(
+                solver.solve(&g).unwrap(),
+                Solver::new(SolverChoice::Auto).solve(&g).unwrap(),
+                "seed {seed} post-cancel"
+            );
+        }
+    }
 }

@@ -9,23 +9,20 @@
 //! * [`Solver`] / [`SolverChoice`] — the solver-selection layer with
 //!   reusable scratch buffers (CSR adjacency, SCC decomposition, component
 //!   views — nothing is allocated per solve after warm-up): Howard's policy
-//!   iteration (the fast solver on large event graphs, with an
-//!   integer-numerator inner loop over per-component common denominators —
-//!   see the `kernel` module — and a scalar fallback), the exact parametric
-//!   method, and Karp's dynamic program for the unit-time special case.
-//!   `SolverChoice::Auto` picks per strongly connected component and is what
-//!   K-Iter uses; [`Solver::with_threads`] solves independent cyclic
-//!   components on a `std::thread::scope` worker pool with a deterministic
-//!   component-order merge, and at two or more threads the sweeps *inside*
-//!   each large component (at least [`INTRA_MIN_NODES`] nodes) run on the
-//!   chunked Howard/certifier kernels of the `chunked` module — so results
-//!   are byte-identical at any width, including on one-giant-SCC graphs;
+//!   iteration (the fast solver on large event graphs) and the exact
+//!   parametric method. `SolverChoice::Auto` picks per strongly connected
+//!   component and is what K-Iter uses. Components are solved one after
+//!   another on the calling thread. Howard always runs one kernel: an
+//!   integer-numerator policy iteration over per-component common
+//!   denominators (the `kernel` module), with the scalar `Rational` kernel
+//!   as the fallback when the scaled weights overflow `i128`;
 //! * [`maximum_cycle_ratio`] — one-shot parametric solve returning the
 //!   maximum ratio and a critical circuit ([`CycleRatioOutcome`]);
 //! * [`maximum_cycle_ratio_with`] — one-shot solve with an explicit
 //!   [`SolverChoice`];
 //! * [`maximum_cycle_mean`] — Karp's algorithm for the unit-time special
-//!   case (`O(n)` memory, two rolling-row passes);
+//!   case (`O(n)` memory, two rolling-row passes), kept as an independent
+//!   test oracle;
 //! * [`maximum_cycle_ratio_brute_force`] / [`enumerate_elementary_cycles`] —
 //!   an exhaustive oracle for tests;
 //! * [`SccDecomposition`] — Tarjan's strongly connected components.
@@ -54,7 +51,6 @@
 
 mod brute;
 mod cancel;
-mod chunked;
 mod graph;
 mod howard;
 mod karp;
@@ -69,7 +65,7 @@ pub use karp::maximum_cycle_mean;
 pub use scc::SccDecomposition;
 pub use solve::{
     maximum_cycle_ratio, maximum_cycle_ratio_with, CriticalCycle, CycleRatioOutcome, McrError,
-    Solver, SolverChoice, AUTO_HOWARD_MIN_NODES, INTRA_MIN_NODES,
+    Solver, SolverChoice, AUTO_HOWARD_MIN_NODES,
 };
 
 #[cfg(test)]

@@ -23,12 +23,10 @@
 //! All arithmetic is exact rational arithmetic; `f64` is never consulted.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use csdf::{Rational, RationalError};
 
 use crate::cancel::CancelToken;
-use crate::chunked::{self, ChunkScratch, IntraOpts};
 use crate::graph::{build_csr, ArcId, NodeId, RatioGraph};
 use crate::howard::{self, HowardOutcome};
 use crate::kernel;
@@ -169,10 +167,6 @@ pub enum SolverChoice {
     /// parametric certifier in situations its optimality certificate does not
     /// cover; results are always identical to [`SolverChoice::Parametric`]).
     Howard,
-    /// Karp's dynamic program. Only applicable to components in which every
-    /// arc time equals one (the cycle-*mean* special case); other components
-    /// silently use the parametric method.
-    Karp,
 }
 
 /// Component size at which [`SolverChoice::Auto`] switches from the
@@ -184,57 +178,29 @@ pub enum SolverChoice {
 /// policy improvements — so only trivial components stay parametric.
 pub const AUTO_HOWARD_MIN_NODES: usize = 4;
 
-/// Component size at which a multi-threaded [`Solver`] switches from the
-/// per-SCC worker pool to *intra-component* chunked kernels (see
-/// [`crate::chunked`]): when the largest cyclic strongly connected component
-/// has at least this many nodes, the solve runs sequentially over components
-/// and chunks each big component's sweeps instead — one giant SCC is exactly
-/// the shape the per-SCC pool cannot help with. Outputs are bit-identical
-/// either way; the threshold only moves work between the two strategies.
-pub const INTRA_MIN_NODES: usize = 2048;
-
-/// Cached `std::thread::available_parallelism()` (it can cost a syscall per
-/// query on Linux; the answer does not change within a process).
-fn host_parallelism() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
-
-/// Per-solve intra-component parallelism plan, derived once from the solver
-/// knobs and the component size distribution.
-#[derive(Debug, Clone, Copy)]
-struct IntraSolveConfig {
-    /// Chunks per sweep for components that cross `min_nodes` (`1` disables).
-    threads: usize,
-    /// Minimum component size for chunked kernels.
-    min_nodes: usize,
-    /// Whether chunks run on scoped worker threads (disabled on single-core
-    /// hosts — the chunked code path still runs, inline, with identical
-    /// results, so determinism never depends on this).
-    spawn: bool,
-}
-
-impl IntraSolveConfig {
-    const SERIAL: IntraSolveConfig = IntraSolveConfig {
-        threads: 1,
-        min_nodes: usize::MAX,
-        spawn: false,
-    };
-}
-
-/// Resolves [`SolverChoice::Auto`] for a component of `n` nodes.
-fn effective_choice(choice: SolverChoice, n: usize) -> SolverChoice {
+/// Whether `choice` runs Howard's policy iteration on a component of `n`
+/// nodes (otherwise the parametric method).
+fn uses_howard(choice: SolverChoice, n: usize) -> bool {
     match choice {
-        SolverChoice::Auto => {
-            if n >= AUTO_HOWARD_MIN_NODES {
-                SolverChoice::Howard
-            } else {
-                SolverChoice::Parametric
-            }
-        }
-        other => other,
+        SolverChoice::Auto => n >= AUTO_HOWARD_MIN_NODES,
+        SolverChoice::Howard => true,
+        SolverChoice::Parametric => false,
     }
+}
+
+/// A Howard kernel: runs policy iteration on the component loaded in the
+/// scratch. The solver always uses [`integer_howard`]; the kernel tests swap
+/// in the scalar kernel through [`Solver::solve_using`].
+pub(crate) type HowardKernel = fn(&RatioGraph, &mut Scratch, usize) -> HowardOutcome;
+
+/// The integer kernel ([`crate::kernel`]), falling back to the scalar
+/// [`crate::howard`] kernel when the component's scaled weights overflow
+/// `i128`. Outcomes are bit-identical either way.
+fn integer_howard(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
+    kernel::howard_component_int(graph, scratch, n).unwrap_or_else(|| {
+        scratch.ensure_component_rationals(graph);
+        howard::howard_component(scratch, n)
+    })
 }
 
 /// A reusable maximum cycle ratio solver.
@@ -242,13 +208,8 @@ fn effective_choice(choice: SolverChoice, n: usize) -> SolverChoice {
 /// The solver owns scratch buffers (CSR adjacency, SCC decomposition,
 /// component views, Bellman–Ford state, policy-iteration state) that are
 /// reused across [`Solver::solve`] calls, so repeated solves — the K-Iter hot
-/// path performs one per iteration — do not reallocate.
-///
-/// With [`Solver::with_threads`] (or [`Solver::set_threads`]) greater than
-/// one, independent cyclic strongly connected components are solved in
-/// parallel on a `std::thread::scope` worker pool, one long-lived scratch per
-/// worker; the per-component results are merged in component order, so the
-/// outcome is byte-for-byte identical to the sequential solve.
+/// path performs one per iteration — do not reallocate. Components are
+/// solved one after another on the calling thread.
 ///
 /// # Examples
 ///
@@ -269,77 +230,21 @@ fn effective_choice(choice: SolverChoice, n: usize) -> SolverChoice {
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     choice: SolverChoice,
-    threads: usize,
-    integer_kernel: bool,
-    /// Component size threshold for intra-component chunked kernels
-    /// ([`INTRA_MIN_NODES`] by default; the test hook
-    /// [`Solver::set_intra_min_nodes`] lowers it to exercise the chunked
-    /// path on small graphs).
-    intra_min_nodes: usize,
-    /// Forces chunk execution onto scoped worker threads even on single-core
-    /// hosts (test hook; results are identical either way).
-    intra_spawn_force: bool,
-    cancel: CancelToken,
     scratch: Scratch,
-    /// One extra scratch per additional worker thread (lazily grown, kept
-    /// warm across solves).
-    worker_scratches: Vec<Scratch>,
     /// Reusable SCC state and CSR adjacency for graphs whose own index is
     /// stale.
     scc: SccBuffers,
     csr_offsets: Vec<u32>,
     csr_index: Vec<ArcId>,
-    /// Indices of the cyclic components of the current solve.
-    cyclic: Vec<u32>,
 }
 
 impl Solver {
-    /// Creates a solver running the given algorithm, single-threaded, with
-    /// the integer Howard kernel enabled.
+    /// Creates a solver running the given algorithm.
     pub fn new(choice: SolverChoice) -> Self {
         Solver {
             choice,
-            threads: 1,
-            integer_kernel: true,
-            intra_min_nodes: INTRA_MIN_NODES,
-            intra_spawn_force: false,
-            cancel: CancelToken::default(),
-            scratch: Scratch::default(),
-            worker_scratches: Vec::new(),
-            scc: SccBuffers::default(),
-            csr_offsets: Vec::new(),
-            csr_index: Vec::new(),
-            cyclic: Vec::new(),
+            ..Solver::default()
         }
-    }
-
-    /// Sets the number of worker threads used to solve independent cyclic
-    /// strongly connected components in parallel (builder form). `0` is
-    /// treated as `1`; results are identical for every value.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Sets the number of worker threads (see [`Solver::with_threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Enables or disables the integer-numerator Howard kernel (builder
-    /// form). On by default; disabling forces the scalar [`Rational`] path.
-    /// Results are bit-identical either way — the knob exists for the
-    /// property tests that pin that equivalence and for benchmarking.
-    #[must_use]
-    pub fn with_integer_kernel(mut self, enabled: bool) -> Self {
-        self.integer_kernel = enabled;
-        self
     }
 
     /// The configured algorithm choice.
@@ -352,44 +257,36 @@ impl Solver {
     /// [`McrError::Cancelled`]; the solver and all its scratch buffers stay
     /// reusable afterwards. Pass [`CancelToken::default`] to detach.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    /// Lowers the component-size threshold for the intra-component chunked
-    /// kernels (default [`INTRA_MIN_NODES`]). Outputs are bit-identical at
-    /// every value; this hook exists so tests and benchmarks can force the
-    /// chunked path on small graphs.
-    #[doc(hidden)]
-    pub fn set_intra_min_nodes(&mut self, nodes: usize) {
-        self.intra_min_nodes = nodes.max(1);
-    }
-
-    /// Forces chunk execution onto scoped worker threads even when the host
-    /// reports a single core. Results are identical either way; this hook
-    /// exists so tests can exercise the real spawn path deterministically.
-    #[doc(hidden)]
-    pub fn set_intra_spawn_force(&mut self, force: bool) {
-        self.intra_spawn_force = force;
+        self.scratch.cancel = token;
     }
 
     /// Computes the maximum cost-to-time ratio of `graph` and a critical
-    /// circuit. Identical results for every [`SolverChoice`] and thread
-    /// count.
+    /// circuit. Identical results for every [`SolverChoice`].
     ///
     /// # Errors
     ///
     /// Returns [`McrError::Rational`] if the exact arithmetic overflows
-    /// `i128`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a parallel component worker itself panicked or the
-    /// per-component bookkeeping invariant breaks.
+    /// `i128`, and [`McrError::Cancelled`] if the installed token fires.
     pub fn solve(&mut self, graph: &RatioGraph) -> Result<CycleRatioOutcome, McrError> {
-        if self.cancel.is_cancelled() {
+        self.solve_using(graph, integer_howard)
+    }
+
+    /// [`Solver::solve`] with an explicit Howard kernel.
+    pub(crate) fn solve_using(
+        &mut self,
+        graph: &RatioGraph,
+        howard: HowardKernel,
+    ) -> Result<CycleRatioOutcome, McrError> {
+        let Solver {
+            choice,
+            scratch,
+            scc,
+            csr_offsets,
+            csr_index,
+        } = self;
+        if scratch.cancel.is_cancelled() {
             return Err(McrError::Cancelled);
         }
-        self.scratch.cancel = self.cancel.clone();
         let arcs = graph.raw_arcs();
         // Adjacency: borrow the graph's CSR index when current (the arena
         // rebuilds it after every patch), otherwise build one into the
@@ -397,137 +294,24 @@ impl Solver {
         let (offsets, index): (&[u32], &[ArcId]) = match graph.adjacency() {
             Some(adjacency) => adjacency,
             None => {
-                build_csr(
-                    graph.node_count(),
-                    arcs,
-                    &mut self.csr_offsets,
-                    &mut self.csr_index,
-                );
-                (&self.csr_offsets, &self.csr_index)
+                build_csr(graph.node_count(), arcs, csr_offsets, csr_index);
+                (csr_offsets, csr_index)
             }
         };
-        self.scc.compute(graph.node_count(), offsets, index, arcs);
-        self.cyclic.clear();
-        for component in 0..self.scc.component_count() {
-            if self
-                .scc
-                .is_cyclic_component(component, offsets, index, arcs)
-            {
-                self.cyclic.push(component as u32);
-            }
-        }
-        if self.cyclic.is_empty() {
-            return Ok(CycleRatioOutcome::Acyclic);
-        }
-
-        // Intra-component parallelism takes priority over the per-SCC worker
-        // pool: when the largest cyclic component crosses the threshold, the
-        // solve runs sequentially over components and chunks each big
-        // component's sweeps instead (one giant SCC is exactly the shape the
-        // per-SCC pool cannot help with). Outputs are identical either way.
-        let largest = self
-            .cyclic
-            .iter()
-            .map(|&component| self.scc.component(component as usize).len())
-            .max()
-            .unwrap_or(0);
-        let intra = if self.threads >= 2 && largest >= self.intra_min_nodes {
-            IntraSolveConfig {
-                threads: self.threads,
-                min_nodes: self.intra_min_nodes,
-                spawn: self.intra_spawn_force || host_parallelism() >= 2,
-            }
-        } else {
-            IntraSolveConfig::SERIAL
-        };
-        let worker_count = if intra.threads >= 2 {
-            1
-        } else {
-            self.threads.min(self.cyclic.len())
-        };
-        if worker_count <= 1 {
-            return solve_sequential(
-                graph,
-                offsets,
-                index,
-                &self.scc,
-                &self.cyclic,
-                &mut self.scratch,
-                self.choice,
-                self.integer_kernel,
-                intra,
-            );
-        }
-
-        // Parallel path: one scoped worker per extra thread plus the calling
-        // thread, pulling cyclic components off a shared atomic cursor. Each
-        // worker keeps its own long-lived scratch; results are merged in
-        // component order below, so scheduling cannot affect the outcome.
-        // Grow-only: a solve with fewer cyclic components must not drop the
-        // warm scratches a wider earlier solve built up.
-        if self.worker_scratches.len() < worker_count - 1 {
-            self.worker_scratches
-                .resize_with(worker_count - 1, Scratch::default);
-        }
-        for scratch in &mut self.worker_scratches {
-            scratch.cancel = self.cancel.clone();
-        }
-        let scc = &self.scc;
-        let cyclic = &self.cyclic;
-        let choice = self.choice;
-        let integer_kernel = self.integer_kernel;
-        let next = AtomicUsize::new(0);
-        let main_scratch = &mut self.scratch;
-        let mut outcomes: Vec<Vec<(usize, Result<ComponentOutcome, McrError>)>> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(worker_count - 1);
-                for scratch in self.worker_scratches.iter_mut().take(worker_count - 1) {
-                    let next = &next;
-                    handles.push(scope.spawn(move || {
-                        worker_loop(
-                            graph,
-                            offsets,
-                            index,
-                            scc,
-                            cyclic,
-                            next,
-                            choice,
-                            integer_kernel,
-                            scratch,
-                        )
-                    }));
-                }
-                let mut collected = vec![worker_loop(
-                    graph,
-                    offsets,
-                    index,
-                    scc,
-                    cyclic,
-                    &next,
-                    choice,
-                    integer_kernel,
-                    main_scratch,
-                )];
-                for handle in handles {
-                    collected.push(handle.join().expect("solver worker panicked"));
-                }
-                collected
-            });
-
-        // Deterministic merge: place every per-component outcome in its slot,
-        // then replay them in component order with exactly the sequential
-        // rules (first error or Infinite in component order wins; ties on the
-        // maximum ratio keep the earliest component).
-        let mut slots: Vec<Option<Result<ComponentOutcome, McrError>>> =
-            (0..cyclic.len()).map(|_| None).collect();
-        for outcomes in &mut outcomes {
-            for (slot, outcome) in outcomes.drain(..) {
-                slots[slot] = Some(outcome);
-            }
-        }
+        scc.compute(graph.node_count(), offsets, index, arcs);
+        scratch.prepare(graph.node_count());
+        let mut cyclic = false;
         let mut best: Option<(Rational, CriticalCycle)> = None;
-        for slot in &mut slots {
-            match slot.take().expect("every cyclic component is solved")? {
+        for component in 0..scc.component_count() {
+            if !scc.is_cyclic_component(component, offsets, index, arcs) {
+                continue;
+            }
+            cyclic = true;
+            let members = scc.component(component);
+            scratch.begin_component(graph, members, offsets, index);
+            let outcome = solve_component(graph, scratch, *choice, howard, members.len());
+            scratch.end_component(members);
+            match outcome? {
                 ComponentOutcome::NonPositive => {}
                 ComponentOutcome::Finite { ratio, cycle } => {
                     if best.as_ref().map_or(true, |(r, _)| ratio > *r) {
@@ -541,103 +325,10 @@ impl Solver {
         }
         Ok(match best {
             Some((ratio, cycle)) => CycleRatioOutcome::Finite { ratio, cycle },
-            None => CycleRatioOutcome::NonPositive,
+            None if cyclic => CycleRatioOutcome::NonPositive,
+            None => CycleRatioOutcome::Acyclic,
         })
     }
-}
-
-/// The sequential solve loop over the cyclic components (also the
-/// single-worker fast path of the parallel solver).
-#[allow(clippy::too_many_arguments)]
-fn solve_sequential(
-    graph: &RatioGraph,
-    offsets: &[u32],
-    index: &[ArcId],
-    scc: &SccBuffers,
-    cyclic: &[u32],
-    scratch: &mut Scratch,
-    choice: SolverChoice,
-    integer_kernel: bool,
-    intra: IntraSolveConfig,
-) -> Result<CycleRatioOutcome, McrError> {
-    scratch.prepare(graph.node_count());
-    let mut best: Option<(Rational, CriticalCycle)> = None;
-    for &component in cyclic {
-        let members = scc.component(component as usize);
-        let n = members.len();
-        let opts = IntraOpts {
-            workers: if intra.threads >= 2 && n >= intra.min_nodes {
-                intra.threads
-            } else {
-                1
-            },
-            spawn: intra.spawn,
-        };
-        // Lean loading: the chunked integer kernel reads arc weights straight
-        // from the graph through the component's arc-id map, so the per-arc
-        // Rational copies of the component view are skipped until a fallback
-        // path actually needs them (see `ensure_component_rationals`).
-        let lean = opts.workers >= 2
-            && integer_kernel
-            && effective_choice(choice, n) == SolverChoice::Howard;
-        scratch.begin_component(graph, members, offsets, index, !lean);
-        let outcome = solve_component(graph, scratch, choice, integer_kernel, n, opts);
-        scratch.end_component(members);
-        match outcome? {
-            ComponentOutcome::NonPositive => {}
-            ComponentOutcome::Finite { ratio, cycle } => {
-                if best.as_ref().map_or(true, |(r, _)| ratio > *r) {
-                    best = Some((ratio, cycle));
-                }
-            }
-            ComponentOutcome::Infinite { cycle } => {
-                return Ok(CycleRatioOutcome::Infinite { cycle });
-            }
-        }
-    }
-    Ok(match best {
-        Some((ratio, cycle)) => CycleRatioOutcome::Finite { ratio, cycle },
-        None => CycleRatioOutcome::NonPositive,
-    })
-}
-
-/// One parallel worker: pulls cyclic-component slots off the shared cursor
-/// until none remain, solving each on its own scratch. Every component is
-/// always solved — there is no early abort — so the merge sees a complete,
-/// scheduling-independent result set.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    graph: &RatioGraph,
-    offsets: &[u32],
-    index: &[ArcId],
-    scc: &SccBuffers,
-    cyclic: &[u32],
-    next: &AtomicUsize,
-    choice: SolverChoice,
-    integer_kernel: bool,
-    scratch: &mut Scratch,
-) -> Vec<(usize, Result<ComponentOutcome, McrError>)> {
-    let mut outcomes = Vec::new();
-    scratch.prepare(graph.node_count());
-    loop {
-        let slot = next.fetch_add(1, Ordering::Relaxed);
-        if slot >= cyclic.len() {
-            break;
-        }
-        let members = scc.component(cyclic[slot] as usize);
-        scratch.begin_component(graph, members, offsets, index, true);
-        let outcome = solve_component(
-            graph,
-            scratch,
-            choice,
-            integer_kernel,
-            members.len(),
-            IntraOpts::SERIAL,
-        );
-        scratch.end_component(members);
-        outcomes.push((slot, outcome));
-    }
-    outcomes
 }
 
 /// Dispatches one strongly connected component (loaded in `scratch`) to the
@@ -646,64 +337,28 @@ fn solve_component(
     graph: &RatioGraph,
     scratch: &mut Scratch,
     choice: SolverChoice,
-    integer_kernel: bool,
+    howard: HowardKernel,
     n: usize,
-    intra: IntraOpts,
 ) -> Result<ComponentOutcome, McrError> {
-    let choice = effective_choice(choice, n);
-    match choice {
-        SolverChoice::Parametric | SolverChoice::Auto => {
-            parametric_component(graph, scratch, n, Rational::ZERO, None, intra)
+    if !uses_howard(choice, n) {
+        return parametric_component(graph, scratch, n, Rational::ZERO, None);
+    }
+    match howard(graph, scratch, n) {
+        HowardOutcome::Infinite { positions } => {
+            let cycle = materialize_cycle(graph, scratch, &positions)?;
+            Ok(ComponentOutcome::Infinite { cycle })
         }
-        SolverChoice::Howard => {
-            // The integer kernel handles the common case (component-wide
-            // common denominators that keep every product inside i128) and
-            // declines otherwise; the scalar path is the universal fallback.
-            // Outcomes are bit-identical — see `kernel` module docs. With
-            // `intra.workers >= 2` the chunked twins run instead, which are
-            // bit-identical to the serial kernels by construction (see
-            // `crate::chunked`).
-            let outcome = if intra.workers >= 2 {
-                if integer_kernel {
-                    match chunked::howard_component_int_chunked(graph, scratch, n, intra) {
-                        Some(outcome) => outcome,
-                        None => {
-                            scratch.ensure_component_rationals(graph);
-                            chunked::howard_component_chunked(scratch, n, intra)
-                        }
-                    }
-                } else {
-                    chunked::howard_component_chunked(scratch, n, intra)
-                }
-            } else if integer_kernel {
-                kernel::howard_component_int(scratch, n)
-                    .unwrap_or_else(|| howard::howard_component(scratch, n))
-            } else {
-                howard::howard_component(scratch, n)
-            };
-            match outcome {
-                HowardOutcome::Infinite { positions } => {
-                    let cycle = materialize_cycle(graph, scratch, &positions)?;
-                    Ok(ComponentOutcome::Infinite { cycle })
-                }
-                HowardOutcome::Certified { lambda, positions } => {
-                    let cycle = materialize_cycle(graph, scratch, &positions)?;
-                    Ok(ComponentOutcome::Finite {
-                        ratio: lambda,
-                        cycle,
-                    })
-                }
-                HowardOutcome::Estimate { lambda, positions } => {
-                    scratch.ensure_component_rationals(graph);
-                    parametric_component(graph, scratch, n, lambda, Some(positions), intra)
-                }
-                HowardOutcome::Bail => {
-                    scratch.ensure_component_rationals(graph);
-                    parametric_component(graph, scratch, n, Rational::ZERO, None, intra)
-                }
-            }
+        HowardOutcome::Certified { lambda, positions } => {
+            let cycle = materialize_cycle(graph, scratch, &positions)?;
+            Ok(ComponentOutcome::Finite {
+                ratio: lambda,
+                cycle,
+            })
         }
-        SolverChoice::Karp => karp_component(graph, scratch, n, intra),
+        HowardOutcome::Estimate { lambda, positions } => {
+            parametric_component(graph, scratch, n, lambda, Some(positions))
+        }
+        HowardOutcome::Bail => parametric_component(graph, scratch, n, Rational::ZERO, None),
     }
 }
 
@@ -750,7 +405,7 @@ pub fn maximum_cycle_ratio_with(
     Solver::new(choice).solve(graph)
 }
 
-pub(crate) enum ComponentOutcome {
+enum ComponentOutcome {
     NonPositive,
     Finite {
         ratio: Rational,
@@ -769,21 +424,18 @@ pub(crate) enum ComponentOutcome {
 pub(crate) struct Scratch {
     // Component view: arcs grouped by (local) source node, CSR layout.
     local_of: Vec<usize>,
-    pub(crate) arc_from: Vec<u32>,
+    arc_from: Vec<u32>,
     pub(crate) arc_to: Vec<u32>,
     pub(crate) arc_cost: Vec<Rational>,
     pub(crate) arc_time: Vec<Rational>,
     pub(crate) arc_id: Vec<ArcId>,
     pub(crate) first: Vec<usize>,
     /// Whether `arc_cost`/`arc_time` hold the current component's weights
-    /// (lean loads skip them; see [`Scratch::ensure_component_rationals`]).
+    /// (loads are lean; see [`Scratch::ensure_component_rationals`]).
     rationals_loaded: bool,
-    /// Bumped on every `begin_component`, so derived per-component caches
-    /// (the chunked kernels' reverse CSR) know when to rebuild.
-    pub(crate) component_epoch: u64,
     // Parametric Bellman–Ford state.
-    pub(crate) reduced: Vec<(Rational, Rational)>,
-    pub(crate) distance: Vec<(Rational, Rational)>,
+    reduced: Vec<(Rational, Rational)>,
+    distance: Vec<(Rational, Rational)>,
     predecessor: Vec<usize>,
     active: Vec<usize>,
     next_active: Vec<usize>,
@@ -808,11 +460,8 @@ pub(crate) struct Scratch {
     pub(crate) resolved: Vec<u64>,
     pub(crate) walk: Vec<usize>,
     pub(crate) epoch: u64,
-    /// Reusable buffers of the intra-component chunked kernels.
-    pub(crate) chunk: ChunkScratch,
-    /// Cancellation token polled once per solver round — and, in the chunked
-    /// kernels, once per chunk and every few thousand items within a chunk
-    /// (see [`Solver::set_cancel_token`]); the default token never cancels.
+    /// Cancellation token polled once per solver round (see
+    /// [`Solver::set_cancel_token`]); the default token never cancels.
     pub(crate) cancel: CancelToken,
 }
 
@@ -826,27 +475,23 @@ impl Scratch {
 
     /// Loads one component into the dense view, reading adjacency from the
     /// CSR slices (`offsets`/`index`). Arcs are grouped by source node simply
-    /// by scanning members in order. With `load_rationals` false the per-arc
-    /// `Rational` weight copies are skipped (the chunked integer kernel reads
-    /// weights straight from the graph through `arc_id`); any path that needs
-    /// them calls [`Scratch::ensure_component_rationals`] first.
+    /// by scanning members in order. The load is lean: the per-arc
+    /// `Rational` weight copies are skipped (the integer kernel reads weights
+    /// straight from the graph through `arc_id`); any path that needs them
+    /// calls [`Scratch::ensure_component_rationals`] first.
     fn begin_component(
         &mut self,
         graph: &RatioGraph,
         members: &[u32],
         offsets: &[u32],
         index: &[ArcId],
-        load_rationals: bool,
     ) {
-        self.component_epoch = self.component_epoch.wrapping_add(1);
         let n = members.len();
         for (local, &node) in members.iter().enumerate() {
             self.local_of[node as usize] = local;
         }
         self.arc_from.clear();
         self.arc_to.clear();
-        self.arc_cost.clear();
-        self.arc_time.clear();
         self.arc_id.clear();
         self.first.clear();
         self.first.reserve(n + 1);
@@ -861,15 +506,11 @@ impl Scratch {
                 }
                 self.arc_from.push(local as u32);
                 self.arc_to.push(to as u32);
-                if load_rationals {
-                    self.arc_cost.push(arc.cost);
-                    self.arc_time.push(arc.time);
-                }
                 self.arc_id.push(arc_id);
             }
         }
         self.first.push(self.arc_to.len());
-        self.rationals_loaded = load_rationals;
+        self.rationals_loaded = false;
         // Node-sized state used by both algorithms.
         grow_stamped(&mut self.mark, n);
         grow_stamped(&mut self.resolved, n);
@@ -878,9 +519,8 @@ impl Scratch {
         }
     }
 
-    /// Fills `arc_cost`/`arc_time` for the current component after a lean
-    /// `begin_component`. The arcs were discovered in `arc_id` order, so the
-    /// filled view is byte-identical to a non-lean load.
+    /// Fills `arc_cost`/`arc_time` for the current component (in `arc_id`
+    /// order) unless they are already loaded.
     pub(crate) fn ensure_component_rationals(&mut self, graph: &RatioGraph) {
         if self.rationals_loaded {
             return;
@@ -942,23 +582,18 @@ pub(crate) fn materialize_cycle(
 /// settles the component as `Infinite`), and `λ` ranges over the finite set
 /// of simple-circuit ratios, so the loop terminates on the exact maximum.
 /// The strict-increase invariant is checked defensively on every round.
-pub(crate) fn parametric_component(
+fn parametric_component(
     graph: &RatioGraph,
     scratch: &mut Scratch,
     n: usize,
     start: Rational,
     start_cycle: Option<Vec<usize>>,
-    intra: IntraOpts,
 ) -> Result<ComponentOutcome, McrError> {
+    scratch.ensure_component_rationals(graph);
     let mut lambda = start;
     let mut best = start_cycle;
     loop {
-        let found = if intra.workers >= 2 {
-            chunked::find_violating_cycle_chunked(scratch, n, lambda, intra)?
-        } else {
-            find_violating_cycle(scratch, n, lambda)?
-        };
-        let Some(positions) = found else {
+        let Some(positions) = find_violating_cycle(scratch, n, lambda)? else {
             return Ok(match best {
                 Some(positions) => ComponentOutcome::Finite {
                     ratio: lambda,
@@ -988,7 +623,7 @@ pub(crate) fn parametric_component(
 /// component view. Returns `None` when no such circuit exists (λ is an upper
 /// bound of all finite circuit ratios); the Bellman–Ford distances are left
 /// converged in `scratch.distance` in that case.
-pub(crate) fn find_violating_cycle(
+fn find_violating_cycle(
     scratch: &mut Scratch,
     n: usize,
     lambda: Rational,
@@ -1067,7 +702,7 @@ pub(crate) fn find_violating_cycle(
     }
 }
 
-pub(crate) fn lex_greater(a: &(Rational, Rational), b: &(Rational, Rational)) -> bool {
+fn lex_greater(a: &(Rational, Rational), b: &(Rational, Rational)) -> bool {
     match a.0.cmp(&b.0) {
         std::cmp::Ordering::Greater => true,
         std::cmp::Ordering::Less => false,
@@ -1127,119 +762,6 @@ fn predecessor_source(scratch: &Scratch, node: usize) -> usize {
     scratch.arc_from[scratch.predecessor[node]] as usize
 }
 
-/// Karp's choice: applicable when every arc time is one (cycle mean); other
-/// components silently fall back to the parametric method.
-fn karp_component(
-    graph: &RatioGraph,
-    scratch: &mut Scratch,
-    n: usize,
-    intra: IntraOpts,
-) -> Result<ComponentOutcome, McrError> {
-    if !scratch.arc_time.iter().all(|time| *time == Rational::ONE) {
-        return parametric_component(graph, scratch, n, Rational::ZERO, None, intra);
-    }
-    let lambda = karp_component_mean(scratch, n)?;
-    let Some(lambda) = lambda else {
-        return parametric_component(graph, scratch, n, Rational::ZERO, None, intra);
-    };
-    if !lambda.is_positive() {
-        // All circuit times are positive here, so there is no infinite
-        // outcome and no positive ratio: the component does not constrain.
-        return Ok(ComponentOutcome::NonPositive);
-    }
-    // One certification pass: converged distances double as potentials for
-    // the tight-arc circuit extraction below.
-    if let Some(positions) = find_violating_cycle(scratch, n, lambda)? {
-        // Defensive: the Karp value should already be the maximum. Restart
-        // the parametric iteration from scratch rather than trusting it.
-        let _ = positions;
-        return parametric_component(graph, scratch, n, Rational::ZERO, None, intra);
-    }
-    match tight_cycle(scratch, n, lambda)? {
-        Some(positions) => Ok(ComponentOutcome::Finite {
-            ratio: lambda,
-            cycle: materialize_cycle(graph, scratch, &positions)?,
-        }),
-        None => parametric_component(graph, scratch, n, Rational::ZERO, None, intra),
-    }
-}
-
-/// Maximum cycle mean of the component view (all arc times are one), using
-/// the shared rolling-row Karp recurrence (`O(n)` memory, two passes).
-fn karp_component_mean(scratch: &Scratch, n: usize) -> Result<Option<Rational>, McrError> {
-    let arcs: Vec<(usize, usize, Rational)> = (0..scratch.arc_len())
-        .map(|position| {
-            (
-                scratch.arc_from[position] as usize,
-                scratch.arc_to[position] as usize,
-                scratch.arc_cost[position],
-            )
-        })
-        .collect();
-    crate::karp::rolling_cycle_mean(n, &arcs)
-}
-
-/// After a converged [`find_violating_cycle`] pass at the exact maximum `λ`,
-/// extracts a circuit among the arcs that are tight in the first distance
-/// component; every such circuit has ratio exactly `λ` when all arc times
-/// are positive (which [`karp_component`] guarantees).
-fn tight_cycle(
-    scratch: &mut Scratch,
-    n: usize,
-    lambda: Rational,
-) -> Result<Option<Vec<usize>>, McrError> {
-    // Iterative DFS over tight arcs with stamped colors. Each stack frame is
-    // `(node, cursor, entry_arc)` where `entry_arc` is the tight arc through
-    // which the frame was entered (`usize::MAX` for the root).
-    scratch.epoch += 2;
-    let on_stack = scratch.epoch - 1;
-    let done = scratch.epoch;
-    let mut stack: Vec<(usize, usize, usize)> = Vec::new();
-    for root in 0..n {
-        if scratch.mark[root] == done {
-            continue;
-        }
-        scratch.mark[root] = on_stack;
-        stack.clear();
-        stack.push((root, scratch.first[root], usize::MAX));
-        'dfs: while let Some(&mut (node, ref mut cursor, _)) = stack.last_mut() {
-            while *cursor < scratch.first[node + 1] {
-                let position = *cursor;
-                *cursor += 1;
-                let to = scratch.arc_to[position] as usize;
-                if scratch.mark[to] == done {
-                    continue;
-                }
-                let reduced = scratch.arc_cost[position]
-                    .checked_sub(&lambda.checked_mul(&scratch.arc_time[position])?)?;
-                if scratch.distance[to].0 != scratch.distance[node].0.checked_add(&reduced)? {
-                    continue; // not tight
-                }
-                if scratch.mark[to] == on_stack {
-                    // Tight circuit: entry arcs of the frames after `to`,
-                    // plus the closing arc.
-                    let from_frame = stack
-                        .iter()
-                        .position(|&(frame, _, _)| frame == to)
-                        .expect("on-stack node has a frame");
-                    let mut positions: Vec<usize> = stack[from_frame + 1..]
-                        .iter()
-                        .map(|&(_, _, entry)| entry)
-                        .collect();
-                    positions.push(position);
-                    return Ok(Some(positions));
-                }
-                scratch.mark[to] = on_stack;
-                stack.push((to, scratch.first[to], position));
-                continue 'dfs;
-            }
-            scratch.mark[node] = done;
-            stack.pop();
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1248,13 +770,20 @@ mod tests {
         Rational::from_integer(v)
     }
 
-    fn all_choices() -> [SolverChoice; 4] {
+    fn all_choices() -> [SolverChoice; 3] {
         [
             SolverChoice::Auto,
             SolverChoice::Parametric,
             SolverChoice::Howard,
-            SolverChoice::Karp,
         ]
+    }
+
+    #[test]
+    fn default_solver_is_the_default_choice_solver() {
+        assert_eq!(
+            format!("{:?}", Solver::default()),
+            format!("{:?}", Solver::new(SolverChoice::default()))
+        );
     }
 
     #[test]
@@ -1418,86 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solve_is_byte_identical_to_sequential() {
-        // Many independent cyclic components with distinct ratios, plus
-        // acyclic filler, solved at several thread counts: outcomes must be
-        // identical (including which critical circuit is reported).
-        let mut state = 0xBEEFu64 | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..20 {
-            let rings = 2 + (trial % 5) as usize;
-            let ring_len = 1 + (next() % 5) as usize;
-            let n = rings * ring_len + 3;
-            let mut g = RatioGraph::new(n);
-            for ring in 0..rings {
-                let base = ring * ring_len;
-                for i in 0..ring_len {
-                    g.add_arc(
-                        g.node(base + i),
-                        g.node(base + (i + 1) % ring_len),
-                        int(-2 + (next() % 9) as i128),
-                        Rational::new(1 + (next() % 5) as i128, 1 + (next() % 3) as i128).unwrap(),
-                    );
-                }
-            }
-            // Acyclic tail.
-            g.add_arc(g.node(n - 3), g.node(n - 2), int(5), int(1));
-            g.add_arc(g.node(n - 2), g.node(n - 1), int(5), int(1));
-            for choice in all_choices() {
-                let sequential = Solver::new(choice).solve(&g).unwrap();
-                for threads in [2usize, 4, 8] {
-                    let parallel = Solver::new(choice).with_threads(threads).solve(&g).unwrap();
-                    assert_eq!(sequential, parallel, "{choice:?} x{threads} trial {trial}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn threads_knob_roundtrips() {
-        let mut solver = Solver::new(SolverChoice::Auto).with_threads(4);
-        assert_eq!(solver.threads(), 4);
-        solver.set_threads(0);
-        assert_eq!(solver.threads(), 1);
-    }
-
-    #[test]
-    fn integer_kernel_toggle_matches_scalar_path() {
-        for seed in 0..40u64 {
-            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let n = 1 + (next() % 8) as usize;
-            let mut g = RatioGraph::new(n);
-            for _ in 0..(2 + next() % 20) {
-                let a = (next() % n as u64) as usize;
-                let b = (next() % n as u64) as usize;
-                g.add_arc(
-                    g.node(a),
-                    g.node(b),
-                    Rational::new(-3 + (next() % 12) as i128, 1 + (next() % 4) as i128).unwrap(),
-                    Rational::new(-2 + (next() % 8) as i128, 1 + (next() % 3) as i128).unwrap(),
-                );
-            }
-            let integer = Solver::new(SolverChoice::Howard).solve(&g).unwrap();
-            let scalar = Solver::new(SolverChoice::Howard)
-                .with_integer_kernel(false)
-                .solve(&g)
-                .unwrap();
-            assert_eq!(integer, scalar, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn solver_is_reusable_across_graphs() {
         let mut solver = Solver::new(SolverChoice::Auto);
         assert_eq!(solver.choice(), SolverChoice::Auto);
@@ -1554,7 +1003,7 @@ mod tests {
         let parametric = maximum_cycle_ratio(&g).unwrap();
         let ratio = parametric.ratio().expect("dense multigraph has a cycle");
         assert!(ratio.is_positive());
-        for choice in [SolverChoice::Howard, SolverChoice::Auto, SolverChoice::Karp] {
+        for choice in [SolverChoice::Howard, SolverChoice::Auto] {
             assert_eq!(
                 maximum_cycle_ratio_with(&g, choice).unwrap().ratio(),
                 Some(ratio),

@@ -147,8 +147,8 @@ fn zero_deadline_cancels_before_the_solve() {
 
 /// A 100k-task single-SCC graph takes ~15 s of MCR solving when healthy —
 /// far beyond the request's deadline. The evaluation must die *by deadline*
-/// (the intra-SCC kernels poll the [`kperiodic::CancelToken`] between chunk
-/// rounds, so even one huge component cannot outrun cancellation), never by
+/// (the solver polls the [`kperiodic::CancelToken`] once per policy round,
+/// so even one huge component cannot outrun cancellation), never by
 /// hanging until the solve completes, and the daemon must stay live. Debug
 /// builds skip it (the `ignore` is gated on `debug_assertions`; the graph
 /// alone is tens of MB of request text); in release builds it runs
