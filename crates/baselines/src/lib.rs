@@ -11,7 +11,8 @@
 //! * [`expansion_throughput`] — the exact SDF → HSDF expansion + maximum
 //!   cycle ratio method (references [10] and [6]);
 //! * [`periodic_throughput`] — the approximate 1-periodic method
-//!   (reference [4]), a thin wrapper over `kperiodic::evaluate_periodic`.
+//!   (reference \[4\]), a thin wrapper over `kperiodic::evaluate_k_periodic`
+//!   at unitary `K`.
 //!
 //! All evaluators return a [`MethodResult`] carrying the throughput, a
 //! status ([`EvaluationStatus`]) and the work performed, under an explicit

@@ -9,7 +9,9 @@
 use std::time::Instant;
 
 use csdf::{CsdfGraph, Throughput};
-use kperiodic::{evaluate_periodic, AnalysisError, AnalysisOptions, EvaluationOutcome};
+use kperiodic::{
+    evaluate_k_periodic, AnalysisError, AnalysisOptions, EvaluationOutcome, PeriodicityVector,
+};
 
 use crate::{EvaluationStatus, MethodResult};
 
@@ -56,7 +58,7 @@ pub fn periodic_throughput_with_options(
     options: &AnalysisOptions,
 ) -> Result<MethodResult, AnalysisError> {
     let start = Instant::now();
-    let evaluation = evaluate_periodic(graph, options)?;
+    let evaluation = evaluate_k_periodic(graph, &PeriodicityVector::unitary(graph), options)?;
     let (status, throughput) = match evaluation.outcome {
         EvaluationOutcome::Feasible { throughput, .. } => {
             (EvaluationStatus::LowerBound, Some(throughput))

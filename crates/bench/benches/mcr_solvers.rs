@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csdf_generators::apps::{industrial_app, jpeg2000};
 use csdf_generators::{buffer_sized, random_graph, RandomGraphConfig};
 use kperiodic::{
-    kiter_with_options, EventGraph, EventGraphLimits, KIterOptions, PeriodicityVector,
+    kiter_with_options, EventGraphArena, EventGraphLimits, KIterOptions, PeriodicityVector,
 };
 use mcr::{maximum_cycle_mean, maximum_cycle_ratio_with, RatioGraph, SolverChoice};
 
@@ -38,8 +38,8 @@ fn bench_mcr(c: &mut Criterion) {
         let graph = random_graph(&config, 7).expect("generation succeeds");
         let q = graph.repetition_vector().expect("consistent");
         let k = PeriodicityVector::unitary(&graph);
-        let event_graph =
-            EventGraph::build(&graph, &q, &k, &EventGraphLimits::default()).expect("event graph");
+        let event_graph = EventGraphArena::build(&graph, &q, &k, &EventGraphLimits::default())
+            .expect("event graph");
         for (label, choice) in solver_choices() {
             group.bench_with_input(
                 BenchmarkId::new(format!("{label}_ratio"), tasks),
@@ -70,7 +70,7 @@ fn jpeg2000_sized_event_graphs() -> Vec<(&'static str, RatioGraph)> {
     let q = sized.repetition_vector().expect("consistent");
 
     let unitary = PeriodicityVector::unitary(&sized);
-    let first = EventGraph::build(&sized, &q, &unitary, &EventGraphLimits::default())
+    let first = EventGraphArena::build(&sized, &q, &unitary, &EventGraphLimits::default())
         .expect("unitary event graph");
 
     // Let K-Iter itself produce the second periodicity vector (via its
@@ -89,7 +89,7 @@ fn jpeg2000_sized_event_graphs() -> Vec<(&'static str, RatioGraph)> {
         .get(1)
         .map(|iteration| iteration.periodicity.clone())
         .expect("sized JPEG2000 needs more than one K-Iter iteration");
-    let second = EventGraph::build(&sized, &q, &grown, &EventGraphLimits::default())
+    let second = EventGraphArena::build(&sized, &q, &grown, &EventGraphLimits::default())
         .expect("grown event graph");
 
     vec![

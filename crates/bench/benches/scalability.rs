@@ -4,7 +4,7 @@
 //! random CSDF graphs with a construction-vs-patch split of the event-graph
 //! work:
 //!
-//! * `event_graph/full/<n>` — a from-scratch [`EventGraph::build`] at a
+//! * `event_graph/full/<n>` — a from-scratch [`EventGraphArena::build`] at a
 //!   periodicity vector K-Iter reached after one update;
 //! * `event_graph/patch/<n>` — one in-place [`EventGraphArena::apply_update`]
 //!   between that vector and the unitary one (the arena ping-pongs between
@@ -19,7 +19,7 @@ use csdf::TaskId;
 use csdf_baselines::Budget;
 use csdf_generators::{random_graph, RandomGraphConfig};
 use kiter_bench::{run_method, Method};
-use kperiodic::{EventGraph, EventGraphArena, EventGraphLimits, PeriodicityVector};
+use kperiodic::{EventGraphArena, EventGraphLimits, PeriodicityVector};
 
 fn bench_scalability(c: &mut Criterion) {
     let budget = Budget::default();
@@ -88,11 +88,11 @@ fn bench_event_graph_updates(c: &mut Criterion) {
             .apply_update(&graph, &target, None)
             .expect("patch succeeds");
         let scratch =
-            EventGraph::build(&graph, &q, &target, &limits).expect("scratch build succeeds");
+            EventGraphArena::build(&graph, &q, &target, &limits).expect("scratch build succeeds");
         assert_eq!(patched.ratio_graph(), scratch.ratio_graph());
 
         group.bench_with_input(BenchmarkId::new("full", tasks), &graph, |b, graph| {
-            b.iter(|| EventGraph::build(graph, &q, &target, &limits).expect("builds"));
+            b.iter(|| EventGraphArena::build(graph, &q, &target, &limits).expect("builds"));
         });
         group.bench_with_input(BenchmarkId::new("patch", tasks), &graph, |b, graph| {
             let mut arena = arena.clone();

@@ -264,23 +264,23 @@ fn main() -> ExitCode {
     // Warm: one daemon for the whole batch, serial, so the measured speedup
     // is session/cache reuse and nothing else.
     let daemon = Daemon::new(ServiceConfig::default());
-    let warm_start = Instant::now();
+    let warm_clock = Instant::now();
     let warm: Vec<String> = batch
         .requests
         .iter()
         .map(|line| daemon.handle_line(line))
         .collect();
-    let warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
+    let warm_ms = warm_clock.elapsed().as_secs_f64() * 1e3;
 
     // Cold baseline: a fresh daemon per request — per-request session
     // construction, exactly what a library caller without the service pays.
-    let cold_start = Instant::now();
+    let cold_clock = Instant::now();
     let cold: Vec<String> = batch
         .requests
         .iter()
         .map(|line| Daemon::new(ServiceConfig::default()).handle_line(line))
         .collect();
-    let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
+    let cold_ms = cold_clock.elapsed().as_secs_f64() * 1e3;
 
     let mut failures = Vec::new();
     let normalize = |line: &str| line.replace("\"cache\":\"hit\"", "\"cache\":\"miss\"");

@@ -20,13 +20,11 @@
 //! * [`ScenarioSet`] — evaluates many independent marking variants of one
 //!   base graph (scenario studies), again one session per worker.
 //!
-//! Every evaluation uses cold-start K semantics by default, so each point's
+//! Every evaluation starts K-Iter from the unitary K, so each point's
 //! result — throughput, K, iteration count — is **bit-identical** to an
 //! independent cold [`kperiodic::optimal_throughput`] call on the same
 //! design point, whatever the worker count; only the work to get there
-//! shrinks. [`ExploreOptions::warm_start`] opts into seeding K from the
-//! previous point after capacity relaxations (identical throughput, fewer
-//! iterations, K may differ).
+//! shrinks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,20 +23,14 @@ pub(crate) fn reverse_of(
 /// Options shared by every exploration runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreOptions {
-    /// The K-Iter options every session evaluation runs with (limits,
-    /// solver choice, per-solve thread count).
+    /// The K-Iter options every session evaluation runs with (event-graph
+    /// limits, iteration budget, update policy).
     pub analysis: KIterOptions,
     /// Number of worker threads evaluating independent design points in
     /// parallel (`std::thread::scope`; `0` is treated as `1`). Each worker
-    /// owns one [`AnalysisSession`], so results are identical — and in the
-    /// default cold-start mode bit-identical to independent cold
-    /// evaluations — at every width.
+    /// owns one [`AnalysisSession`], so results are bit-identical to
+    /// independent cold evaluations at every width.
     pub workers: usize,
-    /// Seed K-Iter from the previous point after relaxation-only capacity
-    /// changes (see [`AnalysisSession::with_warm_start`]). Off by default:
-    /// throughput stays exact, but K/iteration counts may differ from a
-    /// cold evaluation's.
-    pub warm_start: bool,
 }
 
 impl Default for ExploreOptions {
@@ -44,7 +38,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             analysis: KIterOptions::default(),
             workers: 1,
-            warm_start: false,
         }
     }
 }
@@ -80,7 +73,7 @@ where
 
     if workers <= 1 {
         // Sequential fast path: no thread spawn, same code path semantics.
-        let mut session = make_session()?.with_warm_start(options.warm_start);
+        let mut session = make_session()?;
         let mut results = Vec::with_capacity(count);
         for index in 0..count {
             results.push(evaluate(&mut session, index)?);
@@ -100,7 +93,7 @@ where
             let evaluate = &evaluate;
             handles.push(scope.spawn(move || -> WorkerOutcome<T> {
                 let mut session = match make_session() {
-                    Ok(session) => session.with_warm_start(options.warm_start),
+                    Ok(session) => session,
                     Err(err) => {
                         // Exhaust the cursor so the other workers stop
                         // pulling points for a run that is already doomed.

@@ -1,7 +1,7 @@
 //! Scenario studies: many independent marking variants of one base graph.
 
 use csdf::{BufferId, CsdfGraph};
-use kperiodic::{AnalysisError, KIterResult, PipelineStats};
+use kperiodic::{AnalysisError, KIterResult};
 
 use crate::runner::{run_points, ExploreOptions};
 
@@ -21,7 +21,7 @@ pub struct ScenarioOutcome {
     /// The scenario's name.
     pub name: String,
     /// The K-Iter result on the base graph with the scenario's overrides
-    /// (bit-identical to a cold evaluation in the default cold-start mode).
+    /// (bit-identical to a cold evaluation).
     pub result: KIterResult,
 }
 
@@ -108,32 +108,19 @@ impl ScenarioSet {
     /// The first evaluation error (unknown buffer id, solver failure,
     /// event-graph limits) aborts the run.
     pub fn run(&self, options: &ExploreOptions) -> Result<Vec<ScenarioOutcome>, AnalysisError> {
-        let (outcomes, _, _) = self.run_with_stats(options)?;
-        Ok(outcomes)
-    }
-
-    /// Like [`ScenarioSet::run`], but also returns the merged pipeline
-    /// statistics and the number of worker sessions used.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioSet::run`].
-    pub fn run_with_stats(
-        &self,
-        options: &ExploreOptions,
-    ) -> Result<(Vec<ScenarioOutcome>, PipelineStats, usize), AnalysisError> {
-        run_points(
+        let (outcomes, _, _) = run_points(
             self.scenarios.len(),
             options,
             || kperiodic::AnalysisSession::new(self.base.clone(), options.analysis),
             |session, index| self.evaluate_scenario(session, index),
-        )
+        )?;
+        Ok(outcomes)
     }
 
     /// Evaluates every scenario on one caller-provided session — the
     /// single-worker path a service uses to drive a pooled
     /// [`kperiodic::AnalysisSession`] instead of building its own. Outcomes
-    /// are bit-identical to [`ScenarioSet::run`] with cold-start options.
+    /// are bit-identical to [`ScenarioSet::run`].
     ///
     /// # Errors
     ///

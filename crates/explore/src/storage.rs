@@ -36,8 +36,8 @@ pub struct MinStorageOutcome {
 /// [`AnalysisSession`]: each probe re-sizes the capacities in place and
 /// re-evaluates, so the event-graph arena and solver scratch survive all
 /// `O(log max_slack)` probes. Mutation direction alternates during the
-/// search; in the default cold-start mode every probe is still bit-identical
-/// to a cold evaluation of that slack.
+/// search; every probe is still bit-identical to a cold evaluation of that
+/// slack.
 ///
 /// # Errors
 ///
@@ -52,8 +52,7 @@ pub fn min_storage_for_throughput(
     let max_slack = max_slack.max(1);
     let bounded =
         bound_all_buffers_tracked(graph, |_, buffer| uniform_slack_capacity(buffer, max_slack))?;
-    let mut session = AnalysisSession::new(bounded.graph().clone(), options.analysis)?
-        .with_warm_start(options.warm_start);
+    let mut session = AnalysisSession::new(bounded.graph().clone(), options.analysis)?;
     min_storage_for_throughput_on(&mut session, &bounded, target, max_slack)
 }
 
@@ -185,8 +184,7 @@ pub fn tighten_capacities(
         }));
     }
 
-    let mut session = AnalysisSession::new(bounded.graph().clone(), options.analysis)?
-        .with_warm_start(options.warm_start);
+    let mut session = AnalysisSession::new(bounded.graph().clone(), options.analysis)?;
     let mut evaluations = 0usize;
 
     let mut capacities: Vec<(BufferId, u64)> = start.to_vec();

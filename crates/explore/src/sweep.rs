@@ -29,7 +29,7 @@ pub struct SweepPoint {
     /// Sum of the applied capacities — the storage axis of the trade-off.
     pub total_storage: u64,
     /// The full K-Iter result (bit-identical to a cold evaluation of this
-    /// design point in the default cold-start mode).
+    /// design point).
     pub result: KIterResult,
 }
 
@@ -204,7 +204,7 @@ impl ParetoSweep {
     /// graph's structure, runs the sweep on it, and returns it warm for the
     /// next request. Results are identical to [`ParetoSweep::run`]'s at any
     /// worker count (each point is bit-identical to a cold evaluation of its
-    /// design point in the default cold-start mode).
+    /// design point).
     ///
     /// The reported [`SweepOutcome::stats`] are the session's *lifetime*
     /// statistics (a pooled session carries counts from earlier requests).

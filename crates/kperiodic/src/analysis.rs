@@ -2,27 +2,22 @@
 //!
 //! Given a periodicity vector `K`, the minimum period of a K-periodic
 //! schedule is the maximum cost-to-time ratio of the event graph (Sections
-//! 3.2–3.3 of the paper). Two paths are provided:
-//!
-//! * the stable one-shot functions [`evaluate_k_periodic`] /
-//!   [`evaluate_periodic`] / [`evaluate_with_solver`], which build a fresh
-//!   event graph per call;
-//! * [`EvaluationPipeline`], the mutable pipeline the K-Iter loop threads
-//!   through its iterations: it owns the [`EventGraphArena`] and the MCR
-//!   [`Solver`], builds the event graph once, and patches it in place for
-//!   every subsequent periodicity vector (only the dirty tasks' blocks and
-//!   their incident buffers' arcs are re-derived).
-//!
-//! Both paths produce bit-identical ratio graphs and identical outcomes.
+//! 3.2–3.3 of the paper). [`EvaluationPipeline`] is the one fixed-K code
+//! path: it owns the [`EventGraphArena`] and the MCR [`Solver`], builds the
+//! event graph once, and patches it in place for every subsequent
+//! periodicity vector (only the dirty tasks' blocks and their incident
+//! buffers' arcs are re-derived). The K-Iter loop threads one pipeline
+//! through its iterations; the one-shot [`evaluate_k_periodic`] runs a fresh
+//! one.
 
 use std::time::{Duration, Instant};
 
 use csdf::{CsdfGraph, Rational, RepetitionVector, TaskId, Throughput};
-use mcr::{CancelToken, CycleRatioOutcome, Solver, SolverChoice};
+use mcr::{CancelToken, CycleRatioOutcome, Solver};
 
 use crate::arena::EventGraphArena;
 use crate::error::AnalysisError;
-use crate::event_graph::{EventGraph, EventGraphLimits};
+use crate::event_graph::EventGraphLimits;
 use crate::periodicity::PeriodicityVector;
 
 /// Options shared by the fixed-K evaluation and the K-Iter loop.
@@ -32,12 +27,6 @@ pub struct AnalysisOptions {
     pub limits: EventGraphLimits,
     /// Maximum number of K-Iter iterations (ignored by fixed-K evaluation).
     pub max_iterations: usize,
-    /// Which maximum cycle ratio algorithm solves the event graphs
-    /// ([`SolverChoice::Auto`] picks Howard's policy iteration for large
-    /// components, which is what makes buffer-sized instances tractable).
-    /// Every choice gives identical results, and every solve runs on the
-    /// calling thread.
-    pub solver: SolverChoice,
     /// Run the `csdf-lint` static analyzer before building an event graph
     /// and fail fast with [`AnalysisError::RejectedByLint`] on any
     /// error-severity diagnostic (inconsistency, certain deadlock, capacity
@@ -54,7 +43,6 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             limits: EventGraphLimits::default(),
             max_iterations: 256,
-            solver: SolverChoice::Auto,
             pre_lint: false,
         }
     }
@@ -89,11 +77,10 @@ pub enum EvaluationOutcome {
     Unconstrained,
 }
 
-/// Result of a fixed-K evaluation.
+/// Result of a fixed-K evaluation: the outcome plus the size of the event
+/// graph that was solved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KPeriodicEvaluation {
-    /// The periodicity vector that was evaluated.
-    pub periodicity: PeriodicityVector,
     /// Size of the event graph that was solved (nodes, arcs).
     pub event_graph_size: (usize, usize),
     /// The conclusion.
@@ -120,18 +107,6 @@ impl KPeriodicEvaluation {
             _ => None,
         }
     }
-}
-
-/// One evaluation produced by an [`EvaluationPipeline`]: the outcome plus the
-/// size of the event graph that was solved. Unlike [`KPeriodicEvaluation`] it
-/// does not clone the periodicity vector — the K-Iter hot loop discards most
-/// evaluations immediately.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineEvaluation {
-    /// Size of the event graph that was solved (nodes, arcs).
-    pub event_graph_size: (usize, usize),
-    /// The conclusion.
-    pub outcome: EvaluationOutcome,
 }
 
 /// Cumulative counters and timings of an [`EvaluationPipeline`], split into
@@ -168,18 +143,11 @@ impl PipelineStats {
     /// Cumulative wall-clock time spent constructing event graphs — the sum
     /// of the from-scratch builds ([`PipelineStats::build_time`]) and the
     /// in-place patches ([`PipelineStats::patch_time`]). Together with
-    /// [`PipelineStats::total_solve_time`] and
+    /// [`PipelineStats::solve_time`] and
     /// [`PipelineStats::evaluations`] this is the honest construction/solve
     /// split of a whole sweep, not just its last evaluation.
     pub fn total_construction_time(&self) -> Duration {
         self.build_time + self.patch_time
-    }
-
-    /// Cumulative wall-clock time spent in the MCR solver across all
-    /// evaluations (alias of [`PipelineStats::solve_time`], named for
-    /// symmetry with [`PipelineStats::total_construction_time`]).
-    pub fn total_solve_time(&self) -> Duration {
-        self.solve_time
     }
 
     /// Folds the counters of another pipeline into these: cumulative
@@ -207,7 +175,8 @@ impl PipelineStats {
 /// A reusable fixed-K evaluation pipeline: periodicity update → dirty set →
 /// arena patch → MCR solve.
 ///
-/// The pipeline owns the [`EventGraphArena`] and the [`Solver`]; the K-Iter
+/// The pipeline owns the [`EventGraphArena`] and the [`Solver`] (the default
+/// [`mcr::SolverChoice::Auto`], every solve on the calling thread); the K-Iter
 /// loop drives one pipeline for its whole run so that each iteration only
 /// re-derives the event-graph pieces its periodicity update dirtied and the
 /// solver scratch buffers are resized, never recreated. The arena is reused
@@ -229,7 +198,7 @@ impl EvaluationPipeline {
     pub fn new(options: AnalysisOptions) -> Self {
         EvaluationPipeline {
             options,
-            solver: Solver::new(options.solver),
+            solver: Solver::default(),
             arena: None,
             stats: PipelineStats::default(),
             cancel: CancelToken::default(),
@@ -243,11 +212,6 @@ impl EvaluationPipeline {
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.solver.set_cancel_token(token.clone());
         self.cancel = token;
-    }
-
-    /// The currently installed cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
     }
 
     /// The analysis options the pipeline was created with.
@@ -282,7 +246,7 @@ impl EvaluationPipeline {
         repetition: &RepetitionVector,
         periodicity: &PeriodicityVector,
         dirty_hint: Option<&[TaskId]>,
-    ) -> Result<PipelineEvaluation, AnalysisError> {
+    ) -> Result<KPeriodicEvaluation, AnalysisError> {
         if self.cancel.is_cancelled() {
             return Err(AnalysisError::DeadlineExceeded);
         }
@@ -334,7 +298,7 @@ impl EvaluationPipeline {
         self.stats.last_solve_time = started.elapsed();
         self.stats.solve_time += self.stats.last_solve_time;
 
-        let evaluation = PipelineEvaluation {
+        let evaluation = KPeriodicEvaluation {
             event_graph_size: (arena.node_count(), arena.arc_count()),
             outcome: classify(solved, &arena)?,
         };
@@ -386,7 +350,10 @@ fn classify(
     })
 }
 
-/// Evaluates the minimum period of a K-periodic schedule for a fixed `K`.
+/// Evaluates the minimum period of a K-periodic schedule for a fixed `K`
+/// through a fresh [`EvaluationPipeline`]. Pass
+/// [`PeriodicityVector::unitary`] for the 1-periodic schedule of reference
+/// \[4\], the approximate method the paper compares against.
 ///
 /// # Errors
 ///
@@ -422,53 +389,7 @@ pub fn evaluate_k_periodic(
     options: &AnalysisOptions,
 ) -> Result<KPeriodicEvaluation, AnalysisError> {
     let repetition = graph.repetition_vector()?;
-    evaluate_with_repetition(graph, &repetition, periodicity, options)
-}
-
-/// Same as [`evaluate_k_periodic`] but reuses an already computed repetition
-/// vector.
-pub fn evaluate_with_repetition(
-    graph: &CsdfGraph,
-    repetition: &RepetitionVector,
-    periodicity: &PeriodicityVector,
-    options: &AnalysisOptions,
-) -> Result<KPeriodicEvaluation, AnalysisError> {
-    let mut solver = Solver::new(options.solver);
-    evaluate_with_solver(graph, repetition, periodicity, options, &mut solver)
-}
-
-/// Same as [`evaluate_with_repetition`] but reuses a caller-provided
-/// [`Solver`], so its scratch buffers survive across evaluations.
-pub fn evaluate_with_solver(
-    graph: &CsdfGraph,
-    repetition: &RepetitionVector,
-    periodicity: &PeriodicityVector,
-    options: &AnalysisOptions,
-    solver: &mut Solver,
-) -> Result<KPeriodicEvaluation, AnalysisError> {
-    if options.pre_lint {
-        pre_lint_gate(graph)?;
-    }
-    let event_graph = EventGraph::build(graph, repetition, periodicity, &options.limits)?;
-    let solved = solver.solve(event_graph.ratio_graph())?;
-    Ok(KPeriodicEvaluation {
-        periodicity: periodicity.clone(),
-        event_graph_size: (event_graph.node_count(), event_graph.arc_count()),
-        outcome: classify(solved, event_graph.arena())?,
-    })
-}
-
-/// Evaluates the minimum period of an ordinary (1-)periodic schedule — the
-/// approximate method the paper compares against (reference [4]).
-///
-/// # Errors
-///
-/// Same as [`evaluate_k_periodic`].
-pub fn evaluate_periodic(
-    graph: &CsdfGraph,
-    options: &AnalysisOptions,
-) -> Result<KPeriodicEvaluation, AnalysisError> {
-    evaluate_k_periodic(graph, &PeriodicityVector::unitary(graph), options)
+    EvaluationPipeline::new(*options).evaluate(graph, &repetition, periodicity, None)
 }
 
 #[cfg(test)]
@@ -485,6 +406,13 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn evaluate_unitary(
+        graph: &CsdfGraph,
+        options: &AnalysisOptions,
+    ) -> Result<KPeriodicEvaluation, AnalysisError> {
+        evaluate_k_periodic(graph, &PeriodicityVector::unitary(graph), options)
+    }
+
     #[test]
     fn pre_lint_gate_rejects_deadlocked_graphs_fast() {
         let options = AnalysisOptions {
@@ -492,11 +420,11 @@ mod tests {
             ..AnalysisOptions::default()
         };
         // Live ring: the gate passes and evaluation proceeds normally.
-        let live = evaluate_periodic(&ring_with_tokens(1), &options).unwrap();
+        let live = evaluate_unitary(&ring_with_tokens(1), &options).unwrap();
         assert_eq!(live.period(), Some(Rational::from_integer(5)));
         // Tokenless ring: rejected with the lint certificate, without
         // building an event graph.
-        let err = evaluate_periodic(&ring_with_tokens(0), &options).unwrap_err();
+        let err = evaluate_unitary(&ring_with_tokens(0), &options).unwrap_err();
         match err {
             AnalysisError::RejectedByLint { code, message } => {
                 // The tokenless unit-rate ring is caught by the capacity
@@ -508,17 +436,17 @@ mod tests {
             other => panic!("expected RejectedByLint, got {other:?}"),
         }
         // Default options still solve the deadlocked graph exactly.
-        let solved = evaluate_periodic(&ring_with_tokens(0), &AnalysisOptions::default()).unwrap();
+        let solved = evaluate_unitary(&ring_with_tokens(0), &AnalysisOptions::default()).unwrap();
         assert_eq!(solved.throughput(), Throughput::Deadlocked);
     }
 
     #[test]
     fn hsdf_ring_periods() {
         // One token: executions strictly alternate, period 5.
-        let one = evaluate_periodic(&ring_with_tokens(1), &AnalysisOptions::default()).unwrap();
+        let one = evaluate_unitary(&ring_with_tokens(1), &AnalysisOptions::default()).unwrap();
         assert_eq!(one.period(), Some(Rational::from_integer(5)));
         // Two tokens: period 5/2 per iteration... the cycle ratio is (2+3)/2.
-        let two = evaluate_periodic(&ring_with_tokens(2), &AnalysisOptions::default()).unwrap();
+        let two = evaluate_unitary(&ring_with_tokens(2), &AnalysisOptions::default()).unwrap();
         assert_eq!(two.period(), Some(Rational::new(5, 2).unwrap()));
         assert!(two.throughput() > one.throughput());
         assert_eq!(one.event_graph_size.0, 2);
@@ -528,7 +456,7 @@ mod tests {
     fn deadlocked_ring_is_infeasible() {
         // Zero tokens on a cycle: no schedule whatsoever.
         let evaluation =
-            evaluate_periodic(&ring_with_tokens(0), &AnalysisOptions::default()).unwrap();
+            evaluate_unitary(&ring_with_tokens(0), &AnalysisOptions::default()).unwrap();
         match evaluation.outcome {
             EvaluationOutcome::Infeasible { ref critical_tasks } => {
                 assert_eq!(critical_tasks.len(), 2);
@@ -546,7 +474,7 @@ mod tests {
         let y = b.add_sdf_task("y", 1);
         b.add_sdf_buffer(x, y, 1, 1, 0);
         let g = b.build().unwrap();
-        let evaluation = evaluate_periodic(&g, &AnalysisOptions::default()).unwrap();
+        let evaluation = evaluate_unitary(&g, &AnalysisOptions::default()).unwrap();
         assert_eq!(evaluation.outcome, EvaluationOutcome::Unconstrained);
         assert_eq!(evaluation.throughput(), Throughput::Unbounded);
     }
@@ -562,7 +490,7 @@ mod tests {
         b.add_sdf_buffer(y, x, 1, 2, 4);
         let g = b.build().unwrap();
         let options = AnalysisOptions::default();
-        let unitary = evaluate_periodic(&g, &options).unwrap();
+        let unitary = evaluate_unitary(&g, &options).unwrap();
         let q = g.repetition_vector().unwrap();
         let full = evaluate_k_periodic(&g, &PeriodicityVector::full(&q), &options).unwrap();
         assert!(full.throughput() >= unitary.throughput());
@@ -605,7 +533,7 @@ mod tests {
         for entries in [vec![1, 1, 1], vec![2, 1, 1], vec![2, 3, 1]] {
             let k = PeriodicityVector::from_entries(&g, entries).unwrap();
             let piped = pipeline.evaluate(&g, &q, &k, None).unwrap();
-            let fresh = evaluate_with_repetition(&g, &q, &k, &options).unwrap();
+            let fresh = evaluate_k_periodic(&g, &k, &options).unwrap();
             assert_eq!(piped.outcome, fresh.outcome);
             assert_eq!(piped.event_graph_size, fresh.event_graph_size);
         }
@@ -638,8 +566,7 @@ mod tests {
             let q = graph.repetition_vector().unwrap();
             let k = PeriodicityVector::unitary(graph);
             let piped = pipeline.evaluate(graph, &q, &k, None).unwrap();
-            let fresh =
-                evaluate_with_repetition(graph, &q, &k, &AnalysisOptions::default()).unwrap();
+            let fresh = evaluate_k_periodic(graph, &k, &AnalysisOptions::default()).unwrap();
             assert_eq!(piped.outcome, fresh.outcome);
         }
         // Structure switches discard the arena and rebuild from scratch; the
@@ -687,11 +614,11 @@ mod tests {
         b.add_buffer(x, y, vec![2, 0], vec![1], 0);
         b.add_buffer(y, x, vec![1], vec![0, 2], 2);
         let unserialized = b.build().unwrap();
-        let evaluation = evaluate_periodic(&unserialized, &AnalysisOptions::default()).unwrap();
+        let evaluation = evaluate_unitary(&unserialized, &AnalysisOptions::default()).unwrap();
         assert_eq!(evaluation.outcome, EvaluationOutcome::Unconstrained);
 
         let serialized = csdf::transform::serialize_tasks(&unserialized).unwrap();
-        let evaluation = evaluate_periodic(&serialized, &AnalysisOptions::default()).unwrap();
+        let evaluation = evaluate_unitary(&serialized, &AnalysisOptions::default()).unwrap();
         assert!(matches!(
             evaluation.outcome,
             EvaluationOutcome::Feasible { .. }

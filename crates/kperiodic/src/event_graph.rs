@@ -15,19 +15,11 @@
 //! directly the normalised minimum period `Ω_G` of a K-periodic schedule of
 //! `G` (Theorem 3), and the transformed period is `Ω*_{G̃} = Ω_G · lcm(K)`.
 //!
-//! [`EventGraph`] is the one-shot, from-scratch construction; the incremental
-//! path that K-Iter drives lives in [`crate::arena`]. Both produce
-//! bit-identical ratio graphs — [`EventGraph::build`] is a thin wrapper over
-//! [`EventGraphArena::build`](crate::EventGraphArena::build).
+//! The graph itself is built and patched in place by
+//! [`EventGraphArena`](crate::EventGraphArena); this module holds the node
+//! identity and the size limits that construction honours.
 
-use std::collections::BTreeSet;
-
-use csdf::{CsdfGraph, RepetitionVector, TaskId};
-use mcr::{CriticalCycle, NodeId, RatioGraph};
-
-use crate::arena::EventGraphArena;
-use crate::error::AnalysisError;
-use crate::periodicity::PeriodicityVector;
+use csdf::TaskId;
 
 /// Identity of an event-graph node: an execution `⟨t_p̃, 1⟩` of the
 /// transformed graph.
@@ -38,12 +30,6 @@ pub struct EventNode {
     /// 0-based phase index in the *transformed* graph, i.e. in
     /// `0 .. K_t · ϕ(t)`.
     pub phase: usize,
-}
-
-/// The bi-valued event graph of a CSDF graph under a periodicity vector.
-#[derive(Debug, Clone)]
-pub struct EventGraph {
-    arena: EventGraphArena,
 }
 
 /// Limits applied while building event graphs (guards against accidental
@@ -65,95 +51,13 @@ impl Default for EventGraphLimits {
     }
 }
 
-impl EventGraph {
-    /// Builds the event graph of `graph` for the periodicity vector `k`.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnalysisError::Model`] for inconsistent graphs, invalid `K`, or
-    ///   arithmetic overflow;
-    /// * [`AnalysisError::EventGraphTooLarge`] when the limits are exceeded.
-    pub fn build(
-        graph: &CsdfGraph,
-        repetition: &RepetitionVector,
-        k: &PeriodicityVector,
-        limits: &EventGraphLimits,
-    ) -> Result<Self, AnalysisError> {
-        Ok(EventGraph {
-            arena: EventGraphArena::build(graph, repetition, k, limits)?,
-        })
-    }
-
-    /// The arena backing this event graph.
-    pub fn arena(&self) -> &EventGraphArena {
-        &self.arena
-    }
-
-    /// Converts into the backing arena, e.g. to continue with in-place
-    /// updates via [`EventGraphArena::apply_update`].
-    pub fn into_arena(self) -> EventGraphArena {
-        self.arena
-    }
-
-    /// The underlying bi-valued ratio graph (lcm-free time scaling: its
-    /// maximum cycle ratio is the normalised period `Ω_G`).
-    pub fn ratio_graph(&self) -> &RatioGraph {
-        self.arena.ratio_graph()
-    }
-
-    /// Number of execution nodes.
-    pub fn node_count(&self) -> usize {
-        self.arena.node_count()
-    }
-
-    /// Number of constraint arcs.
-    pub fn arc_count(&self) -> usize {
-        self.arena.arc_count()
-    }
-
-    /// `lcm(K)` of the periodicity vector used to build this event graph.
-    pub fn lcm_k(&self) -> u64 {
-        self.arena.lcm_k()
-    }
-
-    /// The execution represented by an event-graph node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this event graph.
-    pub fn event(&self, node: NodeId) -> EventNode {
-        self.arena.event(node)
-    }
-
-    /// Event-graph node of the `phase`-th transformed execution of `task`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` or `phase` is out of range.
-    pub fn node_of(&self, task: TaskId, phase: usize) -> NodeId {
-        self.arena.node_of(task, phase)
-    }
-
-    /// Duration of the `phase`-th transformed execution of `task`.
-    pub fn duration_of(&self, task: TaskId, phase: usize) -> u64 {
-        self.arena.duration_of(task, phase)
-    }
-
-    /// Number of transformed phases (`K_t · ϕ(t)`) of `task`.
-    pub fn phase_count_of(&self, task: TaskId) -> usize {
-        self.arena.phase_count_of(task)
-    }
-
-    /// The set of tasks whose executions appear on a critical circuit.
-    pub fn tasks_on_cycle(&self, cycle: &CriticalCycle) -> BTreeSet<TaskId> {
-        self.arena.tasks_on_cycle(cycle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csdf::{CsdfGraphBuilder, Rational};
+    use crate::arena::EventGraphArena;
+    use crate::error::AnalysisError;
+    use crate::periodicity::PeriodicityVector;
+    use csdf::{CsdfGraph, CsdfGraphBuilder, Rational};
     use mcr::{maximum_cycle_ratio, CycleRatioOutcome};
 
     /// Two unit-rate tasks in a loop with one token: the classic period-2
@@ -172,7 +76,7 @@ mod tests {
         let g = ring();
         let q = g.repetition_vector().unwrap();
         let k = PeriodicityVector::unitary(&g);
-        let eg = EventGraph::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
+        let eg = EventGraphArena::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
         assert_eq!(eg.node_count(), 2);
         assert_eq!(eg.arc_count(), 2);
         assert_eq!(eg.lcm_k(), 1);
@@ -192,7 +96,7 @@ mod tests {
         let q = g.repetition_vector().unwrap();
         let mut k = PeriodicityVector::unitary(&g);
         k.set(TaskId::new(0), 3).unwrap();
-        let eg = EventGraph::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
+        let eg = EventGraphArena::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
         assert_eq!(eg.node_count(), 4);
         assert_eq!(eg.phase_count_of(TaskId::new(0)), 3);
         assert_eq!(eg.phase_count_of(TaskId::new(1)), 1);
@@ -205,7 +109,7 @@ mod tests {
             }
         );
         assert_eq!(eg.duration_of(TaskId::new(0), 2), 1);
-        assert_eq!(eg.arena().periodicity_of(TaskId::new(0)), 3);
+        assert_eq!(eg.periodicity_of(TaskId::new(0)), 3);
     }
 
     #[test]
@@ -225,7 +129,7 @@ mod tests {
         let g = b.build().unwrap();
         let q = g.repetition_vector().unwrap();
         let k = PeriodicityVector::unitary(&g);
-        let eg = EventGraph::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
+        let eg = EventGraphArena::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
         match maximum_cycle_ratio(eg.ratio_graph()).unwrap() {
             CycleRatioOutcome::Finite { ratio, .. } => {
                 assert_eq!(ratio, Rational::from_integer(6));
@@ -242,7 +146,7 @@ mod tests {
         let g = ring();
         let q = g.repetition_vector().unwrap();
         let k = PeriodicityVector::from_entries(&g, vec![2, 2]).unwrap();
-        let eg = EventGraph::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
+        let eg = EventGraphArena::build(&g, &q, &k, &EventGraphLimits::default()).unwrap();
         assert_eq!(eg.lcm_k(), 2);
         match maximum_cycle_ratio(eg.ratio_graph()).unwrap() {
             // The ring's normalised period stays 2 whatever K is.
@@ -263,7 +167,7 @@ mod tests {
             max_arcs: 1000,
         };
         assert!(matches!(
-            EventGraph::build(&g, &q, &k, &limits),
+            EventGraphArena::build(&g, &q, &k, &limits),
             Err(AnalysisError::EventGraphTooLarge { .. })
         ));
     }
@@ -278,7 +182,7 @@ mod tests {
             max_arcs: 1,
         };
         assert!(matches!(
-            EventGraph::build(&g, &q, &k, &limits),
+            EventGraphArena::build(&g, &q, &k, &limits),
             Err(AnalysisError::EventGraphTooLarge { .. })
         ));
     }
@@ -292,7 +196,7 @@ mod tests {
         let other = other.build().unwrap();
         let k = PeriodicityVector::unitary(&other);
         assert!(matches!(
-            EventGraph::build(&g, &q, &k, &EventGraphLimits::default()),
+            EventGraphArena::build(&g, &q, &k, &EventGraphLimits::default()),
             Err(AnalysisError::Model(_))
         ));
     }

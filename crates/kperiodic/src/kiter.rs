@@ -128,8 +128,8 @@ pub fn kiter_with_options(
 /// the whole run — each iteration patches the arena in place instead of
 /// rebuilding it — and its [`stats`](EvaluationPipeline::stats) expose the
 /// construction/solve time split afterwards. The pipeline's own
-/// [`AnalysisOptions`] govern limits and solver choice;
-/// `options.analysis.max_iterations` is ignored in favour of the pipeline's.
+/// [`AnalysisOptions`] govern the event-graph limits and the iteration
+/// budget: `options.analysis` is ignored in favour of the pipeline's.
 ///
 /// A cancellation token installed on the pipeline
 /// ([`EvaluationPipeline::set_cancel_token`]) is honoured once per K-Iter
@@ -147,27 +147,19 @@ pub fn kiter_with_pipeline(
     pipeline: &mut EvaluationPipeline,
 ) -> Result<KIterResult, AnalysisError> {
     let repetition = graph.repetition_vector()?;
-    let initial = PeriodicityVector::unitary(graph);
-    kiter_seeded(graph, &repetition, options, pipeline, initial)
+    kiter_with_repetition(graph, &repetition, options, pipeline)
 }
 
-/// The K-Iter loop started from an explicit initial periodicity vector.
-///
-/// Algorithm 1 is correct from *any* starting vector: each evaluation is a
-/// valid lower bound and the Theorem-4 test certifies optimality regardless
-/// of how the vector was reached. Starting above unitary trades iterations
-/// for larger event graphs — [`AnalysisSession`](crate::AnalysisSession)
-/// uses this to warm-start from the previous solution after a capacity
-/// relaxation, where the previous K remains a useful (and sound) seed.
-/// The converged `periodicity`/`iterations` generally differ from a cold
-/// run's even though the throughput is identical.
-pub(crate) fn kiter_seeded(
+/// The K-Iter loop over a precomputed repetition vector (an
+/// [`AnalysisSession`](crate::AnalysisSession) computes it once for its
+/// whole lifetime). Like Algorithm 1, it starts from the unitary vector.
+pub(crate) fn kiter_with_repetition(
     graph: &CsdfGraph,
     repetition: &RepetitionVector,
     options: &KIterOptions,
     pipeline: &mut EvaluationPipeline,
-    mut periodicity: PeriodicityVector,
 ) -> Result<KIterResult, AnalysisError> {
+    let mut periodicity = PeriodicityVector::unitary(graph);
     let mut history = Vec::new();
     let max_iterations = pipeline.options().max_iterations.max(1);
     // Tasks raised by the previous `apply_update`: the dirty set the arena
@@ -418,9 +410,10 @@ mod tests {
 
     #[test]
     fn kiter_never_reports_less_than_the_periodic_bound() {
-        use crate::analysis::evaluate_periodic;
+        use crate::analysis::evaluate_k_periodic;
         let g = multirate_ring(5);
-        let periodic = evaluate_periodic(&g, &AnalysisOptions::default()).unwrap();
+        let unitary = PeriodicityVector::unitary(&g);
+        let periodic = evaluate_k_periodic(&g, &unitary, &AnalysisOptions::default()).unwrap();
         let optimal = optimal_throughput(&g).unwrap();
         assert!(optimal.throughput >= periodic.throughput());
     }

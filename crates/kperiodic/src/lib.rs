@@ -8,11 +8,12 @@
 //!   (Section 2.4);
 //! * [`duplicate_phases`] / [`transformed_repetition_vector`] — the `G → G̃`
 //!   transformation of Section 3.2 (Theorem 3);
-//! * [`EventGraph`] / [`EventGraphArena`] — the bi-valued graph whose maximum
-//!   cost-to-time ratio is the minimum period (Section 3.3), as a one-shot
-//!   build and as a long-lived arena patched across iterations;
-//! * [`evaluate_k_periodic`] / [`evaluate_periodic`] — fixed-K evaluation;
-//! * [`EvaluationPipeline`] — the reusable fixed-K pipeline K-Iter drives;
+//! * [`EventGraphArena`] — the bi-valued graph whose maximum cost-to-time
+//!   ratio is the minimum period (Section 3.3), built once and patched in
+//!   place across iterations;
+//! * [`EvaluationPipeline`] — the one fixed-K evaluation path, reused by
+//!   K-Iter across its iterations; [`evaluate_k_periodic`] runs a fresh one
+//!   (at unitary `K` it gives the 1-periodic bound of reference \[4\]);
 //! * [`AnalysisSession`] — a long-lived session whose graph mutates in
 //!   place (buffer capacities / initial tokens) between evaluations, the
 //!   unit of work of the `explore` design-space crate;
@@ -41,10 +42,10 @@
 //! 4. **MCR solve** — the shared [`mcr::Solver`] resolves the patched graph,
 //!    resizing (never recreating) its scratch buffers.
 //!
-//! The patched graph is bit-identical to a from-scratch [`EventGraph::build`]
-//! at the same vector, so all outcomes are exact and path-independent; the
-//! arena stores lcm-free arc times (see [`EventGraphArena`]) so that cached
-//! arcs stay valid when `lcm(K)` changes.
+//! The patched graph is bit-identical to a from-scratch
+//! [`EventGraphArena::build`] at the same vector, so all outcomes are exact
+//! and path-independent; the arena stores lcm-free arc times (see
+//! [`EventGraphArena`]) so that cached arcs stay valid when `lcm(K)` changes.
 //!
 //! # Examples
 //!
@@ -83,9 +84,8 @@ mod schedule;
 mod session;
 
 pub use analysis::{
-    evaluate_k_periodic, evaluate_periodic, evaluate_with_repetition, evaluate_with_solver,
-    AnalysisOptions, EvaluationOutcome, EvaluationPipeline, KPeriodicEvaluation,
-    PipelineEvaluation, PipelineStats,
+    evaluate_k_periodic, AnalysisOptions, EvaluationOutcome, EvaluationPipeline,
+    KPeriodicEvaluation, PipelineStats,
 };
 pub use arena::{ArenaUpdate, AssembleMode, EventGraphArena};
 pub use constraints::{
@@ -93,7 +93,7 @@ pub use constraints::{
 };
 pub use duplication::{duplicate_phases, transformed_repetition_vector};
 pub use error::AnalysisError;
-pub use event_graph::{EventGraph, EventGraphLimits, EventNode};
+pub use event_graph::{EventGraphLimits, EventNode};
 pub use kiter::{
     kiter_with_options, kiter_with_pipeline, optimal_throughput, KIterIteration, KIterOptions,
     KIterResult, KUpdatePolicy,
@@ -130,6 +130,6 @@ mod tests {
         assert_send_sync::<KPeriodicEvaluation>();
         assert_send_sync::<KPeriodicSchedule>();
         assert_send_sync::<AnalysisError>();
-        assert_send_sync::<EventGraph>();
+        assert_send_sync::<EventGraphArena>();
     }
 }

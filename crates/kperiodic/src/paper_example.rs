@@ -79,8 +79,9 @@ pub fn paper_example() -> (CsdfGraph, PaperExampleTasks) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{evaluate_periodic, AnalysisOptions};
+    use crate::analysis::{evaluate_k_periodic, AnalysisOptions};
     use crate::kiter::{kiter_with_options, KIterOptions};
+    use crate::periodicity::PeriodicityVector;
 
     #[test]
     fn repetition_vector_matches_the_paper() {
@@ -96,7 +97,8 @@ mod tests {
     #[test]
     fn kiter_terminates_and_dominates_the_periodic_bound() {
         let (graph, _) = paper_example();
-        let periodic = evaluate_periodic(&graph, &AnalysisOptions::default()).unwrap();
+        let unitary = PeriodicityVector::unitary(&graph);
+        let periodic = evaluate_k_periodic(&graph, &unitary, &AnalysisOptions::default()).unwrap();
         let options = KIterOptions {
             record_history: true,
             ..KIterOptions::default()

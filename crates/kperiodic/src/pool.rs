@@ -20,7 +20,8 @@
 //! and return are O(idle sessions + buffers).
 //!
 //! Every session the pool creates uses the pool's one [`KIterOptions`], and
-//! warm sessions keep cold-start K semantics, so a checkout result is
+//! every session evaluation starts K-Iter from the unitary K, so a checkout
+//! result is
 //! **bit-identical** to a cold [`optimal_throughput`] on the request's graph
 //! whatever was evaluated on the session before (property-tested in
 //! `tests/session.rs` and the `csdf-service` test-suite).

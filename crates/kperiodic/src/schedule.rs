@@ -9,9 +9,9 @@
 
 use csdf::{CsdfGraph, Rational, RepetitionVector, TaskId};
 
-use crate::analysis::{AnalysisOptions, EvaluationOutcome};
+use crate::analysis::{AnalysisOptions, EvaluationOutcome, EvaluationPipeline};
+use crate::arena::EventGraphArena;
 use crate::error::AnalysisError;
-use crate::event_graph::EventGraph;
 use crate::periodicity::PeriodicityVector;
 
 /// An explicit K-periodic schedule: starting times for the first `K_t`
@@ -43,17 +43,19 @@ impl KPeriodicSchedule {
         options: &AnalysisOptions,
     ) -> Result<Option<Self>, AnalysisError> {
         let repetition = graph.repetition_vector()?;
-        let evaluation =
-            crate::analysis::evaluate_with_repetition(graph, &repetition, periodicity, options)?;
+        let mut pipeline = EvaluationPipeline::new(*options);
+        let evaluation = pipeline.evaluate(graph, &repetition, periodicity, None)?;
         let EvaluationOutcome::Feasible { period, .. } = evaluation.outcome else {
             return Ok(None);
         };
 
-        let event_graph = EventGraph::build(graph, &repetition, periodicity, &options.limits)?;
+        let Some(event_graph) = pipeline.arena() else {
+            unreachable!("a successful evaluation keeps its arena");
+        };
         // The event graph stores lcm-free times, so the matching period for
         // the longest-path weights is the *normalised* one (Ω·H is invariant
         // under the common rescaling).
-        let starts_flat = longest_path_starts(&event_graph, period)?;
+        let starts_flat = longest_path_starts(event_graph, period)?;
 
         let mut starts = Vec::with_capacity(graph.task_count());
         let mut durations = Vec::with_capacity(graph.task_count());
@@ -199,7 +201,7 @@ fn phase_label(phase: usize) -> u8 {
 
 /// Longest-path starting times over the event graph at period `omega`.
 fn longest_path_starts(
-    event_graph: &EventGraph,
+    event_graph: &EventGraphArena,
     omega: Rational,
 ) -> Result<Vec<Rational>, AnalysisError> {
     let ratio = event_graph.ratio_graph();

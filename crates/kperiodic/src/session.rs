@@ -14,17 +14,11 @@
 //! event-graph structure) while reusing every block, arc cache, allocation
 //! and solver scratch buffer.
 //!
-//! By default each `evaluate` restarts the periodicity vector from unitary,
-//! so its result — throughput, K, iteration count, critical tasks — is
-//! **bit-identical** to a cold [`optimal_throughput`] on a copy of the
-//! mutated graph (property-tested in `tests/session.rs`); only the work to
-//! get there shrinks. [`AnalysisSession::with_warm_start`] opts into seeding
-//! K-Iter from the previous solution when every mutation since the last
-//! evaluation was a relaxation (capacity/marking increase — the direction in
-//! which the previous K remains a sound, useful seed); the throughput is
-//! still exact and identical, but K and the iteration count may differ, so
-//! it is off by default. Any tightening mutation falls back to the
-//! bit-identical cold start automatically.
+//! Each `evaluate` restarts the periodicity vector from unitary, as
+//! Algorithm 1 does, so its result — throughput, K, iteration count,
+//! critical tasks — is **bit-identical** to a cold [`optimal_throughput`]
+//! on a copy of the mutated graph (property-tested in `tests/session.rs`);
+//! only the work to get there shrinks.
 //!
 //! [`optimal_throughput`]: crate::optimal_throughput
 
@@ -32,8 +26,7 @@ use csdf::{BufferId, CsdfGraph, RepetitionVector};
 
 use crate::analysis::{EvaluationPipeline, PipelineStats};
 use crate::error::AnalysisError;
-use crate::kiter::{kiter_seeded, KIterOptions, KIterResult};
-use crate::periodicity::PeriodicityVector;
+use crate::kiter::{kiter_with_repetition, KIterOptions, KIterResult};
 
 /// A long-lived throughput-analysis session over one mutable CSDF graph.
 ///
@@ -67,14 +60,6 @@ pub struct AnalysisSession {
     repetition: RepetitionVector,
     options: KIterOptions,
     pipeline: EvaluationPipeline,
-    warm_start: bool,
-    /// Final periodicity vector of the last successful evaluation (the
-    /// warm-start seed).
-    last_periodicity: Option<PeriodicityVector>,
-    /// Whether every mutation since the last evaluation only *relaxed* the
-    /// graph (token counts increased) — the direction in which warm-starting
-    /// from the previous K is sound.
-    relaxed_only: bool,
     solves: usize,
 }
 
@@ -94,20 +79,8 @@ impl AnalysisSession {
             pipeline: EvaluationPipeline::new(options.analysis),
             graph,
             options,
-            warm_start: false,
-            last_periodicity: None,
-            relaxed_only: true,
             solves: 0,
         })
-    }
-
-    /// Enables (or disables) warm-starting K-Iter from the previous
-    /// solution after relaxation-only mutation batches. Off by default: with
-    /// it on, throughput stays exact and equal to a cold run's, but the
-    /// converged K and iteration count may differ.
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
     }
 
     /// The graph in its current (possibly mutated) state.
@@ -199,11 +172,7 @@ impl AnalysisSession {
         buffer: BufferId,
         tokens: u64,
     ) -> Result<u64, AnalysisError> {
-        let previous = self.graph.set_initial_tokens(buffer, tokens)?;
-        if tokens < previous {
-            self.relaxed_only = false;
-        }
-        Ok(previous)
+        Ok(self.graph.set_initial_tokens(buffer, tokens)?)
     }
 
     /// Re-sizes a bounded buffer in place, returning the previous capacity.
@@ -223,22 +192,16 @@ impl AnalysisSession {
         reverse: BufferId,
         capacity: u64,
     ) -> Result<u64, AnalysisError> {
-        let previous = self.graph.set_capacity(forward, reverse, capacity)?;
-        if capacity < previous {
-            self.relaxed_only = false;
-        }
-        Ok(previous)
+        Ok(self.graph.set_capacity(forward, reverse, capacity)?)
     }
 
     /// Evaluates the maximum throughput of the graph in its current state.
     ///
-    /// Cold-start semantics by default: the result is bit-identical — same
-    /// throughput, periodicity vector, iteration count and critical tasks —
-    /// to [`optimal_throughput`](crate::optimal_throughput) on a copy of the
+    /// The result is bit-identical — same throughput, periodicity vector,
+    /// iteration count and critical tasks — to
+    /// [`optimal_throughput`](crate::optimal_throughput) on a copy of the
     /// current graph, while the event-graph arena and solver scratch carry
-    /// over from previous evaluations. With
-    /// [`AnalysisSession::with_warm_start`] and a relaxation-only mutation
-    /// batch, K-Iter is seeded from the previous solution instead.
+    /// over from previous evaluations.
     ///
     /// # Errors
     ///
@@ -246,19 +209,12 @@ impl AnalysisSession {
     /// error the session stays usable; the next evaluation rebuilds the
     /// arena from scratch.
     pub fn evaluate(&mut self) -> Result<KIterResult, AnalysisError> {
-        let initial = match &self.last_periodicity {
-            Some(previous) if self.warm_start && self.relaxed_only => previous.clone(),
-            _ => PeriodicityVector::unitary(&self.graph),
-        };
-        let result = kiter_seeded(
+        let result = kiter_with_repetition(
             &self.graph,
             &self.repetition,
             &self.options,
             &mut self.pipeline,
-            initial,
         )?;
-        self.last_periodicity = Some(result.periodicity.clone());
-        self.relaxed_only = true;
         self.solves += 1;
         Ok(result)
     }
@@ -268,7 +224,7 @@ impl AnalysisSession {
 mod tests {
     use super::*;
     use crate::analysis::AnalysisOptions;
-    use crate::kiter::{kiter_with_options, optimal_throughput};
+    use crate::kiter::kiter_with_options;
     use csdf::transform::bound_all_buffers_tracked;
     use csdf::{CsdfGraphBuilder, Throughput};
 
@@ -305,32 +261,6 @@ mod tests {
             "only the first evaluation builds"
         );
         assert_eq!(session.solves(), 5);
-    }
-
-    #[test]
-    fn warm_start_keeps_the_throughput_and_falls_back_on_tightening() {
-        let (graph, feedback) = multirate_ring(3);
-        let mut session = AnalysisSession::new(graph.clone(), KIterOptions::default())
-            .unwrap()
-            .with_warm_start(true);
-        let first = session.evaluate().unwrap();
-        assert!(first.iterations > 1, "ring needs K growth, else no warm-up");
-
-        // Relaxation: warm start may shortcut iterations, throughput exact.
-        session.set_initial_tokens(feedback, 8).unwrap();
-        let warm = session.evaluate().unwrap();
-        let mut relaxed = graph.clone();
-        relaxed.set_initial_tokens(feedback, 8).unwrap();
-        let cold = optimal_throughput(&relaxed).unwrap();
-        assert_eq!(warm.throughput, cold.throughput);
-
-        // Tightening: the session must fall back to a cold start and be
-        // bit-identical again.
-        session.set_initial_tokens(feedback, 2).unwrap();
-        let fallback = session.evaluate().unwrap();
-        let mut tightened = graph.clone();
-        tightened.set_initial_tokens(feedback, 2).unwrap();
-        assert_eq!(fallback, optimal_throughput(&tightened).unwrap());
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.full_builds,
         stats.patched,
         stats.total_construction_time().as_secs_f64() * 1e3,
-        stats.total_solve_time().as_secs_f64() * 1e3,
+        stats.solve_time.as_secs_f64() * 1e3,
     );
 
     if let Some(minimal) = min_storage_for_throughput(&graph, unbounded.throughput, 64, &options)? {

@@ -9,10 +9,10 @@
 //!
 //! Run with `cargo run --example paper_walkthrough`.
 
-use kiter::analysis::{EventGraph, EventGraphLimits};
+use kiter::analysis::EventGraphLimits;
 use kiter::{
-    evaluate_periodic, kiter_with_options, paper_example, symbolic_execution_throughput,
-    AnalysisOptions, Budget, KIterOptions, KPeriodicSchedule,
+    evaluate_k_periodic, kiter_with_options, paper_example, symbolic_execution_throughput,
+    AnalysisOptions, Budget, EventGraphArena, KIterOptions, KPeriodicSchedule,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 5: the bi-valued event graph for K = [1,1,1,1].
     let unitary = kiter::PeriodicityVector::unitary(&graph);
-    let event_graph = EventGraph::build(&graph, &q, &unitary, &EventGraphLimits::default())?;
+    let event_graph = EventGraphArena::build(&graph, &q, &unitary, &EventGraphLimits::default())?;
     println!(
         "=== Figure 5: event graph for K = [1,1,1,1]: {} nodes, {} arcs",
         event_graph.node_count(),
         event_graph.arc_count()
     );
-    let periodic = evaluate_periodic(&graph, &AnalysisOptions::default())?;
+    let periodic = evaluate_k_periodic(&graph, &unitary, &AnalysisOptions::default())?;
     match &periodic.outcome {
         kiter::analysis::EvaluationOutcome::Feasible {
             period,

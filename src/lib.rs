@@ -85,10 +85,10 @@ pub use csdf_explore::{
     min_storage_for_throughput, ExploreOptions, ParetoSweep, ScenarioSet, SweepOutcome,
 };
 pub use kperiodic::{
-    evaluate_k_periodic, evaluate_periodic, kiter_with_options, kiter_with_pipeline,
-    optimal_throughput, paper_example, AnalysisError, AnalysisOptions, AnalysisSession,
-    EvaluationPipeline, EventGraphArena, KIterOptions, KIterResult, KPeriodicSchedule,
-    KUpdatePolicy, PeriodicityVector, PipelineStats,
+    evaluate_k_periodic, kiter_with_options, kiter_with_pipeline, optimal_throughput,
+    paper_example, AnalysisError, AnalysisOptions, AnalysisSession, EvaluationPipeline,
+    EventGraphArena, KIterOptions, KIterResult, KPeriodicSchedule, KUpdatePolicy,
+    PeriodicityVector, PipelineStats,
 };
 
 #[cfg(test)]

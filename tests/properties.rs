@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use kiter::analysis::{
     duplicate_phases, evaluate_k_periodic, transformed_repetition_vector, EvaluationOutcome,
-    EventGraph, EventGraphLimits,
+    EventGraphLimits,
 };
 use kiter::generators::{random_graph, RandomGraphConfig};
 use kiter::ratio::{
@@ -118,15 +118,24 @@ proptest! {
         prop_assert!(q_tilde.validates(&transformed));
     }
 
-    /// Any feasible K-periodic evaluation yields an explicit schedule that
-    /// keeps every buffer non-negative when replayed.
+    /// Any feasible K-periodic evaluation yields an explicit schedule at the
+    /// evaluated period that keeps every buffer non-negative when replayed —
+    /// at unitary K and at the vector K-Iter proves optimal.
     #[test]
     fn schedules_replay_without_negative_buffers(seed in 0u64..5_000, tasks in 3usize..5) {
         let graph = random_graph(&small_config(2, tasks), seed).expect("generator");
         let options = AnalysisOptions::default();
-        let k = PeriodicityVector::unitary(&graph);
-        if let Some(schedule) = KPeriodicSchedule::compute(&graph, &k, &options).expect("compute") {
-            prop_assert!(schedule.validate(&graph, 4), "schedule violates a buffer:\n{}", graph);
+        let optimal = optimal_throughput(&graph).expect("kiter");
+        for k in [PeriodicityVector::unitary(&graph), optimal.periodicity] {
+            let evaluation = evaluate_k_periodic(&graph, &k, &options).expect("evaluate");
+            let schedule = KPeriodicSchedule::compute(&graph, &k, &options).expect("compute");
+            prop_assert_eq!(schedule.as_ref().map(KPeriodicSchedule::period), evaluation.period());
+            if let Some(schedule) = schedule {
+                prop_assert!(
+                    schedule.validate(&graph, 4),
+                    "schedule at K = {:?} violates a buffer:\n{}", k, graph
+                );
+            }
         }
     }
 
@@ -226,7 +235,7 @@ proptest! {
     /// one arena through a random sequence of K-updates yields a
     /// [`RatioGraph`](kiter::ratio::RatioGraph) *bit-identical* (node count,
     /// arc order, exact `L`/`H` values) to a from-scratch
-    /// [`EventGraph::build`] at every intermediate vector — including on CSDF
+    /// [`EventGraphArena::build`] at every intermediate vector — including on CSDF
     /// graphs with zero-duration phases, and both with and without the dirty
     /// hint the K-Iter update rule provides.
     #[test]
@@ -262,7 +271,7 @@ proptest! {
             let hint = (step % 2 == 0).then_some(raised.as_slice());
             arena.apply_update(&graph, &k, hint).expect("patch");
 
-            let fresh = EventGraph::build(&graph, &q, &k, &limits).expect("scratch build");
+            let fresh = EventGraphArena::build(&graph, &q, &k, &limits).expect("scratch build");
             prop_assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
             prop_assert_eq!(arena.node_count(), fresh.node_count());
             prop_assert_eq!(arena.arc_count(), fresh.arc_count());

@@ -80,44 +80,6 @@ proptest! {
         prop_assert_eq!(session.solves(), edits);
     }
 
-    /// Warm-started sessions keep the throughput exact in both directions:
-    /// after relaxations they may reuse the previous K (fewer iterations),
-    /// after tightenings they must fall back to the bit-identical cold
-    /// start on their own.
-    #[test]
-    fn warm_started_sessions_keep_the_exact_throughput(
-        seed in 0u64..5_000,
-        edits in 3usize..6,
-    ) {
-        let graph = random_graph(&RandomGraphConfig::small_csdf(), seed).expect("generator");
-        let bounded = bound_all_buffers_tracked(&graph, |_, b| {
-            2 * (b.total_production() + b.total_consumption()) + b.initial_tokens()
-        })
-        .expect("bounding");
-        let pairs: Vec<(BufferId, BufferId)> = bounded.bounded_pairs().collect();
-        prop_assert!(!pairs.is_empty());
-
-        let mut warm = AnalysisSession::new(bounded.graph().clone(), KIterOptions::default())
-            .expect("session")
-            .with_warm_start(true);
-        let mut reference = bounded.graph().clone();
-        let mut state = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
-
-        for _ in 0..edits {
-            let (forward, reverse) = pairs[(xorshift(&mut state) % pairs.len() as u64) as usize];
-            let marking = reference.buffer(forward).initial_tokens();
-            // Alternating generous and tight capacities exercises both the
-            // warm path and the cold fallback.
-            let capacity = marking + xorshift(&mut state) % 16;
-            warm.set_capacity(forward, reverse, capacity).expect("capacity edit");
-            reference.set_capacity(forward, reverse, capacity).expect("capacity edit");
-
-            let warm_result = warm.evaluate().expect("warm evaluation");
-            let cold = optimal_throughput(&reference).expect("cold evaluation");
-            prop_assert_eq!(warm_result.throughput, cold.throughput);
-        }
-    }
-
     /// A uniform-slack Pareto sweep — the 32-point acceptance workload at
     /// property-test scale — matches independent cold evaluations point by
     /// point at every worker count.
