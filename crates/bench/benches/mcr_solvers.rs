@@ -10,7 +10,7 @@ use csdf_generators::{buffer_sized, random_graph, RandomGraphConfig};
 use kperiodic::{
     kiter_with_options, EventGraphArena, EventGraphLimits, KIterOptions, PeriodicityVector,
 };
-use mcr::{maximum_cycle_mean, maximum_cycle_ratio_with, RatioGraph, SolverChoice};
+use mcr::{maximum_cycle_mean, RatioGraph, Solver, SolverChoice};
 
 fn solver_choices() -> [(&'static str, SolverChoice); 3] {
     [
@@ -45,7 +45,7 @@ fn bench_mcr(c: &mut Criterion) {
                 BenchmarkId::new(format!("{label}_ratio"), tasks),
                 event_graph.ratio_graph(),
                 |b, ratio_graph| {
-                    b.iter(|| maximum_cycle_ratio_with(ratio_graph, choice).expect("solve"));
+                    b.iter(|| Solver::new(choice).solve(ratio_graph).expect("solve"));
                 },
             );
         }
@@ -112,7 +112,7 @@ fn bench_jpeg2000_sized(c: &mut Criterion) {
                 BenchmarkId::new(label, stage),
                 &ratio_graph,
                 |b, ratio_graph| {
-                    b.iter(|| maximum_cycle_ratio_with(ratio_graph, choice).expect("solve"));
+                    b.iter(|| Solver::new(choice).solve(ratio_graph).expect("solve"));
                 },
             );
         }

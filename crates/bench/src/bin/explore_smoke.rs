@@ -15,14 +15,14 @@
 //!
 //! Run with `cargo run --release -p kiter-bench --bin explore_smoke --
 //! [--json] [--gate 0.5]`. `KITER_EXPLORE_POINTS` overrides the point count
-//! (default 32), `KITER_EXPLORE_WORKERS` the sweep worker count (default
-//! `min(4, available_parallelism)`).
+//! (default 32). The sweep runs one worker per available core (at most one
+//! per point); each row reports the worker sessions it actually used.
 
 use std::time::Instant;
 
 use csdf::transform::bound_all_buffers;
 use csdf::CsdfGraph;
-use csdf_explore::{uniform_slack_capacity, ExploreOptions, ParetoSweep};
+use csdf_explore::{uniform_slack_capacity, ParetoSweep};
 use csdf_generators::{apps, dsp};
 use kiter_bench::json_escape;
 use kperiodic::{optimal_throughput, KIterResult};
@@ -30,6 +30,7 @@ use kperiodic::{optimal_throughput, KIterResult};
 struct AppRun {
     cold_ms: f64,
     sweep_ms: f64,
+    sessions: usize,
     identical: bool,
 }
 
@@ -55,10 +56,6 @@ fn main() {
         .ok()
         .and_then(|value| value.parse().ok())
         .unwrap_or(32);
-    let workers: usize = std::env::var("KITER_EXPLORE_WORKERS")
-        .ok()
-        .and_then(|value| value.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(4)));
     let slacks: Vec<u64> = (1..=points as u64).collect();
 
     let applications: Vec<(&'static str, CsdfGraph)> = vec![
@@ -75,7 +72,7 @@ fn main() {
     let mut runs = Vec::new();
     let mut all_identical = true;
     for (name, graph) in &applications {
-        let run = run_app(name, graph, &slacks, workers);
+        let run = run_app(name, graph, &slacks);
         all_identical &= run.identical;
         runs.push(run);
     }
@@ -83,8 +80,9 @@ fn main() {
     let cold_total: f64 = runs.iter().map(|run| run.cold_ms).sum();
     let sweep_total: f64 = runs.iter().map(|run| run.sweep_ms).sum();
     let ratio = sweep_total / cold_total.max(f64::MIN_POSITIVE);
+    let sessions = runs.iter().map(|run| run.sessions).max().unwrap_or(1);
     println!(
-        "{{\"table\":\"explore_smoke\",\"points\":{points},\"workers\":{workers},\"cold_ms\":{cold_total:.1},\
+        "{{\"table\":\"explore_smoke\",\"points\":{points},\"sessions\":{sessions},\"cold_ms\":{cold_total:.1},\
          \"sweep_ms\":{sweep_total:.1},\"ratio\":{ratio:.3},\"identical\":{all_identical},\"completed\":true}}",
     );
 
@@ -102,12 +100,12 @@ fn main() {
         }
         eprintln!(
             "explore gate ok: sweep/cold ratio {ratio:.2} within the {factor} limit \
-             ({workers} workers)"
+             ({sessions} sessions)"
         );
     }
 }
 
-fn run_app(name: &str, graph: &CsdfGraph, slacks: &[u64], workers: usize) -> AppRun {
+fn run_app(name: &str, graph: &CsdfGraph, slacks: &[u64]) -> AppRun {
     // Cold baseline: one independent evaluation per point, rebuilding the
     // bounded graph, the event-graph arena and the solver from scratch each
     // time — exactly what `examples/buffer_sizing.rs` did before the session
@@ -126,12 +124,8 @@ fn run_app(name: &str, graph: &CsdfGraph, slacks: &[u64], workers: usize) -> App
 
     // The sweep: same design points through worker-owned analysis sessions.
     let sweep = ParetoSweep::uniform_slack(graph, slacks).expect("sweep builds");
-    let options = ExploreOptions {
-        workers,
-        ..ExploreOptions::default()
-    };
     let sweep_started = Instant::now();
-    let outcome = sweep.run(&options).expect("sweep succeeds");
+    let outcome = sweep.run().expect("sweep succeeds");
     let sweep_ms = sweep_started.elapsed().as_secs_f64() * 1e3;
 
     let identical = outcome
@@ -143,7 +137,7 @@ fn run_app(name: &str, graph: &CsdfGraph, slacks: &[u64], workers: usize) -> App
     let stats = outcome.stats;
     println!(
         "{{\"table\":\"explore_smoke\",\"app\":\"{}\",\"tasks\":{},\"buffers\":{},\
-         \"points\":{},\"workers\":{},\"sessions\":{},\"frontier\":{},\
+         \"points\":{},\"sessions\":{},\"frontier\":{},\
          \"cold_ms\":{:.1},\"sweep_ms\":{:.1},\"construction_ms\":{:.1},\
          \"solve_ms\":{:.1},\"evaluations\":{},\"full_builds\":{},\"patched\":{},\
          \"identical\":{}}}",
@@ -151,7 +145,6 @@ fn run_app(name: &str, graph: &CsdfGraph, slacks: &[u64], workers: usize) -> App
         graph.task_count(),
         graph.buffer_count(),
         outcome.points.len(),
-        workers,
         outcome.sessions,
         frontier,
         cold_ms,
@@ -166,6 +159,7 @@ fn run_app(name: &str, graph: &CsdfGraph, slacks: &[u64], workers: usize) -> App
     AppRun {
         cold_ms,
         sweep_ms,
+        sessions: outcome.sessions,
         identical,
     }
 }

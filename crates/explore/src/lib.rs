@@ -7,7 +7,8 @@
 //! exploration drives [`kperiodic::AnalysisSession`]s — graphs mutate in
 //! place between evaluations, so the event-graph arena, solver scratch and
 //! repetition vector survive the whole sweep — and independent points are
-//! distributed over `std::thread::scope` workers:
+//! distributed over `std::thread::scope` workers, one per available core
+//! (never more than there are points):
 //!
 //! * [`ParetoSweep`] — evaluates a list of capacity assignments over a
 //!   bounded graph and reports the throughput vs. total-storage frontier;
@@ -23,8 +24,9 @@
 //! Every evaluation starts K-Iter from the unitary K, so each point's
 //! result — throughput, K, iteration count — is **bit-identical** to an
 //! independent cold [`kperiodic::optimal_throughput`] call on the same
-//! design point, whatever the worker count; only the work to get there
-//! shrinks.
+//! design point, whatever the machine's core count; only the work to get
+//! there shrinks. Every session evaluates with the default
+//! [`kperiodic::KIterOptions`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,6 @@ mod scenario;
 mod storage;
 mod sweep;
 
-pub use runner::ExploreOptions;
 pub use scenario::{Scenario, ScenarioOutcome, ScenarioSet};
 pub use storage::{
     min_storage_for_throughput, min_storage_for_throughput_on, tighten_capacities,
@@ -47,7 +48,6 @@ mod tests {
     #[test]
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<crate::ExploreOptions>();
         assert_send_sync::<crate::ParetoSweep>();
         assert_send_sync::<crate::SweepOutcome>();
         assert_send_sync::<crate::ScenarioSet>();

@@ -1,9 +1,9 @@
-//! Shared options and the scoped-thread work loop the sweep runners use.
+//! The scoped-thread work loop the sweep runners use.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use csdf::transform::BoundedGraph;
-use csdf::BufferId;
+use csdf::{BufferId, CsdfGraph};
 use kperiodic::{AnalysisError, AnalysisSession, KIterOptions, PipelineStats};
 
 /// Resolves the reverse (back-pressure) buffer of a bounded forward buffer,
@@ -20,54 +20,35 @@ pub(crate) fn reverse_of(
     })
 }
 
-/// Options shared by every exploration runner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExploreOptions {
-    /// The K-Iter options every session evaluation runs with (event-graph
-    /// limits, iteration budget, update policy).
-    pub analysis: KIterOptions,
-    /// Number of worker threads evaluating independent design points in
-    /// parallel (`std::thread::scope`; `0` is treated as `1`). Each worker
-    /// owns one [`AnalysisSession`], so results are bit-identical to
-    /// independent cold evaluations at every width.
-    pub workers: usize,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions {
-            analysis: KIterOptions::default(),
-            workers: 1,
-        }
-    }
-}
-
-impl ExploreOptions {
-    /// The effective worker count for `points` design points.
-    pub(crate) fn effective_workers(&self, points: usize) -> usize {
-        self.workers.max(1).min(points.max(1))
-    }
+/// The worker count every runner uses: the machine's available parallelism
+/// (1 when it cannot be queried). [`run_points`] caps it at the point count.
+pub(crate) fn machine_width() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Evaluates `count` design points with `evaluate(session, index)` on a pool
-/// of scoped workers, each owning one [`AnalysisSession`] created by
-/// `make_session`. Results are written into a dense `Vec` by point index, so
-/// the output order is deterministic whatever the interleaving; the
-/// per-worker pipeline stats are merged into one sweep-wide
-/// [`PipelineStats`]. The first error (by worker, arbitrary) aborts the
-/// sweep.
-pub(crate) fn run_points<T, M, E>(
+/// of `workers` scoped workers (capped at `count`, at least 1), each owning
+/// one [`AnalysisSession`] over a copy of `graph` with the default
+/// [`KIterOptions`]. Each point's result
+/// depends only on the point, never on the worker that ran it, so the output
+/// is bit-identical at any width. Results are written into a dense `Vec` by
+/// point index, so the output order is deterministic whatever the
+/// interleaving; the per-worker pipeline stats are merged into one
+/// sweep-wide [`PipelineStats`]. Returns the results, the stats and the
+/// number of sessions used. The first error (by worker, arbitrary) aborts
+/// the sweep.
+pub(crate) fn run_points<T, E>(
+    workers: usize,
+    graph: &CsdfGraph,
     count: usize,
-    options: &ExploreOptions,
-    make_session: M,
     evaluate: E,
 ) -> Result<(Vec<T>, PipelineStats, usize), AnalysisError>
 where
     T: Send,
-    M: Fn() -> Result<AnalysisSession, AnalysisError> + Sync,
     E: Fn(&mut AnalysisSession, usize) -> Result<T, AnalysisError> + Sync,
 {
-    let workers = options.effective_workers(count);
+    let make_session = || AnalysisSession::new(graph.clone(), KIterOptions::default());
+    let workers = workers.min(count).max(1);
     let cursor = AtomicUsize::new(0);
     let mut merged = PipelineStats::default();
 
@@ -166,6 +147,49 @@ impl<T> WorkerOutcome<T> {
             produced: Vec::new(),
             stats: PipelineStats::default(),
             error: Some(error),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csdf::{CsdfGraph, CsdfGraphBuilder};
+    use kperiodic::KIterResult;
+
+    fn multirate_ring() -> (CsdfGraph, BufferId) {
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_sdf_task("x", 2);
+        let y = b.add_sdf_task("y", 1);
+        b.add_sdf_buffer(x, y, 2, 1, 0);
+        let feedback = b.add_sdf_buffer(y, x, 1, 2, 2);
+        b.add_serializing_self_loop(x);
+        b.add_serializing_self_loop(y);
+        (b.build().unwrap(), feedback)
+    }
+
+    #[test]
+    fn every_width_returns_cold_results_in_point_order() {
+        let (graph, feedback) = multirate_ring();
+        let markings = [2u64, 5, 0, 3, 8, 2, 4];
+        let cold: Vec<KIterResult> = markings
+            .iter()
+            .map(|&tokens| {
+                let mut point = graph.clone();
+                point.set_initial_tokens(feedback, tokens).unwrap();
+                kperiodic::optimal_throughput(&point).unwrap()
+            })
+            .collect();
+        for width in [1usize, 2, 3, markings.len() + 5] {
+            let (results, stats, sessions) =
+                run_points(width, &graph, markings.len(), |session, index| {
+                    session.set_initial_tokens(feedback, markings[index])?;
+                    session.evaluate()
+                })
+                .unwrap();
+            assert_eq!(results, cold, "width {width}");
+            assert!(sessions >= 1 && sessions <= width.min(markings.len()));
+            assert!(stats.full_builds <= sessions, "one arena build per session");
         }
     }
 }

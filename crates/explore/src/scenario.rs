@@ -3,7 +3,7 @@
 use csdf::{BufferId, CsdfGraph};
 use kperiodic::{AnalysisError, KIterResult};
 
-use crate::runner::{run_points, ExploreOptions};
+use crate::runner::{machine_width, run_points};
 
 /// One scenario: a named set of initial-marking overrides on the base graph
 /// (buffers not listed keep the base marking).
@@ -37,7 +37,7 @@ pub struct ScenarioOutcome {
 ///
 /// ```
 /// use csdf::CsdfGraphBuilder;
-/// use csdf_explore::{ExploreOptions, ScenarioSet};
+/// use csdf_explore::ScenarioSet;
 ///
 /// let mut builder = CsdfGraphBuilder::new();
 /// let a = builder.add_sdf_task("a", 1);
@@ -49,7 +49,7 @@ pub struct ScenarioOutcome {
 /// let mut scenarios = ScenarioSet::new(graph);
 /// scenarios.add("tight", vec![(feedback, 1)]);
 /// scenarios.add("relaxed", vec![(feedback, 4)]);
-/// let outcomes = scenarios.run(&ExploreOptions::default())?;
+/// let outcomes = scenarios.run()?;
 /// assert_eq!(outcomes.len(), 2);
 /// assert!(outcomes[1].result.throughput > outcomes[0].result.throughput);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -101,17 +101,18 @@ impl ScenarioSet {
         &self.scenarios
     }
 
-    /// Evaluates every scenario, returning outcomes in input order.
+    /// Evaluates every scenario on one worker per available core (at most
+    /// one per scenario), returning outcomes in input order.
     ///
     /// # Errors
     ///
     /// The first evaluation error (unknown buffer id, solver failure,
     /// event-graph limits) aborts the run.
-    pub fn run(&self, options: &ExploreOptions) -> Result<Vec<ScenarioOutcome>, AnalysisError> {
+    pub fn run(&self) -> Result<Vec<ScenarioOutcome>, AnalysisError> {
         let (outcomes, _, _) = run_points(
+            machine_width(),
+            &self.base,
             self.scenarios.len(),
-            options,
-            || kperiodic::AnalysisSession::new(self.base.clone(), options.analysis),
             |session, index| self.evaluate_scenario(session, index),
         )?;
         Ok(outcomes)
@@ -172,6 +173,7 @@ impl ScenarioSet {
 mod tests {
     use super::*;
     use csdf::CsdfGraphBuilder;
+    use kperiodic::KIterOptions;
 
     fn ring() -> (CsdfGraph, BufferId, BufferId) {
         let mut b = CsdfGraphBuilder::new();
@@ -191,25 +193,21 @@ mod tests {
         set.add("relaxed", vec![(forward, 2), (feedback, 3)]);
         set.add("base-again", vec![]);
 
-        for workers in [1usize, 3] {
-            let outcomes = set
-                .run(&ExploreOptions {
-                    workers,
-                    ..ExploreOptions::default()
-                })
-                .unwrap();
-            assert_eq!(outcomes.len(), 4);
-            assert_eq!(outcomes[0].name, "base");
-            assert_eq!(outcomes[0].result, outcomes[3].result);
-            for (index, scenario) in set.scenarios().iter().enumerate() {
-                let mut cold = graph.clone();
-                for &(buffer, tokens) in &scenario.markings {
-                    cold.set_initial_tokens(buffer, tokens).unwrap();
-                }
-                let reference = kperiodic::optimal_throughput(&cold).unwrap();
-                assert_eq!(outcomes[index].result, reference, "scenario {index}");
+        let outcomes = set.run().unwrap();
+        assert_eq!(outcomes.len(), 4);
+        assert_eq!(outcomes[0].name, "base");
+        assert_eq!(outcomes[0].result, outcomes[3].result);
+        for (index, scenario) in set.scenarios().iter().enumerate() {
+            let mut cold = graph.clone();
+            for &(buffer, tokens) in &scenario.markings {
+                cold.set_initial_tokens(buffer, tokens).unwrap();
             }
+            let reference = kperiodic::optimal_throughput(&cold).unwrap();
+            assert_eq!(outcomes[index].result, reference, "scenario {index}");
         }
+        // The serving path replays the same outcomes on one borrowed session.
+        let mut session = kperiodic::AnalysisSession::new(graph, KIterOptions::default()).unwrap();
+        assert_eq!(set.run_on_session(&mut session).unwrap(), outcomes);
     }
 
     #[test]
@@ -217,6 +215,6 @@ mod tests {
         let (graph, _, _) = ring();
         let mut set = ScenarioSet::new(graph);
         set.add("bogus", vec![(BufferId::new(99), 1)]);
-        assert!(set.run(&ExploreOptions::default()).is_err());
+        assert!(set.run().is_err());
     }
 }

@@ -2,9 +2,9 @@
 
 use csdf::transform::{bound_all_buffers_tracked, BoundedGraph};
 use csdf::{BufferId, CsdfError, CsdfGraph, Throughput};
-use kperiodic::{AnalysisError, AnalysisSession, KIterResult};
+use kperiodic::{AnalysisError, AnalysisSession, KIterOptions, KIterResult};
 
-use crate::runner::{reverse_of, ExploreOptions};
+use crate::runner::reverse_of;
 use crate::sweep::uniform_slack_capacity;
 
 /// The result of a storage-minimisation search.
@@ -47,12 +47,11 @@ pub fn min_storage_for_throughput(
     graph: &CsdfGraph,
     target: Throughput,
     max_slack: u64,
-    options: &ExploreOptions,
 ) -> Result<Option<MinStorageOutcome>, AnalysisError> {
     let max_slack = max_slack.max(1);
     let bounded =
         bound_all_buffers_tracked(graph, |_, buffer| uniform_slack_capacity(buffer, max_slack))?;
-    let mut session = AnalysisSession::new(bounded.graph().clone(), options.analysis)?;
+    let mut session = AnalysisSession::new(bounded.graph().clone(), KIterOptions::default())?;
     min_storage_for_throughput_on(&mut session, &bounded, target, max_slack)
 }
 
@@ -152,7 +151,6 @@ pub fn tighten_capacities(
     bounded: &BoundedGraph,
     start: &[(BufferId, u64)],
     target: Throughput,
-    options: &ExploreOptions,
 ) -> Result<MinStorageOutcome, AnalysisError> {
     // Every bounded buffer, exactly once: otherwise `total_storage` would
     // compare apples to oranges against a full uniform-slack outcome.
@@ -184,7 +182,7 @@ pub fn tighten_capacities(
         }));
     }
 
-    let mut session = AnalysisSession::new(bounded.graph().clone(), options.analysis)?;
+    let mut session = AnalysisSession::new(bounded.graph().clone(), KIterOptions::default())?;
     let mut evaluations = 0usize;
 
     let mut capacities: Vec<(BufferId, u64)> = start.to_vec();
@@ -254,8 +252,7 @@ mod tests {
         // The unbounded optimum is the loosest possible target.
         let unbounded = kperiodic::optimal_throughput(&graph).unwrap();
         let target = unbounded.throughput;
-        let options = ExploreOptions::default();
-        let outcome = min_storage_for_throughput(&graph, target, 64, &options)
+        let outcome = min_storage_for_throughput(&graph, target, 64)
             .unwrap()
             .expect("a generous slack reaches the unbounded optimum");
         assert!(outcome.result.throughput >= target);
@@ -281,8 +278,7 @@ mod tests {
             panic!("chain has finite throughput");
         };
         let impossible = Throughput::Finite(exact.checked_mul(&Rational::from_integer(2)).unwrap());
-        let outcome =
-            min_storage_for_throughput(&graph, impossible, 32, &ExploreOptions::default()).unwrap();
+        let outcome = min_storage_for_throughput(&graph, impossible, 32).unwrap();
         assert!(outcome.is_none());
     }
 
@@ -298,12 +294,11 @@ mod tests {
         let target = kperiodic::optimal_throughput(bounded.graph())
             .unwrap()
             .throughput;
-        let options = ExploreOptions::default();
 
         // Missing a bounded buffer.
         let partial = &full[1..];
         assert!(matches!(
-            tighten_capacities(&bounded, partial, target, &options),
+            tighten_capacities(&bounded, partial, target),
             Err(AnalysisError::Model(
                 CsdfError::MissingBufferCapacity { .. }
             ))
@@ -312,7 +307,7 @@ mod tests {
         let mut duplicated = full.clone();
         duplicated.push(full[0]);
         assert!(matches!(
-            tighten_capacities(&bounded, &duplicated, target, &options),
+            tighten_capacities(&bounded, &duplicated, target),
             Err(AnalysisError::Model(
                 CsdfError::DuplicateBufferCapacity { .. }
             ))
@@ -327,7 +322,7 @@ mod tests {
         let mut unbounded = full.clone();
         unbounded[0] = (self_loop, 4);
         assert!(matches!(
-            tighten_capacities(&bounded, &unbounded, target, &options),
+            tighten_capacities(&bounded, &unbounded, target),
             Err(AnalysisError::Model(
                 CsdfError::MissingBufferCapacity { .. }
             ))
@@ -339,16 +334,14 @@ mod tests {
         let graph = multirate_chain();
         let unbounded = kperiodic::optimal_throughput(&graph).unwrap();
         let target = unbounded.throughput;
-        let options = ExploreOptions::default();
-        let uniform = min_storage_for_throughput(&graph, target, 64, &options)
+        let uniform = min_storage_for_throughput(&graph, target, 64)
             .unwrap()
             .expect("feasible");
 
         let bounded =
             bound_all_buffers_tracked(&graph, |_, b| uniform_slack_capacity(b, uniform.slack))
                 .unwrap();
-        let tightened =
-            tighten_capacities(&bounded, &uniform.capacities, target, &options).unwrap();
+        let tightened = tighten_capacities(&bounded, &uniform.capacities, target).unwrap();
         assert!(tightened.total_storage <= uniform.total_storage);
         assert!(tightened.result.throughput >= target);
         // The reported result matches a cold evaluation of the reported

@@ -4,7 +4,7 @@ use csdf::transform::{bound_all_buffers_tracked, BoundedGraph};
 use csdf::{Buffer, BufferId, CsdfGraph, Throughput};
 use kperiodic::{AnalysisError, KIterResult, PipelineStats};
 
-use crate::runner::{reverse_of, run_points, ExploreOptions};
+use crate::runner::{machine_width, reverse_of, run_points};
 
 /// One capacity assignment to evaluate: a capacity per bounded (forward)
 /// buffer of the design's [`BoundedGraph`].
@@ -14,8 +14,9 @@ pub struct CapacityPoint {
     /// uniform sweeps).
     pub label: u64,
     /// `(forward buffer, capacity)` pairs; buffers omitted here keep the
-    /// capacity of the previous point evaluated by the same worker, so list
-    /// every bounded buffer unless that is what you want.
+    /// capacity of the previous point evaluated by the same worker, and which
+    /// worker runs which point depends on the machine's core count, so list
+    /// every bounded buffer.
     pub capacities: Vec<(BufferId, u64)>,
 }
 
@@ -107,7 +108,7 @@ pub fn uniform_slack_capacity(buffer: &Buffer, slack: u64) -> u64 {
 ///
 /// ```
 /// use csdf::CsdfGraphBuilder;
-/// use csdf_explore::{ExploreOptions, ParetoSweep};
+/// use csdf_explore::ParetoSweep;
 ///
 /// let mut builder = CsdfGraphBuilder::new();
 /// let a = builder.add_sdf_task("a", 1);
@@ -119,7 +120,7 @@ pub fn uniform_slack_capacity(buffer: &Buffer, slack: u64) -> u64 {
 /// let graph = builder.build()?;
 ///
 /// let sweep = ParetoSweep::uniform_slack(&graph, &[1, 2, 4])?;
-/// let outcome = sweep.run(&ExploreOptions::default())?;
+/// let outcome = sweep.run()?;
 /// assert_eq!(outcome.points.len(), 3);
 /// assert!(!outcome.pareto_frontier().is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -176,19 +177,20 @@ impl ParetoSweep {
         &self.points
     }
 
-    /// Evaluates every point and returns them in input order together with
-    /// the sweep-wide pipeline statistics.
+    /// Evaluates every point on one worker per available core (at most one
+    /// per point) and returns them in input order together with the
+    /// sweep-wide pipeline statistics.
     ///
     /// # Errors
     ///
     /// The first evaluation error aborts the sweep: capacity assignments
     /// below a buffer's marking, unknown buffer ids, solver failures or
     /// event-graph limits.
-    pub fn run(&self, options: &ExploreOptions) -> Result<SweepOutcome, AnalysisError> {
+    pub fn run(&self) -> Result<SweepOutcome, AnalysisError> {
         let (points, stats, sessions) = run_points(
+            machine_width(),
+            self.bounded.graph(),
             self.points.len(),
-            options,
-            || kperiodic::AnalysisSession::new(self.bounded.graph().clone(), options.analysis),
             |session, index| self.evaluate_point(session, index),
         )?;
         Ok(SweepOutcome {
@@ -202,9 +204,8 @@ impl ParetoSweep {
     /// serving-path variant of [`ParetoSweep::run`]: a daemon checks a
     /// session out of a [`kperiodic::SessionPool`] keyed on the bounded
     /// graph's structure, runs the sweep on it, and returns it warm for the
-    /// next request. Results are identical to [`ParetoSweep::run`]'s at any
-    /// worker count (each point is bit-identical to a cold evaluation of its
-    /// design point).
+    /// next request. Results are identical to [`ParetoSweep::run`]'s (each
+    /// point is bit-identical to a cold evaluation of its design point).
     ///
     /// The reported [`SweepOutcome::stats`] are the session's *lifetime*
     /// statistics (a pooled session carries counts from earlier requests).
@@ -277,7 +278,7 @@ mod tests {
     fn uniform_sweep_is_monotone_and_frontier_is_minimal() {
         let graph = pipeline_graph();
         let sweep = ParetoSweep::uniform_slack(&graph, &[1, 2, 3, 4, 8]).unwrap();
-        let outcome = sweep.run(&ExploreOptions::default()).unwrap();
+        let outcome = sweep.run().unwrap();
         assert_eq!(outcome.points.len(), 5);
         for pair in outcome.points.windows(2) {
             assert!(pair[1].throughput() >= pair[0].throughput());
@@ -292,32 +293,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_results() {
+    fn run_matches_a_fresh_borrowed_session() {
         let graph = pipeline_graph();
         let sweep = ParetoSweep::uniform_slack(&graph, &[1, 2, 3, 4, 5, 6]).unwrap();
-        let sequential = sweep.run(&ExploreOptions::default()).unwrap();
-        for workers in [2usize, 4] {
-            let parallel = sweep
-                .run(&ExploreOptions {
-                    workers,
-                    ..ExploreOptions::default()
-                })
-                .unwrap();
-            assert_eq!(sequential.points, parallel.points, "workers = {workers}");
-            assert!(parallel.sessions <= workers);
-        }
+        let outcome = sweep.run().unwrap();
+        let mut session = kperiodic::AnalysisSession::new(
+            sweep.bounded().graph().clone(),
+            kperiodic::KIterOptions::default(),
+        )
+        .unwrap();
+        let borrowed = sweep.run_on_session(&mut session).unwrap();
+        assert_eq!(outcome.points, borrowed.points);
+        assert!(outcome.sessions <= machine_width().min(6));
     }
 
     #[test]
     fn sweep_points_match_independent_cold_evaluations() {
         let graph = pipeline_graph();
         let sweep = ParetoSweep::uniform_slack(&graph, &[1, 3, 2]).unwrap();
-        let outcome = sweep
-            .run(&ExploreOptions {
-                workers: 2,
-                ..ExploreOptions::default()
-            })
-            .unwrap();
+        let outcome = sweep.run().unwrap();
         for point in &outcome.points {
             let mut cold = sweep.bounded().clone();
             for &(forward, capacity) in &point.capacities {
@@ -348,6 +342,6 @@ mod tests {
                 capacities: vec![(forward, 1)],
             }],
         );
-        assert!(sweep.run(&ExploreOptions::default()).is_err());
+        assert!(sweep.run().is_err());
     }
 }

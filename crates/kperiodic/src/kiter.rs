@@ -9,27 +9,11 @@ use crate::analysis::{AnalysisOptions, EvaluationOutcome, EvaluationPipeline};
 use crate::error::AnalysisError;
 use crate::periodicity::PeriodicityVector;
 
-/// How the periodicity vector is enlarged when the optimality test fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KUpdatePolicy {
-    /// The paper's rule: for every task `t` on the critical circuit,
-    /// `K_t ← lcm(K_t, q̄_t)` with `q̄_t = q_t / gcd{q_{t'} : t' ∈ c}`.
-    #[default]
-    CriticalCircuitLcm,
-    /// Ablation variant: on the first failed test, jump straight to the
-    /// graph-wide vector `K_t = q_t / gcd(q)`, which always passes the test on
-    /// the next iteration (the "repetition vector" extreme discussed in the
-    /// paper's introduction). Much larger event graphs, fewer iterations.
-    FullRepetition,
-}
-
 /// Configuration of the K-Iter loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KIterOptions {
     /// Shared evaluation options (event-graph limits, iteration budget).
     pub analysis: AnalysisOptions,
-    /// Periodicity update policy.
-    pub update_policy: KUpdatePolicy,
     /// When `true`, the per-iteration history is recorded in the result.
     pub record_history: bool,
 }
@@ -228,12 +212,7 @@ pub(crate) fn kiter_with_repetition(
             });
         }
 
-        dirty = apply_update(
-            options.update_policy,
-            &mut periodicity,
-            repetition,
-            &normalized,
-        )?;
+        dirty = apply_update(&mut periodicity, &normalized)?;
     }
 
     Err(AnalysisError::IterationLimitReached {
@@ -266,38 +245,20 @@ fn optimality_test(periodicity: &PeriodicityVector, normalized: &[(TaskId, u64)]
         .all(|&(task, q_bar)| periodicity.get(task) % q_bar == 0)
 }
 
-/// Enlarges the periodicity vector after a failed optimality test and
-/// reports the dirty set: the tasks whose `K_t` actually changed (the arena
-/// patch only re-derives their node blocks and incident buffers).
+/// Enlarges the periodicity vector after a failed optimality test with the
+/// paper's rule — `K_t ← lcm(K_t, q̄_t)` for every task `t` on the critical
+/// circuit — and reports the dirty set: the tasks whose `K_t` actually
+/// changed (the arena patch only re-derives their node blocks and incident
+/// buffers).
 fn apply_update(
-    policy: KUpdatePolicy,
     periodicity: &mut PeriodicityVector,
-    repetition: &RepetitionVector,
     normalized: &[(TaskId, u64)],
 ) -> Result<Vec<TaskId>, AnalysisError> {
     let mut dirty = Vec::new();
-    match policy {
-        KUpdatePolicy::CriticalCircuitLcm => {
-            for &(task, q_bar) in normalized {
-                let updated =
-                    lcm_u64(periodicity.get(task), q_bar).map_err(|_| CsdfError::Overflow)?;
-                if periodicity.raise(task, updated)? {
-                    dirty.push(task);
-                }
-            }
-        }
-        KUpdatePolicy::FullRepetition => {
-            let gcd = repetition
-                .as_slice()
-                .iter()
-                .fold(0u64, |acc, &q| gcd_u64(acc, q))
-                .max(1);
-            for index in 0..periodicity.len() {
-                let task = TaskId::new(index);
-                if periodicity.raise(task, repetition.get(task) / gcd)? {
-                    dirty.push(task);
-                }
-            }
+    for &(task, q_bar) in normalized {
+        let updated = lcm_u64(periodicity.get(task), q_bar).map_err(|_| CsdfError::Overflow)?;
+        if periodicity.raise(task, updated)? {
+            dirty.push(task);
         }
     }
     Ok(dirty)
@@ -359,29 +320,6 @@ mod tests {
             result.throughput,
             Throughput::Finite(Rational::new(1, 2).unwrap())
         );
-    }
-
-    #[test]
-    fn update_policies_agree_on_the_optimum() {
-        let g = multirate_ring(3);
-        let lcm_result = kiter_with_options(
-            &g,
-            &KIterOptions {
-                update_policy: KUpdatePolicy::CriticalCircuitLcm,
-                ..KIterOptions::default()
-            },
-        )
-        .unwrap();
-        let full_result = kiter_with_options(
-            &g,
-            &KIterOptions {
-                update_policy: KUpdatePolicy::FullRepetition,
-                ..KIterOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(lcm_result.throughput, full_result.throughput);
-        assert!(full_result.iterations <= 2);
     }
 
     #[test]

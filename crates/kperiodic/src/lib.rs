@@ -96,7 +96,7 @@ pub use error::AnalysisError;
 pub use event_graph::{EventGraphLimits, EventNode};
 pub use kiter::{
     kiter_with_options, kiter_with_pipeline, optimal_throughput, KIterIteration, KIterOptions,
-    KIterResult, KUpdatePolicy,
+    KIterResult,
 };
 pub use mcr::CancelToken;
 pub use paper_example::{paper_example, PaperExampleTasks};

@@ -19,12 +19,12 @@
 //! and keeps evaluations outside the lock, which is cheap because checkout
 //! and return are O(idle sessions + buffers).
 //!
-//! Every session the pool creates uses the pool's one [`KIterOptions`], and
+//! Every session the pool creates uses the default [`KIterOptions`], and
 //! every session evaluation starts K-Iter from the unitary K, so a checkout
-//! result is
-//! **bit-identical** to a cold [`optimal_throughput`] on the request's graph
-//! whatever was evaluated on the session before (property-tested in
-//! `tests/session.rs` and the `csdf-service` test-suite).
+//! result is **bit-identical** to a cold [`optimal_throughput`] on the
+//! request's graph whatever was evaluated on the session before
+//! (property-tested in `tests/session.rs` and the `csdf-service`
+//! test-suite).
 //!
 //! [`optimal_throughput`]: crate::optimal_throughput
 //! [`structure_fingerprint`]: crate::structure_fingerprint
@@ -83,7 +83,7 @@ struct IdleSession {
 ///
 /// ```
 /// use csdf::CsdfGraphBuilder;
-/// use kperiodic::{KIterOptions, SessionPool};
+/// use kperiodic::SessionPool;
 ///
 /// let mut builder = CsdfGraphBuilder::new();
 /// let a = builder.add_sdf_task("a", 1);
@@ -92,7 +92,7 @@ struct IdleSession {
 /// let feedback = builder.add_sdf_buffer(b, a, 1, 1, 1);
 /// let graph = builder.build()?;
 ///
-/// let mut pool = SessionPool::new(KIterOptions::default(), 4);
+/// let mut pool = SessionPool::new(4);
 /// let mut session = pool.checkout(&graph)?;
 /// let one = session.evaluate()?.throughput;
 /// pool.give_back(session);
@@ -109,7 +109,6 @@ struct IdleSession {
 /// ```
 #[derive(Debug)]
 pub struct SessionPool {
-    options: KIterOptions,
     capacity: usize,
     idle: Vec<IdleSession>,
     next_stamp: u64,
@@ -117,21 +116,15 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// Creates a pool that builds sessions with `options` and keeps at most
-    /// `capacity` idle sessions (`0` is treated as `1`).
-    pub fn new(options: KIterOptions, capacity: usize) -> Self {
+    /// Creates a pool that keeps at most `capacity` idle sessions (`0` is
+    /// treated as `1`).
+    pub fn new(capacity: usize) -> Self {
         SessionPool {
-            options,
             capacity: capacity.max(1),
             idle: Vec::new(),
             next_stamp: 0,
             stats: PoolStats::default(),
         }
-    }
-
-    /// The options every pooled session evaluates with.
-    pub fn options(&self) -> &KIterOptions {
-        &self.options
     }
 
     /// Number of idle sessions currently held.
@@ -179,7 +172,7 @@ impl SessionPool {
             self.stats.warm += 1;
             return Ok(session);
         }
-        let session = AnalysisSession::new(graph.clone(), self.options)?;
+        let session = AnalysisSession::new(graph.clone(), KIterOptions::default())?;
         self.stats.checkouts += 1;
         self.stats.cold += 1;
         Ok(session)
@@ -255,7 +248,7 @@ mod tests {
 
     #[test]
     fn warm_checkouts_are_bit_identical_to_cold_evaluations() {
-        let mut pool = SessionPool::new(KIterOptions::default(), 2);
+        let mut pool = SessionPool::new(2);
         for tokens in [3u64, 5, 2, 8, 3] {
             let graph = ring(2, tokens);
             let mut session = pool.checkout(&graph).unwrap();
@@ -276,7 +269,7 @@ mod tests {
 
     #[test]
     fn different_structures_never_share_a_session() {
-        let mut pool = SessionPool::new(KIterOptions::default(), 4);
+        let mut pool = SessionPool::new(4);
         let slow = ring(2, 3);
         // Same shape, different duration: a different structure fingerprint.
         let fast = ring(1, 3);
@@ -294,7 +287,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_idle_set() {
-        let mut pool = SessionPool::new(KIterOptions::default(), 2);
+        let mut pool = SessionPool::new(2);
         for duration in 1..=4u64 {
             let session = pool.checkout(&ring(duration, 3)).unwrap();
             pool.give_back(session);
@@ -311,7 +304,7 @@ mod tests {
 
     #[test]
     fn quarantined_sessions_never_rejoin_the_pool() {
-        let mut pool = SessionPool::new(KIterOptions::default(), 4);
+        let mut pool = SessionPool::new(4);
         let graph = ring(2, 3);
         let session = pool.checkout(&graph).unwrap();
         pool.quarantine(session);

@@ -237,8 +237,9 @@ fn import_failure_report(err: &CsdfError) -> LintReport {
     report
 }
 
-/// The wire form of a throughput used in machine-readable lint output:
-/// `"deadlock"`, `"unbounded"`, or the exact fraction `"num/den"`.
+/// The wire form of a throughput used in machine-readable lint output and
+/// the service protocol: `"deadlock"`, `"unbounded"`, or the exact fraction
+/// `"num/den"` (always with the denominator, even when 1).
 pub fn throughput_wire(throughput: &Throughput) -> String {
     match throughput {
         Throughput::Finite(value) => format!("{}/{}", value.numer(), value.denom()),

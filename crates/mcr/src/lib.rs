@@ -18,8 +18,6 @@
 //!   as the fallback when the scaled weights overflow `i128`;
 //! * [`maximum_cycle_ratio`] — one-shot parametric solve returning the
 //!   maximum ratio and a critical circuit ([`CycleRatioOutcome`]);
-//! * [`maximum_cycle_ratio_with`] — one-shot solve with an explicit
-//!   [`SolverChoice`];
 //! * [`maximum_cycle_mean`] — Karp's algorithm for the unit-time special
 //!   case (`O(n)` memory, two rolling-row passes), kept as an independent
 //!   test oracle;
@@ -64,8 +62,8 @@ pub use graph::{Arc, ArcId, NodeId, RatioGraph};
 pub use karp::maximum_cycle_mean;
 pub use scc::SccDecomposition;
 pub use solve::{
-    maximum_cycle_ratio, maximum_cycle_ratio_with, CriticalCycle, CycleRatioOutcome, McrError,
-    Solver, SolverChoice, AUTO_HOWARD_MIN_NODES,
+    maximum_cycle_ratio, CriticalCycle, CycleRatioOutcome, McrError, Solver, SolverChoice,
+    AUTO_HOWARD_MIN_NODES,
 };
 
 #[cfg(test)]

@@ -392,19 +392,6 @@ pub fn maximum_cycle_ratio(graph: &RatioGraph) -> Result<CycleRatioOutcome, McrE
     Solver::new(SolverChoice::Parametric).solve(graph)
 }
 
-/// One-shot solve with an explicit [`SolverChoice`] (allocates fresh scratch
-/// buffers; prefer a long-lived [`Solver`] for repeated solves).
-///
-/// # Errors
-///
-/// Returns [`McrError::Rational`] if the exact arithmetic overflows `i128`.
-pub fn maximum_cycle_ratio_with(
-    graph: &RatioGraph,
-    choice: SolverChoice,
-) -> Result<CycleRatioOutcome, McrError> {
-    Solver::new(choice).solve(graph)
-}
-
 enum ComponentOutcome {
     NonPositive,
     Finite {
@@ -791,7 +778,7 @@ mod tests {
         let mut g = RatioGraph::new(1);
         g.add_arc(g.node(0), g.node(0), int(7), int(2));
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Finite { ratio, cycle } => {
                     assert_eq!(ratio, Rational::new(7, 2).unwrap(), "{choice:?}");
                     assert_eq!(cycle.len(), 1);
@@ -813,7 +800,7 @@ mod tests {
         g.add_arc(g.node(2), g.node(3), int(9), int(1));
         g.add_arc(g.node(3), g.node(2), int(1), int(1));
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Finite { ratio, cycle } => {
                     assert_eq!(ratio, int(5), "{choice:?}");
                     assert_eq!(cycle.len(), 2);
@@ -830,7 +817,7 @@ mod tests {
         g.add_arc(g.node(1), g.node(2), int(1), int(1));
         for choice in all_choices() {
             assert_eq!(
-                maximum_cycle_ratio_with(&g, choice).unwrap(),
+                Solver::new(choice).solve(&g).unwrap(),
                 CycleRatioOutcome::Acyclic
             );
         }
@@ -843,7 +830,7 @@ mod tests {
         g.add_arc(g.node(1), g.node(0), int(0), int(1));
         for choice in all_choices() {
             assert_eq!(
-                maximum_cycle_ratio_with(&g, choice).unwrap(),
+                Solver::new(choice).solve(&g).unwrap(),
                 CycleRatioOutcome::NonPositive
             );
         }
@@ -855,7 +842,7 @@ mod tests {
         g.add_arc(g.node(0), g.node(1), int(1), int(1));
         g.add_arc(g.node(1), g.node(0), int(1), int(-2));
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Infinite { cycle } => {
                     assert!(cycle.time <= Rational::ZERO);
                     assert!(cycle.cost.is_positive());
@@ -871,7 +858,7 @@ mod tests {
         g.add_arc(g.node(0), g.node(1), int(1), int(3));
         g.add_arc(g.node(1), g.node(0), int(1), int(-3));
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Infinite { cycle } => assert!(cycle.time.is_zero()),
                 other => panic!("unexpected {other:?} for {choice:?}"),
             }
@@ -886,7 +873,7 @@ mod tests {
         g.add_arc(g.node(1), g.node(2), int(1), int(3));
         g.add_arc(g.node(2), g.node(0), int(1), int(2));
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Finite { ratio, cycle } => {
                     assert_eq!(ratio, Rational::new(3, 4).unwrap(), "{choice:?}");
                     assert_eq!(cycle.len(), 3);
@@ -905,7 +892,7 @@ mod tests {
         g.add_arc(g.node(0), g.node(2), int(5), int(1));
         g.add_arc(g.node(2), g.node(0), int(3), int(1));
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Finite { ratio, cycle } => {
                     assert_eq!(ratio, int(4), "{choice:?}");
                     // The critical circuit must be 0 -> 2 -> 0.
@@ -937,7 +924,7 @@ mod tests {
             .checked_div(&(Rational::new(1, 7).unwrap() + Rational::new(1, 11).unwrap()).unwrap())
             .unwrap();
         for choice in all_choices() {
-            match maximum_cycle_ratio_with(&g, choice).unwrap() {
+            match Solver::new(choice).solve(&g).unwrap() {
                 CycleRatioOutcome::Finite { ratio, .. } => {
                     assert_eq!(ratio, expected, "{choice:?}");
                 }
@@ -1005,7 +992,7 @@ mod tests {
         assert!(ratio.is_positive());
         for choice in [SolverChoice::Howard, SolverChoice::Auto] {
             assert_eq!(
-                maximum_cycle_ratio_with(&g, choice).unwrap().ratio(),
+                Solver::new(choice).solve(&g).unwrap().ratio(),
                 Some(ratio),
                 "{choice:?}"
             );

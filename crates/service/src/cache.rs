@@ -2,49 +2,35 @@
 //!
 //! The cache key is exact, not heuristic: the graph's structure fingerprint
 //! ([`kperiodic::structure_fingerprint`], which covers tasks, durations,
-//! buffer endpoints and rates), the full marking vector (the one input the
-//! fingerprint deliberately excludes) and a seed derived from the daemon's
-//! analysis options. Any structural change — a task added, a rate edited, a
-//! duration tweaked — changes the fingerprint and therefore misses: a cached
-//! result can never outlive a structure change (asserted in the crate's
-//! test-suite). Collisions of the 64-bit fingerprint itself are the same
+//! buffer endpoints and rates) and the full marking vector (the one input
+//! the fingerprint deliberately excludes); every daemon evaluation runs with
+//! the same default analysis options, so nothing else can change a result.
+//! Any structural change — a task added, a rate edited, a duration tweaked —
+//! changes the fingerprint and therefore misses: a cached result can never
+//! outlive a structure change (asserted in the crate's test-suite). Collisions of the 64-bit fingerprint itself are the same
 //! astronomically-unlikely event the session pool already tolerates.
 
 use csdf::CsdfGraph;
-use kperiodic::{KIterOptions, KIterResult};
+use kperiodic::KIterResult;
 
 /// The exact identity of an evaluate request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     fingerprint: u64,
     markings: Vec<u64>,
-    options_seed: u64,
 }
 
 impl CacheKey {
-    /// Builds the key for evaluating `graph` under `options`.
-    pub fn new(graph: &CsdfGraph, options: &KIterOptions) -> CacheKey {
+    /// Builds the key for evaluating `graph`.
+    pub fn new(graph: &CsdfGraph) -> CacheKey {
         CacheKey {
             fingerprint: kperiodic::structure_fingerprint(graph),
             markings: graph
                 .buffers()
                 .map(|(_, buffer)| buffer.initial_tokens())
                 .collect(),
-            options_seed: options_seed(options),
         }
     }
-}
-
-/// FNV-1a over the debug rendering of the options: every field that changes
-/// evaluation semantics shows up in the derived `Debug` output, so two
-/// option sets hash alike only when they evaluate alike.
-fn options_seed(options: &KIterOptions) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in format!("{options:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Hit/miss counters of a [`ResultCache`].
@@ -202,44 +188,36 @@ mod tests {
     }
 
     #[test]
-    fn hits_require_identical_structure_markings_and_options() {
-        let options = KIterOptions::default();
+    fn hits_require_identical_structure_and_markings() {
         let mut cache = ResultCache::new(8);
         let graph = ring(2, 3);
         let result = optimal_throughput(&graph).unwrap();
-        cache.insert(CacheKey::new(&graph, &options), result.clone());
+        cache.insert(CacheKey::new(&graph), result.clone());
 
-        assert_eq!(cache.get(&CacheKey::new(&graph, &options)), Some(result));
+        assert_eq!(cache.get(&CacheKey::new(&graph)), Some(result));
         // A marking change misses.
-        assert_eq!(cache.get(&CacheKey::new(&ring(2, 4), &options)), None);
+        assert_eq!(cache.get(&CacheKey::new(&ring(2, 4))), None);
         // A structure change (duration) misses: the cached result did not
         // outlive the change.
-        assert_eq!(cache.get(&CacheKey::new(&ring(3, 3), &options)), None);
-        // An options change misses.
-        let record = KIterOptions {
-            record_history: true,
-            ..KIterOptions::default()
-        };
-        assert_eq!(cache.get(&CacheKey::new(&graph, &record)), None);
+        assert_eq!(cache.get(&CacheKey::new(&ring(3, 3))), None);
         assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn entry_limit_rejects_oversized_keys_and_clear_keeps_counters() {
-        let options = KIterOptions::default();
         // The ring has two buffers; a one-marking limit refuses its key.
         let mut cache = ResultCache::new(8).with_entry_limit(1);
         let graph = ring(2, 3);
         let result = optimal_throughput(&graph).unwrap();
-        cache.insert(CacheKey::new(&graph, &options), result.clone());
+        cache.insert(CacheKey::new(&graph), result.clone());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().rejected, 1);
 
         let mut cache = ResultCache::new(8).with_entry_limit(2);
-        cache.insert(CacheKey::new(&graph, &options), result);
+        cache.insert(CacheKey::new(&graph), result);
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&CacheKey::new(&graph, &options)).is_some());
+        assert!(cache.get(&CacheKey::new(&graph)).is_some());
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 1, "counters survive a clear");
@@ -247,11 +225,10 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        let options = KIterOptions::default();
         let mut cache = ResultCache::new(2);
         let result = optimal_throughput(&ring(1, 1)).unwrap();
         let keys: Vec<CacheKey> = (1..=3u64)
-            .map(|tokens| CacheKey::new(&ring(1, tokens), &options))
+            .map(|tokens| CacheKey::new(&ring(1, tokens)))
             .collect();
         cache.insert(keys[0].clone(), result.clone());
         cache.insert(keys[1].clone(), result.clone());

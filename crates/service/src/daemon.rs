@@ -31,20 +31,21 @@ use csdf_explore::{
     min_storage_for_throughput_on, uniform_slack_capacity, ParetoSweep, ScenarioSet,
 };
 use csdf_lint::{LintOptions, LintReport};
-use kperiodic::{
-    AnalysisError, AnalysisSession, CancelToken, KIterOptions, KIterResult, PoolStats, SessionPool,
-};
+use kperiodic::{AnalysisError, AnalysisSession, CancelToken, KIterResult, PoolStats, SessionPool};
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::json::Json;
 use crate::protocol::{parse_request, throughput_to_string, GraphFormat, GraphSpec, RequestBody};
 
-/// Configuration of a [`Daemon`].
+/// Wall-clock budget of each `verify` cross-check when the request has no
+/// deadline of its own (also the expansion baseline's time budget).
+const VERIFY_CHECK_BUDGET: Duration = Duration::from_secs(30);
+
+/// Configuration of a [`Daemon`]. Every pooled session evaluates with the
+/// default [`kperiodic::KIterOptions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// The K-Iter options every pooled session evaluates with.
-    pub options: KIterOptions,
     /// Maximum idle sessions kept warm (see [`SessionPool`]).
     pub pool_capacity: usize,
     /// Maximum cached evaluate results (see [`ResultCache`]).
@@ -56,9 +57,6 @@ pub struct ServiceConfig {
     /// Deadline applied to requests that carry no `deadline_ms` of their
     /// own; `None` means no default deadline.
     pub default_deadline_ms: Option<u64>,
-    /// Wall-clock budget of each `verify` cross-check when the request has
-    /// no deadline of its own (also the expansion baseline's time budget).
-    pub verify_check_budget_ms: u64,
     /// Longest accepted request line in bytes; longer lines are answered
     /// with a `rejected` error (and, on streaming transports, never buffered
     /// beyond this size).
@@ -77,12 +75,10 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            options: KIterOptions::default(),
             pool_capacity: 16,
             cache_capacity: 256,
             workers: 4,
             default_deadline_ms: None,
-            verify_check_budget_ms: 30_000,
             max_line_bytes: 1 << 20,
             max_tasks: 1 << 20,
             max_buffers: 1 << 20,
@@ -255,7 +251,7 @@ impl Daemon {
     /// Creates a daemon with the given configuration.
     pub fn new(config: ServiceConfig) -> Daemon {
         Daemon {
-            pool: Mutex::new(SessionPool::new(config.options, config.pool_capacity)),
+            pool: Mutex::new(SessionPool::new(config.pool_capacity)),
             cache: Mutex::new(
                 ResultCache::new(config.cache_capacity).with_entry_limit(config.max_buffers),
             ),
@@ -805,7 +801,7 @@ impl Daemon {
         deadline: &CancelToken,
     ) -> Result<(KIterResult, &'static str), ServiceError> {
         self.admit(graph)?;
-        let key = CacheKey::new(graph, &self.config.options);
+        let key = CacheKey::new(graph);
         {
             let mut cache = self.cache_guard();
             // Fired while the lock is held: a Cache panic genuinely poisons
@@ -835,9 +831,9 @@ impl Daemon {
     /// solver exhausted a budget on a graph lint found clean).
     ///
     /// Each check runs under a budget: the request's own deadline when one
-    /// is set, otherwise [`ServiceConfig::verify_check_budget_ms`] per
-    /// check (the expansion baseline's wall-time budget is capped the same
-    /// way), so one slow check cannot hang a verify forever.
+    /// is set, otherwise [`VERIFY_CHECK_BUDGET`] per check (the expansion
+    /// baseline's wall-time budget is capped the same way), so one slow
+    /// check cannot hang a verify forever.
     ///
     /// # Errors
     ///
@@ -853,7 +849,6 @@ impl Daemon {
         let report = lint_spec(spec);
         let mut fields = lint_fields(&report);
         let mut checks: Vec<(&'static str, bool)> = Vec::new();
-        let check_budget = Duration::from_millis(self.config.verify_check_budget_ms);
         match spec.load() {
             Err(error) => {
                 // The importer rejected the graph: lint must have an error
@@ -864,7 +859,7 @@ impl Daemon {
             Ok(graph) => {
                 self.admit(&graph)?;
                 let check_token = if deadline.is_detached() {
-                    CancelToken::with_deadline(check_budget)
+                    CancelToken::with_deadline(VERIFY_CHECK_BUDGET)
                 } else {
                     deadline.clone()
                 };
@@ -893,13 +888,7 @@ impl Daemon {
                                 result.throughput == Throughput::Deadlocked,
                             ));
                         }
-                        fields.push(baseline_check(
-                            &graph,
-                            &result,
-                            max_expansion,
-                            check_budget,
-                            &mut checks,
-                        ));
+                        fields.push(baseline_check(&graph, &result, max_expansion, &mut checks));
                     }
                 }
             }
@@ -1030,15 +1019,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs the HSDF-expansion baseline when the expansion stays within
-/// `max_expansion` phase-firing copies, recording a `baseline_agreement`
-/// check; returns the `baseline` response field (`"skipped"` when too large
-/// or out of budget).
+/// Runs the HSDF-expansion baseline, for at most [`VERIFY_CHECK_BUDGET`],
+/// when the expansion stays within `max_expansion` phase-firing copies,
+/// recording a `baseline_agreement` check; returns the `baseline` response
+/// field (`"skipped"` when too large or out of budget).
 fn baseline_check(
     graph: &CsdfGraph,
     result: &KIterResult,
     max_expansion: u64,
-    max_wall_time: Duration,
     checks: &mut Vec<(&'static str, bool)>,
 ) -> (String, Json) {
     let field = |value: String| ("baseline".to_string(), Json::Str(value));
@@ -1052,7 +1040,7 @@ fn baseline_check(
         Some(size) if size <= max_expansion as u128 => {
             let budget = Budget {
                 max_events: max_expansion,
-                max_wall_time,
+                max_wall_time: VERIFY_CHECK_BUDGET,
             };
             match expansion_throughput(graph, &budget) {
                 Ok(baseline) if baseline.status == EvaluationStatus::Exact => {

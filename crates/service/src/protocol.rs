@@ -312,13 +312,10 @@ fn parse_scenario(value: &Json) -> Result<ScenarioSpec, String> {
 }
 
 /// Renders a throughput as its exact wire string: `"num/den"` (always with
-/// the denominator, even when 1), `"unbounded"` or `"deadlock"`.
+/// the denominator, even when 1), `"unbounded"` or `"deadlock"` — the same
+/// form as [`csdf_lint::throughput_wire`].
 pub fn throughput_to_string(value: Throughput) -> String {
-    match value {
-        Throughput::Finite(rational) => format!("{}/{}", rational.numer(), rational.denom()),
-        Throughput::Unbounded => "unbounded".to_string(),
-        Throughput::Deadlocked => "deadlock".to_string(),
-    }
+    csdf_lint::throughput_wire(&value)
 }
 
 /// Parses the wire form accepted for throughput targets: `"num/den"`, a

@@ -3,14 +3,15 @@
 //!
 //! Buffer capacities are modelled as reverse buffers; this example sweeps
 //! the capacity slack of a DSP pipeline through `explore::ParetoSweep` —
-//! every point re-sizes the same `AnalysisSession` graph in place instead of
-//! rebuilding anything — prints the throughput/storage trade-off with its
-//! Pareto frontier, and then asks `min_storage_for_throughput` for the
-//! cheapest design that still reaches the unbounded optimum.
+//! every point re-sizes its worker's `AnalysisSession` graph in place
+//! instead of rebuilding anything, one worker per core — prints the
+//! throughput/storage trade-off with its Pareto frontier, and then asks
+//! `min_storage_for_throughput` for the cheapest design that still reaches
+//! the unbounded optimum.
 //!
 //! Run with `cargo run --example buffer_sizing --release`.
 
-use kiter::explore::{min_storage_for_throughput, ExploreOptions, ParetoSweep};
+use kiter::explore::{min_storage_for_throughput, ParetoSweep};
 use kiter::generators::dsp;
 use kiter::optimal_throughput;
 
@@ -31,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let slacks = [1u64, 2, 3, 4, 8];
     let sweep = ParetoSweep::uniform_slack(&graph, &slacks)?;
-    let options = ExploreOptions::default();
-    let outcome = sweep.run(&options)?;
+    let outcome = sweep.run()?;
     let frontier: Vec<u64> = outcome
         .pareto_frontier()
         .iter()
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.solve_time.as_secs_f64() * 1e3,
     );
 
-    if let Some(minimal) = min_storage_for_throughput(&graph, unbounded.throughput, 64, &options)? {
+    if let Some(minimal) = min_storage_for_throughput(&graph, unbounded.throughput, 64)? {
         println!(
             "cheapest design at the unbounded optimum: slack {} ({} tokens of storage, \
              found in {} probes)",

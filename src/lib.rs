@@ -81,14 +81,12 @@ pub use csdf_baselines::{
     expansion_throughput, periodic_throughput, symbolic_execution_throughput, Budget,
     EvaluationStatus, MethodResult,
 };
-pub use csdf_explore::{
-    min_storage_for_throughput, ExploreOptions, ParetoSweep, ScenarioSet, SweepOutcome,
-};
+pub use csdf_explore::{min_storage_for_throughput, ParetoSweep, ScenarioSet, SweepOutcome};
 pub use kperiodic::{
     evaluate_k_periodic, kiter_with_options, kiter_with_pipeline, optimal_throughput,
     paper_example, AnalysisError, AnalysisOptions, AnalysisSession, EvaluationPipeline,
-    EventGraphArena, KIterOptions, KIterResult, KPeriodicSchedule, KUpdatePolicy,
-    PeriodicityVector, PipelineStats,
+    EventGraphArena, KIterOptions, KIterResult, KPeriodicSchedule, PeriodicityVector,
+    PipelineStats,
 };
 
 #[cfg(test)]

@@ -8,8 +8,7 @@ use kiter::analysis::{
 };
 use kiter::generators::{random_graph, RandomGraphConfig};
 use kiter::ratio::{
-    maximum_cycle_mean, maximum_cycle_ratio, maximum_cycle_ratio_with, CycleRatioOutcome,
-    RatioGraph, Solver, SolverChoice,
+    maximum_cycle_mean, maximum_cycle_ratio, CycleRatioOutcome, RatioGraph, Solver, SolverChoice,
 };
 use kiter::{
     optimal_throughput, symbolic_execution_throughput, AnalysisOptions, Budget, EventGraphArena,
@@ -150,7 +149,7 @@ proptest! {
         let graph = random_ratio_graph(seed, nodes, arcs, false);
         let reference = maximum_cycle_ratio(&graph).expect("parametric");
         for choice in [SolverChoice::Howard, SolverChoice::Auto] {
-            let outcome = maximum_cycle_ratio_with(&graph, choice).expect("alternative solver");
+            let outcome = Solver::new(choice).solve(&graph).expect("alternative solver");
             prop_assert!(
                 outcome_signature(&reference) == outcome_signature(&outcome),
                 "solver {:?} disagrees on seed {} ({} nodes, {} arcs): {:?} vs {:?}",
@@ -209,7 +208,7 @@ proptest! {
         let graph = random_ratio_graph(seed, nodes, arcs, true);
         let mean = maximum_cycle_mean(&graph).expect("karp");
         for choice in [SolverChoice::Parametric, SolverChoice::Howard, SolverChoice::Auto] {
-            let outcome = maximum_cycle_ratio_with(&graph, choice).expect("solver");
+            let outcome = Solver::new(choice).solve(&graph).expect("solver");
             match mean {
                 None => prop_assert_eq!(&outcome, &CycleRatioOutcome::Acyclic),
                 Some(value) if value.is_positive() => {

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use kiter::explore::{ExploreOptions, ParetoSweep, ScenarioSet};
+use kiter::explore::{ParetoSweep, ScenarioSet};
 use kiter::generators::{random_graph, RandomGraphConfig};
 use kiter::model::transform::bound_all_buffers_tracked;
 use kiter::model::{text, BufferId};
@@ -82,19 +82,13 @@ proptest! {
 
     /// A uniform-slack Pareto sweep — the 32-point acceptance workload at
     /// property-test scale — matches independent cold evaluations point by
-    /// point at every worker count.
+    /// point.
     #[test]
     fn pareto_sweeps_match_cold_evaluations(seed in 0u64..5_000) {
         let graph = random_graph(&RandomGraphConfig::small_csdf(), seed).expect("generator");
         let sweep = ParetoSweep::uniform_slack(&graph, &[1, 2, 3, 4]).expect("sweep");
-        let reference = sweep.run(&ExploreOptions::default()).expect("sequential run");
-        for workers in [2usize, 4] {
-            let parallel = sweep
-                .run(&ExploreOptions { workers, ..ExploreOptions::default() })
-                .expect("parallel run");
-            prop_assert_eq!(&reference.points, &parallel.points);
-        }
-        for point in &reference.points {
+        let outcome = sweep.run().expect("run");
+        for point in &outcome.points {
             let mut cold = sweep.bounded().clone();
             for &(forward, capacity) in &point.capacities {
                 let reverse = cold.reverse_of(forward).expect("tracked pair");
@@ -122,7 +116,7 @@ fn sdf3_fixture_replays_through_the_session_api() {
     );
 
     let sweep = ParetoSweep::uniform_slack(&graph, &[1, 2, 4, 8]).expect("sweep");
-    let outcome = sweep.run(&ExploreOptions::default()).expect("run");
+    let outcome = sweep.run().expect("run");
     for pair in outcome.points.windows(2) {
         assert!(pair[1].throughput() >= pair[0].throughput());
     }
@@ -149,7 +143,8 @@ fn sdf3_fixture_replays_through_the_session_api() {
 }
 
 /// Scenario sets are the replay vehicle for marking studies: outcomes match
-/// cold evaluations and are order-stable across worker counts.
+/// cold evaluations, in input order, on the worker pool and on one borrowed
+/// session alike.
 #[test]
 fn scenario_sets_replay_marking_studies() {
     let xml = include_str!("../crates/csdf/tests/fixtures/modem.sdf3.xml");
@@ -161,15 +156,14 @@ fn scenario_sets_replay_marking_studies() {
     for tokens in [2u64, 4, 8, 16] {
         scenarios.add(format!("ctrl={tokens}"), vec![(ctrl, tokens)]);
     }
-    let sequential = scenarios.run(&ExploreOptions::default()).expect("run");
-    let parallel = scenarios
-        .run(&ExploreOptions {
-            workers: 2,
-            ..ExploreOptions::default()
-        })
-        .expect("parallel run");
-    assert_eq!(sequential, parallel);
-    for (outcome, tokens) in sequential.iter().zip([2u64, 4, 8, 16]) {
+    let outcomes = scenarios.run().expect("run");
+    let mut session =
+        AnalysisSession::new(graph.clone(), KIterOptions::default()).expect("session");
+    let borrowed = scenarios
+        .run_on_session(&mut session)
+        .expect("borrowed run");
+    assert_eq!(outcomes, borrowed);
+    for (outcome, tokens) in outcomes.iter().zip([2u64, 4, 8, 16]) {
         let mut cold = graph.clone();
         cold.set_initial_tokens(ctrl, tokens).expect("marking");
         assert_eq!(
@@ -179,7 +173,7 @@ fn scenario_sets_replay_marking_studies() {
         );
     }
     // More control tokens can only help.
-    for pair in sequential.windows(2) {
+    for pair in outcomes.windows(2) {
         assert!(pair[1].result.throughput >= pair[0].result.throughput);
     }
 }
