@@ -8,7 +8,10 @@
 //! committed baseline (the `"table":"scale_smoke"` line of that file with
 //! the same task count), mirroring the JPEG2000 sized-buffer guard: any
 //! regression of the event-graph construction path or the MCR solver at
-//! scale fails the build instead of silently slowing it down.
+//! scale fails the build instead of silently slowing it down. The K-Iter
+//! trajectory is deterministic per graph, so `--check` also fails when the
+//! iteration count differs from the baseline row's: a change to it has to
+//! show up in review as a changed baseline.
 //!
 //! Run with `cargo run -p kiter-bench --bin scale_smoke --release -- [--json]
 //! [--check BENCH_TABLE1.json]`. `KITER_SMOKE_TASKS` overrides the task count
@@ -76,8 +79,8 @@ fn main() {
         "{{\"tasks\":{},\"buffers\":{},\"nproc\":{nproc},\"throughput\":\"{}\",\
          \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"total_ms\":{total_ms:.1},\
          \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{solve_ms:.1},\
-         \"last_solve_ms\":{:.2},\"patched\":{},\"rebuilt_buffers\":{},\
-         \"reused_buffers\":{},\"completed\":true}}",
+         \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"patched\":{},\
+         \"rebuilt_buffers\":{},\"reused_buffers\":{},\"completed\":true}}",
         graph.task_count(),
         graph.buffer_count(),
         json_escape(&result.throughput.to_string()),
@@ -85,6 +88,7 @@ fn main() {
         stats.build_time.as_secs_f64() * 1e3,
         stats.patch_time.as_secs_f64() * 1e3,
         stats.last_solve_time.as_secs_f64() * 1e3,
+        stats.howard_rounds,
         stats.patched,
         stats.rebuilt_buffers,
         stats.reused_buffers,
@@ -97,14 +101,15 @@ fn main() {
     }
 
     if let Some(path) = check_path {
-        check_against_baseline(&path, tasks, solve_ms);
+        check_against_baseline(&path, tasks, solve_ms, result.iterations);
     }
 }
 
 /// Compares the measured solve split against the committed baseline (the
 /// `"table":"scale_smoke"` JSON line whose `"tasks"` matches), failing the
-/// process on a regression beyond [`CHECK_FACTOR`].
-fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64) {
+/// process on a regression beyond [`CHECK_FACTOR`] or on any change of the
+/// iteration count.
+fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64, iterations: usize) {
     let contents = match std::fs::read_to_string(path) {
         Ok(contents) => contents,
         Err(err) => {
@@ -112,12 +117,24 @@ fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64) {
             std::process::exit(1);
         }
     };
-    let Some(baseline_solve_ms) = baseline_solve_ms(&contents, tasks) else {
+    let baseline = baseline_line(&contents, tasks);
+    let (Some(baseline_solve_ms), Some(baseline_iterations)) = (
+        baseline.and_then(|line| extract_number(line, "solve_ms")),
+        baseline.and_then(|line| extract_number(line, "iterations")),
+    ) else {
         eprintln!(
             "check failed: no \"table\":\"scale_smoke\" baseline for {tasks} tasks in {path}"
         );
         std::process::exit(1);
     };
+    if iterations as f64 != baseline_iterations {
+        eprintln!(
+            "perf-smoke gate failed: {iterations} K-Iter iterations, the committed baseline \
+             has {baseline_iterations} at {tasks} tasks (the trajectory is deterministic: \
+             regenerate the baseline if the change is intended)"
+        );
+        std::process::exit(1);
+    }
     let limit = baseline_solve_ms * CHECK_FACTOR;
     if solve_ms > limit {
         eprintln!(
@@ -134,13 +151,12 @@ fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64) {
 }
 
 /// Minimal JSONL scan (the stand-in environment has no serde): finds the
-/// `scale_smoke` line for `tasks` and extracts its `solve_ms` number.
-fn baseline_solve_ms(contents: &str, tasks: usize) -> Option<f64> {
+/// `scale_smoke` line for `tasks`.
+fn baseline_line(contents: &str, tasks: usize) -> Option<&str> {
     contents
         .lines()
         .filter(|line| line.contains("\"table\":\"scale_smoke\""))
-        .filter(|line| line.contains(&format!("\"tasks\":{tasks},")))
-        .find_map(|line| extract_number(line, "solve_ms"))
+        .find(|line| line.contains(&format!("\"tasks\":{tasks},")))
 }
 
 fn extract_number(line: &str, key: &str) -> Option<f64> {

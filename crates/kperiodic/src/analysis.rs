@@ -7,13 +7,14 @@
 //! event graph once, and patches it in place for every subsequent
 //! periodicity vector (only the dirty tasks' blocks and their incident
 //! buffers' arcs are re-derived). The K-Iter loop threads one pipeline
-//! through its iterations; the one-shot [`evaluate_k_periodic`] runs a fresh
-//! one.
+//! through its iterations, and each of its solves after the first starts
+//! Howard's policy iteration from the previous solve's final policy; the
+//! one-shot [`evaluate_k_periodic`] runs a fresh one.
 
 use std::time::{Duration, Instant};
 
 use csdf::{CsdfGraph, Rational, RepetitionVector, TaskId, Throughput};
-use mcr::{CancelToken, CycleRatioOutcome, Solver};
+use mcr::{CancelToken, CycleRatioOutcome, Policy, Solver};
 
 use crate::arena::EventGraphArena;
 use crate::error::AnalysisError;
@@ -70,6 +71,9 @@ pub enum EvaluationOutcome {
     Infeasible {
         /// Tasks appearing on the offending circuit.
         critical_tasks: Vec<TaskId>,
+        /// Tasks of every further offending circuit the solver reported
+        /// (see [`mcr::CycleRatioOutcome::Infinite`]), one entry per circuit.
+        others: Vec<Vec<TaskId>>,
     },
     /// The event graph has no circuit with positive ratio: nothing bounds the
     /// period and the throughput is unbounded (this happens for graphs
@@ -131,6 +135,8 @@ pub struct PipelineStats {
     pub patch_time: Duration,
     /// Wall-clock time spent in the MCR solver.
     pub solve_time: Duration,
+    /// Howard policy-evaluation rounds run by the MCR solver.
+    pub howard_rounds: u64,
     /// Construction time (build or patch) of the most recent evaluation —
     /// together with [`PipelineStats::last_solve_time`] this is the
     /// per-iteration construction/solve split of the K-Iter loop.
@@ -165,6 +171,7 @@ impl PipelineStats {
         self.build_time += other.build_time;
         self.patch_time += other.patch_time;
         self.solve_time += other.solve_time;
+        self.howard_rounds += other.howard_rounds;
         self.last_construction_time = self
             .last_construction_time
             .max(other.last_construction_time);
@@ -184,11 +191,20 @@ impl PipelineStats {
 /// [`EventGraphArena::matches_graph`]) is evaluated; switching graphs
 /// triggers a from-scratch rebuild, so one pipeline can safely serve a sweep
 /// over many graphs.
+///
+/// An evaluation with a dirty hint (a K-Iter iteration after the first)
+/// also warm-starts Howard's policy iteration from the policy the previous
+/// solve ended with, carried across the arena patch by event. The warm state
+/// is dropped by every evaluation without a hint, every rebuild and every
+/// error, so a K-Iter run's result depends only on its graph, never on what
+/// the pipeline solved before.
 #[derive(Debug)]
 pub struct EvaluationPipeline {
     options: AnalysisOptions,
     solver: Solver,
     arena: Option<EventGraphArena>,
+    /// The previous solve's final policy, keyed by event.
+    warm: EventPolicy,
     stats: PipelineStats,
     cancel: CancelToken,
 }
@@ -200,6 +216,7 @@ impl EvaluationPipeline {
             options,
             solver: Solver::default(),
             arena: None,
+            warm: EventPolicy::default(),
             stats: PipelineStats::default(),
             cancel: CancelToken::default(),
         }
@@ -234,7 +251,9 @@ impl EvaluationPipeline {
     ///
     /// `dirty_hint` may name the tasks whose periodicity changed since the
     /// previous evaluation (as returned by the K-Iter update rule); pass
-    /// `None` to let the arena detect changes by comparison.
+    /// `None` to let the arena detect changes by comparison. With a hint, the
+    /// solve starts from the previous evaluation's final policy (see the
+    /// type docs); without one it starts cold.
     ///
     /// # Errors
     ///
@@ -251,6 +270,11 @@ impl EvaluationPipeline {
             return Err(AnalysisError::DeadlineExceeded);
         }
         self.stats.evaluations += 1;
+        // Take the warm state out too, so an error drops it.
+        let mut warm = std::mem::take(&mut self.warm);
+        if dirty_hint.is_none() {
+            warm.clear();
+        }
         // Take the arena out so an error cannot leave a half-patched arena
         // installed. If the caller switched graph *structures* — detected by
         // fingerprint, so even same-shape different graphs are caught — fall
@@ -289,12 +313,17 @@ impl EvaluationPipeline {
                 self.stats.last_construction_time = started.elapsed();
                 self.stats.build_time += self.stats.last_construction_time;
                 self.stats.full_builds += 1;
+                warm.clear();
                 arena
             }
         };
 
         let started = Instant::now();
-        let solved = self.solver.solve(arena.ratio_graph())?;
+        let rounds = self.solver.howard_rounds();
+        let mut policy = warm.seed(&arena);
+        let solved = self.solver.solve_from(arena.ratio_graph(), &mut policy)?;
+        warm.capture(&arena, &policy);
+        self.stats.howard_rounds += self.solver.howard_rounds() - rounds;
         self.stats.last_solve_time = started.elapsed();
         self.stats.solve_time += self.stats.last_solve_time;
 
@@ -303,7 +332,77 @@ impl EvaluationPipeline {
             outcome: classify(solved, &arena)?,
         };
         self.arena = Some(arena);
+        self.warm = warm;
         Ok(evaluation)
+    }
+}
+
+/// A Howard policy keyed by event instead of node id: per event
+/// `(task, phase)`, the event its policy arc leads to. The arena renumbers
+/// its nodes whenever a block outgrows its slack, so this is how a policy
+/// survives a patch.
+#[derive(Debug, Default)]
+struct EventPolicy {
+    /// Start of each task's phases in `successor` (one extra trailing entry);
+    /// empty when there is no policy.
+    first: Vec<usize>,
+    /// Successor event `(task, phase)` per event, [`NO_EVENT`] when absent.
+    successor: Vec<(u32, u32)>,
+}
+
+const NO_EVENT: (u32, u32) = (u32::MAX, u32::MAX);
+
+impl EventPolicy {
+    fn clear(&mut self) {
+        self.first.clear();
+        self.successor.clear();
+    }
+
+    /// Records `policy` (node ids of `arena`) by event.
+    fn capture(&mut self, arena: &EventGraphArena, policy: &Policy) {
+        self.clear();
+        for task in (0..arena.task_count()).map(TaskId::new) {
+            self.first.push(self.successor.len());
+            for phase in 0..arena.phase_count_of(task) {
+                let next = policy
+                    .successor(arena.node_of(task, phase))
+                    .map_or(NO_EVENT, |node| {
+                        let event = arena.event(node);
+                        (event.task.index() as u32, event.phase as u32)
+                    });
+                self.successor.push(next);
+            }
+        }
+        self.first.push(self.successor.len());
+    }
+
+    /// Translates the recorded policy onto `arena`'s current numbering:
+    /// every event that still exists, with a successor that still exists,
+    /// keeps it. The policy is empty (a cold start) when nothing is
+    /// recorded.
+    fn seed(&self, arena: &EventGraphArena) -> Policy {
+        let mut policy = Policy::new();
+        if self.first.is_empty() {
+            return policy;
+        }
+        for task in (0..arena.task_count()).map(TaskId::new) {
+            let recorded = &self.successor[self.first[task.index()]..self.first[task.index() + 1]];
+            for (phase, &(next_task, next_phase)) in
+                recorded.iter().enumerate().take(arena.phase_count_of(task))
+            {
+                if next_task == NO_EVENT.0 {
+                    continue;
+                }
+                let next_task = TaskId::new(next_task as usize);
+                if (next_phase as usize) < arena.phase_count_of(next_task) {
+                    policy.set_successor(
+                        arena.node_of(task, phase),
+                        arena.node_of(next_task, next_phase as usize),
+                    );
+                }
+            }
+        }
+        policy
     }
 }
 
@@ -334,8 +433,12 @@ fn classify(
         CycleRatioOutcome::Acyclic | CycleRatioOutcome::NonPositive => {
             EvaluationOutcome::Unconstrained
         }
-        CycleRatioOutcome::Infinite { cycle } => EvaluationOutcome::Infeasible {
+        CycleRatioOutcome::Infinite { cycle, others } => EvaluationOutcome::Infeasible {
             critical_tasks: arena.tasks_on_cycle(&cycle).into_iter().collect(),
+            others: others
+                .iter()
+                .map(|cycle| arena.tasks_on_cycle(cycle).into_iter().collect())
+                .collect(),
         },
         CycleRatioOutcome::Finite { ratio, cycle } => {
             let period = ratio;
@@ -458,7 +561,9 @@ mod tests {
         let evaluation =
             evaluate_unitary(&ring_with_tokens(0), &AnalysisOptions::default()).unwrap();
         match evaluation.outcome {
-            EvaluationOutcome::Infeasible { ref critical_tasks } => {
+            EvaluationOutcome::Infeasible {
+                ref critical_tasks, ..
+            } => {
                 assert_eq!(critical_tasks.len(), 2);
             }
             ref other => panic!("unexpected {other:?}"),

@@ -27,7 +27,9 @@ pub struct KIterIteration {
     pub event_graph_size: (usize, usize),
     /// Normalised period obtained (`None` when the vector was infeasible).
     pub period: Option<Rational>,
-    /// Tasks on the critical circuit.
+    /// Tasks on the critical circuit. When the vector was infeasible and the
+    /// evaluation reported several circuits, the one that passed the
+    /// Theorem-4 test, else the first one.
     pub critical_tasks: Vec<TaskId>,
     /// Whether the Theorem-4 optimality test passed.
     pub optimal: bool,
@@ -154,7 +156,7 @@ pub(crate) fn kiter_with_repetition(
         let hint = (iteration > 1).then_some(dirty.as_slice());
         let evaluation = pipeline.evaluate(graph, repetition, &periodicity, hint)?;
 
-        let (critical_tasks, period) = match evaluation.outcome {
+        let (mut circuits, period): (Vec<Vec<TaskId>>, _) = match evaluation.outcome {
             EvaluationOutcome::Unconstrained => {
                 // No circuit constrains the schedule; enlarging K cannot
                 // create new circuits, so the throughput is unbounded.
@@ -179,12 +181,27 @@ pub(crate) fn kiter_with_repetition(
                 period,
                 critical_tasks,
                 ..
-            } => (critical_tasks, Some(period)),
-            EvaluationOutcome::Infeasible { critical_tasks } => (critical_tasks, None),
+            } => (vec![critical_tasks], Some(period)),
+            EvaluationOutcome::Infeasible {
+                critical_tasks,
+                others,
+            } => (
+                std::iter::once(critical_tasks).chain(others).collect(),
+                None,
+            ),
         };
 
-        let normalized = normalized_repetition(repetition, &critical_tasks);
-        let optimal = optimality_test(&periodicity, &normalized);
+        // One q̄ per circuit. Any infeasible circuit passing Theorem 4 proves
+        // the deadlock; otherwise every circuit raises its tasks' K.
+        let normalized: Vec<Vec<(TaskId, u64)>> = circuits
+            .iter()
+            .map(|tasks| normalized_repetition(repetition, tasks))
+            .collect();
+        let certified = normalized
+            .iter()
+            .position(|circuit| optimality_test(&periodicity, circuit));
+        let optimal = certified.is_some();
+        let critical_tasks = circuits.swap_remove(certified.unwrap_or(0));
 
         if options.record_history {
             history.push(KIterIteration {
@@ -246,21 +263,28 @@ fn optimality_test(periodicity: &PeriodicityVector, normalized: &[(TaskId, u64)]
 }
 
 /// Enlarges the periodicity vector after a failed optimality test with the
-/// paper's rule — `K_t ← lcm(K_t, q̄_t)` for every task `t` on the critical
-/// circuit — and reports the dirty set: the tasks whose `K_t` actually
-/// changed (the arena patch only re-derives their node blocks and incident
-/// buffers).
+/// paper's rule — `K_t ← lcm(K_t, q̄_t)` for every task `t` on a critical
+/// circuit, applied for every circuit the evaluation reported (each with its
+/// own `q̄`; one circuit when the vector was feasible, every infeasible
+/// policy circuit otherwise) — and reports the dirty set: the tasks whose
+/// `K_t` actually changed, sorted (the arena patch only re-derives their
+/// node blocks and incident buffers). Raising on several circuits at once is
+/// sound because `K` only grows by lcm and the final answer is still
+/// certified by Theorem 4.
 fn apply_update(
     periodicity: &mut PeriodicityVector,
-    normalized: &[(TaskId, u64)],
+    circuits: &[Vec<(TaskId, u64)>],
 ) -> Result<Vec<TaskId>, AnalysisError> {
     let mut dirty = Vec::new();
-    for &(task, q_bar) in normalized {
+    for &(task, q_bar) in circuits.iter().flatten() {
         let updated = lcm_u64(periodicity.get(task), q_bar).map_err(|_| CsdfError::Overflow)?;
         if periodicity.raise(task, updated)? {
             dirty.push(task);
         }
     }
+    // A task raised by two circuits was pushed twice.
+    dirty.sort_unstable();
+    dirty.dedup();
     Ok(dirty)
 }
 
@@ -371,6 +395,20 @@ mod tests {
             Ok(result) if result.iterations <= 1 => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn update_raises_every_circuit_and_reports_each_task_once() {
+        let g = multirate_ring(4);
+        let (x, y) = (TaskId::new(0), TaskId::new(1));
+        let mut k = PeriodicityVector::unitary(&g);
+        // Two circuits share `y`, with different q̄: K_y becomes lcm(3, 2).
+        let circuits = vec![vec![(x, 2), (y, 3)], vec![(y, 2)]];
+        let dirty = apply_update(&mut k, &circuits).unwrap();
+        assert_eq!(dirty, vec![x, y]);
+        assert_eq!(k.as_slice(), &[2, 6]);
+        // Nothing left to raise: an empty dirty set.
+        assert!(apply_update(&mut k, &circuits).unwrap().is_empty());
     }
 
     #[test]

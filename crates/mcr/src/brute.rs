@@ -92,7 +92,10 @@ pub fn maximum_cycle_ratio_brute_force(graph: &RatioGraph) -> Result<CycleRatioO
         };
         if !time.is_positive() {
             if cost.is_positive() || time.is_negative() {
-                return Ok(CycleRatioOutcome::Infinite { cycle });
+                return Ok(CycleRatioOutcome::Infinite {
+                    cycle,
+                    others: Vec::new(),
+                });
             }
             continue;
         }

@@ -21,8 +21,10 @@
 //!
 //! * A policy circuit with non-positive total time and lexicographically
 //!   positive weight is a real circuit of the graph that certifies the
-//!   `Infinite` outcome for *any* candidate ratio, so it is returned
-//!   immediately.
+//!   `Infinite` outcome for *any* candidate ratio. The evaluation pass that
+//!   meets the first one finishes its sweep without computing further values,
+//!   collecting every other such circuit of the same policy, and returns them
+//!   all (the first one first).
 //! * At convergence with all arc costs non-negative and all policy gains
 //!   strictly positive, the policy values are a proof that no circuit —
 //!   including circuits with non-positive time — beats the best policy
@@ -35,15 +37,16 @@
 
 use csdf::Rational;
 
-use crate::solve::Scratch;
+use crate::solve::{Scratch, NO_SUCCESSOR};
 
 /// What the policy iteration concluded for one strongly connected component.
 pub(crate) enum HowardOutcome {
     /// A real circuit with non-positive total time whose lexicographic weight
     /// is positive: the component is `Infinite` at every candidate ratio.
     Infinite {
-        /// Arc positions (component view) of the circuit, in traversal order.
-        positions: Vec<usize>,
+        /// Arc positions (component view) of every such policy circuit, each
+        /// in traversal order, the first one met first (never empty).
+        circuits: Vec<Vec<usize>>,
     },
     /// Converged with a self-contained optimality certificate: `lambda` is
     /// the exact maximum ratio and `positions` a circuit attaining it.
@@ -72,8 +75,9 @@ pub(crate) enum HowardOutcome {
 pub(crate) enum Evaluation {
     /// Every node has a gain and a value.
     Done,
-    /// A policy circuit certifies the `Infinite` outcome (arc positions).
-    Infinite(Vec<usize>),
+    /// Policy circuits certifying the `Infinite` outcome (arc positions of
+    /// each, the first one met first).
+    Infinite(Vec<Vec<usize>>),
     /// The circuit weights are outside what policy iteration handles.
     Bail,
 }
@@ -84,23 +88,12 @@ pub(crate) fn howard_component(scratch: &mut Scratch, n: usize) -> HowardOutcome
     if scratch.arc_len() == 0 {
         return HowardOutcome::Bail;
     }
-    // Sized independently: the integer kernel may have grown `policy`
-    // already before declining to this fallback.
-    if scratch.policy.len() < n {
-        scratch.policy.resize(n, 0);
-    }
     if scratch.gain.len() < n {
         scratch.gain.resize(n, Rational::ZERO);
         scratch.value.resize(n, Rational::ZERO);
     }
-    // Initial policy: the first outgoing arc of each node. Strong
-    // connectivity guarantees one exists for components of more than one
-    // node; a single-node component owes its membership to a self-arc.
-    for node in 0..n {
-        if scratch.first[node] == scratch.first[node + 1] {
-            return HowardOutcome::Bail;
-        }
-        scratch.policy[node] = scratch.first[node];
+    if !start_policy(scratch, n) {
+        return HowardOutcome::Bail;
     }
     let costs_nonneg = scratch.arc_cost.iter().all(|cost| !cost.is_negative());
 
@@ -115,9 +108,10 @@ pub(crate) fn howard_component(scratch: &mut Scratch, n: usize) -> HowardOutcome
             // check turns the cancellation into `McrError::Cancelled`.
             return HowardOutcome::Bail;
         }
+        scratch.howard_rounds += 1;
         match evaluate(scratch, n) {
             Evaluation::Done => {}
-            Evaluation::Infinite(positions) => return HowardOutcome::Infinite { positions },
+            Evaluation::Infinite(circuits) => return HowardOutcome::Infinite { circuits },
             Evaluation::Bail => return HowardOutcome::Bail,
         }
         match improve(scratch, n) {
@@ -153,10 +147,16 @@ pub(crate) fn howard_component(scratch: &mut Scratch, n: usize) -> HowardOutcome
 /// Exact policy evaluation: finds every circuit of the policy graph, assigns
 /// each node the gain (circuit ratio) of the circuit its policy path reaches
 /// and a relative value (bias) telescoping along the path.
+///
+/// Once a circuit certifies `Infinite`, the pass only walks on: it computes
+/// no more values and collects every further infeasible policy circuit,
+/// ignoring the ones it cannot classify (a Bail-class circuit met *before*
+/// the first infeasible one still bails).
 fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
     scratch.epoch += 2;
     let on_walk = scratch.epoch - 1;
     let resolved = scratch.epoch;
+    let mut infinite: Vec<Vec<usize>> = Vec::new();
     for start in 0..n {
         if scratch.resolved[start] == resolved {
             continue;
@@ -171,38 +171,42 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
             scratch.walk.push(current);
             current = scratch.arc_to[scratch.policy[current]] as usize;
         }
-        let tree_top = if scratch.resolved[current] == resolved {
-            scratch.walk.len()
-        } else {
-            // New circuit: walk[p..] in traversal order. Sums accumulate
-            // unreduced (no GCD per arc, one reduction per circuit).
-            let p = scratch.mark_pos[current];
-            let mut cost_sum = csdf::RationalSum::new();
-            let mut time_sum = csdf::RationalSum::new();
-            for &node in &scratch.walk[p..] {
-                let position = scratch.policy[node];
-                if cost_sum.add(&scratch.arc_cost[position]).is_err()
-                    || time_sum.add(&scratch.arc_time[position]).is_err()
-                {
-                    return Evaluation::Bail;
+        let new_circuit = scratch.resolved[current] != resolved;
+        if !infinite.is_empty() {
+            if new_circuit {
+                let p = scratch.mark_pos[current];
+                if let Some((cost, time)) = circuit_sums(scratch, p) {
+                    if is_infeasible(&cost, &time) {
+                        infinite.push(circuit_positions(scratch, p));
+                    }
                 }
             }
-            let cost = cost_sum.finish();
-            let time = time_sum.finish();
+            for &node in &scratch.walk {
+                scratch.resolved[node] = resolved;
+            }
+            continue;
+        }
+        let tree_top = if !new_circuit {
+            scratch.walk.len()
+        } else {
+            // New circuit: walk[p..] in traversal order.
+            let p = scratch.mark_pos[current];
+            let Some((cost, time)) = circuit_sums(scratch, p) else {
+                return Evaluation::Bail;
+            };
             if !time.is_positive() {
                 // A real circuit with non-positive time. Lexicographically
-                // positive weight (cost > 0, or cost = 0 with time < 0) makes
-                // the component Infinite at every λ ≥ 0; otherwise policy
-                // iteration cannot evaluate it — hand over to the parametric
-                // method.
-                if cost.is_positive() || (cost.is_zero() && time.is_negative()) {
-                    let positions = scratch.walk[p..]
-                        .iter()
-                        .map(|&node| scratch.policy[node])
-                        .collect();
-                    return Evaluation::Infinite(positions);
+                // positive weight makes the component Infinite at every
+                // λ ≥ 0; otherwise policy iteration cannot evaluate it —
+                // hand over to the parametric method.
+                if !is_infeasible(&cost, &time) {
+                    return Evaluation::Bail;
                 }
-                return Evaluation::Bail;
+                infinite.push(circuit_positions(scratch, p));
+                for &node in &scratch.walk {
+                    scratch.resolved[node] = resolved;
+                }
+                continue;
             }
             let Ok(gain) = cost.checked_div(&time) else {
                 return Evaluation::Bail;
@@ -249,7 +253,67 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
             scratch.resolved[node] = resolved;
         }
     }
-    Evaluation::Done
+    if infinite.is_empty() {
+        Evaluation::Done
+    } else {
+        Evaluation::Infinite(infinite)
+    }
+}
+
+/// Total cost and time of the policy circuit `walk[p..]`, accumulated
+/// unreduced (no GCD per arc, one reduction per circuit); `None` on overflow.
+fn circuit_sums(scratch: &Scratch, p: usize) -> Option<(Rational, Rational)> {
+    let mut cost_sum = csdf::RationalSum::new();
+    let mut time_sum = csdf::RationalSum::new();
+    for &node in &scratch.walk[p..] {
+        let position = scratch.policy[node];
+        cost_sum.add(&scratch.arc_cost[position]).ok()?;
+        time_sum.add(&scratch.arc_time[position]).ok()?;
+    }
+    Some((cost_sum.finish(), time_sum.finish()))
+}
+
+/// Whether a circuit of total `(cost, time)` certifies `Infinite`: non-positive
+/// time and lexicographically positive weight (cost > 0, or cost = 0 with
+/// time < 0).
+fn is_infeasible(cost: &Rational, time: &Rational) -> bool {
+    !time.is_positive() && (cost.is_positive() || (cost.is_zero() && time.is_negative()))
+}
+
+/// Arc positions of the policy circuit `walk[p..]`, in traversal order
+/// (shared with the integer kernel).
+pub(crate) fn circuit_positions(scratch: &Scratch, p: usize) -> Vec<usize> {
+    scratch.walk[p..]
+        .iter()
+        .map(|&node| scratch.policy[node])
+        .collect()
+}
+
+/// Sets the initial policy of both kernels: each node takes its arc to the
+/// preferred successor the solve was seeded with (`Scratch::start`, local
+/// ids), or its first outgoing arc when there is none or no arc reaches it.
+/// Returns `false` if a node has no outgoing arc. Strong connectivity
+/// guarantees one for components of more than one node; a single-node
+/// component owes its membership to a self-arc.
+pub(crate) fn start_policy(scratch: &mut Scratch, n: usize) -> bool {
+    if scratch.policy.len() < n {
+        scratch.policy.resize(n, 0);
+    }
+    for node in 0..n {
+        let (lo, hi) = (scratch.first[node], scratch.first[node + 1]);
+        if lo == hi {
+            return false;
+        }
+        let preferred = scratch.start.get(node).copied().unwrap_or(NO_SUCCESSOR);
+        scratch.policy[node] = if preferred == NO_SUCCESSOR {
+            lo
+        } else {
+            (lo..hi)
+                .find(|&position| scratch.arc_to[position] == preferred)
+                .unwrap_or(lo)
+        };
+    }
+    true
 }
 
 /// `cost(e) − gain·time(e)`, or `None` on overflow.

@@ -60,7 +60,9 @@ use std::cmp::Ordering;
 use csdf::{gcd_i128, Rational};
 
 use crate::graph::RatioGraph;
-use crate::howard::{policy_cycle_from, Evaluation, HowardOutcome};
+use crate::howard::{
+    circuit_positions, policy_cycle_from, start_policy, Evaluation, HowardOutcome,
+};
 use crate::solve::Scratch;
 
 /// Runs Howard's policy iteration on the component currently loaded in
@@ -95,16 +97,8 @@ fn iterate<const FAST: bool>(
         scratch.int_gain_den.resize(n, 1);
         scratch.int_value.resize(n, 0);
     }
-    if scratch.policy.len() < n {
-        scratch.policy.resize(n, 0);
-    }
-    // Initial policy: the first outgoing arc of each node (single-node
-    // components owe their membership to a self-arc).
-    for node in 0..n {
-        if scratch.first[node] == scratch.first[node + 1] {
-            return Some(HowardOutcome::Bail);
-        }
-        scratch.policy[node] = scratch.first[node];
+    if !start_policy(scratch, n) {
+        return Some(HowardOutcome::Bail);
     }
 
     // Same round budget as the scalar kernel: a guard against pathological
@@ -117,9 +111,10 @@ fn iterate<const FAST: bool>(
             // check turns the cancellation into `McrError::Cancelled`.
             return Some(HowardOutcome::Bail);
         }
+        scratch.howard_rounds += 1;
         match evaluate::<FAST>(scratch, n)? {
             Evaluation::Done => {}
-            Evaluation::Infinite(positions) => return Some(HowardOutcome::Infinite { positions }),
+            Evaluation::Infinite(circuits) => return Some(HowardOutcome::Infinite { circuits }),
             Evaluation::Bail => return Some(HowardOutcome::Bail),
         }
         if !improve::<FAST>(scratch, n)? {
@@ -332,31 +327,28 @@ fn cmp_gain<const FAST: bool>(scratch: &Scratch, a: usize, b: usize) -> Option<O
 }
 
 /// Integer policy evaluation: mirrors `howard::evaluate` decision for
-/// decision. Outer `None` means arithmetic overflow (caller falls back to
-/// the scalar kernel); the inner [`Evaluation`] values have the scalar
-/// meanings.
+/// decision, including the collection of every infeasible policy circuit
+/// once the first one is met. Outer `None` means arithmetic overflow (caller
+/// falls back to the scalar kernel); the inner [`Evaluation`] values have the
+/// scalar meanings.
 fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluation> {
     scratch.epoch += 2;
     let on_walk = scratch.epoch - 1;
     let resolved = scratch.epoch;
-    let Scratch {
-        arc_to,
-        policy,
-        int_cost,
-        int_time,
-        int_gain_num,
-        int_gain_den,
-        int_value,
-        mark,
-        mark_pos,
-        resolved: resolved_stamp,
-        walk,
-        ..
-    } = scratch;
+    let mut infinite: Vec<Vec<usize>> = Vec::new();
     for start in 0..n {
-        if resolved_stamp[start] == resolved {
+        if scratch.resolved[start] == resolved {
             continue;
         }
+        let Scratch {
+            arc_to,
+            policy,
+            mark,
+            mark_pos,
+            resolved: resolved_stamp,
+            walk,
+            ..
+        } = scratch;
         walk.clear();
         let mut current = start;
         while resolved_stamp[current] != resolved && mark[current] != on_walk {
@@ -365,73 +357,147 @@ fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluat
             walk.push(current);
             current = arc_to[policy[current]] as usize;
         }
-        let tree_top = if resolved_stamp[current] == resolved {
-            walk.len()
-        } else {
-            // New policy circuit: walk[p..] in traversal order. Sum the
-            // scaled costs and times — plain integer adds.
-            let p = mark_pos[current];
-            let mut cost: i128 = 0;
-            let mut time: i128 = 0;
-            for &node in &walk[p..] {
-                let position = policy[node];
-                cost = add::<FAST>(cost, int_cost[position])?;
-                time = add::<FAST>(time, int_time[position])?;
-            }
-            if time <= 0 {
-                // Same classification as the scalar kernel (the positive
-                // scaling preserves every sign).
-                if cost > 0 || (cost == 0 && time < 0) {
-                    let positions = walk[p..].iter().map(|&node| policy[node]).collect();
-                    return Some(Evaluation::Infinite(positions));
+        let new_circuit = resolved_stamp[current] != resolved;
+        // A new policy circuit is walk[p..], in traversal order.
+        let p = mark_pos[current];
+        if !infinite.is_empty() {
+            if new_circuit {
+                let (cost, time) = circuit_sums::<FAST>(scratch, p)?;
+                if is_infeasible(cost, time) {
+                    infinite.push(circuit_positions(scratch, p));
                 }
+            }
+            for &node in &scratch.walk {
+                scratch.resolved[node] = resolved;
+            }
+            continue;
+        }
+        if !new_circuit {
+            resolve_walk_tree::<FAST>(scratch, scratch.walk.len(), resolved)?;
+            continue;
+        }
+        let (cost, time) = circuit_sums::<FAST>(scratch, p)?;
+        if time <= 0 {
+            // Same classification as the scalar kernel (the positive scaling
+            // preserves every sign).
+            if !is_infeasible(cost, time) {
                 return Some(Evaluation::Bail);
             }
-            // One GCD per circuit: the canonical gain pair.
-            let g = gcd_i128(cost, time);
-            let (num, den) = if g > 1 {
-                (cost / g, time / g)
-            } else {
-                (cost, time)
-            };
-            let anchor = walk[p];
-            int_gain_num[anchor] = num;
-            int_gain_den[anchor] = den;
-            int_value[anchor] = 0;
-            resolved_stamp[anchor] = resolved;
-            let mut next_value: i128 = 0;
-            for walk_index in (p + 1..walk.len()).rev() {
-                let node = walk[walk_index];
-                let position = policy[node];
-                let weight =
-                    reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
-                let value = add::<FAST>(weight, next_value)?;
-                int_gain_num[node] = num;
-                int_gain_den[node] = den;
-                int_value[node] = value;
-                resolved_stamp[node] = resolved;
-                next_value = value;
+            infinite.push(circuit_positions(scratch, p));
+            for &node in &scratch.walk {
+                scratch.resolved[node] = resolved;
             }
-            p
-        };
-        // Tree part of the walk: propagate gain class and value backwards
-        // from the (now resolved) junction.
-        for walk_index in (0..tree_top).rev() {
-            let node = walk[walk_index];
-            let position = policy[node];
-            let successor = arc_to[position] as usize;
-            debug_assert_eq!(resolved_stamp[successor], resolved);
-            let num = int_gain_num[successor];
-            let den = int_gain_den[successor];
-            let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
-            let value = add::<FAST>(weight, int_value[successor])?;
-            int_gain_num[node] = num;
-            int_gain_den[node] = den;
-            int_value[node] = value;
-            resolved_stamp[node] = resolved;
+            continue;
         }
+        resolve_walk::<FAST>(scratch, p, cost, time, resolved)?;
     }
-    Some(Evaluation::Done)
+    Some(if infinite.is_empty() {
+        Evaluation::Done
+    } else {
+        Evaluation::Infinite(infinite)
+    })
+}
+
+/// Non-positive time and lexicographically positive weight: the scaled twin
+/// of the scalar kernel's `is_infeasible`.
+fn is_infeasible(cost: i128, time: i128) -> bool {
+    time <= 0 && (cost > 0 || (cost == 0 && time < 0))
+}
+
+/// Scaled cost and time sums of the policy circuit `walk[p..]` — plain
+/// integer adds.
+fn circuit_sums<const FAST: bool>(scratch: &Scratch, p: usize) -> Option<(i128, i128)> {
+    let mut cost: i128 = 0;
+    let mut time: i128 = 0;
+    for &node in &scratch.walk[p..] {
+        let position = scratch.policy[node];
+        cost = add::<FAST>(cost, scratch.int_cost[position])?;
+        time = add::<FAST>(time, scratch.int_time[position])?;
+    }
+    Some((cost, time))
+}
+
+/// Assigns gain `cost / time` (positive time) and values to the new policy
+/// circuit `walk[p..]`, then to the tree part `walk[..p]` of the walk.
+fn resolve_walk<const FAST: bool>(
+    scratch: &mut Scratch,
+    p: usize,
+    cost: i128,
+    time: i128,
+    resolved: u64,
+) -> Option<()> {
+    let Scratch {
+        policy,
+        int_cost,
+        int_time,
+        int_gain_num,
+        int_gain_den,
+        int_value,
+        resolved: resolved_stamp,
+        walk,
+        ..
+    } = scratch;
+    // One GCD per circuit: the canonical gain pair.
+    let g = gcd_i128(cost, time);
+    let (num, den) = if g > 1 {
+        (cost / g, time / g)
+    } else {
+        (cost, time)
+    };
+    let anchor = walk[p];
+    int_gain_num[anchor] = num;
+    int_gain_den[anchor] = den;
+    int_value[anchor] = 0;
+    resolved_stamp[anchor] = resolved;
+    let mut next_value: i128 = 0;
+    for walk_index in (p + 1..walk.len()).rev() {
+        let node = walk[walk_index];
+        let position = policy[node];
+        let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
+        let value = add::<FAST>(weight, next_value)?;
+        int_gain_num[node] = num;
+        int_gain_den[node] = den;
+        int_value[node] = value;
+        resolved_stamp[node] = resolved;
+        next_value = value;
+    }
+    resolve_walk_tree::<FAST>(scratch, p, resolved)
+}
+
+/// Tree part `walk[..tree_top]` of a walk: propagates gain class and value
+/// backwards from the (already resolved) junction.
+fn resolve_walk_tree<const FAST: bool>(
+    scratch: &mut Scratch,
+    tree_top: usize,
+    resolved: u64,
+) -> Option<()> {
+    let Scratch {
+        arc_to,
+        policy,
+        int_cost,
+        int_time,
+        int_gain_num,
+        int_gain_den,
+        int_value,
+        resolved: resolved_stamp,
+        walk,
+        ..
+    } = scratch;
+    for walk_index in (0..tree_top).rev() {
+        let node = walk[walk_index];
+        let position = policy[node];
+        let successor = arc_to[position] as usize;
+        debug_assert_eq!(resolved_stamp[successor], resolved);
+        let num = int_gain_num[successor];
+        let den = int_gain_den[successor];
+        let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
+        let value = add::<FAST>(weight, int_value[successor])?;
+        int_gain_num[node] = num;
+        int_gain_den[node] = den;
+        int_value[node] = value;
+        resolved_stamp[node] = resolved;
+    }
+    Some(())
 }
 
 /// Integer policy improvement, mirroring `howard::improve`: gain
@@ -526,7 +592,9 @@ mod tests {
     use std::cell::Cell;
 
     use super::*;
-    use crate::{CancelToken, McrError, Solver, SolverChoice};
+    use crate::solve::HowardKernel;
+    use crate::{ArcId, NodeId};
+    use crate::{CancelToken, CycleRatioOutcome, McrError, Policy, Solver, SolverChoice};
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -622,22 +690,87 @@ mod tests {
         })
     }
 
+    /// A pseudo-random start policy for `g`: per node, no successor, an
+    /// actual successor, or an arbitrary (possibly non-adjacent) node.
+    fn random_policy(g: &RatioGraph, seed: u64) -> Policy {
+        let mut next = xorshift(seed);
+        let n = g.node_count();
+        let mut policy = Policy::new();
+        for node in 0..n {
+            match next() % 3 {
+                0 => {}
+                1 => {
+                    let outgoing: Vec<_> = g
+                        .arcs()
+                        .filter(|(_, arc)| arc.from.index() == node)
+                        .collect();
+                    if !outgoing.is_empty() {
+                        let (_, arc) = outgoing[(next() % outgoing.len() as u64) as usize];
+                        policy.set_successor(g.node(node), arc.to);
+                    }
+                }
+                _ => policy.set_successor(g.node(node), g.node((next() % n as u64) as usize)),
+            }
+        }
+        policy
+    }
+
     /// The integer kernel and the scalar kernel agree exactly: same outcome
-    /// variant, same λ, same circuit (arcs, nodes, cost, time) — or the same
-    /// error.
+    /// variant, same λ, same circuits (arcs, nodes, cost, time) — or the same
+    /// error — from the cold start and from random start policies, and leave
+    /// the same final policy behind. From any start, the outcome variant and
+    /// ratio are those of a cold [`Solver::solve`].
     fn assert_kernels_agree(g: &RatioGraph, label: &str) {
         for choice in [SolverChoice::Howard, SolverChoice::Auto] {
-            let reference = Solver::new(choice).solve_using(g, scalar);
+            let cold = Solver::new(choice).solve_using(g, scalar, None);
             assert_eq!(
-                Solver::new(choice).solve_using(g, counted),
-                reference,
+                Solver::new(choice).solve_using(g, counted, None),
+                cold,
                 "{label} {choice:?}"
             );
             assert_eq!(
-                Solver::new(choice).solve_using(g, checked_lane),
-                reference,
+                Solver::new(choice).solve_using(g, checked_lane, None),
+                cold,
                 "{label} {choice:?} checked lane"
             );
+            for start in 0..3u64 {
+                let seeded = random_policy(g, start ^ g.arc_count() as u64);
+                let mut reference_policy = seeded.clone();
+                let reference =
+                    Solver::new(choice).solve_using(g, scalar, Some(&mut reference_policy));
+                for (kernel, lane) in [
+                    (counted as HowardKernel, "integer"),
+                    (checked_lane, "checked lane"),
+                ] {
+                    let mut policy = seeded.clone();
+                    let outcome = Solver::new(choice).solve_using(g, kernel, Some(&mut policy));
+                    assert_eq!(
+                        outcome, reference,
+                        "{label} {choice:?} {lane} start {start}"
+                    );
+                    assert_eq!(
+                        policy, reference_policy,
+                        "{label} {choice:?} {lane} start {start}"
+                    );
+                }
+                // Overflow may strike on one trajectory only.
+                if let (Ok(warm), Ok(cold)) = (&reference, &cold) {
+                    assert_eq!(
+                        (variant(warm), warm.ratio()),
+                        (variant(cold), cold.ratio()),
+                        "{label} {choice:?} start {start} vs cold"
+                    );
+                }
+            }
+        }
+    }
+
+    fn variant(outcome: &CycleRatioOutcome) -> u8 {
+        match outcome {
+            CycleRatioOutcome::Acyclic => 0,
+            CycleRatioOutcome::NonPositive => 1,
+            CycleRatioOutcome::Finite { .. } => 2,
+            CycleRatioOutcome::Infinite { .. } => 3,
         }
     }
 
@@ -668,6 +801,128 @@ mod tests {
         // overflow error, or this test would not cover them.
         assert!(DECLINES.with(Cell::get) > 0, "no scalar fallback exercised");
         assert!(errors > 0, "no overflow error exercised");
+    }
+
+    /// `k` node-disjoint rings with positive cost and negative time, tied
+    /// into one strongly connected component by feasible connector arcs.
+    /// Ring arcs come first, so the cold policy is exactly the `k` rings.
+    fn under_timed_rings(k: usize, size: usize) -> RatioGraph {
+        let mut g = RatioGraph::new(k * size);
+        for ring in 0..k {
+            for i in 0..size {
+                let from = g.node(ring * size + i);
+                let to = g.node(ring * size + (i + 1) % size);
+                g.add_arc(from, to, Rational::ONE, Rational::from_integer(-1));
+            }
+        }
+        for ring in 0..k {
+            let to = g.node(((ring + 1) % k) * size);
+            g.add_arc(g.node(ring * size), to, Rational::ZERO, Rational::ONE);
+        }
+        g
+    }
+
+    /// The rings of [`under_timed_rings`] in the order a cold evaluation
+    /// pass meets them — by their first node in the component's member
+    /// order — each as the node sequence the walk from that node records.
+    fn rings_in_walk_order(g: &RatioGraph, size: usize) -> Vec<Vec<NodeId>> {
+        let scc = crate::SccDecomposition::compute(g);
+        let members = scc.components().max_by_key(|c| c.len()).unwrap();
+        let mut seen = vec![false; g.node_count() / size];
+        let mut rings = Vec::new();
+        for &node in members {
+            let ring = node.index() / size;
+            if !std::mem::replace(&mut seen[ring], true) {
+                let offset = node.index() % size;
+                rings.push(
+                    (0..size)
+                        .map(|i| g.node(ring * size + (offset + i) % size))
+                        .collect(),
+                );
+            }
+        }
+        rings
+    }
+
+    #[test]
+    fn infinite_outcome_carries_every_infeasible_policy_circuit() {
+        for k in 1..5usize {
+            let g = under_timed_rings(k, 3);
+            assert_kernels_agree(&g, &format!("{k} rings"));
+            let rings = rings_in_walk_order(&g, 3);
+            match Solver::new(SolverChoice::Howard).solve(&g).unwrap() {
+                CycleRatioOutcome::Infinite { cycle, others } => {
+                    // The first circuit is the one the pass meets first —
+                    // the one a single-circuit solve reported — and every
+                    // other ring of the cold policy follows in walk order.
+                    assert_eq!(cycle.nodes, rings[0], "{k} rings");
+                    let found: Vec<_> = others.iter().map(|c| c.nodes.clone()).collect();
+                    assert_eq!(found, rings[1..], "{k} rings");
+                    for circuit in std::iter::once(&cycle).chain(&others) {
+                        assert!(!circuit.time.is_positive() && circuit.cost.is_positive());
+                    }
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bail_class_circuit_before_an_infeasible_one_still_bails() {
+        // The ring met first gets zero cost and zero time: policy iteration
+        // cannot classify it and hands the component to the parametric
+        // method, which reports exactly one circuit although two infeasible
+        // rings follow in the same policy.
+        let mut g = under_timed_rings(3, 2);
+        let first = rings_in_walk_order(&g, 2)[0][0].index() / 2;
+        g.patch_arc_weights(ArcId::new(2 * first), Rational::ZERO, Rational::ONE);
+        g.patch_arc_weights(
+            ArcId::new(2 * first + 1),
+            Rational::ZERO,
+            Rational::from_integer(-1),
+        );
+        assert_kernels_agree(&g, "bail first");
+        match Solver::new(SolverChoice::Howard).solve(&g).unwrap() {
+            CycleRatioOutcome::Infinite { others, .. } => assert!(others.is_empty()),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn warm_starts_keep_the_outcome_and_count_rounds() {
+        for seed in 0..40u64 {
+            let g = ring_graph(seed, false);
+            let mut solver = Solver::new(SolverChoice::Howard);
+            let cold = solver.solve(&g).unwrap();
+            // Re-seeding from the policy a cold solve ends with.
+            let mut policy = Policy::new();
+            solver.solve_from(&g, &mut policy).unwrap();
+            let warm = solver.solve_from(&g, &mut policy).unwrap();
+            assert_eq!(
+                (variant(&warm), warm.ratio()),
+                (variant(&cold), cold.ratio()),
+                "seed {seed}"
+            );
+        }
+        // Without parallel arcs the converged policy carries over exactly:
+        // the warm solve re-evaluates it once and stops.
+        let mut g = RatioGraph::new(6);
+        for i in 0..6 {
+            g.add_arc(
+                g.node(i),
+                g.node((i + 1) % 6),
+                Rational::from_integer(i as i128),
+                Rational::ONE,
+            );
+            g.add_arc(g.node(i), g.node((i + 2) % 6), Rational::ONE, Rational::ONE);
+        }
+        let mut solver = Solver::new(SolverChoice::Howard);
+        let mut policy = Policy::new();
+        let cold = solver.solve_from(&g, &mut policy).unwrap();
+        let cold_rounds = solver.howard_rounds();
+        assert!(cold_rounds > 1);
+        assert_eq!(solver.solve_from(&g, &mut policy).unwrap(), cold);
+        assert_eq!(solver.howard_rounds(), cold_rounds + 1);
     }
 
     #[test]

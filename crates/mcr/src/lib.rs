@@ -15,7 +15,9 @@
 //!   another on the calling thread. Howard always runs one kernel: an
 //!   integer-numerator policy iteration over per-component common
 //!   denominators (the `kernel` module), with the scalar `Rational` kernel
-//!   as the fallback when the scaled weights overflow `i128`;
+//!   as the fallback when the scaled weights overflow `i128`. It starts cold
+//!   ([`Solver::solve`]) or from a given [`Policy`] ([`Solver::solve_from`]),
+//!   which K-Iter uses to warm-start each iteration from the last;
 //! * [`maximum_cycle_ratio`] — one-shot parametric solve returning the
 //!   maximum ratio and a critical circuit ([`CycleRatioOutcome`]);
 //! * [`maximum_cycle_mean`] — Karp's algorithm for the unit-time special
@@ -25,9 +27,13 @@
 //!   an exhaustive oracle for tests;
 //! * [`SccDecomposition`] — Tarjan's strongly connected components.
 //!
-//! Every solver choice returns identical outcomes on every input: Howard's
-//! iteration certifies its result or defers to the parametric method, which
-//! is the reference semantics.
+//! Every solver choice, and every Howard start policy ([`Policy`],
+//! [`Solver::solve_from`]), returns the same outcome variant and ratio on
+//! every input: Howard's iteration certifies its result or defers to the
+//! parametric method, which is the reference semantics. The reported circuits
+//! may differ where several qualify: ties for the maximum ratio, and
+//! infeasible circuits, of which Howard reports every one its policy holds.
+//! The integer and scalar Howard kernels are bit-identical from any start.
 //!
 //! # Examples
 //!
@@ -62,7 +68,7 @@ pub use graph::{Arc, ArcId, NodeId, RatioGraph};
 pub use karp::maximum_cycle_mean;
 pub use scc::SccDecomposition;
 pub use solve::{
-    maximum_cycle_ratio, CriticalCycle, CycleRatioOutcome, McrError, Solver, SolverChoice,
+    maximum_cycle_ratio, CriticalCycle, CycleRatioOutcome, McrError, Policy, Solver, SolverChoice,
     AUTO_HOWARD_MIN_NODES,
 };
 

@@ -130,6 +130,10 @@ pub enum CycleRatioOutcome {
     Infinite {
         /// The offending circuit.
         cycle: CriticalCycle,
+        /// Further offending circuits: the other infeasible circuits of the
+        /// Howard policy that met `cycle`, in discovery order. Empty when the
+        /// parametric method decided the component.
+        others: Vec<CriticalCycle>,
     },
 }
 
@@ -145,7 +149,7 @@ impl CycleRatioOutcome {
     /// The critical circuit, if the outcome carries one.
     pub fn cycle(&self) -> Option<&CriticalCycle> {
         match self {
-            CycleRatioOutcome::Finite { cycle, .. } | CycleRatioOutcome::Infinite { cycle } => {
+            CycleRatioOutcome::Finite { cycle, .. } | CycleRatioOutcome::Infinite { cycle, .. } => {
                 Some(cycle)
             }
             _ => None,
@@ -201,6 +205,47 @@ fn integer_howard(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> Howard
         scratch.ensure_component_rationals(graph);
         howard::howard_component(scratch, n)
     })
+}
+
+/// A start policy for Howard's policy iteration, and the policy a solve
+/// ends with: at most one chosen successor per node of a [`RatioGraph`].
+///
+/// [`Solver::solve_from`] seeds each node with its arc to the recorded
+/// successor (the first such arc; the node's first outgoing arc when the
+/// successor is absent or no arc reaches it) and leaves the final policy of
+/// every Howard-solved component behind. The start changes how many rounds
+/// the iteration takes and which of several tied or infeasible circuits it
+/// reports, never the outcome variant or the ratio.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Policy {
+    /// Successor node per node; [`NO_SUCCESSOR`] when absent.
+    successor: Vec<u32>,
+}
+
+/// The absent successor in [`Policy`] and `Scratch::start`.
+pub(crate) const NO_SUCCESSOR: u32 = u32::MAX;
+
+impl Policy {
+    /// An empty policy: every node starts from its first outgoing arc.
+    pub fn new() -> Self {
+        Policy::default()
+    }
+
+    /// The recorded successor of `node`, if any.
+    pub fn successor(&self, node: NodeId) -> Option<NodeId> {
+        match self.successor.get(node.index()) {
+            Some(&next) if next != NO_SUCCESSOR => Some(NodeId::new(next as usize)),
+            _ => None,
+        }
+    }
+
+    /// Records `successor` as the preferred successor of `node`.
+    pub fn set_successor(&mut self, node: NodeId, successor: NodeId) {
+        if self.successor.len() <= node.index() {
+            self.successor.resize(node.index() + 1, NO_SUCCESSOR);
+        }
+        self.successor[node.index()] = u32::try_from(successor.index()).unwrap_or(NO_SUCCESSOR);
+    }
 }
 
 /// A reusable maximum cycle ratio solver.
@@ -260,22 +305,48 @@ impl Solver {
         self.scratch.cancel = token;
     }
 
+    /// Number of Howard policy-evaluation rounds run by this solver so far
+    /// (cumulative over every solve, both kernels).
+    pub fn howard_rounds(&self) -> u64 {
+        self.scratch.howard_rounds
+    }
+
     /// Computes the maximum cost-to-time ratio of `graph` and a critical
-    /// circuit. Identical results for every [`SolverChoice`].
+    /// circuit, with Howard starting cold (the first outgoing arc of every
+    /// node). Every [`SolverChoice`] gives the same outcome variant and
+    /// ratio; the reported circuits may differ where several qualify.
     ///
     /// # Errors
     ///
     /// Returns [`McrError::Rational`] if the exact arithmetic overflows
     /// `i128`, and [`McrError::Cancelled`] if the installed token fires.
     pub fn solve(&mut self, graph: &RatioGraph) -> Result<CycleRatioOutcome, McrError> {
-        self.solve_using(graph, integer_howard)
+        self.solve_using(graph, integer_howard, None)
     }
 
-    /// [`Solver::solve`] with an explicit Howard kernel.
+    /// [`Solver::solve`] with Howard seeded from `policy` (see [`Policy`]),
+    /// which is then overwritten with the final policy of every
+    /// Howard-solved component (other nodes have no successor). Outcome
+    /// variant and ratio equal those of [`Solver::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Solver::solve`]; `policy` is then left partially written.
+    pub fn solve_from(
+        &mut self,
+        graph: &RatioGraph,
+        policy: &mut Policy,
+    ) -> Result<CycleRatioOutcome, McrError> {
+        self.solve_using(graph, integer_howard, Some(policy))
+    }
+
+    /// [`Solver::solve_from`] with an explicit Howard kernel; `None` is the
+    /// cold start with no policy written back.
     pub(crate) fn solve_using(
         &mut self,
         graph: &RatioGraph,
         howard: HowardKernel,
+        mut policy: Option<&mut Policy>,
     ) -> Result<CycleRatioOutcome, McrError> {
         let Solver {
             choice,
@@ -300,6 +371,14 @@ impl Solver {
         };
         scc.compute(graph.node_count(), offsets, index, arcs);
         scratch.prepare(graph.node_count());
+        // The start is read per component; the final policy is written into
+        // a fresh all-absent table.
+        let start = policy.as_deref_mut().map_or_else(Vec::new, |policy| {
+            std::mem::replace(
+                &mut policy.successor,
+                vec![NO_SUCCESSOR; graph.node_count()],
+            )
+        });
         let mut cyclic = false;
         let mut best: Option<(Rational, CriticalCycle)> = None;
         for component in 0..scc.component_count() {
@@ -309,7 +388,13 @@ impl Solver {
             cyclic = true;
             let members = scc.component(component);
             scratch.begin_component(graph, members, offsets, index);
+            scratch.load_start(members, &start);
             let outcome = solve_component(graph, scratch, *choice, howard, members.len());
+            if let (Some(policy), true) =
+                (policy.as_deref_mut(), uses_howard(*choice, members.len()))
+            {
+                scratch.store_policy(members, &mut policy.successor);
+            }
             scratch.end_component(members);
             match outcome? {
                 ComponentOutcome::NonPositive => {}
@@ -318,8 +403,12 @@ impl Solver {
                         best = Some((ratio, cycle));
                     }
                 }
-                ComponentOutcome::Infinite { cycle } => {
-                    return Ok(CycleRatioOutcome::Infinite { cycle });
+                ComponentOutcome::Infinite { mut cycles } => {
+                    let cycle = cycles.remove(0);
+                    return Ok(CycleRatioOutcome::Infinite {
+                        cycle,
+                        others: cycles,
+                    });
                 }
             }
         }
@@ -344,9 +433,12 @@ fn solve_component(
         return parametric_component(graph, scratch, n, Rational::ZERO, None);
     }
     match howard(graph, scratch, n) {
-        HowardOutcome::Infinite { positions } => {
-            let cycle = materialize_cycle(graph, scratch, &positions)?;
-            Ok(ComponentOutcome::Infinite { cycle })
+        HowardOutcome::Infinite { circuits } => {
+            let cycles = circuits
+                .iter()
+                .map(|positions| materialize_cycle(graph, scratch, positions))
+                .collect::<Result<_, _>>()?;
+            Ok(ComponentOutcome::Infinite { cycles })
         }
         HowardOutcome::Certified { lambda, positions } => {
             let cycle = materialize_cycle(graph, scratch, &positions)?;
@@ -398,8 +490,9 @@ enum ComponentOutcome {
         ratio: Rational,
         cycle: CriticalCycle,
     },
+    /// Never empty; the first circuit is the one reported as `cycle`.
     Infinite {
-        cycle: CriticalCycle,
+        cycles: Vec<CriticalCycle>,
     },
 }
 
@@ -429,6 +522,11 @@ pub(crate) struct Scratch {
     in_next: Vec<bool>,
     // Howard policy-iteration state.
     pub(crate) policy: Vec<usize>,
+    /// Start policy of the current component: preferred successor per local
+    /// node (local ids, [`NO_SUCCESSOR`] for none); empty for a cold start.
+    pub(crate) start: Vec<u32>,
+    /// Cumulative count of Howard policy-evaluation rounds.
+    pub(crate) howard_rounds: u64,
     pub(crate) gain: Vec<Rational>,
     pub(crate) value: Vec<Rational>,
     // Integer Howard kernel state (see `crate::kernel`): arc costs/times as
@@ -524,6 +622,36 @@ impl Scratch {
         self.rationals_loaded = true;
     }
 
+    /// Translates the solve's start policy (`successors` in graph node ids,
+    /// possibly empty) onto the current component's local ids; successors
+    /// outside the component count as absent.
+    fn load_start(&mut self, members: &[u32], successors: &[u32]) {
+        self.start.clear();
+        if successors.is_empty() {
+            return;
+        }
+        self.start.extend(
+            members
+                .iter()
+                .map(|&node| match successors.get(node as usize) {
+                    Some(&next) if next != NO_SUCCESSOR => {
+                        let local = self.local_of[next as usize];
+                        u32::try_from(local).unwrap_or(NO_SUCCESSOR)
+                    }
+                    _ => NO_SUCCESSOR,
+                }),
+        );
+    }
+
+    /// Writes the current component's Howard policy back as graph-level
+    /// successors. Both kernels set every node's policy (`start_policy`)
+    /// before anything else on a cyclic component, so it is never stale.
+    fn store_policy(&self, members: &[u32], successors: &mut [u32]) {
+        for (local, &node) in members.iter().enumerate() {
+            successors[node as usize] = members[self.arc_to[self.policy[local]] as usize];
+        }
+    }
+
     /// Restores the renumbering table after a component is done.
     fn end_component(&mut self, members: &[u32]) {
         for &node in members {
@@ -591,7 +719,9 @@ fn parametric_component(
         };
         let cycle = materialize_cycle(graph, scratch, &positions)?;
         if !cycle.time.is_positive() {
-            return Ok(ComponentOutcome::Infinite { cycle });
+            return Ok(ComponentOutcome::Infinite {
+                cycles: vec![cycle],
+            });
         }
         let ratio = cycle.cost.checked_div(&cycle.time)?;
         if ratio <= lambda {
@@ -843,7 +973,7 @@ mod tests {
         g.add_arc(g.node(1), g.node(0), int(1), int(-2));
         for choice in all_choices() {
             match Solver::new(choice).solve(&g).unwrap() {
-                CycleRatioOutcome::Infinite { cycle } => {
+                CycleRatioOutcome::Infinite { cycle, .. } => {
                     assert!(cycle.time <= Rational::ZERO);
                     assert!(cycle.cost.is_positive());
                 }
@@ -859,7 +989,7 @@ mod tests {
         g.add_arc(g.node(1), g.node(0), int(1), int(-3));
         for choice in all_choices() {
             match Solver::new(choice).solve(&g).unwrap() {
-                CycleRatioOutcome::Infinite { cycle } => assert!(cycle.time.is_zero()),
+                CycleRatioOutcome::Infinite { cycle, .. } => assert!(cycle.time.is_zero()),
                 other => panic!("unexpected {other:?} for {choice:?}"),
             }
         }

@@ -145,8 +145,9 @@ fn zero_deadline_cancels_before_the_solve() {
     assert_no_session_leak(&daemon);
 }
 
-/// A 100k-task single-SCC graph takes ~15 s of MCR solving when healthy —
-/// far beyond the request's deadline. The evaluation must die *by deadline*
+/// A 100k-task single-SCC graph takes ~2.5 s of MCR solving when healthy
+/// (about 4 s for the whole uncancelled request on a 2-core host) — far
+/// beyond the request's deadline. The evaluation must die *by deadline*
 /// (the solver polls the [`kperiodic::CancelToken`] once per policy round,
 /// so even one huge component cannot outrun cancellation), never by
 /// hanging until the solve completes, and the daemon must stay live. Debug
@@ -183,7 +184,9 @@ fn hundred_k_task_request_dies_by_deadline_not_by_hang() {
     );
     assert_eq!(field(&hit, "id").as_i128(), Some(1));
     // Generous bound (parsing tens of MB of request text is itself seconds
-    // of work), but far below the ~20 s an uncancelled evaluation costs.
+    // of work on a slow host). It is above the ~4 s an uncancelled request
+    // costs on a 2-core host, so the `deadline_exceeded` kind asserted above,
+    // not this bound, is what shows the evaluation died by deadline.
     assert!(
         elapsed < std::time::Duration::from_secs(10),
         "deadline-exceeded answer took {elapsed:?}"

@@ -1,18 +1,20 @@
 //! Property-based tests over randomly generated CSDF graphs.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use kiter::analysis::{
     duplicate_phases, evaluate_k_periodic, transformed_repetition_vector, EvaluationOutcome,
     EventGraphLimits,
 };
 use kiter::generators::{random_graph, RandomGraphConfig};
+use kiter::model::transform::bound_all_buffers_tracked;
 use kiter::ratio::{
     maximum_cycle_mean, maximum_cycle_ratio, CycleRatioOutcome, RatioGraph, Solver, SolverChoice,
 };
 use kiter::{
-    optimal_throughput, symbolic_execution_throughput, AnalysisOptions, Budget, EventGraphArena,
-    KPeriodicSchedule, PeriodicityVector, Rational, TaskId, Throughput,
+    expansion_throughput, optimal_throughput, symbolic_execution_throughput, AnalysisOptions,
+    Budget, EventGraphArena, KPeriodicSchedule, PeriodicityVector, Rational, TaskId, Throughput,
 };
 
 /// Deterministic random bi-valued graph. `unit_times` restricts arc times to
@@ -68,6 +70,78 @@ fn small_config(max_phases: usize, tasks: usize) -> RandomGraphConfig {
     }
 }
 
+/// Bounds every buffer of a random graph, then shrinks each capacity step by
+/// step toward its marking until the graph deadlocks. At every step K-Iter's
+/// throughput (`Deadlocked` included) must equal symbolic execution's and the
+/// HSDF expansion's wherever they finish. Returns the number of steps at
+/// which several circuits were under-marked at once: the unitary-K
+/// evaluation reported more than one infeasible circuit, so K-Iter raised K
+/// on all of them together.
+fn shrink_capacities_and_compare(seed: u64, tasks: usize) -> Result<usize, TestCaseError> {
+    let graph = random_graph(&small_config(2, tasks), seed).expect("generator");
+    let mut bounded = bound_all_buffers_tracked(&graph, |_, b| {
+        2 * (b.total_production() + b.total_consumption()) + b.initial_tokens()
+    })
+    .expect("bounding");
+    let pairs: Vec<_> = bounded.bounded_pairs().collect();
+    let budget = Budget::default();
+    let mut several = 0;
+    for _ in 0..12 {
+        let graph = bounded.graph();
+        let kiter = optimal_throughput(graph).expect("kiter");
+        let references = [
+            symbolic_execution_throughput(graph, &budget).expect("symbolic"),
+            expansion_throughput(graph, &budget).expect("expansion"),
+        ];
+        for reference in references
+            .iter()
+            .filter_map(kiter::MethodResult::throughput)
+        {
+            prop_assert!(
+                kiter.throughput == reference,
+                "seed {}: K-Iter {} vs {}\n{}",
+                seed,
+                kiter.throughput,
+                reference,
+                graph
+            );
+        }
+        let unitary = evaluate_k_periodic(
+            graph,
+            &PeriodicityVector::unitary(graph),
+            &AnalysisOptions::default(),
+        )
+        .expect("unitary evaluation");
+        if let EvaluationOutcome::Infeasible { others, .. } = &unitary.outcome {
+            several += usize::from(!others.is_empty());
+        }
+        if kiter.throughput == Throughput::Deadlocked {
+            break;
+        }
+        // Every capacity loses a third of its slack, at least one token.
+        for &(forward, reverse) in &pairs {
+            let graph = bounded.graph_mut();
+            let marking = graph.buffer(forward).initial_tokens();
+            let slack = graph.buffer(reverse).initial_tokens();
+            let shrunk = marking + slack - (slack / 3).max(1).min(slack);
+            graph
+                .set_capacity(forward, reverse, shrunk)
+                .expect("resize");
+        }
+    }
+    Ok(several)
+}
+
+/// [`shrink_capacities_and_compare`] is not vacuous: over a fixed set of
+/// seeds, some steps do have several under-marked circuits at once.
+#[test]
+fn shrinking_capacities_under_marks_several_circuits_at_once() {
+    let several: usize = (0..12u64)
+        .map(|seed| shrink_capacities_and_compare(seed, 5).expect("agreement"))
+        .sum();
+    assert!(several > 0, "no step had several infeasible circuits");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -84,6 +158,14 @@ proptest! {
         if let Some(reference) = symbolic.throughput() {
             prop_assert_eq!(kiter.throughput, reference);
         }
+    }
+
+    /// K-Iter raises K on every infeasible policy circuit at once; shrinking
+    /// capacities toward deadlock must keep it exact against symbolic
+    /// execution and the HSDF expansion.
+    #[test]
+    fn shrinking_capacities_agree_with_symbolic_execution_and_expansion(seed in 0u64..5_000, tasks in 3usize..6) {
+        shrink_capacities_and_compare(seed, tasks)?;
     }
 
     /// Growing the periodicity vector can only improve (or keep) the
@@ -155,19 +237,26 @@ proptest! {
                 "solver {:?} disagrees on seed {} ({} nodes, {} arcs): {:?} vs {:?}",
                 choice, seed, nodes, arcs, reference, outcome
             );
-            // Whatever circuit is reported must be internally consistent.
-            if let Some(cycle) = outcome.cycle() {
-                let (cost, time) = (cycle.cost, cycle.time);
-                match outcome {
-                    CycleRatioOutcome::Finite { ratio, .. } => {
-                        prop_assert!(time.is_positive());
-                        prop_assert_eq!(cost.checked_div(&time).expect("positive time"), ratio);
-                    }
-                    CycleRatioOutcome::Infinite { .. } => {
-                        prop_assert!(!time.is_positive());
-                    }
-                    _ => unreachable!("cycle() is Some only for Finite/Infinite"),
+            // Whatever circuits are reported must be internally consistent
+            // real circuits of the graph.
+            match &outcome {
+                CycleRatioOutcome::Finite { ratio, cycle } => {
+                    prop_assert!(cycle.time.is_positive());
+                    prop_assert_eq!(cycle.cost.checked_div(&cycle.time).expect("positive time"), *ratio);
+                    prop_assert_eq!(graph.path_weight(&cycle.arcs).expect("weights"), (cycle.cost, cycle.time));
                 }
+                CycleRatioOutcome::Infinite { cycle, others } => {
+                    for circuit in std::iter::once(cycle).chain(others) {
+                        prop_assert!(!circuit.time.is_positive());
+                        prop_assert_eq!(graph.path_weight(&circuit.arcs).expect("weights"), (circuit.cost, circuit.time));
+                        for (index, &arc) in circuit.arcs.iter().enumerate() {
+                            let next = circuit.arcs[(index + 1) % circuit.arcs.len()];
+                            prop_assert_eq!(graph.arc(arc).to, graph.arc(next).from);
+                            prop_assert_eq!(graph.arc(arc).from, circuit.nodes[index]);
+                        }
+                    }
+                }
+                _ => {}
             }
         }
         }

@@ -11,7 +11,10 @@ use kiter::explore::{ParetoSweep, ScenarioSet};
 use kiter::generators::{random_graph, RandomGraphConfig};
 use kiter::model::transform::bound_all_buffers_tracked;
 use kiter::model::{text, BufferId};
-use kiter::{kiter_with_options, optimal_throughput, AnalysisSession, KIterOptions};
+use kiter::{
+    kiter_with_options, kiter_with_pipeline, optimal_throughput, AnalysisSession,
+    EvaluationPipeline, KIterOptions,
+};
 
 /// Deterministic xorshift so edit sequences are reproducible per seed.
 fn xorshift(state: &mut u64) -> u64 {
@@ -175,5 +178,58 @@ fn scenario_sets_replay_marking_studies() {
     // More control tokens can only help.
     for pair in outcomes.windows(2) {
         assert!(pair[1].result.throughput >= pair[0].result.throughput);
+    }
+}
+
+/// K-Iter warm-starts each Howard solve from the previous iteration's
+/// policy, but only within one run: a pipeline or session reused after other
+/// graphs and other markings returns exactly the `KIterResult` a fresh run
+/// returns — iteration count, periodicity vector, critical tasks and the
+/// recorded trajectory included.
+#[test]
+fn reused_pipelines_and_sessions_match_fresh_runs() {
+    let options = KIterOptions {
+        record_history: true,
+        ..KIterOptions::default()
+    };
+    let graphs: Vec<_> = (1..4u64)
+        .map(|seed| random_graph(&RandomGraphConfig::large(400), seed).expect("generator"))
+        .collect();
+    let mut pipeline = EvaluationPipeline::new(options.analysis);
+    let mut longest = 0;
+    for round in 0..2u64 {
+        for graph in &graphs {
+            let mut graph = graph.clone();
+            if round == 1 {
+                // A marking edit: the same structure, so the pipeline
+                // patches its arena instead of rebuilding it.
+                let buffer = BufferId::new(graph.buffer_count() / 2);
+                let tokens = graph.buffer(buffer).initial_tokens() + 3;
+                graph.set_initial_tokens(buffer, tokens).expect("marking");
+            }
+            let reused = kiter_with_pipeline(&graph, &options, &mut pipeline).expect("reused");
+            let fresh = kiter_with_options(&graph, &options).expect("fresh");
+            assert_eq!(reused, fresh, "round {round}");
+            longest = longest.max(fresh.iterations);
+        }
+    }
+    // The runs take several iterations, so warm starts did happen.
+    assert!(longest >= 3, "longest run took {longest} iterations");
+    assert!(pipeline.stats().howard_rounds > 0);
+
+    // A session evaluated before and after marking edits.
+    let mut session = AnalysisSession::new(graphs[0].clone(), options).expect("session");
+    let mut reference = graphs[0].clone();
+    session.evaluate().expect("first evaluation");
+    for step in 0..3usize {
+        let buffer = BufferId::new(step * reference.buffer_count() / 3);
+        let tokens = reference.buffer(buffer).initial_tokens() + 1;
+        session.set_initial_tokens(buffer, tokens).expect("marking");
+        reference
+            .set_initial_tokens(buffer, tokens)
+            .expect("marking");
+        let evaluated = session.evaluate().expect("session evaluation");
+        let fresh = kiter_with_options(&reference, &options).expect("fresh");
+        assert_eq!(evaluated, fresh, "session step {step}");
     }
 }
