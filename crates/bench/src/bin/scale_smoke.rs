@@ -10,8 +10,9 @@
 //! regression of the event-graph construction path or the MCR solver at
 //! scale fails the build instead of silently slowing it down. The K-Iter
 //! trajectory is deterministic per graph, so `--check` also fails when the
-//! iteration count differs from the baseline row's: a change to it has to
-//! show up in review as a changed baseline.
+//! iteration count or the Howard round count differs from the baseline
+//! row's: a change to either (a solver lane that changed any decision, say)
+//! has to show up in review as a changed baseline.
 //!
 //! Run with `cargo run -p kiter-bench --bin scale_smoke --release -- [--json]
 //! [--check BENCH_TABLE1.json]`. `KITER_SMOKE_TASKS` overrides the task count
@@ -79,7 +80,8 @@ fn main() {
         "{{\"tasks\":{},\"buffers\":{},\"nproc\":{nproc},\"throughput\":\"{}\",\
          \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"total_ms\":{total_ms:.1},\
          \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{solve_ms:.1},\
-         \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"patched\":{},\
+         \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"lanes\":{{\"i64\":{},\
+         \"i128\":{},\"checked\":{},\"scalar\":{},\"parametric\":{}}},\"patched\":{},\
          \"rebuilt_buffers\":{},\"reused_buffers\":{},\"completed\":true}}",
         graph.task_count(),
         graph.buffer_count(),
@@ -89,6 +91,11 @@ fn main() {
         stats.patch_time.as_secs_f64() * 1e3,
         stats.last_solve_time.as_secs_f64() * 1e3,
         stats.howard_rounds,
+        stats.lanes.int64,
+        stats.lanes.int128,
+        stats.lanes.checked,
+        stats.lanes.scalar,
+        stats.lanes.parametric,
         stats.patched,
         stats.rebuilt_buffers,
         stats.reused_buffers,
@@ -101,15 +108,27 @@ fn main() {
     }
 
     if let Some(path) = check_path {
-        check_against_baseline(&path, tasks, solve_ms, result.iterations);
+        check_against_baseline(
+            &path,
+            tasks,
+            solve_ms,
+            result.iterations,
+            stats.howard_rounds,
+        );
     }
 }
 
 /// Compares the measured solve split against the committed baseline (the
 /// `"table":"scale_smoke"` JSON line whose `"tasks"` matches), failing the
 /// process on a regression beyond [`CHECK_FACTOR`] or on any change of the
-/// iteration count.
-fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64, iterations: usize) {
+/// iteration count or the Howard round count.
+fn check_against_baseline(
+    path: &str,
+    tasks: usize,
+    solve_ms: f64,
+    iterations: usize,
+    howard_rounds: u64,
+) {
     let contents = match std::fs::read_to_string(path) {
         Ok(contents) => contents,
         Err(err) => {
@@ -118,9 +137,10 @@ fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64, iterations: u
         }
     };
     let baseline = baseline_line(&contents, tasks);
-    let (Some(baseline_solve_ms), Some(baseline_iterations)) = (
+    let (Some(baseline_solve_ms), Some(baseline_iterations), Some(baseline_rounds)) = (
         baseline.and_then(|line| extract_number(line, "solve_ms")),
         baseline.and_then(|line| extract_number(line, "iterations")),
+        baseline.and_then(|line| extract_number(line, "howard_rounds")),
     ) else {
         eprintln!(
             "check failed: no \"table\":\"scale_smoke\" baseline for {tasks} tasks in {path}"
@@ -132,6 +152,15 @@ fn check_against_baseline(path: &str, tasks: usize, solve_ms: f64, iterations: u
             "perf-smoke gate failed: {iterations} K-Iter iterations, the committed baseline \
              has {baseline_iterations} at {tasks} tasks (the trajectory is deterministic: \
              regenerate the baseline if the change is intended)"
+        );
+        std::process::exit(1);
+    }
+    if howard_rounds as f64 != baseline_rounds {
+        eprintln!(
+            "perf-smoke gate failed: {howard_rounds} Howard rounds, the committed baseline \
+             has {baseline_rounds} at {tasks} tasks (the count is deterministic: a solver \
+             change that alters it changed a decision; regenerate the baseline only if that \
+             is intended)"
         );
         std::process::exit(1);
     }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use csdf::{CsdfGraph, Rational, RepetitionVector, TaskId, Throughput};
 use mcr::{CancelToken, CycleRatioOutcome, Policy, Solver};
 
-use crate::arena::EventGraphArena;
+use crate::arena::{graph_fingerprint, EventGraphArena};
 use crate::error::AnalysisError;
 use crate::event_graph::EventGraphLimits;
 use crate::periodicity::PeriodicityVector;
@@ -137,6 +137,9 @@ pub struct PipelineStats {
     pub solve_time: Duration,
     /// Howard policy-evaluation rounds run by the MCR solver.
     pub howard_rounds: u64,
+    /// Strongly connected components the MCR solver solved per path
+    /// (integer-kernel lane, scalar fallback or parametric method).
+    pub lanes: mcr::LaneCounts,
     /// Construction time (build or patch) of the most recent evaluation —
     /// together with [`PipelineStats::last_solve_time`] this is the
     /// per-iteration construction/solve split of the K-Iter loop.
@@ -172,6 +175,7 @@ impl PipelineStats {
         self.patch_time += other.patch_time;
         self.solve_time += other.solve_time;
         self.howard_rounds += other.howard_rounds;
+        self.lanes.merge(&other.lanes);
         self.last_construction_time = self
             .last_construction_time
             .max(other.last_construction_time);
@@ -266,6 +270,21 @@ impl EvaluationPipeline {
         periodicity: &PeriodicityVector,
         dirty_hint: Option<&[TaskId]>,
     ) -> Result<KPeriodicEvaluation, AnalysisError> {
+        let fingerprint = graph_fingerprint(graph);
+        self.evaluate_keyed(graph, fingerprint, repetition, periodicity, dirty_hint)
+    }
+
+    /// [`EvaluationPipeline::evaluate`] with the structure fingerprint of
+    /// `graph` already computed ([`graph_fingerprint`]): the K-Iter loop
+    /// hashes its graph once per run, not once per iteration.
+    pub(crate) fn evaluate_keyed(
+        &mut self,
+        graph: &CsdfGraph,
+        fingerprint: u64,
+        repetition: &RepetitionVector,
+        periodicity: &PeriodicityVector,
+        dirty_hint: Option<&[TaskId]>,
+    ) -> Result<KPeriodicEvaluation, AnalysisError> {
         if self.cancel.is_cancelled() {
             return Err(AnalysisError::DeadlineExceeded);
         }
@@ -285,12 +304,17 @@ impl EvaluationPipeline {
         let reusable = self
             .arena
             .take()
-            .filter(|arena| arena.matches_structure(graph));
+            .filter(|arena| arena.matches_key(graph, fingerprint));
         let arena = match reusable {
             Some(mut arena) => {
                 let started = Instant::now();
-                let update =
-                    arena.apply_update_with_cancel(graph, periodicity, dirty_hint, &self.cancel)?;
+                let update = arena.apply_update_keyed(
+                    graph,
+                    fingerprint,
+                    periodicity,
+                    dirty_hint,
+                    &self.cancel,
+                )?;
                 self.stats.last_construction_time = started.elapsed();
                 self.stats.patch_time += self.stats.last_construction_time;
                 self.stats.patched += 1;
@@ -303,8 +327,9 @@ impl EvaluationPipeline {
                     pre_lint_gate(graph)?;
                 }
                 let started = Instant::now();
-                let arena = EventGraphArena::build_with_cancel(
+                let arena = EventGraphArena::build_keyed(
                     graph,
+                    fingerprint,
                     repetition,
                     periodicity,
                     &self.options.limits,
@@ -324,6 +349,7 @@ impl EvaluationPipeline {
         let solved = self.solver.solve_from(arena.ratio_graph(), &mut policy)?;
         warm.capture(&arena, &policy);
         self.stats.howard_rounds += self.solver.howard_rounds() - rounds;
+        self.stats.lanes = self.solver.lane_counts();
         self.stats.last_solve_time = started.elapsed();
         self.stats.solve_time += self.stats.last_solve_time;
 

@@ -182,6 +182,20 @@ impl EventGraphArena {
         limits: &EventGraphLimits,
         cancel: &CancelToken,
     ) -> Result<Self, AnalysisError> {
+        let fingerprint = graph_fingerprint(graph);
+        Self::build_keyed(graph, fingerprint, repetition, k, limits, cancel)
+    }
+
+    /// [`EventGraphArena::build_with_cancel`] with the structure fingerprint
+    /// of `graph` already computed ([`graph_fingerprint`]).
+    pub(crate) fn build_keyed(
+        graph: &CsdfGraph,
+        fingerprint: u64,
+        repetition: &RepetitionVector,
+        k: &PeriodicityVector,
+        limits: &EventGraphLimits,
+        cancel: &CancelToken,
+    ) -> Result<Self, AnalysisError> {
         validate_periodicity(graph, k)?;
         let lcm_k = k.lcm()?;
 
@@ -207,7 +221,7 @@ impl EventGraphArena {
 
         let mut arena = EventGraphArena {
             limits: *limits,
-            fingerprint: graph_fingerprint(graph),
+            fingerprint,
             lcm_k,
             blocks,
             nodes: Vec::new(),
@@ -281,8 +295,22 @@ impl EventGraphArena {
         dirty_hint: Option<&[TaskId]>,
         cancel: &CancelToken,
     ) -> Result<ArenaUpdate, AnalysisError> {
+        let fingerprint = graph_fingerprint(graph);
+        self.apply_update_keyed(graph, fingerprint, k, dirty_hint, cancel)
+    }
+
+    /// [`EventGraphArena::apply_update_with_cancel`] with the structure
+    /// fingerprint of `graph` already computed ([`graph_fingerprint`]).
+    pub(crate) fn apply_update_keyed(
+        &mut self,
+        graph: &CsdfGraph,
+        fingerprint: u64,
+        k: &PeriodicityVector,
+        dirty_hint: Option<&[TaskId]>,
+        cancel: &CancelToken,
+    ) -> Result<ArenaUpdate, AnalysisError> {
         validate_periodicity(graph, k)?;
-        if !self.matches_structure(graph) {
+        if !self.matches_key(graph, fingerprint) {
             return Err(AnalysisError::ArenaGraphMismatch);
         }
         self.lcm_k = k.lcm()?;
@@ -558,9 +586,15 @@ impl EventGraphArena {
     /// session and only falls back to a from-scratch build when the
     /// structure itself changes.
     pub fn matches_structure(&self, graph: &CsdfGraph) -> bool {
+        self.matches_key(graph, graph_fingerprint(graph))
+    }
+
+    /// [`EventGraphArena::matches_structure`] with the structure fingerprint
+    /// of `graph` already computed.
+    pub(crate) fn matches_key(&self, graph: &CsdfGraph, fingerprint: u64) -> bool {
         self.blocks.len() == graph.task_count()
             && self.buffer_arcs.len() == graph.buffer_count()
-            && self.fingerprint == graph_fingerprint(graph)
+            && self.fingerprint == fingerprint
     }
 
     /// Whether `graph` is identical to the graph the cached arcs were last

@@ -6,6 +6,7 @@ use csdf::{
 };
 
 use crate::analysis::{AnalysisOptions, EvaluationOutcome, EvaluationPipeline};
+use crate::arena::graph_fingerprint;
 use crate::error::AnalysisError;
 use crate::periodicity::PeriodicityVector;
 
@@ -133,14 +134,23 @@ pub fn kiter_with_pipeline(
     pipeline: &mut EvaluationPipeline,
 ) -> Result<KIterResult, AnalysisError> {
     let repetition = graph.repetition_vector()?;
-    kiter_with_repetition(graph, &repetition, options, pipeline)
+    kiter_with_repetition(
+        graph,
+        graph_fingerprint(graph),
+        &repetition,
+        options,
+        pipeline,
+    )
 }
 
-/// The K-Iter loop over a precomputed repetition vector (an
-/// [`AnalysisSession`](crate::AnalysisSession) computes it once for its
-/// whole lifetime). Like Algorithm 1, it starts from the unitary vector.
+/// The K-Iter loop over a precomputed structure fingerprint and repetition
+/// vector (an [`AnalysisSession`](crate::AnalysisSession) computes both once
+/// for its whole lifetime). The loop borrows `graph` for the whole run, so
+/// the fingerprint stays valid for every iteration's arena check. Like
+/// Algorithm 1, it starts from the unitary vector.
 pub(crate) fn kiter_with_repetition(
     graph: &CsdfGraph,
+    fingerprint: u64,
     repetition: &RepetitionVector,
     options: &KIterOptions,
     pipeline: &mut EvaluationPipeline,
@@ -154,7 +164,8 @@ pub(crate) fn kiter_with_repetition(
 
     for iteration in 1..=max_iterations {
         let hint = (iteration > 1).then_some(dirty.as_slice());
-        let evaluation = pipeline.evaluate(graph, repetition, &periodicity, hint)?;
+        let evaluation =
+            pipeline.evaluate_keyed(graph, fingerprint, repetition, &periodicity, hint)?;
 
         let (mut circuits, period): (Vec<Vec<TaskId>>, _) = match evaluation.outcome {
             EvaluationOutcome::Unconstrained => {
@@ -420,5 +431,37 @@ mod tests {
         let tasks = vec![TaskId::new(0), TaskId::new(3)];
         let normalized = normalized_repetition(&q, &tasks);
         assert_eq!(normalized, vec![(TaskId::new(0), 6), (TaskId::new(3), 1)]);
+    }
+
+    #[test]
+    fn a_reused_pipeline_rebuilds_for_a_same_shaped_different_graph() {
+        // Same task and buffer counts as `multirate_ring`, other rates: the
+        // run's one fingerprint must still tell the graphs apart.
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_sdf_task("x", 2);
+        let y = b.add_sdf_task("y", 1);
+        b.add_sdf_buffer(x, y, 3, 1, 0);
+        b.add_sdf_buffer(y, x, 1, 3, 5);
+        b.add_serializing_self_loop(x);
+        b.add_serializing_self_loop(y);
+        let other = b.build().unwrap();
+        let ring = multirate_ring(4);
+        assert_eq!(
+            (ring.task_count(), ring.buffer_count()),
+            (other.task_count(), other.buffer_count())
+        );
+
+        let options = KIterOptions::default();
+        let mut pipeline = EvaluationPipeline::new(options.analysis);
+        let mut iterations = 0;
+        for graph in [&ring, &other, &ring] {
+            let piped = kiter_with_pipeline(graph, &options, &mut pipeline).unwrap();
+            assert_eq!(piped, kiter_with_options(graph, &options).unwrap());
+            iterations += piped.iterations;
+        }
+        // One build per run; every later iteration of a run patched.
+        let stats = pipeline.stats();
+        assert_eq!(stats.full_builds, 3);
+        assert_eq!(stats.patched, iterations - 3);
     }
 }

@@ -167,12 +167,13 @@ impl SessionPool {
             // A failed adoption (impossible for a genuine fingerprint match,
             // conceivable under a hash collision) discards the session
             // rather than handing out stale caches.
-            session.adopt_markings(graph)?;
+            session.adopt_markings_keyed(graph, fingerprint)?;
             self.stats.checkouts += 1;
             self.stats.warm += 1;
             return Ok(session);
         }
-        let session = AnalysisSession::new(graph.clone(), KIterOptions::default())?;
+        let session =
+            AnalysisSession::with_fingerprint(graph.clone(), fingerprint, KIterOptions::default())?;
         self.stats.checkouts += 1;
         self.stats.cold += 1;
         Ok(session)

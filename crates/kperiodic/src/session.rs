@@ -25,6 +25,7 @@
 use csdf::{BufferId, CsdfGraph, RepetitionVector};
 
 use crate::analysis::{EvaluationPipeline, PipelineStats};
+use crate::arena::graph_fingerprint;
 use crate::error::AnalysisError;
 use crate::kiter::{kiter_with_repetition, KIterOptions, KIterResult};
 
@@ -57,6 +58,9 @@ use crate::kiter::{kiter_with_repetition, KIterOptions, KIterResult};
 #[derive(Debug)]
 pub struct AnalysisSession {
     graph: CsdfGraph,
+    /// Structure fingerprint of `graph`, computed once: the session only
+    /// mutates markings, which the fingerprint excludes.
+    fingerprint: u64,
     repetition: RepetitionVector,
     options: KIterOptions,
     pipeline: EvaluationPipeline,
@@ -73,8 +77,20 @@ impl AnalysisSession {
     /// [`AnalysisError::Model`] when the graph is inconsistent or its
     /// repetition vector overflows.
     pub fn new(graph: CsdfGraph, options: KIterOptions) -> Result<Self, AnalysisError> {
+        let fingerprint = graph_fingerprint(&graph);
+        Self::with_fingerprint(graph, fingerprint, options)
+    }
+
+    /// [`AnalysisSession::new`] with the structure fingerprint of `graph`
+    /// already computed ([`graph_fingerprint`]).
+    pub(crate) fn with_fingerprint(
+        graph: CsdfGraph,
+        fingerprint: u64,
+        options: KIterOptions,
+    ) -> Result<Self, AnalysisError> {
         let repetition = graph.repetition_vector()?;
         Ok(AnalysisSession {
+            fingerprint,
             repetition,
             pipeline: EvaluationPipeline::new(options.analysis),
             graph,
@@ -99,7 +115,7 @@ impl AnalysisSession {
     /// lifetime — the key a [`SessionPool`](crate::SessionPool) files this
     /// session under.
     pub fn structure_fingerprint(&self) -> u64 {
-        crate::arena::graph_fingerprint(&self.graph)
+        self.fingerprint
     }
 
     /// Re-targets the session at `graph`'s initial markings: every buffer
@@ -118,9 +134,19 @@ impl AnalysisSession {
     /// [`AnalysisError::ArenaGraphMismatch`] when `graph` differs
     /// structurally from the session's graph (the session is unchanged).
     pub fn adopt_markings(&mut self, graph: &CsdfGraph) -> Result<usize, AnalysisError> {
+        self.adopt_markings_keyed(graph, graph_fingerprint(graph))
+    }
+
+    /// [`AnalysisSession::adopt_markings`] with the structure fingerprint of
+    /// `graph` already computed ([`graph_fingerprint`]).
+    pub(crate) fn adopt_markings_keyed(
+        &mut self,
+        graph: &CsdfGraph,
+        fingerprint: u64,
+    ) -> Result<usize, AnalysisError> {
         if self.graph.task_count() != graph.task_count()
             || self.graph.buffer_count() != graph.buffer_count()
-            || self.structure_fingerprint() != crate::arena::graph_fingerprint(graph)
+            || self.fingerprint != fingerprint
         {
             return Err(AnalysisError::ArenaGraphMismatch);
         }
@@ -211,6 +237,7 @@ impl AnalysisSession {
     pub fn evaluate(&mut self) -> Result<KIterResult, AnalysisError> {
         let result = kiter_with_repetition(
             &self.graph,
+            self.fingerprint,
             &self.repetition,
             &self.options,
             &mut self.pipeline,

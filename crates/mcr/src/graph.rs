@@ -65,10 +65,11 @@ pub struct Arc {
 /// # Adjacency layout
 ///
 /// Arcs are stored in one flat insertion-ordered vector; the per-node
-/// adjacency is a CSR (compressed sparse row) index over it — two flat
-/// arrays `arc_offsets`/`arc_index` instead of the pointer-chasing
-/// `Vec<Vec<ArcId>>` of earlier revisions. The CSR is rebuilt by a stable
-/// counting sort in [`RatioGraph::rebuild_adjacency`]; mutations
+/// adjacency is a CSR (compressed sparse row) index over it — flat arrays of
+/// row offsets and arc ids instead of the pointer-chasing `Vec<Vec<ArcId>>`
+/// of earlier revisions, plus each slot's arc target, so traversals read
+/// contiguous `u32`s instead of whole arc records. The CSR is rebuilt by a
+/// stable counting sort in [`RatioGraph::rebuild_adjacency`]; mutations
 /// ([`RatioGraph::add_arc`], [`RatioGraph::reset`]) mark it stale, and
 /// [`RatioGraph::outgoing`] panics on a stale index (call
 /// `rebuild_adjacency` after the last mutation). The MCR [`crate::Solver`]
@@ -111,12 +112,9 @@ pub struct Arc {
 pub struct RatioGraph {
     node_count: usize,
     arcs: Vec<Arc>,
-    /// CSR adjacency: `arc_index[arc_offsets[v] .. arc_offsets[v + 1]]` are
-    /// the arcs leaving node `v`, in insertion order. Valid only while
-    /// `adjacency_version == version` (any mutation since the last rebuild
-    /// makes it stale).
-    arc_offsets: Vec<u32>,
-    arc_index: Vec<ArcId>,
+    /// CSR adjacency, valid only while `adjacency_version == version` (any
+    /// mutation since the last rebuild makes it stale).
+    csr: Csr,
     /// Mutation counter; `adjacency_version` snapshots it at rebuild time.
     version: u64,
     adjacency_version: u64,
@@ -137,8 +135,7 @@ impl RatioGraph {
         RatioGraph {
             node_count,
             arcs: Vec::new(),
-            arc_offsets: Vec::new(),
-            arc_index: Vec::new(),
+            csr: Csr::default(),
             version: 1,
             adjacency_version: 0,
         }
@@ -163,7 +160,7 @@ impl RatioGraph {
     }
 
     /// Clears the graph down to `node_count` isolated nodes while keeping
-    /// every allocation: the arc storage and both CSR adjacency arrays
+    /// every allocation: the arc storage and the CSR adjacency arrays
     /// retain their capacity, so arcs can be re-emitted without reallocating.
     pub fn reset(&mut self, node_count: usize) {
         self.arcs.clear();
@@ -197,8 +194,8 @@ impl RatioGraph {
     }
 
     /// Overwrites the cost and time of an existing arc in place, keeping its
-    /// endpoints. Because the CSR adjacency indexes arcs by source node only,
-    /// a weights-only patch keeps a current index current — this is what lets
+    /// endpoints. Because the CSR adjacency holds endpoints only, a
+    /// weights-only patch keeps a current index current — this is what lets
     /// the event-graph arena re-evaluate marking-only updates without paying
     /// the `O(nodes + arcs)` re-emission and counting sort.
     ///
@@ -241,24 +238,19 @@ impl RatioGraph {
         self.version += 1;
     }
 
-    /// Rebuilds the CSR adjacency index (`arc_offsets`/`arc_index`) with a
-    /// stable counting sort over the flat arc vector: arcs leaving the same
-    /// node keep their insertion order, matching the `Vec<Vec<ArcId>>`
-    /// adjacency of earlier revisions bit for bit. Both arrays keep their
-    /// allocation across [`RatioGraph::reset`], so the event-graph arena's
-    /// grow/patch cycle performs no adjacency allocation after warm-up.
+    /// Rebuilds the CSR adjacency index with a stable counting sort over the
+    /// flat arc vector: arcs leaving the same node keep their insertion
+    /// order, matching the `Vec<Vec<ArcId>>` adjacency of earlier revisions
+    /// bit for bit. The index arrays keep their allocation across
+    /// [`RatioGraph::reset`], so the event-graph arena's grow/patch cycle
+    /// performs no adjacency allocation after warm-up.
     ///
     /// No-op when the index is already current.
     pub fn rebuild_adjacency(&mut self) {
         if self.adjacency_current() {
             return;
         }
-        build_csr(
-            self.node_count,
-            &self.arcs,
-            &mut self.arc_offsets,
-            &mut self.arc_index,
-        );
+        self.csr.build(self.node_count, &self.arcs);
         self.adjacency_version = self.version;
     }
 
@@ -270,11 +262,13 @@ impl RatioGraph {
     /// The CSR adjacency as flat `(arc_offsets, arc_index)` slices, when
     /// current (see [`RatioGraph::rebuild_adjacency`]).
     pub fn adjacency(&self) -> Option<(&[u32], &[ArcId])> {
-        if self.adjacency_current() {
-            Some((&self.arc_offsets, &self.arc_index))
-        } else {
-            None
-        }
+        self.csr()
+            .map(|csr| (csr.offsets.as_slice(), csr.arcs.as_slice()))
+    }
+
+    /// The whole CSR index, arc targets included, when current.
+    pub(crate) fn csr(&self) -> Option<&Csr> {
+        self.adjacency_current().then_some(&self.csr)
     }
 
     /// Number of nodes.
@@ -326,9 +320,7 @@ impl RatioGraph {
             self.adjacency_current(),
             "CSR adjacency is stale; call rebuild_adjacency() after mutating the graph"
         );
-        let lo = self.arc_offsets[node.0] as usize;
-        let hi = self.arc_offsets[node.0 + 1] as usize;
-        &self.arc_index[lo..hi]
+        &self.csr.arcs[self.csr.row(node.0)]
     }
 
     /// Sum of the costs and times along a sequence of arcs, accumulated
@@ -351,44 +343,59 @@ impl RatioGraph {
     }
 }
 
-/// Builds a CSR adjacency index over `arcs` into the two reusable arrays:
-/// `offsets` gets `node_count + 1` entries and `index` one `ArcId` per arc,
-/// grouped by source node in insertion order (stable counting sort). Shared
-/// by [`RatioGraph::rebuild_adjacency`] and the solver's scratch CSR (which
-/// serves graphs whose own index is stale).
-pub(crate) fn build_csr(
-    node_count: usize,
-    arcs: &[Arc],
-    offsets: &mut Vec<u32>,
-    index: &mut Vec<ArcId>,
-) {
-    assert!(
-        arcs.len() <= u32::MAX as usize,
-        "arc count exceeds u32 range"
-    );
-    offsets.clear();
-    offsets.resize(node_count + 1, 0);
-    for arc in arcs {
-        offsets[arc.from.0 + 1] += 1;
+/// A CSR adjacency index over a flat arc vector:
+/// `arcs[offsets[v] .. offsets[v + 1]]` are the arcs leaving node `v`, in
+/// insertion order, and `targets[slot]` is the target node of `arcs[slot]`.
+/// Shared by [`RatioGraph`] and the solver's scratch index (which serves
+/// graphs whose own index is stale).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Csr {
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) arcs: Vec<ArcId>,
+    pub(crate) targets: Vec<u32>,
+}
+
+impl Csr {
+    /// Rebuilds the index over `arcs` in place (stable counting sort),
+    /// keeping every allocation.
+    pub(crate) fn build(&mut self, node_count: usize, arcs: &[Arc]) {
+        assert!(
+            arcs.len() <= u32::MAX as usize && node_count <= u32::MAX as usize,
+            "arc or node count exceeds u32 range"
+        );
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(node_count + 1, 0);
+        for arc in arcs {
+            offsets[arc.from.0 + 1] += 1;
+        }
+        for node in 0..node_count {
+            offsets[node + 1] += offsets[node];
+        }
+        self.arcs.clear();
+        self.arcs.resize(arcs.len(), ArcId(0));
+        self.targets.clear();
+        self.targets.resize(arcs.len(), 0);
+        // Place each arc at its node's running cursor, using `offsets[from]`
+        // itself as the cursor; a reverse shift afterwards restores the starts.
+        for (position, arc) in arcs.iter().enumerate() {
+            let slot = offsets[arc.from.0] as usize;
+            self.arcs[slot] = ArcId(position);
+            self.targets[slot] = arc.to.0 as u32;
+            offsets[arc.from.0] += 1;
+        }
+        // `offsets[v]` now holds the *end* of v's range; shift right to
+        // restore the starts.
+        for node in (1..=node_count).rev() {
+            offsets[node] = offsets[node - 1];
+        }
+        offsets[0] = 0;
     }
-    for node in 0..node_count {
-        offsets[node + 1] += offsets[node];
+
+    /// The slots of the arcs leaving `node`.
+    pub(crate) fn row(&self, node: usize) -> std::ops::Range<usize> {
+        self.offsets[node] as usize..self.offsets[node + 1] as usize
     }
-    index.clear();
-    index.resize(arcs.len(), ArcId(0));
-    // Place each arc at its node's running cursor, using `offsets[from]`
-    // itself as the cursor; a reverse shift afterwards restores the starts.
-    for (position, arc) in arcs.iter().enumerate() {
-        let slot = offsets[arc.from.0] as usize;
-        index[slot] = ArcId(position);
-        offsets[arc.from.0] += 1;
-    }
-    // `offsets[v]` now holds the *end* of v's range; shift right to restore
-    // the starts.
-    for node in (1..=node_count).rev() {
-        offsets[node] = offsets[node - 1];
-    }
-    offsets[0] = 0;
 }
 
 #[cfg(test)]
@@ -509,6 +516,27 @@ mod tests {
             Rational::from_integer(2),
         );
         assert_eq!(g, fresh);
+    }
+
+    #[test]
+    fn csr_targets_follow_every_rebuild() {
+        let mut g = RatioGraph::new(3);
+        g.add_arc(g.node(2), g.node(0), Rational::ONE, Rational::ONE);
+        let moved = g.add_arc(g.node(0), g.node(1), Rational::ONE, Rational::ONE);
+        g.add_arc(g.node(0), g.node(2), Rational::ONE, Rational::ONE);
+        let check = |g: &RatioGraph| {
+            let csr = g.csr().expect("current");
+            for (&arc, &target) in csr.arcs.iter().zip(&csr.targets) {
+                assert_eq!(target as usize, g.arc(arc).to.index());
+            }
+        };
+        g.rebuild_adjacency();
+        check(&g);
+        g.patch_arc(moved, g.node(1), g.node(1), Rational::ONE, Rational::ONE);
+        assert!(g.csr().is_none());
+        g.rebuild_adjacency();
+        check(&g);
+        assert_eq!(g.outgoing(g.node(1)), &[moved]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! graph is `−β/(i_b·q_t)` with a K-invariant denominator, and every `L(e)`
 //! is an integer duration): after rescaling all arc costs and times of one
 //! strongly connected component onto *common denominators* `Dc` / `Dt`, the
-//! entire value/bias iteration runs on `i128` numerators —
+//! entire value/bias iteration runs on integer numerators —
 //!
 //! * a policy-circuit gain is the unreduced pair `(ΣL̂, ΣĤ)` of scaled sums,
 //!   reduced **once per circuit** (a single GCD) to a canonical
@@ -25,23 +25,37 @@
 //! component's arc-id map, so the component view is loaded *lean* (without
 //! per-arc `Rational` copies); only the fallback paths fill those in.
 //!
-//! # Fast lane
+//! # Lanes
 //!
-//! Scaling also records the largest scaled magnitude `B = max |L̂|, |Ĥ|`. If
-//! `B ≤ 2^62 / n`, every downstream quantity provably fits `i128`:
+//! One source runs on two word widths, `i64` and `i128` (the private
+//! [`Word`] trait), with arithmetic unchecked or checked. Scaling also
+//! records the largest scaled magnitude `B = max |L̂|, |Ĥ|`, and `n·B`
+//! bounds every quantity the iteration computes on a component of `n`
+//! nodes:
 //!
-//! * policy-circuit sums are at most `n·B ≤ 2^62`, so are the reduced gain
+//! * policy-circuit sums are at most `n·B`, so are the reduced gain
 //!   numerators and denominators;
 //! * a reduced weight `L̂·g_d − g_n·Ĥ` is at most `2n·B²`;
 //! * a value telescopes at most `n` reduced weights: at most `2n²·B²`;
 //! * gain cross-multiplications are at most `n²·B²`, and a bias candidate
-//!   (reduced weight plus value) at most `4n²·B² ≤ 2^126 < 2^127`.
+//!   (reduced weight plus value) at most `4n²·B²`.
 //!
-//! So the sweeps run unchecked arithmetic — the same values as the checked
-//! lane, without overflow branches — and the gain round skips the row scan of
-//! every node already at the round-start maximum gain (gain rounds only copy
-//! existing gains, so no strictly greater gain can appear within the round).
-//! Components outside the bound run the checked lane.
+//! So `4(n·B)²` bounds them all, and the component takes the first lane
+//! whose bound fits:
+//!
+//! | lane | condition | largest value |
+//! |---|---|---|
+//! | `i64`, unchecked | `n·B ≤ 2^30` | `4n²B² ≤ 2^62 < 2^63` |
+//! | `i128`, unchecked | `n·B ≤ 2^62` | `4n²B² ≤ 2^126 < 2^127` |
+//! | `i128`, checked | otherwise | overflow detected |
+//!
+//! Scaling is one pass writing the words of the lane it expects: `i64`
+//! first, and only a component whose scaled weights do not fit `i64`, or
+//! whose `n·B` exceeds `2^30`, is scaled again onto `i128` words. The
+//! unchecked lanes compute the same values as the checked lane without
+//! overflow branches, and their gain round skips the row scan of every node
+//! already at the round-start maximum gain (gain rounds only copy existing
+//! gains, so no strictly greater gain can appear within the round).
 //!
 //! # Exactness and fallback
 //!
@@ -49,25 +63,109 @@
 //! classification, the convergence test, the certificate condition) is the
 //! scalar decision multiplied through by positive common denominators, so the
 //! policy trajectory — and therefore the returned circuit and ratio — is
-//! **bit-identical** to the scalar path's. In the checked lane all arithmetic
-//! is checked: if a scaled numerator, a product, or a common denominator does
-//! not fit `i128`, [`howard_component_int`] returns `None` and the caller
-//! runs the scalar kernel instead, which has no such limits. The equivalence
-//! (both lanes and the fallback) is pinned by this module's tests.
+//! **bit-identical** to the scalar path's, on every lane. In the checked lane
+//! all arithmetic is checked: if a scaled numerator, a product, or a common
+//! denominator does not fit `i128`, [`howard_component_int`] returns `None`
+//! and the caller runs the scalar kernel instead, which has no such limits.
+//! The equivalence (every lane, at and beyond its bound, and the fallback) is
+//! pinned by this module's tests.
 
 use std::cmp::Ordering;
+use std::fmt::Debug;
+use std::ops::{Add, Div, Mul, Sub};
 
 use csdf::{gcd_i128, Rational};
 
-use crate::graph::RatioGraph;
+use crate::graph::{ArcId, RatioGraph};
 use crate::howard::{
     circuit_positions, policy_cycle_from, start_policy, Evaluation, HowardOutcome,
 };
 use crate::solve::Scratch;
 
+/// Largest `n·B` the unchecked `i64` lane accepts (see the module docs).
+const I64_BOUND: i128 = 1 << 30;
+/// Largest `n·B` the unchecked `i128` lane accepts.
+const I128_BOUND: i128 = 1 << 62;
+
+/// An integer word the kernel runs on: `i64` or `i128`.
+pub(crate) trait Word:
+    Copy
+    + Ord
+    + Debug
+    + Default
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+{
+    const ZERO: Self;
+    const ONE: Self;
+    fn checked_add(self, other: Self) -> Option<Self>;
+    fn checked_sub(self, other: Self) -> Option<Self>;
+    fn checked_mul(self, other: Self) -> Option<Self>;
+    fn from_i128(value: i128) -> Option<Self>;
+    fn to_i128(self) -> i128;
+    /// This width's kernel state in `scratch`.
+    fn words(scratch: &mut Scratch) -> &mut IntWords<Self>;
+
+    /// Non-negative gcd (`gcd(0, 0) = 0`).
+    fn gcd(a: Self, b: Self) -> Self {
+        Self::from_i128(gcd_i128(a.to_i128(), b.to_i128())).expect("a gcd fits its operands' word")
+    }
+}
+
+macro_rules! word {
+    ($word:ty, $field:ident) => {
+        impl Word for $word {
+            const ZERO: Self = 0;
+            const ONE: Self = 1;
+            #[inline(always)]
+            fn checked_add(self, other: Self) -> Option<Self> {
+                <$word>::checked_add(self, other)
+            }
+            #[inline(always)]
+            fn checked_sub(self, other: Self) -> Option<Self> {
+                <$word>::checked_sub(self, other)
+            }
+            #[inline(always)]
+            fn checked_mul(self, other: Self) -> Option<Self> {
+                <$word>::checked_mul(self, other)
+            }
+            #[inline(always)]
+            fn from_i128(value: i128) -> Option<Self> {
+                Self::try_from(value).ok()
+            }
+            #[inline(always)]
+            fn to_i128(self) -> i128 {
+                i128::from(self)
+            }
+            fn words(scratch: &mut Scratch) -> &mut IntWords<Self> {
+                &mut scratch.$field
+            }
+        }
+    };
+}
+
+word!(i64, words64);
+word!(i128, words128);
+
+/// Integer kernel state of one word width: arc costs/times as integer
+/// numerators over the component-wide common denominators, gains as
+/// canonical reduced fractions, values as numerators over the gain
+/// denominator.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IntWords<W> {
+    cost: Vec<W>,
+    time: Vec<W>,
+    gain_num: Vec<W>,
+    gain_den: Vec<W>,
+    value: Vec<W>,
+}
+
 /// Runs Howard's policy iteration on the component currently loaded in
-/// `scratch` (`n` nodes) using the integer kernel. Returns `None` when the
-/// component cannot be scaled into `i128` range or the checked lane
+/// `scratch` (`n` nodes) using the integer kernel, on the narrowest lane the
+/// component's scaled weights allow, and counts the lane. Returns `None`
+/// when the component cannot be scaled into `i128` range or the checked lane
 /// overflows (the caller falls back to the scalar kernel).
 pub(crate) fn howard_component_int(
     graph: &RatioGraph,
@@ -77,25 +175,56 @@ pub(crate) fn howard_component_int(
     if scratch.arc_len() == 0 {
         return Some(HowardOutcome::Bail);
     }
-    let scaled = scale_component_int(graph, scratch)?;
-    if scaled.max_abs <= (1i128 << 62) / (n as i128) {
-        iterate::<true>(scratch, n, &scaled)
-    } else {
-        iterate::<false>(scratch, n, &scaled)
+    let narrow = with_words(scratch, |scratch, words: &mut IntWords<i64>| {
+        let scaled = scale_component(graph, &scratch.arc_id, words)
+            .filter(|scaled| scaled.bound(n) <= I64_BOUND)?;
+        Some(iterate::<_, true>(scratch, words, n, &scaled))
+    });
+    if let Some(outcome) = narrow {
+        scratch.lanes.int64 += u64::from(outcome.is_some());
+        return outcome;
     }
+    let (outcome, unchecked) = with_words(scratch, |scratch, words: &mut IntWords<i128>| {
+        let scaled = scale_component(graph, &scratch.arc_id, words)?;
+        Some(if scaled.bound(n) <= I128_BOUND {
+            (iterate::<_, true>(scratch, words, n, &scaled), true)
+        } else {
+            (iterate::<_, false>(scratch, words, n, &scaled), false)
+        })
+    })?;
+    let outcome = outcome?;
+    if unchecked {
+        scratch.lanes.int128 += 1;
+    } else {
+        scratch.lanes.checked += 1;
+    }
+    Some(outcome)
+}
+
+/// Runs `body` with the `W` words moved out of `scratch` (their allocation
+/// is kept), so it can borrow both.
+fn with_words<W: Word, R>(
+    scratch: &mut Scratch,
+    body: impl FnOnce(&mut Scratch, &mut IntWords<W>) -> R,
+) -> R {
+    let mut words = std::mem::take(W::words(scratch));
+    let result = body(scratch, &mut words);
+    *W::words(scratch) = words;
+    result
 }
 
 /// The policy iteration proper, on an already scaled component. `FAST`
 /// selects the unchecked lane (see the module docs for when it is sound).
-fn iterate<const FAST: bool>(
+fn iterate<W: Word, const FAST: bool>(
     scratch: &mut Scratch,
+    words: &mut IntWords<W>,
     n: usize,
     scaled: &ScaledComponent,
 ) -> Option<HowardOutcome> {
-    if scratch.int_gain_num.len() < n {
-        scratch.int_gain_num.resize(n, 0);
-        scratch.int_gain_den.resize(n, 1);
-        scratch.int_value.resize(n, 0);
+    if words.gain_num.len() < n {
+        words.gain_num.resize(n, W::ZERO);
+        words.gain_den.resize(n, W::ONE);
+        words.value.resize(n, W::ZERO);
     }
     if !start_policy(scratch, n) {
         return Some(HowardOutcome::Bail);
@@ -112,12 +241,12 @@ fn iterate<const FAST: bool>(
             return Some(HowardOutcome::Bail);
         }
         scratch.howard_rounds += 1;
-        match evaluate::<FAST>(scratch, n)? {
+        match evaluate::<W, FAST>(scratch, words, n)? {
             Evaluation::Done => {}
             Evaluation::Infinite(circuits) => return Some(HowardOutcome::Infinite { circuits }),
             Evaluation::Bail => return Some(HowardOutcome::Bail),
         }
-        if !improve::<FAST>(scratch, n)? {
+        if !improve::<W, FAST>(scratch, words, n)? {
             converged = true;
             break;
         }
@@ -131,11 +260,11 @@ fn iterate<const FAST: bool>(
     // rationals are equal).
     let mut best_node = 0usize;
     for node in 1..n {
-        if cmp_gain::<FAST>(scratch, node, best_node)? != Ordering::Less {
+        if cmp_gain::<W, FAST>(words, node, best_node)? != Ordering::Less {
             best_node = node;
         }
     }
-    if scratch.int_gain_num[best_node] <= 0 {
+    if words.gain_num[best_node] <= W::ZERO {
         // Not a positive ratio: the parametric method decides between
         // NonPositive and the lexicographic Infinite edge cases from scratch.
         return Some(HowardOutcome::Bail);
@@ -144,47 +273,65 @@ fn iterate<const FAST: bool>(
     // circuit ratio because both are the same rational number in canonical
     // form. Overflow here is as good as overflow anywhere: fall back.
     let gain = Rational::new(
-        scratch.int_gain_num[best_node],
-        scratch.int_gain_den[best_node],
+        words.gain_num[best_node].to_i128(),
+        words.gain_den[best_node].to_i128(),
     )
     .expect("gain denominator is positive");
     let scaling =
         Rational::new(scaled.den_time, scaled.den_cost).expect("common denominators are positive");
     let lambda = gain.checked_mul(&scaling).ok()?;
     let positions = policy_cycle_from(scratch, best_node);
-    if scaled.costs_nonneg && (0..n).all(|node| scratch.int_gain_num[node] > 0) {
+    if scaled.costs_nonneg && words.gain_num[..n].iter().all(|&num| num > W::ZERO) {
         Some(HowardOutcome::Certified { lambda, positions })
     } else {
         Some(HowardOutcome::Estimate { lambda, positions })
     }
 }
 
-/// The component scaled onto `i128` numerators, plus the facts the kernel
+/// The common denominators of a scaled component, plus the facts the kernel
 /// entry needs that would otherwise cost extra full passes over the arrays.
 struct ScaledComponent {
     den_cost: i128,
     den_time: i128,
     /// Every scaled cost is non-negative (certification precondition).
     costs_nonneg: bool,
-    /// Maximum absolute scaled magnitude, for the fast-lane bound.
+    /// Maximum absolute scaled magnitude `B`, for the lane bounds.
     max_abs: i128,
 }
 
+impl ScaledComponent {
+    /// `n·B` for a component of `n` nodes (saturating: beyond every bound).
+    fn bound(&self, n: usize) -> i128 {
+        self.max_abs.saturating_mul(n as i128)
+    }
+}
+
 /// Common denominators `Dc`/`Dt` and the scaled numerators
-/// (`L̂ = L·Dc/den(L)`, `Ĥ = H·Dt/den(H)`) of the component, reading the arc
-/// values from `graph`; `None` on overflow. One pass: arcs are scaled under
-/// the *running* lcm, and whenever a later arc grows it, the already-written
-/// prefix is rescaled by the growth factor (lcm is monotone, so prefix
-/// magnitudes only go up and an overflow in either step implies the final
-/// value overflows too). Event-graph arcs share a handful of denominators in
-/// long runs, so a one-entry scale memo skips almost every `i128` division,
-/// and [`mul_scale`] keeps the multiplies in native `i64` where they fit.
-fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<ScaledComponent> {
-    let m = scratch.arc_id.len();
-    scratch.int_cost.clear();
-    scratch.int_time.clear();
-    scratch.int_cost.reserve(m);
-    scratch.int_time.reserve(m);
+/// (`L̂ = L·Dc/den(L)`, `Ĥ = H·Dt/den(H)`) of the component's arcs
+/// (`arc_ids`, values read from `graph`), written as `W` words; `None` when
+/// a numerator does not fit `W` or a denominator does not fit `i128`. One
+/// pass: arcs are scaled under the *running* lcm, and whenever a later arc
+/// grows it, the already-written prefix is rescaled by the growth factor
+/// (lcm is monotone, so prefix magnitudes only go up and an overflow in
+/// either step implies the final value overflows too). Event-graph arcs
+/// share a handful of denominators in long runs, so a one-entry scale memo
+/// skips almost every `i128` division, and [`mul_scale`] keeps the
+/// multiplies in native `i64` where they fit.
+fn scale_component<W: Word>(
+    graph: &RatioGraph,
+    arc_ids: &[ArcId],
+    words: &mut IntWords<W>,
+) -> Option<ScaledComponent> {
+    let IntWords {
+        cost: costs,
+        time: times,
+        ..
+    } = words;
+    let m = arc_ids.len();
+    costs.clear();
+    times.clear();
+    costs.reserve(m);
+    times.reserve(m);
     let mut den_cost: i128 = 1;
     let mut den_time: i128 = 1;
     // (index where the previous lcm stopped applying, lcm used before that).
@@ -196,7 +343,7 @@ fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<Scal
     let mut memo_time = (1i128, 1i128);
     let mut costs_nonneg = true;
     let mut max_abs: i128 = 0;
-    for (index, &arc_id) in scratch.arc_id.iter().enumerate() {
+    for (index, &arc_id) in arc_ids.iter().enumerate() {
         let arc = graph.arc(arc_id);
         let cost_den = arc.cost.denom();
         if cost_den != memo_cost.0 {
@@ -210,7 +357,7 @@ fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<Scal
         let cost = mul_scale(arc.cost.numer(), memo_cost.1)?;
         costs_nonneg &= cost >= 0;
         max_abs = max_abs.max(abs_i128(cost));
-        scratch.int_cost.push(cost);
+        costs.push(W::from_i128(cost)?);
         let time_den = arc.time.denom();
         if time_den != memo_time.0 {
             if den_time % time_den != 0 {
@@ -222,15 +369,15 @@ fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<Scal
         }
         let time = mul_scale(arc.time.numer(), memo_time.1)?;
         max_abs = max_abs.max(abs_i128(time));
-        scratch.int_time.push(time);
+        times.push(W::from_i128(time)?);
     }
     // Rescale the prefixes written under a smaller lcm, walking the upgrades
     // forward: entry `j` brings `values[..end_j]` from its recorded lcm up to
     // the next entry's (or the final) lcm, so before entry `j + 1` runs, the
     // whole prefix below `end_{j+1}` is uniformly under that entry's lcm.
     for (upgrades, values, den) in [
-        (&cost_upgrades, &mut scratch.int_cost, den_cost),
-        (&time_upgrades, &mut scratch.int_time, den_time),
+        (&cost_upgrades, costs, den_cost),
+        (&time_upgrades, times, den_time),
     ] {
         for (j, &(end, used)) in upgrades.iter().enumerate() {
             let target = upgrades.get(j + 1).map_or(den, |&(_, next)| next);
@@ -239,8 +386,9 @@ fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<Scal
                 continue;
             }
             for value in &mut values[..end] {
-                *value = mul_scale(*value, factor)?;
-                max_abs = max_abs.max(abs_i128(*value));
+                let scaled = mul_scale(value.to_i128(), factor)?;
+                max_abs = max_abs.max(abs_i128(scaled));
+                *value = W::from_i128(scaled)?;
             }
         }
     }
@@ -253,7 +401,7 @@ fn scale_component_int(graph: &RatioGraph, scratch: &mut Scratch) -> Option<Scal
 }
 
 /// `value.unsigned_abs()` clamped back into `i128` (saturating on the
-/// `i128::MIN` edge, which only makes the fast-lane bound more conservative).
+/// `i128::MIN` edge, which only makes the lane bounds more conservative).
 #[inline]
 fn abs_i128(value: i128) -> i128 {
     i128::try_from(value.unsigned_abs()).unwrap_or(i128::MAX)
@@ -282,9 +430,9 @@ fn lcm_i128(a: i128, b: i128) -> Option<i128> {
     (a / g).checked_mul(b)
 }
 
-/// `a · b`: unchecked in the fast lane (proven in range), checked otherwise.
+/// `a · b`: unchecked in the fast lanes (proven in range), checked otherwise.
 #[inline(always)]
-fn mul<const FAST: bool>(a: i128, b: i128) -> Option<i128> {
+fn mul<W: Word, const FAST: bool>(a: W, b: W) -> Option<W> {
     if FAST {
         Some(a * b)
     } else {
@@ -294,7 +442,7 @@ fn mul<const FAST: bool>(a: i128, b: i128) -> Option<i128> {
 
 /// `a + b`, with the lane semantics of [`mul`].
 #[inline(always)]
-fn add<const FAST: bool>(a: i128, b: i128) -> Option<i128> {
+fn add<W: Word, const FAST: bool>(a: W, b: W) -> Option<W> {
     if FAST {
         Some(a + b)
     } else {
@@ -305,9 +453,9 @@ fn add<const FAST: bool>(a: i128, b: i128) -> Option<i128> {
 /// `L̂(e)·g_d − g_n·Ĥ(e)`: the reduced weight of an arc under gain
 /// `g_n / g_d`, scaled by the (positive) class denominator `g_d`.
 #[inline(always)]
-fn reduced_weight<const FAST: bool>(cost: i128, time: i128, num: i128, den: i128) -> Option<i128> {
-    let scaled_cost = mul::<FAST>(cost, den)?;
-    let scaled_time = mul::<FAST>(num, time)?;
+fn reduced_weight<W: Word, const FAST: bool>(cost: W, time: W, num: W, den: W) -> Option<W> {
+    let scaled_cost = mul::<W, FAST>(cost, den)?;
+    let scaled_time = mul::<W, FAST>(num, time)?;
     if FAST {
         Some(scaled_cost - scaled_time)
     } else {
@@ -320,9 +468,13 @@ fn reduced_weight<const FAST: bool>(cost: i128, time: i128, num: i128, den: i128
 /// (the caller abandons the integer kernel — a wrong ordering must never be
 /// returned silently).
 #[inline(always)]
-fn cmp_gain<const FAST: bool>(scratch: &Scratch, a: usize, b: usize) -> Option<Ordering> {
-    let lhs = mul::<FAST>(scratch.int_gain_num[a], scratch.int_gain_den[b])?;
-    let rhs = mul::<FAST>(scratch.int_gain_num[b], scratch.int_gain_den[a])?;
+fn cmp_gain<W: Word, const FAST: bool>(
+    words: &IntWords<W>,
+    a: usize,
+    b: usize,
+) -> Option<Ordering> {
+    let lhs = mul::<W, FAST>(words.gain_num[a], words.gain_den[b])?;
+    let rhs = mul::<W, FAST>(words.gain_num[b], words.gain_den[a])?;
     Some(lhs.cmp(&rhs))
 }
 
@@ -331,7 +483,11 @@ fn cmp_gain<const FAST: bool>(scratch: &Scratch, a: usize, b: usize) -> Option<O
 /// once the first one is met. Outer `None` means arithmetic overflow (caller
 /// falls back to the scalar kernel); the inner [`Evaluation`] values have the
 /// scalar meanings.
-fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluation> {
+fn evaluate<W: Word, const FAST: bool>(
+    scratch: &mut Scratch,
+    words: &mut IntWords<W>,
+    n: usize,
+) -> Option<Evaluation> {
     scratch.epoch += 2;
     let on_walk = scratch.epoch - 1;
     let resolved = scratch.epoch;
@@ -362,7 +518,7 @@ fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluat
         let p = mark_pos[current];
         if !infinite.is_empty() {
             if new_circuit {
-                let (cost, time) = circuit_sums::<FAST>(scratch, p)?;
+                let (cost, time) = circuit_sums::<W, FAST>(scratch, words, p)?;
                 if is_infeasible(cost, time) {
                     infinite.push(circuit_positions(scratch, p));
                 }
@@ -373,11 +529,11 @@ fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluat
             continue;
         }
         if !new_circuit {
-            resolve_walk_tree::<FAST>(scratch, scratch.walk.len(), resolved)?;
+            resolve_walk_tree::<W, FAST>(scratch, words, scratch.walk.len(), resolved)?;
             continue;
         }
-        let (cost, time) = circuit_sums::<FAST>(scratch, p)?;
-        if time <= 0 {
+        let (cost, time) = circuit_sums::<W, FAST>(scratch, words, p)?;
+        if time <= W::ZERO {
             // Same classification as the scalar kernel (the positive scaling
             // preserves every sign).
             if !is_infeasible(cost, time) {
@@ -389,7 +545,7 @@ fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluat
             }
             continue;
         }
-        resolve_walk::<FAST>(scratch, p, cost, time, resolved)?;
+        resolve_walk::<W, FAST>(scratch, words, p, cost, time, resolved)?;
     }
     Some(if infinite.is_empty() {
         Evaluation::Done
@@ -400,101 +556,111 @@ fn evaluate<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<Evaluat
 
 /// Non-positive time and lexicographically positive weight: the scaled twin
 /// of the scalar kernel's `is_infeasible`.
-fn is_infeasible(cost: i128, time: i128) -> bool {
-    time <= 0 && (cost > 0 || (cost == 0 && time < 0))
+fn is_infeasible<W: Word>(cost: W, time: W) -> bool {
+    time <= W::ZERO && (cost > W::ZERO || (cost == W::ZERO && time < W::ZERO))
 }
 
 /// Scaled cost and time sums of the policy circuit `walk[p..]` — plain
 /// integer adds.
-fn circuit_sums<const FAST: bool>(scratch: &Scratch, p: usize) -> Option<(i128, i128)> {
-    let mut cost: i128 = 0;
-    let mut time: i128 = 0;
+fn circuit_sums<W: Word, const FAST: bool>(
+    scratch: &Scratch,
+    words: &IntWords<W>,
+    p: usize,
+) -> Option<(W, W)> {
+    let mut cost = W::ZERO;
+    let mut time = W::ZERO;
     for &node in &scratch.walk[p..] {
         let position = scratch.policy[node];
-        cost = add::<FAST>(cost, scratch.int_cost[position])?;
-        time = add::<FAST>(time, scratch.int_time[position])?;
+        cost = add::<W, FAST>(cost, words.cost[position])?;
+        time = add::<W, FAST>(time, words.time[position])?;
     }
     Some((cost, time))
 }
 
 /// Assigns gain `cost / time` (positive time) and values to the new policy
 /// circuit `walk[p..]`, then to the tree part `walk[..p]` of the walk.
-fn resolve_walk<const FAST: bool>(
+fn resolve_walk<W: Word, const FAST: bool>(
     scratch: &mut Scratch,
+    words: &mut IntWords<W>,
     p: usize,
-    cost: i128,
-    time: i128,
+    cost: W,
+    time: W,
     resolved: u64,
 ) -> Option<()> {
     let Scratch {
         policy,
-        int_cost,
-        int_time,
-        int_gain_num,
-        int_gain_den,
-        int_value,
         resolved: resolved_stamp,
         walk,
         ..
     } = scratch;
+    let IntWords {
+        cost: costs,
+        time: times,
+        gain_num,
+        gain_den,
+        value: values,
+    } = words;
     // One GCD per circuit: the canonical gain pair.
-    let g = gcd_i128(cost, time);
-    let (num, den) = if g > 1 {
+    let g = W::gcd(cost, time);
+    let (num, den) = if g > W::ONE {
         (cost / g, time / g)
     } else {
         (cost, time)
     };
     let anchor = walk[p];
-    int_gain_num[anchor] = num;
-    int_gain_den[anchor] = den;
-    int_value[anchor] = 0;
+    gain_num[anchor] = num;
+    gain_den[anchor] = den;
+    values[anchor] = W::ZERO;
     resolved_stamp[anchor] = resolved;
-    let mut next_value: i128 = 0;
+    let mut next_value = W::ZERO;
     for walk_index in (p + 1..walk.len()).rev() {
         let node = walk[walk_index];
         let position = policy[node];
-        let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
-        let value = add::<FAST>(weight, next_value)?;
-        int_gain_num[node] = num;
-        int_gain_den[node] = den;
-        int_value[node] = value;
+        let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
+        let value = add::<W, FAST>(weight, next_value)?;
+        gain_num[node] = num;
+        gain_den[node] = den;
+        values[node] = value;
         resolved_stamp[node] = resolved;
         next_value = value;
     }
-    resolve_walk_tree::<FAST>(scratch, p, resolved)
+    resolve_walk_tree::<W, FAST>(scratch, words, p, resolved)
 }
 
 /// Tree part `walk[..tree_top]` of a walk: propagates gain class and value
 /// backwards from the (already resolved) junction.
-fn resolve_walk_tree<const FAST: bool>(
+fn resolve_walk_tree<W: Word, const FAST: bool>(
     scratch: &mut Scratch,
+    words: &mut IntWords<W>,
     tree_top: usize,
     resolved: u64,
 ) -> Option<()> {
     let Scratch {
         arc_to,
         policy,
-        int_cost,
-        int_time,
-        int_gain_num,
-        int_gain_den,
-        int_value,
         resolved: resolved_stamp,
         walk,
         ..
     } = scratch;
+    let IntWords {
+        cost: costs,
+        time: times,
+        gain_num,
+        gain_den,
+        value: values,
+    } = words;
     for walk_index in (0..tree_top).rev() {
         let node = walk[walk_index];
         let position = policy[node];
         let successor = arc_to[position] as usize;
         debug_assert_eq!(resolved_stamp[successor], resolved);
-        let num = int_gain_num[successor];
-        let den = int_gain_den[successor];
-        let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
-        let value = add::<FAST>(weight, int_value[successor])?;
-        int_gain_num[node] = num;
-        int_gain_den[node] = den;
-        int_value[node] = value;
+        let num = gain_num[successor];
+        let den = gain_den[successor];
+        let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
+        let value = add::<W, FAST>(weight, values[successor])?;
+        gain_num[node] = num;
+        gain_den[node] = den;
+        values[node] = value;
         resolved_stamp[node] = resolved;
     }
     Some(())
@@ -506,35 +672,41 @@ fn resolve_walk_tree<const FAST: bool>(
 /// "equal gain" is equality of canonical pairs, so the bias comparison is a
 /// plain integer comparison over the shared class denominator. Returns
 /// `Some(changed)`, or `None` on overflow.
-fn improve<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<bool> {
+fn improve<W: Word, const FAST: bool>(
+    scratch: &mut Scratch,
+    words: &mut IntWords<W>,
+    n: usize,
+) -> Option<bool> {
     let Scratch {
         arc_to,
         first,
         policy,
-        int_cost,
-        int_time,
-        int_gain_num,
-        int_gain_den,
-        int_value,
         ..
     } = scratch;
+    let IntWords {
+        cost: costs,
+        time: times,
+        gain_num,
+        gain_den,
+        value: values,
+    } = words;
 
-    // Fast lane: the round-start maximum gain. A node already at it cannot
+    // Fast lanes: the round-start maximum gain. A node already at it cannot
     // strictly improve, so its row scan is skipped. Canonical pairs make the
     // equality test two integer compares.
-    let (mut max_num, mut max_den) = (int_gain_num[0], int_gain_den[0]);
+    let (mut max_num, mut max_den) = (gain_num[0], gain_den[0]);
     if FAST {
         for node in 1..n {
-            if int_gain_num[node] * max_den > max_num * int_gain_den[node] {
-                max_num = int_gain_num[node];
-                max_den = int_gain_den[node];
+            if gain_num[node] * max_den > max_num * gain_den[node] {
+                max_num = gain_num[node];
+                max_den = gain_den[node];
             }
         }
     }
 
     let mut changed = false;
     for node in 0..n {
-        if FAST && int_gain_num[node] == max_num && int_gain_den[node] == max_den {
+        if FAST && gain_num[node] == max_num && gain_den[node] == max_den {
             continue;
         }
         let mut best_position = policy[node];
@@ -542,19 +714,19 @@ fn improve<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<bool> {
         let (lo, hi) = (first[node], first[node + 1]);
         for (position, &to) in (lo..hi).zip(&arc_to[lo..hi]) {
             let target = to as usize;
-            let lhs = mul::<FAST>(int_gain_num[target], int_gain_den[best])?;
-            let rhs = mul::<FAST>(int_gain_num[best], int_gain_den[target])?;
+            let lhs = mul::<W, FAST>(gain_num[target], gain_den[best])?;
+            let rhs = mul::<W, FAST>(gain_num[best], gain_den[target])?;
             if lhs > rhs {
                 best = target;
                 best_position = position;
             }
         }
-        let lhs = mul::<FAST>(int_gain_num[best], int_gain_den[node])?;
-        let rhs = mul::<FAST>(int_gain_num[node], int_gain_den[best])?;
+        let lhs = mul::<W, FAST>(gain_num[best], gain_den[node])?;
+        let rhs = mul::<W, FAST>(gain_num[node], gain_den[best])?;
         if lhs > rhs {
             policy[node] = best_position;
-            int_gain_num[node] = int_gain_num[best];
-            int_gain_den[node] = int_gain_den[best];
+            gain_num[node] = gain_num[best];
+            gain_den[node] = gain_den[best];
             changed = true;
         }
     }
@@ -562,18 +734,18 @@ fn improve<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<bool> {
         return Some(true);
     }
     for node in 0..n {
-        let num = int_gain_num[node];
-        let den = int_gain_den[node];
+        let num = gain_num[node];
+        let den = gain_den[node];
         let mut best_position = usize::MAX;
-        let mut best_value = int_value[node];
+        let mut best_value = values[node];
         for position in first[node]..first[node + 1] {
             let target = arc_to[position] as usize;
             // Canonical pairs: different representation ⇔ different gain.
-            if int_gain_num[target] != num || int_gain_den[target] != den {
+            if gain_num[target] != num || gain_den[target] != den {
                 continue;
             }
-            let weight = reduced_weight::<FAST>(int_cost[position], int_time[position], num, den)?;
-            let candidate = add::<FAST>(weight, int_value[target])?;
+            let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
+            let candidate = add::<W, FAST>(weight, values[target])?;
             if candidate > best_value {
                 best_value = candidate;
                 best_position = position;
@@ -589,12 +761,12 @@ fn improve<const FAST: bool>(scratch: &mut Scratch, n: usize) -> Option<bool> {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
-
     use super::*;
-    use crate::solve::HowardKernel;
-    use crate::{ArcId, NodeId};
-    use crate::{CancelToken, CycleRatioOutcome, McrError, Policy, Solver, SolverChoice};
+    use crate::solve::{integer_howard, HowardKernel};
+    use crate::NodeId;
+    use crate::{
+        CancelToken, CycleRatioOutcome, LaneCounts, McrError, Policy, Solver, SolverChoice,
+    };
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -672,22 +844,11 @@ mod tests {
         if scratch.arc_len() == 0 {
             return HowardOutcome::Bail;
         }
-        scale_component_int(graph, scratch)
-            .and_then(|scaled| iterate::<false>(scratch, n, &scaled))
-            .unwrap_or_else(|| scalar(graph, scratch, n))
-    }
-
-    thread_local! {
-        static DECLINES: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// The production kernel, counting the components it hands to the
-    /// scalar fallback.
-    fn counted(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
-        howard_component_int(graph, scratch, n).unwrap_or_else(|| {
-            DECLINES.with(|count| count.set(count.get() + 1));
-            scalar(graph, scratch, n)
+        with_words(scratch, |scratch, words: &mut IntWords<i128>| {
+            let scaled = scale_component(graph, &scratch.arc_id, words)?;
+            iterate::<_, false>(scratch, words, n, &scaled)
         })
+        .unwrap_or_else(|| scalar(graph, scratch, n))
     }
 
     /// A pseudo-random start policy for `g`: per node, no successor, an
@@ -724,7 +885,7 @@ mod tests {
         for choice in [SolverChoice::Howard, SolverChoice::Auto] {
             let cold = Solver::new(choice).solve_using(g, scalar, None);
             assert_eq!(
-                Solver::new(choice).solve_using(g, counted, None),
+                Solver::new(choice).solve_using(g, integer_howard, None),
                 cold,
                 "{label} {choice:?}"
             );
@@ -739,7 +900,7 @@ mod tests {
                 let reference =
                     Solver::new(choice).solve_using(g, scalar, Some(&mut reference_policy));
                 for (kernel, lane) in [
-                    (counted as HowardKernel, "integer"),
+                    (integer_howard as HowardKernel, "integer"),
                     (checked_lane, "checked lane"),
                 ] {
                     let mut policy = seeded.clone();
@@ -790,17 +951,84 @@ mod tests {
 
     #[test]
     fn huge_weights_take_the_fallbacks_and_still_match() {
-        DECLINES.with(|count| count.set(0));
+        let mut lanes = LaneCounts::default();
         let mut errors = 0;
         for seed in 0..40u64 {
             let g = ring_graph(seed, true);
             assert_kernels_agree(&g, &format!("huge ring seed {seed}"));
-            errors += usize::from(Solver::new(SolverChoice::Howard).solve(&g).is_err());
+            let mut solver = Solver::new(SolverChoice::Howard);
+            errors += usize::from(solver.solve(&g).is_err());
+            lanes.merge(&solver.lane_counts());
         }
-        // The huge rings must reach the scalar fallback and the rational
-        // overflow error, or this test would not cover them.
-        assert!(DECLINES.with(Cell::get) > 0, "no scalar fallback exercised");
+        // The huge rings must reach the checked lane, the scalar fallback
+        // and the rational overflow error, or this test would not cover them.
+        assert!(lanes.checked > 0, "no checked lane exercised");
+        assert!(lanes.scalar > 0, "no scalar fallback exercised");
         assert!(errors > 0, "no overflow error exercised");
+    }
+
+    /// A ring of `n` nodes with random chords and small weights, whose first
+    /// arc's cost is `big`: with `n·big` at or just past a lane bound, the
+    /// component sits on the edge of that lane.
+    fn boundary_ring(seed: u64, n: usize, big: i128) -> RatioGraph {
+        let mut next = xorshift(seed);
+        let mut g = RatioGraph::new(n);
+        let small = |next: &mut dyn FnMut() -> u64| {
+            (
+                Rational::from_integer((next() % 7) as i128),
+                Rational::from_integer(1 + (next() % 3) as i128),
+            )
+        };
+        for i in 0..n {
+            let (cost, time) = small(&mut next);
+            let cost = if i == 0 {
+                Rational::from_integer(big)
+            } else {
+                cost
+            };
+            g.add_arc(g.node(i), g.node((i + 1) % n), cost, time);
+        }
+        for _ in 0..n {
+            let a = (next() % n as u64) as usize;
+            let b = (next() % n as u64) as usize;
+            let (cost, time) = small(&mut next);
+            g.add_arc(g.node(a), g.node(b), cost, time);
+        }
+        g
+    }
+
+    #[test]
+    fn each_lane_runs_at_its_bound_and_matches_the_scalar_kernel() {
+        let int64 = LaneCounts {
+            int64: 1,
+            ..LaneCounts::default()
+        };
+        let int128 = LaneCounts {
+            int128: 1,
+            ..LaneCounts::default()
+        };
+        let checked = LaneCounts {
+            checked: 1,
+            ..LaneCounts::default()
+        };
+        for n in [4usize, 16, 64] {
+            let n_wide = n as i128;
+            for (nb, expected) in [
+                (I64_BOUND, int64),
+                (I64_BOUND + n_wide, int128),
+                (I128_BOUND, int128),
+                (I128_BOUND + n_wide, checked),
+            ] {
+                for seed in 0..4u64 {
+                    let g = boundary_ring(seed, n, nb / n_wide);
+                    let label = format!("n {n}, n·B {nb:#x}, seed {seed}");
+                    assert_kernels_agree(&g, &label);
+                    let mut solver = Solver::new(SolverChoice::Howard);
+                    solver.solve(&g).unwrap();
+                    assert_eq!(solver.lane_counts(), expected, "{label}");
+                }
+            }
+        }
     }
 
     /// `k` node-disjoint rings with positive cost and negative time, tied

@@ -14,8 +14,10 @@
 //!   component and is what K-Iter uses. Components are solved one after
 //!   another on the calling thread. Howard always runs one kernel: an
 //!   integer-numerator policy iteration over per-component common
-//!   denominators (the `kernel` module), with the scalar `Rational` kernel
-//!   as the fallback when the scaled weights overflow `i128`. It starts cold
+//!   denominators (the `kernel` module) on `i64` or `i128` words, picked per
+//!   component by a proven magnitude bound, with the scalar `Rational`
+//!   kernel as the fallback when the scaled weights overflow `i128`
+//!   ([`Solver::lane_counts`] counts the components per path). It starts cold
 //!   ([`Solver::solve`]) or from a given [`Policy`] ([`Solver::solve_from`]),
 //!   which K-Iter uses to warm-start each iteration from the last;
 //! * [`maximum_cycle_ratio`] — one-shot parametric solve returning the
@@ -68,8 +70,8 @@ pub use graph::{Arc, ArcId, NodeId, RatioGraph};
 pub use karp::maximum_cycle_mean;
 pub use scc::SccDecomposition;
 pub use solve::{
-    maximum_cycle_ratio, CriticalCycle, CycleRatioOutcome, McrError, Policy, Solver, SolverChoice,
-    AUTO_HOWARD_MIN_NODES,
+    maximum_cycle_ratio, CriticalCycle, CycleRatioOutcome, LaneCounts, McrError, Policy, Solver,
+    SolverChoice, AUTO_HOWARD_MIN_NODES,
 };
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //!   allocation across [`SccBuffers::compute`] calls, so the K-Iter hot loop
 //!   (one solve per iteration) performs no SCC allocation after warm-up.
 
-use crate::graph::{Arc, ArcId, NodeId, RatioGraph};
+use crate::graph::{Csr, NodeId, RatioGraph};
 
 /// Reusable strongly-connected-component state (see module docs). Components
 /// are numbered in reverse topological order (Tarjan's output order) and the
@@ -48,33 +48,20 @@ impl SccBuffers {
 
     /// Returns `true` when component `component` can hold a cycle: more than
     /// one node, or a single node with a self-arc (checked on the CSR view).
-    pub fn is_cyclic_component(
-        &self,
-        component: usize,
-        csr_offsets: &[u32],
-        csr_index: &[ArcId],
-        arcs: &[Arc],
-    ) -> bool {
+    pub fn is_cyclic_component(&self, component: usize, csr: &Csr) -> bool {
         let members = self.component(component);
-        if members.len() > 1 {
-            return true;
-        }
-        let node = members[0] as usize;
-        csr_index[csr_offsets[node] as usize..csr_offsets[node + 1] as usize]
-            .iter()
-            .any(|&arc| arcs[arc.index()].to.index() == node)
+        members.len() > 1 || has_self_arc(csr, members[0] as usize)
     }
 
     /// Computes the strongly connected components of the graph described by
-    /// the CSR adjacency (`csr_offsets`/`csr_index` over `arcs`), reusing
-    /// every buffer.
-    pub fn compute(
-        &mut self,
-        node_count: usize,
-        csr_offsets: &[u32],
-        csr_index: &[ArcId],
-        arcs: &[Arc],
-    ) {
+    /// the CSR adjacency, reusing every buffer. Only the row offsets and arc
+    /// targets are read.
+    pub fn compute(&mut self, node_count: usize, csr: &Csr) {
+        let Csr {
+            offsets: csr_offsets,
+            targets,
+            ..
+        } = csr;
         const UNVISITED: u32 = u32::MAX;
         self.index.clear();
         self.index.resize(node_count, UNVISITED);
@@ -105,9 +92,8 @@ impl SccBuffers {
             while let Some(&mut (node, ref mut arc_cursor)) = self.call_stack.last_mut() {
                 let node = node as usize;
                 if *arc_cursor < csr_offsets[node + 1] {
-                    let arc_id = csr_index[*arc_cursor as usize];
+                    let successor = targets[*arc_cursor as usize] as usize;
                     *arc_cursor += 1;
-                    let successor = arcs[arc_id.index()].to.index();
                     if self.index[successor] == UNVISITED {
                         self.index[successor] = next_index;
                         self.low[successor] = next_index;
@@ -161,21 +147,12 @@ impl SccDecomposition {
     /// built when it is not).
     pub fn compute(graph: &RatioGraph) -> Self {
         let mut buffers = SccBuffers::default();
-        let mut offsets = Vec::new();
-        let mut index = Vec::new();
-        let (csr_offsets, csr_index) = match graph.adjacency() {
-            Some(adjacency) => adjacency,
-            None => {
-                crate::graph::build_csr(
-                    graph.node_count(),
-                    graph.raw_arcs(),
-                    &mut offsets,
-                    &mut index,
-                );
-                (offsets.as_slice(), index.as_slice())
-            }
-        };
-        buffers.compute(graph.node_count(), csr_offsets, csr_index, graph.raw_arcs());
+        let mut temporary = Csr::default();
+        let csr = graph.csr().unwrap_or_else(|| {
+            temporary.build(graph.node_count(), graph.raw_arcs());
+            &temporary
+        });
+        buffers.compute(graph.node_count(), csr);
         let components = (0..buffers.component_count())
             .map(|component| {
                 buffers
@@ -225,15 +202,20 @@ impl SccDecomposition {
         let node = members[0];
         // Use the CSR index when current (O(out-degree)); fall back to the
         // flat-arc scan only on a stale index.
-        if let Some((offsets, arc_index)) = graph.adjacency() {
-            return arc_index[offsets[node.index()] as usize..offsets[node.index() + 1] as usize]
-                .iter()
-                .any(|&arc| graph.arc(arc).to == node);
+        if let Some(csr) = graph.csr() {
+            return has_self_arc(csr, node.index());
         }
         graph
             .arcs()
             .any(|(_, arc)| arc.from == node && arc.to == node)
     }
+}
+
+/// Whether `node` has an arc to itself, read from the CSR targets.
+fn has_self_arc(csr: &Csr, node: usize) -> bool {
+    csr.targets[csr.row(node)]
+        .iter()
+        .any(|&target| target as usize == node)
 }
 
 #[cfg(test)]
@@ -325,9 +307,9 @@ mod tests {
             }
             let public = SccDecomposition::compute(&g);
             g.rebuild_adjacency();
-            let (offsets, index) = g.adjacency().expect("just rebuilt");
+            let csr = g.csr().expect("just rebuilt");
             let mut buffers = SccBuffers::default();
-            buffers.compute(g.node_count(), offsets, index, g.raw_arcs());
+            buffers.compute(g.node_count(), csr);
             assert_eq!(buffers.component_count(), public.component_count());
             for component in 0..public.component_count() {
                 let expected: Vec<u32> = public
@@ -337,10 +319,41 @@ mod tests {
                     .collect();
                 assert_eq!(buffers.component(component), expected.as_slice());
                 assert_eq!(
-                    buffers.is_cyclic_component(component, offsets, index, g.raw_arcs()),
+                    buffers.is_cyclic_component(component, csr),
                     public.is_cyclic_component(&g, component)
                 );
             }
+        }
+    }
+
+    /// A stale CSR index is never read: the decomposition of a graph whose
+    /// index predates an endpoint patch equals the one of the same graph
+    /// with its index rebuilt, and both match a fresh build.
+    #[test]
+    fn stale_adjacency_gives_the_same_components_as_a_current_one() {
+        let mut g = RatioGraph::new(4);
+        arc(&mut g, 0, 1);
+        arc(&mut g, 1, 0);
+        let moved = g.add_arc(g.node(2), g.node(3), Rational::ONE, Rational::ONE);
+        arc(&mut g, 3, 3);
+        g.rebuild_adjacency();
+        // The arc 2 -> 3 moves to 3 -> 2 and a new 2 -> 3 closes the circuit
+        // {2, 3}. The stale index still records the moved arc as 2 -> 3 and
+        // lacks the new one, so reading it would split {2, 3}.
+        g.patch_arc(moved, g.node(3), g.node(2), Rational::ONE, Rational::ONE);
+        arc(&mut g, 2, 3);
+        assert!(!g.adjacency_current());
+        let stale = SccDecomposition::compute(&g);
+        let stale_cyclic: Vec<bool> = (0..stale.component_count())
+            .map(|component| stale.is_cyclic_component(&g, component))
+            .collect();
+        let mut current = g.clone();
+        current.rebuild_adjacency();
+        let fresh = SccDecomposition::compute(&current);
+        assert_eq!(stale, fresh);
+        assert_eq!(stale.component_of(g.node(2)), stale.component_of(g.node(3)));
+        for (component, &cyclic) in stale_cyclic.iter().enumerate() {
+            assert_eq!(fresh.is_cyclic_component(&current, component), cyclic);
         }
     }
 }

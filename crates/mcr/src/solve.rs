@@ -27,9 +27,9 @@ use std::fmt;
 use csdf::{Rational, RationalError};
 
 use crate::cancel::CancelToken;
-use crate::graph::{build_csr, ArcId, NodeId, RatioGraph};
+use crate::graph::{ArcId, Csr, NodeId, RatioGraph};
 use crate::howard::{self, HowardOutcome};
-use crate::kernel;
+use crate::kernel::{self, IntWords};
 use crate::scc::SccBuffers;
 
 /// Errors raised by the MCRP solver.
@@ -200,11 +200,45 @@ pub(crate) type HowardKernel = fn(&RatioGraph, &mut Scratch, usize) -> HowardOut
 /// The integer kernel ([`crate::kernel`]), falling back to the scalar
 /// [`crate::howard`] kernel when the component's scaled weights overflow
 /// `i128`. Outcomes are bit-identical either way.
-fn integer_howard(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
+pub(crate) fn integer_howard(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
     kernel::howard_component_int(graph, scratch, n).unwrap_or_else(|| {
+        scratch.lanes.scalar += 1;
         scratch.ensure_component_rationals(graph);
         howard::howard_component(scratch, n)
     })
+}
+
+/// How many strongly connected components a [`Solver`] sent down each
+/// path, cumulative over every solve ([`Solver::lane_counts`]). Each cyclic
+/// component counts once: under the lane that solved it, whatever Howard's
+/// outcome (a component Howard hands to the parametric certifier still
+/// counts under its Howard lane), or under `parametric` when the
+/// [`SolverChoice`] never runs Howard on it. The integer lanes are described
+/// in the `kernel` module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LaneCounts {
+    /// Components Howard solved on `i64` words, unchecked.
+    pub int64: u64,
+    /// Components Howard solved on `i128` words, unchecked.
+    pub int128: u64,
+    /// Components Howard solved on `i128` words with checked arithmetic.
+    pub checked: u64,
+    /// Components the scalar `Rational` kernel solved because the integer
+    /// kernel overflowed.
+    pub scalar: u64,
+    /// Components sent straight to the parametric method.
+    pub parametric: u64,
+}
+
+impl LaneCounts {
+    /// Adds the counts of `other` to these.
+    pub fn merge(&mut self, other: &LaneCounts) {
+        self.int64 += other.int64;
+        self.int128 += other.int128;
+        self.checked += other.checked;
+        self.scalar += other.scalar;
+        self.parametric += other.parametric;
+    }
 }
 
 /// A start policy for Howard's policy iteration, and the policy a solve
@@ -279,8 +313,7 @@ pub struct Solver {
     /// Reusable SCC state and CSR adjacency for graphs whose own index is
     /// stale.
     scc: SccBuffers,
-    csr_offsets: Vec<u32>,
-    csr_index: Vec<ArcId>,
+    csr: Csr,
 }
 
 impl Solver {
@@ -309,6 +342,11 @@ impl Solver {
     /// (cumulative over every solve, both kernels).
     pub fn howard_rounds(&self) -> u64 {
         self.scratch.howard_rounds
+    }
+
+    /// Components solved per path so far (cumulative over every solve).
+    pub fn lane_counts(&self) -> LaneCounts {
+        self.scratch.lanes
     }
 
     /// Computes the maximum cost-to-time ratio of `graph` and a critical
@@ -352,24 +390,22 @@ impl Solver {
             choice,
             scratch,
             scc,
-            csr_offsets,
-            csr_index,
+            csr: own_csr,
         } = self;
         if scratch.cancel.is_cancelled() {
             return Err(McrError::Cancelled);
         }
-        let arcs = graph.raw_arcs();
         // Adjacency: borrow the graph's CSR index when current (the arena
         // rebuilds it after every patch), otherwise build one into the
         // solver-owned arrays (kept warm across solves).
-        let (offsets, index): (&[u32], &[ArcId]) = match graph.adjacency() {
-            Some(adjacency) => adjacency,
+        let csr: &Csr = match graph.csr() {
+            Some(csr) => csr,
             None => {
-                build_csr(graph.node_count(), arcs, csr_offsets, csr_index);
-                (csr_offsets, csr_index)
+                own_csr.build(graph.node_count(), graph.raw_arcs());
+                own_csr
             }
         };
-        scc.compute(graph.node_count(), offsets, index, arcs);
+        scc.compute(graph.node_count(), csr);
         scratch.prepare(graph.node_count());
         // The start is read per component; the final policy is written into
         // a fresh all-absent table.
@@ -382,12 +418,12 @@ impl Solver {
         let mut cyclic = false;
         let mut best: Option<(Rational, CriticalCycle)> = None;
         for component in 0..scc.component_count() {
-            if !scc.is_cyclic_component(component, offsets, index, arcs) {
+            if !scc.is_cyclic_component(component, csr) {
                 continue;
             }
             cyclic = true;
             let members = scc.component(component);
-            scratch.begin_component(graph, members, offsets, index);
+            scratch.begin_component(members, csr);
             scratch.load_start(members, &start);
             let outcome = solve_component(graph, scratch, *choice, howard, members.len());
             if let (Some(policy), true) =
@@ -430,6 +466,7 @@ fn solve_component(
     n: usize,
 ) -> Result<ComponentOutcome, McrError> {
     if !uses_howard(choice, n) {
+        scratch.lanes.parametric += 1;
         return parametric_component(graph, scratch, n, Rational::ZERO, None);
     }
     match howard(graph, scratch, n) {
@@ -527,17 +564,14 @@ pub(crate) struct Scratch {
     pub(crate) start: Vec<u32>,
     /// Cumulative count of Howard policy-evaluation rounds.
     pub(crate) howard_rounds: u64,
+    /// Cumulative components per path.
+    pub(crate) lanes: LaneCounts,
     pub(crate) gain: Vec<Rational>,
     pub(crate) value: Vec<Rational>,
-    // Integer Howard kernel state (see `crate::kernel`): arc costs/times as
-    // integer numerators over component-wide common denominators, gains as
-    // canonical reduced fractions, values as numerators over the gain
-    // denominator.
-    pub(crate) int_cost: Vec<i128>,
-    pub(crate) int_time: Vec<i128>,
-    pub(crate) int_gain_num: Vec<i128>,
-    pub(crate) int_gain_den: Vec<i128>,
-    pub(crate) int_value: Vec<i128>,
+    // Integer Howard kernel state, one set of words per width (see
+    // `crate::kernel`).
+    pub(crate) words64: IntWords<i64>,
+    pub(crate) words128: IntWords<i128>,
     // Stamped marker arrays shared by cycle walks/scans (valid when the entry
     // equals the current `epoch`).
     pub(crate) mark: Vec<u64>,
@@ -558,19 +592,13 @@ impl Scratch {
         }
     }
 
-    /// Loads one component into the dense view, reading adjacency from the
-    /// CSR slices (`offsets`/`index`). Arcs are grouped by source node simply
-    /// by scanning members in order. The load is lean: the per-arc
+    /// Loads one component into the dense view, reading adjacency (arc ids
+    /// and targets) from the CSR index. Arcs are grouped by source node
+    /// simply by scanning members in order. The load is lean: the per-arc
     /// `Rational` weight copies are skipped (the integer kernel reads weights
     /// straight from the graph through `arc_id`); any path that needs them
     /// calls [`Scratch::ensure_component_rationals`] first.
-    fn begin_component(
-        &mut self,
-        graph: &RatioGraph,
-        members: &[u32],
-        offsets: &[u32],
-        index: &[ArcId],
-    ) {
+    fn begin_component(&mut self, members: &[u32], csr: &Csr) {
         let n = members.len();
         for (local, &node) in members.iter().enumerate() {
             self.local_of[node as usize] = local;
@@ -583,9 +611,9 @@ impl Scratch {
         for (local, &node) in members.iter().enumerate() {
             let node = node as usize;
             self.first.push(self.arc_to.len());
-            for &arc_id in &index[offsets[node] as usize..offsets[node + 1] as usize] {
-                let arc = graph.arc(arc_id);
-                let to = self.local_of[arc.to.index()];
+            let row = csr.row(node);
+            for (&target, &arc_id) in csr.targets[row.clone()].iter().zip(&csr.arcs[row]) {
+                let to = self.local_of[target as usize];
                 if to == usize::MAX {
                     continue;
                 }

@@ -145,12 +145,13 @@ fn zero_deadline_cancels_before_the_solve() {
     assert_no_session_leak(&daemon);
 }
 
-/// A 100k-task single-SCC graph takes ~2.5 s of MCR solving when healthy
-/// (about 4 s for the whole uncancelled request on a 2-core host) — far
-/// beyond the request's deadline. The evaluation must die *by deadline*
-/// (the solver polls the [`kperiodic::CancelToken`] once per policy round,
-/// so even one huge component cannot outrun cancellation), never by
-/// hanging until the solve completes, and the daemon must stay live. Debug
+/// A 100k-task single-SCC graph takes ~1.8 s of MCR solving when healthy
+/// (about 4 s for the whole uncancelled request, parsing included, on a
+/// 2-core host) — far beyond the request's deadline. The evaluation must die
+/// *by deadline* (the solver polls the [`kperiodic::CancelToken`] once per
+/// policy round, so even one huge component cannot outrun cancellation),
+/// never by hanging until the solve completes, and the daemon must stay
+/// live. Debug
 /// builds skip it (the `ignore` is gated on `debug_assertions`; the graph
 /// alone is tens of MB of request text); in release builds it runs
 /// normally, and CI has a dedicated `cargo test --release -p csdf-service
