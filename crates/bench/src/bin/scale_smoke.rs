@@ -4,11 +4,13 @@
 //!
 //! CI runs this under a hard `timeout`, asserts a non-vacuous (finite)
 //! throughput, and — via `--check BENCH_TABLE1.json` — fails the build if
-//! the MCR-solve split regresses more than [`CHECK_FACTOR`]× over the
-//! committed baseline (the `"table":"scale_smoke"` line of that file with
-//! the same task count), mirroring the JPEG2000 sized-buffer guard: any
-//! regression of the event-graph construction path or the MCR solver at
-//! scale fails the build instead of silently slowing it down. The K-Iter
+//! the MCR-solve split or the whole K-Iter run regresses more than
+//! [`CHECK_FACTOR`]× over the committed baseline (the
+//! `"table":"scale_smoke"` line of that file with the same task count),
+//! mirroring the JPEG2000 sized-buffer guard: any regression of the
+//! event-graph construction path or the MCR solver at scale fails the build
+//! instead of silently slowing it down. The total matters on its own: the
+//! jump to `K = q` moves time from the solve into the build and the patch. The K-Iter
 //! trajectory is deterministic per graph, so `--check` also fails when the
 //! iteration count or the Howard round count differs from the baseline
 //! row's: a change to either (a solver lane that changed any decision, say)
@@ -25,7 +27,8 @@ use csdf_generators::{random_graph, RandomGraphConfig};
 use kiter_bench::json_escape;
 use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterOptions};
 
-/// A solve split slower than `baseline × CHECK_FACTOR` fails `--check`.
+/// A solve split or a total slower than `baseline × CHECK_FACTOR` fails
+/// `--check`.
 /// Generous on purpose: CI machines are noisy; a real regression (losing the
 /// integer kernel, re-deriving the event graph per iteration) is >4×.
 const CHECK_FACTOR: f64 = 3.0;
@@ -112,20 +115,22 @@ fn main() {
             &path,
             tasks,
             solve_ms,
+            total_ms,
             result.iterations,
             stats.howard_rounds,
         );
     }
 }
 
-/// Compares the measured solve split against the committed baseline (the
-/// `"table":"scale_smoke"` JSON line whose `"tasks"` matches), failing the
-/// process on a regression beyond [`CHECK_FACTOR`] or on any change of the
-/// iteration count or the Howard round count.
+/// Compares the measured solve split and total against the committed
+/// baseline (the `"table":"scale_smoke"` JSON line whose `"tasks"` matches),
+/// failing the process on a regression beyond [`CHECK_FACTOR`] or on any
+/// change of the iteration count or the Howard round count.
 fn check_against_baseline(
     path: &str,
     tasks: usize,
     solve_ms: f64,
+    total_ms: f64,
     iterations: usize,
     howard_rounds: u64,
 ) {
@@ -137,11 +142,18 @@ fn check_against_baseline(
         }
     };
     let baseline = baseline_line(&contents, tasks);
-    let (Some(baseline_solve_ms), Some(baseline_iterations), Some(baseline_rounds)) = (
+    let (
+        Some(baseline_solve_ms),
+        Some(baseline_total_ms),
+        Some(baseline_iterations),
+        Some(baseline_rounds),
+    ) = (
         baseline.and_then(|line| extract_number(line, "solve_ms")),
+        baseline.and_then(|line| extract_number(line, "total_ms")),
         baseline.and_then(|line| extract_number(line, "iterations")),
         baseline.and_then(|line| extract_number(line, "howard_rounds")),
-    ) else {
+    )
+    else {
         eprintln!(
             "check failed: no \"table\":\"scale_smoke\" baseline for {tasks} tasks in {path}"
         );
@@ -164,19 +176,24 @@ fn check_against_baseline(
         );
         std::process::exit(1);
     }
-    let limit = baseline_solve_ms * CHECK_FACTOR;
-    if solve_ms > limit {
+    for (what, measured, baseline) in [
+        ("solve split", solve_ms, baseline_solve_ms),
+        ("total", total_ms, baseline_total_ms),
+    ] {
+        let limit = baseline * CHECK_FACTOR;
+        if measured > limit {
+            eprintln!(
+                "perf-smoke gate failed: {what} {measured:.1} ms exceeds {CHECK_FACTOR}x \
+                 the committed baseline ({baseline:.1} ms -> limit {limit:.1} ms) at \
+                 {tasks} tasks"
+            );
+            std::process::exit(1);
+        }
         eprintln!(
-            "perf-smoke gate failed: solve split {solve_ms:.1} ms exceeds \
-             {CHECK_FACTOR}x the committed baseline ({baseline_solve_ms:.1} ms -> limit \
-             {limit:.1} ms) at {tasks} tasks"
+            "perf-smoke gate ok: {what} {measured:.1} ms within {CHECK_FACTOR}x of the \
+             {baseline:.1} ms baseline"
         );
-        std::process::exit(1);
     }
-    eprintln!(
-        "perf-smoke gate ok: solve split {solve_ms:.1} ms within {CHECK_FACTOR}x of \
-         the {baseline_solve_ms:.1} ms baseline"
-    );
 }
 
 /// Minimal JSONL scan (the stand-in environment has no serde): finds the

@@ -157,7 +157,9 @@ impl EventGraphArena {
     ///
     /// * [`AnalysisError::Model`] for inconsistent graphs, invalid `K`, or
     ///   arithmetic overflow;
-    /// * [`AnalysisError::EventGraphTooLarge`] when the limits are exceeded.
+    /// * [`AnalysisError::EventGraphTooLarge`] or
+    ///   [`AnalysisError::EventGraphTooManyArcs`] when the limits are
+    ///   exceeded.
     pub fn build(
         graph: &CsdfGraph,
         repetition: &RepetitionVector,
@@ -734,8 +736,8 @@ fn check_node_total(
 
 fn check_arc_total(total_arcs: usize, limits: &EventGraphLimits) -> Result<(), AnalysisError> {
     if total_arcs > limits.max_arcs {
-        return Err(AnalysisError::EventGraphTooLarge {
-            nodes: total_arcs,
+        return Err(AnalysisError::EventGraphTooManyArcs {
+            arcs: total_arcs,
             limit: limits.max_arcs,
         });
     }

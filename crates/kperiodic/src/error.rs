@@ -26,6 +26,13 @@ pub enum AnalysisError {
         /// The configured limit.
         limit: usize,
     },
+    /// The event graph grew beyond the configured arc budget.
+    EventGraphTooManyArcs {
+        /// Number of arcs the event graph would need.
+        arcs: usize,
+        /// The configured limit.
+        limit: usize,
+    },
     /// An [`EventGraphArena`](crate::EventGraphArena) was asked to update
     /// against a graph it was not built from (its cached blocks and arcs
     /// would silently be wrong); build a fresh arena instead.
@@ -56,6 +63,9 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::EventGraphTooLarge { nodes, limit } => {
                 write!(f, "event graph needs {nodes} nodes, limit is {limit}")
+            }
+            AnalysisError::EventGraphTooManyArcs { arcs, limit } => {
+                write!(f, "event graph needs {arcs} arcs, limit is {limit}")
             }
             AnalysisError::ArenaGraphMismatch => {
                 write!(

@@ -181,10 +181,12 @@ mod tests {
             max_nodes: 1000,
             max_arcs: 1,
         };
-        assert!(matches!(
-            EventGraphArena::build(&g, &q, &k, &limits),
-            Err(AnalysisError::EventGraphTooLarge { .. })
-        ));
+        let err = EventGraphArena::build(&g, &q, &k, &limits).unwrap_err();
+        assert_eq!(
+            err,
+            AnalysisError::EventGraphTooManyArcs { arcs: 2, limit: 1 }
+        );
+        assert_eq!(err.to_string(), "event graph needs 2 arcs, limit is 1");
     }
 
     #[test]

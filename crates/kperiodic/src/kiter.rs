@@ -1,5 +1,31 @@
 //! The K-Iter algorithm (Algorithm 1 of the paper) and its Theorem-4
 //! optimality test.
+//!
+//! Three mechanisms cut the number and the cost of the iterations; none of
+//! them changes the throughput, which Theorem 4 certifies either way:
+//!
+//! * **Every infeasible circuit raises K.** When the evaluation reports
+//!   several infeasible policy circuits, the paper's update
+//!   `K_t ← lcm(K_t, q̄_t)` is applied for each of them at once.
+//! * **Warm starts.** Each Howard solve after the first starts from the
+//!   previous iteration's final policy (see
+//!   [`EvaluationPipeline`](crate::EvaluationPipeline)).
+//! * **The jump to `K = q`.** `q̄_t` divides `q_t`, so the paper's update
+//!   keeps `K_t | q_t` for every task, and every vector it reaches lies below
+//!   `q`. At `K = q` every circuit passes Theorem 4, since `q̄_t | q_t = K_t`.
+//!   So when an iteration fails the test and the `K = q` event graph
+//!   (`N_q = Σ_t ϕ_t·q_t` live nodes) has at most
+//!   `FULL_PERIODICITY_FACTOR` (4) times that iteration's live nodes, and fits
+//!   the node limit, the next iteration evaluates `K = q` directly and
+//!   certifies there. If that evaluation fails for any reason but
+//!   cancellation (an arc limit, an overflow), the run resumes from the
+//!   vector the paper's update would have produced and never jumps again.
+//!
+//! The contract: the throughput is the one the paper's loop returns, bit for
+//! bit. The final K, the iteration count, the critical tasks, the final
+//! event-graph size and the Howard round counts may differ from it, but they
+//! are deterministic per graph and its limits, and a reused pipeline or
+//! session returns exactly what a fresh run returns.
 
 use csdf::{
     gcd_u64, lcm_u64, CsdfError, CsdfGraph, Rational, RepetitionVector, TaskId, Throughput,
@@ -9,6 +35,13 @@ use crate::analysis::{AnalysisOptions, EvaluationOutcome, EvaluationPipeline};
 use crate::arena::graph_fingerprint;
 use crate::error::AnalysisError;
 use crate::periodicity::PeriodicityVector;
+
+/// The K-Iter update jumps to `K = q` once the `K = q` event graph has at
+/// most this many times the live nodes of the iteration that failed
+/// Theorem 4 (see the [module docs](self)). Growing K step by step redoes the
+/// patch, the SCC pass and the Howard rounds on the whole graph every
+/// iteration; a bounded-size jump replaces all remaining iterations with one.
+const FULL_PERIODICITY_FACTOR: u128 = 4;
 
 /// Configuration of the K-Iter loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,8 +103,10 @@ impl KIterResult {
 ///
 /// * [`AnalysisError::Model`] if the graph is inconsistent or `i128`/`u64`
 ///   arithmetic overflows;
-/// * [`AnalysisError::EventGraphTooLarge`] / [`AnalysisError::IterationLimitReached`]
-///   when the default resource budgets are exceeded (use
+/// * [`AnalysisError::EventGraphTooLarge`] /
+///   [`AnalysisError::EventGraphTooManyArcs`] /
+///   [`AnalysisError::IterationLimitReached`] when the default resource
+///   budgets are exceeded (use
 ///   [`kiter_with_options`] to raise them).
 ///
 /// # Examples
@@ -158,14 +193,43 @@ pub(crate) fn kiter_with_repetition(
     let mut periodicity = PeriodicityVector::unitary(graph);
     let mut history = Vec::new();
     let max_iterations = pipeline.options().max_iterations.max(1);
-    // Tasks raised by the previous `apply_update`: the dirty set the arena
-    // patch is told about (empty on the first iteration, which builds).
+    let max_nodes = pipeline.options().limits.max_nodes as u128;
+    // Live nodes of the `K = q` event graph; `None` once a jump is ruled out
+    // for the rest of the run.
+    let mut full_nodes = full_periodicity_nodes(graph, repetition);
+    // Tasks raised by the previous update: the dirty set the arena patch is
+    // told about (empty on the first iteration, which builds).
     let mut dirty: Vec<TaskId> = Vec::new();
+    // After a jump to `K = q`: the vector the paper's update would have
+    // produced, evaluated instead if the jumped evaluation fails.
+    let mut fallback: Option<PeriodicityVector> = None;
 
     for iteration in 1..=max_iterations {
         let hint = (iteration > 1).then_some(dirty.as_slice());
         let evaluation =
-            pipeline.evaluate_keyed(graph, fingerprint, repetition, &periodicity, hint)?;
+            match pipeline.evaluate_keyed(graph, fingerprint, repetition, &periodicity, hint) {
+                Ok(evaluation) => evaluation,
+                Err(err) => match fallback.take() {
+                    // A jump must never turn an answer into an error (a
+                    // limit, an overflow): resume the paper's trajectory.
+                    // The failed evaluation dropped the arena and the warm
+                    // policy, so this one rebuilds from scratch.
+                    Some(paper) if err != AnalysisError::DeadlineExceeded => {
+                        periodicity = paper;
+                        full_nodes = None;
+                        pipeline.evaluate_keyed(
+                            graph,
+                            fingerprint,
+                            repetition,
+                            &periodicity,
+                            None,
+                        )?
+                    }
+                    _ => return Err(err),
+                },
+            };
+        fallback = None;
+        let live_nodes = evaluation.event_graph_size.0 as u128;
 
         let (mut circuits, period): (Vec<Vec<TaskId>>, _) = match evaluation.outcome {
             EvaluationOutcome::Unconstrained => {
@@ -240,12 +304,55 @@ pub(crate) fn kiter_with_repetition(
             });
         }
 
-        dirty = apply_update(&mut periodicity, &normalized)?;
+        let jump = full_nodes
+            .is_some_and(|full| full <= FULL_PERIODICITY_FACTOR * live_nodes && full <= max_nodes);
+        if jump {
+            let mut paper = periodicity.clone();
+            apply_update(&mut paper, &normalized)?;
+            dirty = raise_to_repetition(&mut periodicity, repetition)?;
+            fallback = Some(paper);
+        } else {
+            dirty = apply_update(&mut periodicity, &normalized)?;
+        }
+        debug_assert!(divides_repetition(&periodicity, repetition));
     }
 
     Err(AnalysisError::IterationLimitReached {
         iterations: max_iterations,
     })
+}
+
+/// Live node count `N_q = Σ_t ϕ_t·q_t` of the event graph at `K = q`, or
+/// `None` when it does not fit in `u128`.
+fn full_periodicity_nodes(graph: &CsdfGraph, repetition: &RepetitionVector) -> Option<u128> {
+    graph.tasks().try_fold(0u128, |total, (task, spec)| {
+        (spec.phase_count() as u128)
+            .checked_mul(u128::from(repetition.get(task)))
+            .and_then(|nodes| total.checked_add(nodes))
+    })
+}
+
+/// The jump: raises every `K_t` to `q_t` and reports the dirty set, the tasks
+/// whose `K_t` changed, sorted. Every `K_t` divides `q_t`, so this only
+/// raises.
+fn raise_to_repetition(
+    periodicity: &mut PeriodicityVector,
+    repetition: &RepetitionVector,
+) -> Result<Vec<TaskId>, AnalysisError> {
+    let mut dirty = Vec::new();
+    for task in (0..periodicity.len()).map(TaskId::new) {
+        if periodicity.raise(task, repetition.get(task))? {
+            dirty.push(task);
+        }
+    }
+    Ok(dirty)
+}
+
+/// Whether every `K_t` divides `q_t`: the invariant both update rules keep.
+fn divides_repetition(periodicity: &PeriodicityVector, repetition: &RepetitionVector) -> bool {
+    (0..periodicity.len())
+        .map(TaskId::new)
+        .all(|task| repetition.get(task) % periodicity.get(task) == 0)
 }
 
 /// The per-task values `q̄_t = q_t / gcd{q_{t'} : t' on the circuit}` for the
@@ -302,6 +409,7 @@ fn apply_update(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_graph::EventGraphLimits;
     use csdf::CsdfGraphBuilder;
 
     fn multirate_ring(tokens: u64) -> CsdfGraph {
@@ -314,6 +422,107 @@ mod tests {
         b.add_serializing_self_loop(x);
         b.add_serializing_self_loop(y);
         b.build().unwrap()
+    }
+
+    /// Two multirate rings sharing `y`, with `q = [1, rate, rate²]`: the
+    /// critical circuit moves from `y`–`z` to `x`–`y` as K grows.
+    fn ring_chain(rate: u64, x_duration: u64) -> CsdfGraph {
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_sdf_task("x", x_duration);
+        let y = b.add_sdf_task("y", 1);
+        let z = b.add_sdf_task("z", 1);
+        b.add_sdf_buffer(x, y, rate, 1, 0);
+        b.add_sdf_buffer(y, x, 1, rate, rate);
+        b.add_sdf_buffer(y, z, rate, 1, 0);
+        b.add_sdf_buffer(z, y, 1, rate, rate);
+        for task in [x, y, z] {
+            b.add_serializing_self_loop(task);
+        }
+        b.build().unwrap()
+    }
+
+    fn trajectory(result: &KIterResult) -> Vec<Vec<u64>> {
+        result
+            .history
+            .iter()
+            .map(|iteration| iteration.periodicity.as_slice().to_vec())
+            .collect()
+    }
+
+    fn with_limits(max_nodes: usize, max_arcs: usize) -> KIterOptions {
+        KIterOptions {
+            analysis: AnalysisOptions {
+                limits: EventGraphLimits {
+                    max_nodes,
+                    max_arcs,
+                },
+                ..AnalysisOptions::default()
+            },
+            record_history: true,
+        }
+    }
+
+    #[test]
+    fn a_full_expansion_beyond_the_factor_takes_the_lcm_path() {
+        // q = [1, 8, 64]: N_q = 73 nodes stays above 4·N(K) at every
+        // iteration (3, then 10), so K only grows by the paper's lcm rule
+        // and Theorem 4 certifies below q.
+        let g = ring_chain(8, 8);
+        let q = g.repetition_vector().unwrap();
+        assert_eq!(full_periodicity_nodes(&g, &q), Some(73));
+        let result = kiter_with_options(&g, &with_limits(usize::MAX, usize::MAX)).unwrap();
+        assert_eq!(result.iterations, 3);
+        assert_eq!(
+            trajectory(&result),
+            vec![vec![1, 1, 1], vec![1, 1, 8], vec![1, 8, 8]]
+        );
+        assert_eq!(
+            result.throughput,
+            Throughput::Finite(Rational::new(1, 72).unwrap())
+        );
+    }
+
+    #[test]
+    fn a_small_full_expansion_is_evaluated_directly() {
+        // q = [1, 4, 16]: N_q = 21 ≤ 4·6 after the second iteration, so the
+        // third evaluates K = q (the paper's rule would stop at [1, 4, 4]).
+        let g = ring_chain(4, 4);
+        let result = kiter_with_options(&g, &with_limits(usize::MAX, usize::MAX)).unwrap();
+        assert_eq!(
+            trajectory(&result),
+            vec![vec![1, 1, 1], vec![1, 1, 4], vec![1, 4, 16]]
+        );
+        assert_eq!(result.history.last().unwrap().event_graph_size, (21, 31));
+        assert_eq!(
+            result.throughput,
+            Throughput::Finite(Rational::new(1, 20).unwrap())
+        );
+    }
+
+    #[test]
+    fn tight_limits_refuse_or_undo_the_jump_without_changing_the_answer() {
+        let g = ring_chain(4, 4);
+        let unlimited = kiter_with_options(&g, &with_limits(usize::MAX, usize::MAX)).unwrap();
+        let paper = vec![vec![1, 1, 1], vec![1, 1, 4], vec![1, 4, 4]];
+        // N_q = 21 nodes over the node limit: the jump is refused, so no
+        // evaluation is spent on it. The K = q graph has 31 arcs: over the
+        // arc limit its evaluation fails, and the run resumes from the
+        // paper's update ([1, 4, 4], 19 arcs).
+        for (options, evaluations) in [
+            (with_limits(20, usize::MAX), 3),
+            (with_limits(usize::MAX, 20), 4),
+        ] {
+            let mut pipeline = EvaluationPipeline::new(options.analysis);
+            let limited = kiter_with_pipeline(&g, &options, &mut pipeline).unwrap();
+            assert_eq!(limited.throughput, unlimited.throughput);
+            assert_eq!(trajectory(&limited), paper);
+            assert_eq!(limited.iterations, 3);
+            assert_eq!(pipeline.stats().evaluations, evaluations);
+            // A reused pipeline returns what the fresh run returned.
+            let reused = kiter_with_pipeline(&g, &options, &mut pipeline).unwrap();
+            assert_eq!(reused, limited);
+            assert_eq!(kiter_with_options(&g, &options).unwrap(), limited);
+        }
     }
 
     #[test]

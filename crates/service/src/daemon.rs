@@ -150,7 +150,8 @@ impl From<AnalysisError> for ServiceError {
             | AnalysisError::ArenaGraphMismatch => ErrorKind::InvalidGraph,
             AnalysisError::Solver(_)
             | AnalysisError::IterationLimitReached { .. }
-            | AnalysisError::EventGraphTooLarge { .. } => ErrorKind::Evaluation,
+            | AnalysisError::EventGraphTooLarge { .. }
+            | AnalysisError::EventGraphTooManyArcs { .. } => ErrorKind::Evaluation,
         };
         ServiceError::new(kind, error.to_string())
     }

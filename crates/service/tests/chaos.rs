@@ -145,9 +145,9 @@ fn zero_deadline_cancels_before_the_solve() {
     assert_no_session_leak(&daemon);
 }
 
-/// A 100k-task single-SCC graph takes ~1.8 s of MCR solving when healthy
-/// (about 4 s for the whole uncancelled request, parsing included, on a
-/// 2-core host) — far beyond the request's deadline. The evaluation must die
+/// A 100k-task single-SCC graph takes ~1 s of K-Iter when healthy (about
+/// 2 s for the whole uncancelled request, parsing included, on a 2-core
+/// host) — far beyond the request's deadline. The evaluation must die
 /// *by deadline* (the solver polls the [`kperiodic::CancelToken`] once per
 /// policy round, so even one huge component cannot outrun cancellation),
 /// never by hanging until the solve completes, and the daemon must stay
@@ -185,7 +185,7 @@ fn hundred_k_task_request_dies_by_deadline_not_by_hang() {
     );
     assert_eq!(field(&hit, "id").as_i128(), Some(1));
     // Generous bound (parsing tens of MB of request text is itself seconds
-    // of work on a slow host). It is above the ~4 s an uncancelled request
+    // of work on a slow host). It is above the ~2 s an uncancelled request
     // costs on a 2-core host, so the `deadline_exceeded` kind asserted above,
     // not this bound, is what shows the evaluation died by deadline.
     assert!(

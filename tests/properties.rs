@@ -132,6 +132,61 @@ fn shrink_capacities_and_compare(seed: u64, tasks: usize) -> Result<usize, TestC
     Ok(several)
 }
 
+/// K-Iter evaluates `K = q` as soon as that event graph has at most four
+/// times the live nodes of an iteration that failed Theorem 4. On these
+/// families (`q_t ≤ 3`) the full expansion has at most three times the
+/// unitary graph's nodes, so every run ends within two iterations, the
+/// second at `K = q`, and must still agree with symbolic execution and the
+/// HSDF expansion. Returns whether the run jumped.
+fn jump_and_compare(seed: u64, tasks: usize, phases: usize) -> Result<bool, TestCaseError> {
+    let graph = random_graph(&small_config(phases, tasks), seed).expect("generator");
+    let q = graph.repetition_vector().expect("consistent");
+    let (unitary_nodes, full_nodes) = graph.tasks().fold((0, 0), |(one, full), (task, spec)| {
+        let phases = spec.phase_count() as u64;
+        (one + phases, full + phases * q.get(task))
+    });
+    prop_assert!(full_nodes <= 4 * unitary_nodes);
+    let kiter = optimal_throughput(&graph).expect("kiter");
+    prop_assert!(
+        kiter.iterations <= 2,
+        "seed {}: {} iterations",
+        seed,
+        kiter.iterations
+    );
+    let jumped = kiter.iterations == 2;
+    if jumped {
+        prop_assert_eq!(&kiter.periodicity, &PeriodicityVector::full(&q));
+    }
+    let budget = Budget::default();
+    let references = [
+        symbolic_execution_throughput(&graph, &budget).expect("symbolic"),
+        expansion_throughput(&graph, &budget).expect("expansion"),
+    ];
+    for reference in references
+        .iter()
+        .filter_map(kiter::MethodResult::throughput)
+    {
+        prop_assert!(
+            kiter.throughput == reference,
+            "seed {}: K-Iter {} vs {}",
+            seed,
+            kiter.throughput,
+            reference
+        );
+    }
+    Ok(jumped)
+}
+
+/// [`jump_and_compare`] is not vacuous: over a fixed set of seeds, some
+/// runs do jump.
+#[test]
+fn some_random_runs_jump_to_the_full_expansion() {
+    let jumped = (0..24u64)
+        .filter(|&seed| jump_and_compare(seed, 5, 2).expect("agreement"))
+        .count();
+    assert!(jumped > 0, "no run jumped");
+}
+
 /// [`shrink_capacities_and_compare`] is not vacuous: over a fixed set of
 /// seeds, some steps do have several under-marked circuits at once.
 #[test]
@@ -158,6 +213,12 @@ proptest! {
         if let Some(reference) = symbolic.throughput() {
             prop_assert_eq!(kiter.throughput, reference);
         }
+    }
+
+    /// The jump to `K = q` keeps K-Iter exact, within two iterations.
+    #[test]
+    fn jumped_runs_agree_with_symbolic_execution_and_expansion(seed in 0u64..5_000, tasks in 3usize..6, phases in 1usize..4) {
+        jump_and_compare(seed, tasks, phases)?;
     }
 
     /// K-Iter raises K on every infeasible policy circuit at once; shrinking
