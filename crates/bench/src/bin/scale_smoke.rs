@@ -1,12 +1,15 @@
 //! Scalability smoke test: one large locality-bounded random CSDF graph
 //! through K-Iter, printing one JSON line with the outcome and the
-//! pipeline's construction/solve time split.
+//! pipeline's construction/solve time split. It also times loading the
+//! graph: parsing its text form (which must give the generated graph back)
+//! and computing its repetition vector, each the median of
+//! [`LOAD_REPEATS`] runs.
 //!
 //! CI runs this under a hard `timeout`, asserts a non-vacuous (finite)
 //! throughput, and — via `--check BENCH_TABLE1.json` — fails the build if
-//! the MCR-solve split or the whole K-Iter run regresses more than
-//! [`CHECK_FACTOR`]× over the committed baseline (the
-//! `"table":"scale_smoke"` line of that file with the same task count),
+//! the MCR-solve split, the whole K-Iter run, the parse or the repetition
+//! vector regresses more than [`CHECK_FACTOR`]× over the committed baseline
+//! (the `"table":"scale_smoke"` line of that file with the same task count),
 //! mirroring the JPEG2000 sized-buffer guard: any regression of the
 //! event-graph construction path or the MCR solver at scale fails the build
 //! instead of silently slowing it down. The total matters on its own: the
@@ -33,6 +36,10 @@ use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterO
 /// integer kernel, re-deriving the event graph per iteration) is >4×.
 const CHECK_FACTOR: f64 = 3.0;
 
+/// Parse and repetition-vector times are medians of this many runs: a
+/// single run of a few milliseconds is too noisy to gate.
+const LOAD_REPEATS: usize = 5;
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut check_path: Option<String> = None;
@@ -56,6 +63,18 @@ fn main() {
 
     let graph = random_graph(&RandomGraphConfig::large(tasks), 0xD0C5)
         .expect("large random graph generates");
+
+    let text = csdf::text::to_text(&graph);
+    let (parsed, parse_ms) = median_timed(|| csdf::text::parse(&text));
+    if parsed.as_ref() != Ok(&graph) {
+        eprintln!("smoke failed: the text form does not parse back to the graph: {parsed:?}");
+        std::process::exit(1);
+    }
+    let (repetition, repetition_ms) = median_timed(|| graph.repetition_vector());
+    if let Err(err) = repetition {
+        eprintln!("smoke failed: no repetition vector: {err}");
+        std::process::exit(1);
+    }
 
     let started = Instant::now();
     let mut pipeline = EvaluationPipeline::new(AnalysisOptions::default());
@@ -81,7 +100,8 @@ fn main() {
     let solve_ms = stats.solve_time.as_secs_f64() * 1e3;
     println!(
         "{{\"tasks\":{},\"buffers\":{},\"nproc\":{nproc},\"throughput\":\"{}\",\
-         \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"total_ms\":{total_ms:.1},\
+         \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"parse_ms\":{parse_ms:.2},\
+         \"repetition_ms\":{repetition_ms:.2},\"total_ms\":{total_ms:.1},\
          \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{solve_ms:.1},\
          \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"lanes\":{{\"i64\":{},\
          \"i128\":{},\"checked\":{},\"scalar\":{},\"parametric\":{}}},\"patched\":{},\
@@ -114,23 +134,43 @@ fn main() {
         check_against_baseline(
             &path,
             tasks,
-            solve_ms,
-            total_ms,
+            &[
+                ("parse", "parse_ms", parse_ms),
+                ("repetition vector", "repetition_ms", repetition_ms),
+                ("solve split", "solve_ms", solve_ms),
+                ("total", "total_ms", total_ms),
+            ],
             result.iterations,
             stats.howard_rounds,
         );
     }
 }
 
-/// Compares the measured solve split and total against the committed
-/// baseline (the `"table":"scale_smoke"` JSON line whose `"tasks"` matches),
-/// failing the process on a regression beyond [`CHECK_FACTOR`] or on any
-/// change of the iteration count or the Howard round count.
+/// Runs `load` [`LOAD_REPEATS`] times; returns the last result and the
+/// median time in milliseconds.
+fn median_timed<T>(mut load: impl FnMut() -> T) -> (T, f64) {
+    let mut times = Vec::with_capacity(LOAD_REPEATS);
+    let mut result = None;
+    for _ in 0..LOAD_REPEATS {
+        let started = Instant::now();
+        let loaded = load();
+        times.push(started.elapsed().as_secs_f64() * 1e3);
+        // The previous result drops outside the timed section.
+        result = Some(loaded);
+    }
+    times.sort_by(f64::total_cmp);
+    (result.expect("at least one run"), times[LOAD_REPEATS / 2])
+}
+
+/// Compares the measured times — `(what, baseline key, milliseconds)` —
+/// against the committed baseline (the `"table":"scale_smoke"` JSON line
+/// whose `"tasks"` matches), failing the process on a regression beyond
+/// [`CHECK_FACTOR`] or on any change of the iteration count or the Howard
+/// round count.
 fn check_against_baseline(
     path: &str,
     tasks: usize,
-    solve_ms: f64,
-    total_ms: f64,
+    timings: &[(&str, &str, f64)],
     iterations: usize,
     howard_rounds: u64,
 ) {
@@ -142,18 +182,15 @@ fn check_against_baseline(
         }
     };
     let baseline = baseline_line(&contents, tasks);
-    let (
-        Some(baseline_solve_ms),
-        Some(baseline_total_ms),
-        Some(baseline_iterations),
-        Some(baseline_rounds),
-    ) = (
-        baseline.and_then(|line| extract_number(line, "solve_ms")),
-        baseline.and_then(|line| extract_number(line, "total_ms")),
+    let baseline_times: Option<Vec<f64>> = timings
+        .iter()
+        .map(|&(_, key, _)| baseline.and_then(|line| extract_number(line, key)))
+        .collect();
+    let (Some(baseline_times), Some(baseline_iterations), Some(baseline_rounds)) = (
+        baseline_times,
         baseline.and_then(|line| extract_number(line, "iterations")),
         baseline.and_then(|line| extract_number(line, "howard_rounds")),
-    )
-    else {
+    ) else {
         eprintln!(
             "check failed: no \"table\":\"scale_smoke\" baseline for {tasks} tasks in {path}"
         );
@@ -176,22 +213,19 @@ fn check_against_baseline(
         );
         std::process::exit(1);
     }
-    for (what, measured, baseline) in [
-        ("solve split", solve_ms, baseline_solve_ms),
-        ("total", total_ms, baseline_total_ms),
-    ] {
+    for (&(what, _, measured), baseline) in timings.iter().zip(baseline_times) {
         let limit = baseline * CHECK_FACTOR;
         if measured > limit {
             eprintln!(
-                "perf-smoke gate failed: {what} {measured:.1} ms exceeds {CHECK_FACTOR}x \
-                 the committed baseline ({baseline:.1} ms -> limit {limit:.1} ms) at \
+                "perf-smoke gate failed: {what} {measured:.2} ms exceeds {CHECK_FACTOR}x \
+                 the committed baseline ({baseline:.2} ms -> limit {limit:.2} ms) at \
                  {tasks} tasks"
             );
             std::process::exit(1);
         }
         eprintln!(
-            "perf-smoke gate ok: {what} {measured:.1} ms within {CHECK_FACTOR}x of the \
-             {baseline:.1} ms baseline"
+            "perf-smoke gate ok: {what} {measured:.2} ms within {CHECK_FACTOR}x of the \
+             {baseline:.2} ms baseline"
         );
     }
 }

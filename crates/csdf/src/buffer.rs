@@ -78,6 +78,30 @@ impl Buffer {
         }
     }
 
+    /// A buffer whose rate vectors the [`crate::CsdfGraphBuilder`] has yet
+    /// to validate against its tasks' phase counts.
+    pub(crate) fn unvalidated(
+        source: TaskId,
+        target: TaskId,
+        production: Vec<u64>,
+        consumption: Vec<u64>,
+        initial_tokens: u64,
+    ) -> Self {
+        Buffer {
+            source,
+            target,
+            production,
+            consumption,
+            initial_tokens,
+        }
+    }
+
+    /// Points the buffer at other tasks, for a builder resolving names late.
+    pub(crate) fn set_endpoints(&mut self, source: TaskId, target: TaskId) {
+        self.source = source;
+        self.target = target;
+    }
+
     /// The producing task `t`.
     pub fn source(&self) -> TaskId {
         self.source

@@ -30,16 +30,8 @@ use crate::task::{Task, TaskId};
 pub struct CsdfGraphBuilder {
     name: String,
     tasks: Vec<Task>,
-    buffers: Vec<PendingBuffer>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingBuffer {
-    source: TaskId,
-    target: TaskId,
-    production: Vec<u64>,
-    consumption: Vec<u64>,
-    initial_tokens: u64,
+    /// Validated by `build`, then moved into the graph as they are.
+    buffers: Vec<Buffer>,
 }
 
 impl CsdfGraphBuilder {
@@ -90,14 +82,32 @@ impl CsdfGraphBuilder {
         initial_tokens: u64,
     ) -> BufferId {
         let id = BufferId(self.buffers.len());
-        self.buffers.push(PendingBuffer {
+        self.buffers.push(Buffer::unvalidated(
             source,
             target,
             production,
             consumption,
             initial_tokens,
-        });
+        ));
         id
+    }
+
+    /// Renames the graph being built: the text parser learns the name a
+    /// graph keeps only at its first task line.
+    pub(crate) fn set_name(&mut self, name: &str) {
+        name.clone_into(&mut self.name);
+    }
+
+    /// Points an added buffer at other tasks: the text parser adds a buffer
+    /// that names a task not declared yet, and resolves it after the last
+    /// line.
+    pub(crate) fn set_buffer_endpoints(
+        &mut self,
+        buffer: BufferId,
+        source: TaskId,
+        target: TaskId,
+    ) {
+        self.buffers[buffer.index()].set_endpoints(source, target);
     }
 
     /// Adds an SDF buffer (scalar rates) from `source` to `target`.
@@ -155,58 +165,60 @@ impl CsdfGraphBuilder {
     /// * [`CsdfError::ZeroRateBuffer`] if a buffer never produces or never
     ///   consumes any token.
     pub fn build(self) -> Result<CsdfGraph, CsdfError> {
-        if self.tasks.is_empty() {
-            return Err(CsdfError::EmptyGraph);
-        }
-        let mut names = HashSet::new();
-        for task in &self.tasks {
-            if task.durations() == [u64::MAX] {
-                return Err(CsdfError::EmptyPhases(task.name().to_string()));
-            }
-            if !names.insert(task.name().to_string()) {
-                return Err(CsdfError::DuplicateTaskName(task.name().to_string()));
-            }
-        }
-        let mut buffers = Vec::with_capacity(self.buffers.len());
-        for (index, pending) in self.buffers.into_iter().enumerate() {
+        self.check_tasks()?;
+        for (index, buffer) in self.buffers.iter().enumerate() {
             let source = self
                 .tasks
-                .get(pending.source.index())
-                .ok_or(CsdfError::TaskIndexOutOfRange(pending.source.index()))?;
+                .get(buffer.source().index())
+                .ok_or(CsdfError::TaskIndexOutOfRange(buffer.source().index()))?;
             let target = self
                 .tasks
-                .get(pending.target.index())
-                .ok_or(CsdfError::TaskIndexOutOfRange(pending.target.index()))?;
-            if pending.production.len() != source.phase_count() {
+                .get(buffer.target().index())
+                .ok_or(CsdfError::TaskIndexOutOfRange(buffer.target().index()))?;
+            if buffer.production().len() != source.phase_count() {
                 return Err(CsdfError::RateLengthMismatch {
                     task: source.name().to_string(),
                     phases: source.phase_count(),
-                    rate_len: pending.production.len(),
+                    rate_len: buffer.production().len(),
                 });
             }
-            if pending.consumption.len() != target.phase_count() {
+            if buffer.consumption().len() != target.phase_count() {
                 return Err(CsdfError::RateLengthMismatch {
                     task: target.name().to_string(),
                     phases: target.phase_count(),
-                    rate_len: pending.consumption.len(),
+                    rate_len: buffer.consumption().len(),
                 });
             }
-            let total_production: u64 = pending.production.iter().sum();
-            let total_consumption: u64 = pending.consumption.iter().sum();
-            if total_production == 0 || total_consumption == 0 {
+            if buffer.total_production() == 0 || buffer.total_consumption() == 0 {
                 return Err(CsdfError::ZeroRateBuffer {
                     buffer: crate::BufferRef::new(index, source.name(), target.name()),
                 });
             }
-            buffers.push(Buffer::new(
-                pending.source,
-                pending.target,
-                pending.production,
-                pending.consumption,
-                pending.initial_tokens,
-            ));
         }
+        let mut buffers = self.buffers;
+        // Drops the growth slack, in place: the graph keeps its buffers.
+        buffers.shrink_to_fit();
         Ok(CsdfGraph::from_parts(self.name, self.tasks, buffers))
+    }
+
+    /// The task half of [`CsdfGraphBuilder::build`]'s validation: the first
+    /// empty-phase or duplicate-name error in declaration order. The text
+    /// parser also calls it to rank task errors above unresolved buffer
+    /// endpoints.
+    pub(crate) fn check_tasks(&self) -> Result<(), CsdfError> {
+        if self.tasks.is_empty() {
+            return Err(CsdfError::EmptyGraph);
+        }
+        let mut names = HashSet::with_capacity(self.tasks.len());
+        for task in &self.tasks {
+            if task.durations() == [u64::MAX] {
+                return Err(CsdfError::EmptyPhases(task.name().to_string()));
+            }
+            if !names.insert(task.name()) {
+                return Err(CsdfError::DuplicateTaskName(task.name().to_string()));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -6,11 +6,9 @@
 //! weakly-connected component) is the repetition vector; it gives the number
 //! of iterations of every task inside one graph iteration.
 
-use std::collections::VecDeque;
-
 use crate::error::CsdfError;
 use crate::graph::CsdfGraph;
-use crate::rational::{gcd_i128, Rational};
+use crate::rational::{gcd_u128, gcd_u64, lcm_u64, RationalError};
 use crate::task::TaskId;
 
 /// The repetition vector `q` of a consistent CSDF graph.
@@ -39,119 +37,95 @@ pub struct RepetitionVector {
 impl RepetitionVector {
     /// Computes the repetition vector of `graph`.
     ///
+    /// A breadth-first propagation per weakly-connected component assigns
+    /// every task its fraction `q_t / q_start`, then each component is
+    /// scaled to the smallest integers. Both steps are linear in the graph
+    /// size.
+    ///
     /// # Errors
     ///
     /// * [`CsdfError::Inconsistent`] when the balance equations admit no
-    ///   positive solution.
+    ///   positive solution, naming the first buffer (in propagation order)
+    ///   that contradicts them.
+    /// * [`CsdfError::Rational`] when a propagated fraction leaves the
+    ///   [`Rational`](crate::Rational) range.
     /// * [`CsdfError::Overflow`] when an entry exceeds `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the component traversal invariant breaks (a task is
-    /// dequeued before its fraction is assigned).
     pub fn compute(graph: &CsdfGraph) -> Result<Self, CsdfError> {
         let n = graph.task_count();
-        let mut fractions: Vec<Option<Rational>> = vec![None; n];
-        // Undirected adjacency over buffers for component traversal.
-        let mut component = vec![usize::MAX; n];
-        let mut component_count = 0usize;
+        // Every buffer's endpoints and `i_b / o_b` in lowest terms, packed
+        // so a visit reads one entry. The builder rejects buffers whose
+        // totals are zero.
+        let edges: Vec<(TaskId, TaskId, u64, u64)> = graph
+            .buffers()
+            .map(|(_, buffer)| {
+                let (i, o) = (buffer.total_production(), buffer.total_consumption());
+                let g = gcd_u64(i, o);
+                (buffer.source(), buffer.target(), i / g, o / g)
+            })
+            .collect();
+        // `q_t / q_start` in lowest terms; a zero denominator marks a task
+        // not reached yet.
+        let mut fractions: Vec<(u128, u128)> = vec![(0, 0); n];
+        // Tasks in visit order, which is also the breadth-first queue: each
+        // component is one contiguous run, ending at `component_ends`.
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut component_ends: Vec<usize> = Vec::new();
 
         for start in 0..n {
-            if fractions[start].is_some() {
+            if fractions[start].1 != 0 {
                 continue;
             }
-            let component_id = component_count;
-            component_count += 1;
-            fractions[start] = Some(Rational::ONE);
-            component[start] = component_id;
-            let mut queue = VecDeque::new();
-            queue.push_back(TaskId::new(start));
-            while let Some(task) = queue.pop_front() {
-                let task_fraction = fractions[task.index()].expect("assigned before queueing");
-                let neighbours = graph
-                    .outgoing(task)
-                    .iter()
-                    .chain(graph.incoming(task).iter())
-                    .copied();
-                for buffer_id in neighbours {
-                    let buffer = graph.buffer(buffer_id);
-                    let (other, ratio) = if buffer.source() == task {
-                        // q_other = q_task * i_b / o_b
-                        (
-                            buffer.target(),
-                            Rational::new(
-                                buffer.total_production() as i128,
-                                buffer.total_consumption() as i128,
-                            )?,
-                        )
+            fractions[start] = (1, 1);
+            let mut head = order.len();
+            order.push(start);
+            while let Some(&index) = order.get(head) {
+                head += 1;
+                let task = TaskId::new(index);
+                let fraction = fractions[index];
+                for &buffer_id in graph.outgoing(task).iter().chain(graph.incoming(task)) {
+                    let (source, target, i, o) = edges[buffer_id.index()];
+                    // q_other = q_task · i_b / o_b downstream, · o_b / i_b upstream.
+                    let (other, expected) = if source == task {
+                        (target, multiply(fraction, i, o))
                     } else {
-                        (
-                            buffer.source(),
-                            Rational::new(
-                                buffer.total_consumption() as i128,
-                                buffer.total_production() as i128,
-                            )?,
-                        )
+                        (source, multiply(fraction, o, i))
                     };
-                    let expected = task_fraction.checked_mul(&ratio)?;
-                    match fractions[other.index()] {
-                        None => {
-                            fractions[other.index()] = Some(expected);
-                            component[other.index()] = component_id;
-                            queue.push_back(other);
-                        }
-                        Some(existing) => {
-                            if existing != expected {
-                                return Err(CsdfError::Inconsistent {
-                                    buffer: graph.buffer_ref(buffer_id),
-                                });
-                            }
-                        }
+                    let expected = expected.ok_or(CsdfError::Rational(RationalError::Overflow))?;
+                    let slot = &mut fractions[other.index()];
+                    if slot.1 == 0 {
+                        *slot = expected;
+                        order.push(other.index());
+                    } else if *slot != expected {
+                        return Err(CsdfError::Inconsistent {
+                            buffer: graph.buffer_ref(buffer_id),
+                        });
                     }
                 }
             }
+            component_ends.push(order.len());
         }
 
-        // Scale each component independently so that all entries are positive
-        // integers with overall gcd 1 within the component.
+        // Scale each component to integers: q_t = num_t · (L / den_t) with L
+        // the lcm of the component's denominators. These entries have gcd 1
+        // already: a prime outside L misses the start task's entry, which is
+        // L itself, and a prime in L misses q_t for a den_t holding all of
+        // its power in L, as num_t and den_t are coprime.
         let mut entries = vec![0u64; n];
-        for component_id in 0..component_count {
-            let members: Vec<usize> = (0..n).filter(|&t| component[t] == component_id).collect();
-            let mut denominator_lcm: i128 = 1;
-            for &t in &members {
-                let f = fractions[t].expect("all tasks assigned");
-                let d = f.denom();
-                let g = gcd_i128(denominator_lcm, d);
-                denominator_lcm = denominator_lcm
-                    .checked_div(g)
-                    .and_then(|x| x.checked_mul(d))
+        let mut begin = 0;
+        for end in component_ends {
+            let members = &order[begin..end];
+            begin = end;
+            let mut lcm = 1u64;
+            for &t in members {
+                let den = u64::try_from(fractions[t].1).map_err(|_| CsdfError::Overflow)?;
+                lcm = lcm_u64(lcm, den).map_err(|_| CsdfError::Overflow)?;
+            }
+            for &t in members {
+                let (num, den) = fractions[t];
+                entries[t] = u64::try_from(num)
+                    .ok()
+                    .and_then(|num| num.checked_mul(lcm / den as u64))
                     .ok_or(CsdfError::Overflow)?;
-            }
-            let mut scaled: Vec<i128> = Vec::with_capacity(members.len());
-            for &t in &members {
-                let f = fractions[t].expect("all tasks assigned");
-                let value = f
-                    .numer()
-                    .checked_mul(denominator_lcm / f.denom())
-                    .ok_or(CsdfError::Overflow)?;
-                scaled.push(value);
-            }
-            let mut overall_gcd: i128 = 0;
-            for &value in &scaled {
-                overall_gcd = gcd_i128(overall_gcd, value);
-            }
-            if overall_gcd == 0 {
-                overall_gcd = 1;
-            }
-            for (&t, &value) in members.iter().zip(&scaled) {
-                let reduced = value / overall_gcd;
-                if reduced <= 0 {
-                    // Fractions are products of positive ratios, so a
-                    // non-positive entry can only mean sign corruption from
-                    // an undetected arithmetic failure.
-                    return Err(CsdfError::Overflow);
-                }
-                entries[t] = u64::try_from(reduced).map_err(|_| CsdfError::Overflow)?;
             }
         }
 
@@ -197,6 +171,39 @@ impl RepetitionVector {
             let rhs = self.get(b.target()) as u128 * b.total_consumption() as u128;
             lhs == rhs
         })
+    }
+}
+
+/// `(num / den) · (a / b)` in lowest terms, for operands in lowest terms, or
+/// `None` when a term exceeds `i128::MAX`, the range of
+/// [`Rational`](crate::Rational) the propagation has always reported as
+/// overflow. Cross-reducing first keeps the product in lowest terms.
+fn multiply((num, den): (u128, u128), a: u64, b: u64) -> Option<(u128, u128)> {
+    if a == b {
+        // A balanced buffer (every self-loop among them): `a / b` is 1.
+        return Some((num, den));
+    }
+    let (a, b) = (u128::from(a), u128::from(b));
+    let (g1, g2) = (gcd(num, b), gcd(a, den));
+    let num = divide(num, g1).checked_mul(divide(a, g2))?;
+    let den = divide(den, g2).checked_mul(divide(b, g1))?;
+    let limit = i128::MAX as u128;
+    (num <= limit && den <= limit).then_some((num, den))
+}
+
+/// GCD on hardware 64-bit division whenever both operands fit.
+fn gcd(a: u128, b: u128) -> u128 {
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => u128::from(gcd_u64(a, b)),
+        _ => gcd_u128(a, b),
+    }
+}
+
+/// `a / b` on hardware 64-bit division whenever both operands fit.
+fn divide(a: u128, b: u128) -> u128 {
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => u128::from(a / b),
+        _ => a / b,
     }
 }
 
@@ -302,6 +309,30 @@ mod tests {
         assert_eq!(q.get(a), 4);
         assert_eq!(q.get(c), 2);
         assert_eq!(q.get(d), 1);
+    }
+
+    #[test]
+    fn many_components_take_linear_time() {
+        // 100k isolated tasks and 20k two-task components: scanning every
+        // task once per component took minutes here.
+        let mut b = CsdfGraphBuilder::new();
+        for index in 0..100_000 {
+            b.add_sdf_task(format!("lone{index}"), 1);
+        }
+        for index in 0..20_000 {
+            let x = b.add_sdf_task(format!("x{index}"), 1);
+            let y = b.add_sdf_task(format!("y{index}"), 1);
+            b.add_sdf_buffer(x, y, 3, 2, 0);
+        }
+        let g = b.build().unwrap();
+        let started = std::time::Instant::now();
+        let q = g.repetition_vector().unwrap();
+        let elapsed = started.elapsed();
+        assert!(q.as_slice()[..100_000].iter().all(|&entry| entry == 1));
+        assert!(q.as_slice()[100_000..].chunks(2).all(|pair| pair == [2, 3]));
+        // About 0.1 s in a debug build; the bound only catches a return to
+        // quadratic time.
+        assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
     }
 
     #[test]

@@ -13,13 +13,39 @@
 //! buffer A -> B prod=2,3 cons=5 tokens=4
 //! ```
 //!
+//! Lines end at `\n`; a `\r` before it is whitespace. Words are separated by
+//! any run of Unicode whitespace, exactly as [`str::split_whitespace`]
+//! separates them, so tabs, U+00A0 and U+3000 separate words too. A line
+//! whose first word starts with `#` is a comment, and words after a line's
+//! last field are ignored. A `graph` line names the graph only before the
+//! first `task` line. Rates, durations and `tokens` are decimal `u64`
+//! values; `prod=`, `cons=` and `durations=` take comma-separated lists,
+//! `tokens=` takes exactly one value. Tasks may be declared after the
+//! buffers that use them.
+//!
+//! When a text has several faults, [`parse`] reports the first of:
+//!
+//! 1. the first line with a syntax error ([`CsdfError::Parse`]);
+//! 2. no task at all ([`CsdfError::EmptyGraph`]);
+//! 3. the first task, in declaration order, with a duplicate name
+//!    ([`CsdfError::DuplicateTaskName`]) or with the single duration
+//!    `u64::MAX`, which the builder reserves for a task without phases
+//!    ([`CsdfError::EmptyPhases`]);
+//! 4. the first buffer naming an unknown task ([`CsdfError::Parse`]);
+//! 5. the first buffer whose rate lists do not match its tasks' phase counts
+//!    or sum to zero.
+//!
 //! Real benchmark files in the SDF3 `<sdf>`/`<csdf>` XML format are imported
 //! with [`parse_sdf3_xml`].
 
+use std::collections::HashMap;
+
+use crate::buffer::BufferId;
 use crate::builder::CsdfGraphBuilder;
 use crate::error::CsdfError;
 use crate::graph::CsdfGraph;
 use crate::source::SourceMap;
+use crate::task::TaskId;
 
 pub use crate::sdf3::{
     parse_sdf3_xml, parse_sdf3_xml_import, write_sdf3_xml, write_sdf3_xml_with_capacities,
@@ -79,9 +105,17 @@ fn join(values: &[u64]) -> String {
 ///
 /// Returns [`CsdfError::Parse`] with a 1-based line number for syntax errors,
 /// and the usual builder errors for semantic problems (unknown task names,
-/// rate-length mismatches, ...).
+/// rate-length mismatches, ...), in the order given in the module docs.
 pub fn parse(input: &str) -> Result<CsdfGraph, CsdfError> {
     parse_with_sources(input).map(|(graph, _)| graph)
+}
+
+/// A buffer naming a task not declared yet, resolved after the last line.
+struct Unresolved<'a> {
+    buffer: BufferId,
+    line: usize,
+    source: &'a str,
+    target: &'a str,
 }
 
 /// Like [`parse`], but also returns the [`SourceMap`] recording the 1-based
@@ -92,122 +126,271 @@ pub fn parse(input: &str) -> Result<CsdfGraph, CsdfError> {
 ///
 /// Those of [`parse`].
 pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfError> {
-    let mut name = "csdf".to_string();
-    let mut builder: Option<CsdfGraphBuilder> = None;
+    let mut name = "csdf";
+    // The name in force at the first task line is the graph's.
+    let mut graph_name: Option<&str> = None;
+    let mut builder = CsdfGraphBuilder::new();
+    let mut task_index = TaskIndex::default();
     let mut task_lines: Vec<Option<usize>> = Vec::new();
-    // line number, source, target, production, consumption, initial tokens
-    type PendingBuffer = (usize, String, String, Vec<u64>, Vec<u64>, u64);
-    let mut pending_buffers: Vec<PendingBuffer> = Vec::new();
+    let mut buffer_lines: Vec<Option<usize>> = Vec::new();
+    let mut unresolved: Vec<Unresolved<'_>> = Vec::new();
+    // Every rate list is parsed here first, then copied out at its length.
+    let mut rates: Vec<u64> = Vec::new();
 
-    for (line_index, raw_line) in input.lines().enumerate() {
-        let line_number = line_index + 1;
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        match words.next() {
+    let mut scanner = Scanner::new(input);
+    loop {
+        let line = scanner.line;
+        match scanner.word() {
+            None => {}
+            Some(word) if word.starts_with('#') => {}
             Some("graph") => {
-                name = words
-                    .next()
-                    .ok_or_else(|| parse_error(line_number, "missing graph name"))?
-                    .to_string();
+                name = scanner
+                    .word()
+                    .ok_or_else(|| parse_error(line, "missing graph name"))?;
             }
             Some("task") => {
-                let task_name = words
-                    .next()
-                    .ok_or_else(|| parse_error(line_number, "missing task name"))?;
-                let durations = parse_field(words.next(), "durations", line_number)?;
-                builder
-                    .get_or_insert_with(|| CsdfGraphBuilder::named(name.clone()))
-                    .add_task(task_name, durations);
-                task_lines.push(Some(line_number));
+                let task_name = scanner
+                    .word()
+                    .ok_or_else(|| parse_error(line, "missing task name"))?;
+                parse_list(scanner.word(), "durations", line, &mut rates)?;
+                graph_name.get_or_insert(name);
+                let id = builder.add_task(task_name, rates.to_vec());
+                task_index.insert(task_name, id);
+                task_lines.push(Some(line));
             }
             Some("buffer") => {
-                let source = words
-                    .next()
-                    .ok_or_else(|| parse_error(line_number, "missing source task"))?
-                    .to_string();
-                let arrow = words.next();
-                if arrow != Some("->") {
-                    return Err(parse_error(line_number, "expected `->`"));
+                let source = scanner
+                    .word()
+                    .ok_or_else(|| parse_error(line, "missing source task"))?;
+                if scanner.word() != Some("->") {
+                    return Err(parse_error(line, "expected `->`"));
                 }
-                let target = words
-                    .next()
-                    .ok_or_else(|| parse_error(line_number, "missing target task"))?
-                    .to_string();
-                let production = parse_field(words.next(), "prod", line_number)?;
-                let consumption = parse_field(words.next(), "cons", line_number)?;
-                let tokens = parse_field(words.next(), "tokens", line_number)?;
-                let tokens = *tokens
-                    .first()
-                    .ok_or_else(|| parse_error(line_number, "missing token count"))?;
-                pending_buffers.push((
-                    line_number,
-                    source,
-                    target,
-                    production,
-                    consumption,
-                    tokens,
-                ));
+                let target = scanner
+                    .word()
+                    .ok_or_else(|| parse_error(line, "missing target task"))?;
+                parse_list(scanner.word(), "prod", line, &mut rates)?;
+                let production = rates.to_vec();
+                parse_list(scanner.word(), "cons", line, &mut rates)?;
+                let consumption = rates.to_vec();
+                let tokens = parse_tokens(scanner.word(), line)?;
+                let (source_id, target_id) = match (task_index.get(source), task_index.get(target))
+                {
+                    (Some(source_id), Some(target_id)) => (source_id, target_id),
+                    _ => {
+                        unresolved.push(Unresolved {
+                            buffer: BufferId::new(builder.buffer_count()),
+                            line,
+                            source,
+                            target,
+                        });
+                        // Placeholders until every task is known.
+                        (TaskId::new(0), TaskId::new(0))
+                    }
+                };
+                builder.add_buffer(source_id, target_id, production, consumption, tokens);
+                buffer_lines.push(Some(line));
             }
             Some(other) => {
-                return Err(parse_error(
-                    line_number,
-                    &format!("unknown directive `{other}`"),
-                ));
+                return Err(parse_error(line, &format!("unknown directive `{other}`")));
             }
-            None => unreachable!("empty lines are skipped"),
+        }
+        if !scanner.next_line() {
+            break;
         }
     }
 
-    let mut builder = builder.ok_or(CsdfError::EmptyGraph)?;
-    // Buffers can only be resolved once all tasks are known: build a
-    // task-only skeleton graph to resolve names, then add the buffers. The
-    // name index is built once — resolving each buffer through
-    // `CsdfGraph::find_task`'s linear scan is quadratic overall and took
-    // minutes on 100k-task graphs. Like `find_task`, the first declaration
-    // of a duplicated name wins.
-    let skeleton = builder.clone().build()?;
-    let mut task_index: std::collections::HashMap<&str, crate::TaskId> =
-        std::collections::HashMap::new();
-    for (id, task) in skeleton.tasks() {
-        task_index.entry(task.name()).or_insert(id);
-    }
-    let mut buffer_lines: Vec<Option<usize>> = Vec::with_capacity(pending_buffers.len());
-    for (line_number, source, target, production, consumption, tokens) in pending_buffers {
-        let source_id = *task_index
-            .get(source.as_str())
-            .ok_or_else(|| parse_error(line_number, &format!("unknown task `{source}`")))?;
-        let target_id = *task_index
-            .get(target.as_str())
-            .ok_or_else(|| parse_error(line_number, &format!("unknown task `{target}`")))?;
-        builder.add_buffer(source_id, target_id, production, consumption, tokens);
-        buffer_lines.push(Some(line_number));
+    builder.set_name(graph_name.ok_or(CsdfError::EmptyGraph)?);
+    for pending in unresolved {
+        let mut resolve = |task: &str| {
+            task_index
+                .get(task)
+                .ok_or_else(|| parse_error(pending.line, &format!("unknown task `{task}`")))
+        };
+        match resolve(pending.source).and_then(|source| Ok((source, resolve(pending.target)?))) {
+            Ok((source, target)) => builder.set_buffer_endpoints(pending.buffer, source, target),
+            Err(unknown) => {
+                // Task errors rank above unknown names.
+                builder.check_tasks()?;
+                return Err(unknown);
+            }
+        }
     }
     let graph = builder.build()?;
     Ok((graph, SourceMap::new(task_lines, buffer_lines)))
 }
 
-fn parse_field(word: Option<&str>, key: &str, line: usize) -> Result<Vec<u64>, CsdfError> {
+/// Task ids by name, borrowed from the text. The first declaration of a
+/// duplicated name wins here; `build` reports the duplicate. std's keyed
+/// hasher stays: the daemon parses untrusted text.
+#[derive(Default)]
+struct TaskIndex<'a> {
+    ids: HashMap<&'a str, TaskId>,
+    /// Every declared name, by id.
+    names: Vec<&'a str>,
+    /// The id the last lookup returned.
+    last: usize,
+}
+
+impl<'a> TaskIndex<'a> {
+    fn insert(&mut self, name: &'a str, id: TaskId) {
+        self.ids.entry(name).or_insert(id);
+        self.names.push(name);
+    }
+
+    fn get(&mut self, name: &str) -> Option<TaskId> {
+        // A buffer line mostly names the task of the last lookup again (a
+        // self-loop) or the one declared after it (a pipeline, self-loops in
+        // declaration order). Comparing those two names skips most hashes;
+        // while every name is unique, a match is the id the map would give.
+        if self.ids.len() == self.names.len() {
+            for guess in [self.last, self.last + 1] {
+                if self.names.get(guess) == Some(&name) {
+                    self.last = guess;
+                    return Some(TaskId::new(guess));
+                }
+            }
+        }
+        let &id = self.ids.get(name)?;
+        self.last = id.index();
+        Some(id)
+    }
+}
+
+/// One forward pass over the text: words within the current line, then the
+/// step to the next line. Words split exactly as [`str::split_whitespace`]
+/// splits them; lines end at `\n` only.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based number of the line `pos` is on.
+    line: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Self {
+        Scanner {
+            text,
+            pos: 0,
+            line: 1,
+        }
+    }
+
+    /// The next word of the current line, if any.
+    fn word(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        while pos < bytes.len() && bytes[pos] != b'\n' {
+            match whitespace_width(self.text, pos) {
+                0 => break,
+                width => pos += width,
+            }
+        }
+        let start = pos;
+        while let Some(&byte) = bytes.get(pos) {
+            // Printable ASCII, the bulk of every word, is decided on the byte.
+            if byte > b' ' && byte < 0x80 {
+                pos += 1;
+            } else if whitespace_width(self.text, pos) > 0 {
+                break;
+            } else {
+                pos += next_char(self.text, pos).len_utf8();
+            }
+        }
+        self.pos = pos;
+        (pos > start).then(|| &self.text[start..pos])
+    }
+
+    /// Skips the rest of the current line; `false` when there is none.
+    fn next_line(&mut self) -> bool {
+        // The rest of a line is rarely more than its `\n`: step, don't search.
+        let bytes = self.text.as_bytes();
+        while let Some(&byte) = bytes.get(self.pos) {
+            self.pos += 1;
+            if byte == b'\n' {
+                self.line += 1;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Byte width of the whitespace character at `pos`, or 0 for any other
+/// character. Only a non-ASCII character is decoded.
+fn whitespace_width(text: &str, pos: usize) -> usize {
+    match text.as_bytes()[pos] {
+        b' ' | b'\t'..=b'\r' => 1,
+        0..=0x7F => 0,
+        _ => {
+            let c = next_char(text, pos);
+            if c.is_whitespace() {
+                c.len_utf8()
+            } else {
+                0
+            }
+        }
+    }
+}
+
+fn next_char(text: &str, pos: usize) -> char {
+    text[pos..].chars().next().expect("pos is inside the text")
+}
+
+/// The value of a `key=<value>` word.
+fn field_value<'a>(word: Option<&'a str>, key: &str, line: usize) -> Result<&'a str, CsdfError> {
     let word = word.ok_or_else(|| parse_error(line, &format!("missing `{key}=` field")))?;
-    let (actual_key, value) = word
+    if let Some(value) = word
+        .strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix('='))
+    {
+        return Ok(value);
+    }
+    let (actual_key, _) = word
         .split_once('=')
         .ok_or_else(|| parse_error(line, &format!("expected `{key}=<values>`")))?;
-    if actual_key != key {
-        return Err(parse_error(
-            line,
-            &format!("expected field `{key}`, found `{actual_key}`"),
-        ));
+    Err(parse_error(
+        line,
+        &format!("expected field `{key}`, found `{actual_key}`"),
+    ))
+}
+
+/// Parses a comma-separated `key=` list into `values`, replacing its
+/// contents.
+fn parse_list(
+    word: Option<&str>,
+    key: &str,
+    line: usize,
+    values: &mut Vec<u64>,
+) -> Result<(), CsdfError> {
+    let list = field_value(word, key, line)?;
+    values.clear();
+    for item in list.split(',') {
+        values.push(parse_number(item, key, line)?);
     }
-    value
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse::<u64>()
-                .map_err(|_| parse_error(line, &format!("invalid number `{v}` in `{key}`")))
-        })
-        .collect()
+    Ok(())
+}
+
+/// Parses the single-valued `tokens=` field.
+fn parse_tokens(word: Option<&str>, line: usize) -> Result<u64, CsdfError> {
+    let value = field_value(word, "tokens", line)?;
+    parse_number(value, "tokens", line).or_else(|_| {
+        // A malformed number is reported as in the rate lists; a list of
+        // well-formed numbers has more than one value.
+        let mut count = 0;
+        for item in value.split(',') {
+            parse_number(item, "tokens", line)?;
+            count += 1;
+        }
+        Err(parse_error(
+            line,
+            &format!("expected one value in `tokens`, found {count}"),
+        ))
+    })
+}
+
+fn parse_number(item: &str, key: &str, line: usize) -> Result<u64, CsdfError> {
+    item.parse()
+        .map_err(|_| parse_error(line, &format!("invalid number `{item}` in `{key}`")))
 }
 
 fn parse_error(line: usize, message: &str) -> CsdfError {
@@ -288,6 +471,35 @@ mod tests {
     #[test]
     fn empty_input_is_an_empty_graph_error() {
         assert!(matches!(parse("# nothing\n"), Err(CsdfError::EmptyGraph)));
+    }
+
+    #[test]
+    fn tokens_take_exactly_one_value() {
+        let text = "task a durations=1\nbuffer a -> a prod=1 cons=1 tokens=4,5\n";
+        assert_eq!(
+            parse(text),
+            Err(CsdfError::Parse {
+                line: 2,
+                message: "expected one value in `tokens`, found 2".to_string(),
+            })
+        );
+        // A malformed number is reported as in the rate lists.
+        let text = "task a durations=1\nbuffer a -> a prod=1 cons=1 tokens=4,x\n";
+        assert_eq!(
+            parse(text),
+            Err(CsdfError::Parse {
+                line: 2,
+                message: "invalid number `x` in `tokens`".to_string(),
+            })
+        );
+        let text = "task a durations=1\nbuffer a -> a prod=1 cons=1 tokens=4\n";
+        assert_eq!(
+            parse(text)
+                .unwrap()
+                .buffer(crate::BufferId::new(0))
+                .initial_tokens(),
+            4
+        );
     }
 
     #[test]

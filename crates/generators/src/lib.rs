@@ -6,8 +6,9 @@
 //! published size statistics so the whole evaluation pipeline can be
 //! regenerated:
 //!
-//! * [`random_graph`] / [`RandomGraphConfig`] — consistent, live, serialised
-//!   random (C)SDF graphs (also used by the property-based tests);
+//! * [`random_graph`] / [`RandomGraphConfig`] — consistent, serialised
+//!   random (C)SDF graphs, usually live (also used by the property-based
+//!   tests);
 //! * [`dsp`] — five hand-written DSP applications (the "`ActualDSP`" category);
 //! * [`sdf3`] — the four Table-1 categories;
 //! * [`apps`] — the Table-2 industrial applications and synthetic graphs;

@@ -2,10 +2,15 @@
 //!
 //! The generator first draws a repetition vector, then derives buffer rates
 //! from it so that every generated graph is consistent by construction. The
-//! topology is a random connected DAG skeleton plus optional feedback edges;
-//! feedback edges receive enough initial tokens to keep the graph live, and
-//! every task is serialised with a one-token self-loop (the convention of the
-//! SDF3 benchmark the paper uses).
+//! topology is a random connected DAG skeleton plus optional feedback edges,
+//! and every task is serialised with a one-token self-loop (the convention
+//! of the SDF3 benchmark the paper uses).
+//!
+//! Liveness is not guaranteed. A feedback edge receives
+//! `marking_factor · (i_b + o_b)` initial tokens, which keeps graphs with
+//! small repetition counts live, but a circuit through tasks with large
+//! repetition counts can need more: with `repetition_choices` of
+//! `[1, 1, 1, 2, 2, 3, 4, 60]` at 400 tasks, seeds 3 to 5 deadlock.
 
 use csdf::{lcm_u64, CsdfError, CsdfGraph, CsdfGraphBuilder};
 use rand::rngs::StdRng;
@@ -27,7 +32,8 @@ pub struct RandomGraphConfig {
     /// Inclusive range of phase durations.
     pub duration_range: (u64, u64),
     /// Multiplier applied to `i_b + o_b` to compute feedback markings
-    /// (2 keeps graphs comfortably live, 1 makes them tight).
+    /// (2 keeps graphs with small repetition counts live, 1 makes them
+    /// tight; neither guarantees liveness, see the module docs).
     pub marking_factor: u64,
     /// Whether to add one-token self-loops to every task.
     pub serialize: bool,
@@ -102,7 +108,8 @@ impl RandomGraphConfig {
     }
 }
 
-/// Generates a random consistent, live, serialised CSDF graph.
+/// Generates a random consistent, serialised CSDF graph, live unless its
+/// repetition counts outgrow the feedback markings (see the module docs).
 ///
 /// The same `seed` always produces the same graph.
 ///
@@ -306,6 +313,24 @@ mod tests {
             }
         }
         assert!(closing_edges <= 1);
+    }
+
+    #[test]
+    fn high_repetition_counts_can_deadlock() {
+        let config = RandomGraphConfig {
+            repetition_choices: vec![1, 1, 1, 2, 2, 3, 4, 60],
+            ..RandomGraphConfig::large(400)
+        };
+        for seed in 3..=5 {
+            let graph = random_graph(&config, seed).unwrap();
+            assert!(graph.is_consistent());
+            let result = kperiodic::optimal_throughput(&graph).unwrap();
+            assert_eq!(
+                result.throughput,
+                csdf::Throughput::Deadlocked,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -15,22 +15,23 @@ pub(crate) fn check(
     spans: &Spans<'_>,
     report: &mut LintReport,
 ) -> Option<RepetitionVector> {
+    // The propagation below mirrors `repetition_vector`'s, so it finds a
+    // conflict exactly when that one fails as inconsistent: a consistent
+    // graph is propagated once.
+    let err = match graph.repetition_vector() {
+        Ok(q) => return Some(q),
+        Err(err) => err,
+    };
     if let Some(conflict) = find_conflict(graph) {
         report.push(certificate_diagnostic(graph, spans, &conflict));
-        return None;
+    } else {
+        // No conflict, so this is arithmetic overflow, not inconsistency.
+        report.push(Diagnostic::new(
+            LintCode::AnalysisBudgetExceeded,
+            format!("repetition vector could not be computed: {err}"),
+        ));
     }
-    match graph.repetition_vector() {
-        Ok(q) => Some(q),
-        Err(err) => {
-            // The propagation found no conflict, so this is arithmetic
-            // overflow while scaling the fractions, not inconsistency.
-            report.push(Diagnostic::new(
-                LintCode::AnalysisBudgetExceeded,
-                format!("repetition vector could not be computed: {err}"),
-            ));
-            None
-        }
-    }
+    None
 }
 
 /// A balance conflict: the buffer whose ratio contradicts the fractions
