@@ -2,8 +2,8 @@
 //! through K-Iter, printing one JSON line with the outcome and the
 //! pipeline's construction/solve time split. It also times loading the
 //! graph: parsing its text form (which must give the generated graph back)
-//! and computing its repetition vector, each the median of
-//! [`LOAD_REPEATS`] runs.
+//! and computing its repetition vector, each the fastest of at least
+//! [`LOAD_REPEATS`] runs spread over at least [`LOAD_BUDGET`].
 //!
 //! CI runs this under a hard `timeout`, asserts a non-vacuous (finite)
 //! throughput, and — via `--check BENCH_TABLE1.json` — fails the build if
@@ -23,7 +23,7 @@
 //! [--check BENCH_TABLE1.json]`. `KITER_SMOKE_TASKS` overrides the task count
 //! (default 10000, 100k+ is supported and CI-exercised).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use csdf::Throughput;
 use csdf_generators::{random_graph, RandomGraphConfig};
@@ -36,9 +36,15 @@ use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterO
 /// integer kernel, re-deriving the event graph per iteration) is >4×.
 const CHECK_FACTOR: f64 = 3.0;
 
-/// Parse and repetition-vector times are medians of this many runs: a
-/// single run of a few milliseconds is too noisy to gate.
-const LOAD_REPEATS: usize = 5;
+/// Parse and repetition-vector times are the fastest of at least this many
+/// runs: a run of a few milliseconds is too noisy to gate on its own, and a
+/// loaded host slows some runs but speeds up none, so the minimum moves
+/// least.
+const LOAD_REPEATS: usize = 7;
+
+/// ... and of as many more as fit in this time, so that a layer of a few
+/// milliseconds is also timed in a slice no other process took.
+const LOAD_BUDGET: Duration = Duration::from_millis(200);
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -65,12 +71,12 @@ fn main() {
         .expect("large random graph generates");
 
     let text = csdf::text::to_text(&graph);
-    let (parsed, parse_ms) = median_timed(|| csdf::text::parse(&text));
+    let (parsed, parse_ms) = fastest_timed(|| csdf::text::parse(&text));
     if parsed.as_ref() != Ok(&graph) {
         eprintln!("smoke failed: the text form does not parse back to the graph: {parsed:?}");
         std::process::exit(1);
     }
-    let (repetition, repetition_ms) = median_timed(|| graph.repetition_vector());
+    let (repetition, repetition_ms) = fastest_timed(|| graph.repetition_vector());
     if let Err(err) = repetition {
         eprintln!("smoke failed: no repetition vector: {err}");
         std::process::exit(1);
@@ -146,20 +152,23 @@ fn main() {
     }
 }
 
-/// Runs `load` [`LOAD_REPEATS`] times; returns the last result and the
-/// median time in milliseconds.
-fn median_timed<T>(mut load: impl FnMut() -> T) -> (T, f64) {
-    let mut times = Vec::with_capacity(LOAD_REPEATS);
+/// Runs `load` at least [`LOAD_REPEATS`] times and until [`LOAD_BUDGET`]
+/// has passed; returns the last result and the fastest time in
+/// milliseconds.
+fn fastest_timed<T>(mut load: impl FnMut() -> T) -> (T, f64) {
+    let began = Instant::now();
+    let mut fastest = f64::INFINITY;
     let mut result = None;
-    for _ in 0..LOAD_REPEATS {
+    let mut runs = 0;
+    while runs < LOAD_REPEATS || began.elapsed() < LOAD_BUDGET {
         let started = Instant::now();
         let loaded = load();
-        times.push(started.elapsed().as_secs_f64() * 1e3);
+        fastest = fastest.min(started.elapsed().as_secs_f64() * 1e3);
         // The previous result drops outside the timed section.
         result = Some(loaded);
+        runs += 1;
     }
-    times.sort_by(f64::total_cmp);
-    (result.expect("at least one run"), times[LOAD_REPEATS / 2])
+    (result.expect("at least one run"), fastest)
 }
 
 /// Compares the measured times — `(what, baseline key, milliseconds)` —

@@ -164,6 +164,8 @@ impl CsdfGraphBuilder {
     ///   the task's phase count.
     /// * [`CsdfError::ZeroRateBuffer`] if a buffer never produces or never
     ///   consumes any token.
+    /// * [`CsdfError::RateOverflow`] if a buffer's production or consumption
+    ///   over a full iteration exceeds `u64`.
     pub fn build(self) -> Result<CsdfGraph, CsdfError> {
         self.check_tasks()?;
         for (index, buffer) in self.buffers.iter().enumerate() {
@@ -189,9 +191,17 @@ impl CsdfGraphBuilder {
                     rate_len: buffer.consumption().len(),
                 });
             }
-            if buffer.total_production() == 0 || buffer.total_consumption() == 0 {
+            let buffer_ref = || crate::BufferRef::new(index, source.name(), target.name());
+            let (Some(produced), Some(consumed)) =
+                (total(buffer.production()), total(buffer.consumption()))
+            else {
+                return Err(CsdfError::RateOverflow {
+                    buffer: buffer_ref(),
+                });
+            };
+            if produced == 0 || consumed == 0 {
                 return Err(CsdfError::ZeroRateBuffer {
-                    buffer: crate::BufferRef::new(index, source.name(), target.name()),
+                    buffer: buffer_ref(),
                 });
             }
         }
@@ -220,6 +230,14 @@ impl CsdfGraphBuilder {
         }
         Ok(())
     }
+}
+
+/// The sum of a rate list, or `None` past `u64`: a built graph's
+/// [`Buffer::total_production`] and [`Buffer::total_consumption`] never wrap.
+fn total(rates: &[u64]) -> Option<u64> {
+    rates
+        .iter()
+        .try_fold(0u64, |sum, &rate| sum.checked_add(rate))
 }
 
 #[cfg(test)]
@@ -286,6 +304,32 @@ mod tests {
                 buffer: crate::BufferRef::new(0, "x", "y"),
             })
         );
+    }
+
+    #[test]
+    fn rate_totals_past_u64_are_rejected() {
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_task("x", vec![1, 1]);
+        let y = b.add_sdf_task("y", 1);
+        b.add_buffer(x, y, vec![u64::MAX, 2], vec![1], 0);
+        assert_eq!(
+            b.build(),
+            Err(CsdfError::RateOverflow {
+                buffer: crate::BufferRef::new(0, "x", "y"),
+            })
+        );
+        // An overflow ranks above a zero total on the other side.
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_sdf_task("x", 1);
+        let y = b.add_task("y", vec![1, 1]);
+        b.add_buffer(x, y, vec![0], vec![u64::MAX, 1], 0);
+        assert!(matches!(b.build(), Err(CsdfError::RateOverflow { .. })));
+        // The largest total that fits is accepted.
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_task("x", vec![1, 1]);
+        let y = b.add_sdf_task("y", 1);
+        b.add_buffer(x, y, vec![u64::MAX - 1, 1], vec![1], 0);
+        assert!(b.build().is_ok());
     }
 
     #[test]

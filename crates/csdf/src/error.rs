@@ -61,6 +61,12 @@ pub enum CsdfError {
         /// The offending buffer.
         buffer: BufferRef,
     },
+    /// A buffer's production or consumption over a full iteration exceeds
+    /// `u64`.
+    RateOverflow {
+        /// The offending buffer.
+        buffer: BufferRef,
+    },
     /// The graph is not consistent: no repetition vector exists.
     Inconsistent {
         /// The buffer whose balance equation is violated.
@@ -148,6 +154,9 @@ impl fmt::Display for CsdfError {
             ),
             CsdfError::ZeroRateBuffer { buffer } => {
                 write!(f, "{buffer} produces or consumes zero tokens per iteration")
+            }
+            CsdfError::RateOverflow { buffer } => {
+                write!(f, "{buffer} produces or consumes more than 2^64 - 1 tokens per iteration")
             }
             CsdfError::Inconsistent { buffer } => {
                 write!(f, "graph is inconsistent: balance equation violated on {buffer}")

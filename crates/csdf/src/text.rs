@@ -32,8 +32,9 @@
 //!    `u64::MAX`, which the builder reserves for a task without phases
 //!    ([`CsdfError::EmptyPhases`]);
 //! 4. the first buffer naming an unknown task ([`CsdfError::Parse`]);
-//! 5. the first buffer whose rate lists do not match its tasks' phase counts
-//!    or sum to zero.
+//! 5. the first buffer whose rate lists do not match its tasks' phase counts,
+//!    sum past `u64` ([`CsdfError::RateOverflow`]) or sum to zero
+//!    ([`CsdfError::ZeroRateBuffer`]).
 //!
 //! Real benchmark files in the SDF3 `<sdf>`/`<csdf>` XML format are imported
 //! with [`parse_sdf3_xml`].
@@ -130,7 +131,10 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
     // The name in force at the first task line is the graph's.
     let mut graph_name: Option<&str> = None;
     let mut builder = CsdfGraphBuilder::new();
-    let mut task_index = TaskIndex::default();
+    // Task ids by name, borrowed from the text. The first declaration of a
+    // duplicated name wins here; `build` reports the duplicate. std's keyed
+    // hasher stays: the daemon parses untrusted text.
+    let mut task_ids: HashMap<&str, TaskId> = HashMap::new();
     let mut task_lines: Vec<Option<usize>> = Vec::new();
     let mut buffer_lines: Vec<Option<usize>> = Vec::new();
     let mut unresolved: Vec<Unresolved<'_>> = Vec::new();
@@ -155,7 +159,7 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                 parse_list(scanner.word(), "durations", line, &mut rates)?;
                 graph_name.get_or_insert(name);
                 let id = builder.add_task(task_name, rates.to_vec());
-                task_index.insert(task_name, id);
+                task_ids.entry(task_name).or_insert(id);
                 task_lines.push(Some(line));
             }
             Some("buffer") => {
@@ -173,9 +177,8 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                 parse_list(scanner.word(), "cons", line, &mut rates)?;
                 let consumption = rates.to_vec();
                 let tokens = parse_tokens(scanner.word(), line)?;
-                let (source_id, target_id) = match (task_index.get(source), task_index.get(target))
-                {
-                    (Some(source_id), Some(target_id)) => (source_id, target_id),
+                let (source_id, target_id) = match (task_ids.get(source), task_ids.get(target)) {
+                    (Some(&source_id), Some(&target_id)) => (source_id, target_id),
                     _ => {
                         unresolved.push(Unresolved {
                             buffer: BufferId::new(builder.buffer_count()),
@@ -201,9 +204,10 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
 
     builder.set_name(graph_name.ok_or(CsdfError::EmptyGraph)?);
     for pending in unresolved {
-        let mut resolve = |task: &str| {
-            task_index
+        let resolve = |task: &str| {
+            task_ids
                 .get(task)
+                .copied()
                 .ok_or_else(|| parse_error(pending.line, &format!("unknown task `{task}`")))
         };
         match resolve(pending.source).and_then(|source| Ok((source, resolve(pending.target)?))) {
@@ -217,43 +221,6 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
     }
     let graph = builder.build()?;
     Ok((graph, SourceMap::new(task_lines, buffer_lines)))
-}
-
-/// Task ids by name, borrowed from the text. The first declaration of a
-/// duplicated name wins here; `build` reports the duplicate. std's keyed
-/// hasher stays: the daemon parses untrusted text.
-#[derive(Default)]
-struct TaskIndex<'a> {
-    ids: HashMap<&'a str, TaskId>,
-    /// Every declared name, by id.
-    names: Vec<&'a str>,
-    /// The id the last lookup returned.
-    last: usize,
-}
-
-impl<'a> TaskIndex<'a> {
-    fn insert(&mut self, name: &'a str, id: TaskId) {
-        self.ids.entry(name).or_insert(id);
-        self.names.push(name);
-    }
-
-    fn get(&mut self, name: &str) -> Option<TaskId> {
-        // A buffer line mostly names the task of the last lookup again (a
-        // self-loop) or the one declared after it (a pipeline, self-loops in
-        // declaration order). Comparing those two names skips most hashes;
-        // while every name is unique, a match is the id the map would give.
-        if self.ids.len() == self.names.len() {
-            for guess in [self.last, self.last + 1] {
-                if self.names.get(guess) == Some(&name) {
-                    self.last = guess;
-                    return Some(TaskId::new(guess));
-                }
-            }
-        }
-        let &id = self.ids.get(name)?;
-        self.last = id.index();
-        Some(id)
-    }
 }
 
 /// One forward pass over the text: words within the current line, then the
@@ -499,6 +466,17 @@ mod tests {
                 .buffer(crate::BufferId::new(0))
                 .initial_tokens(),
             4
+        );
+    }
+
+    #[test]
+    fn rate_totals_past_u64_are_rejected() {
+        let text = "task a durations=1,1\ntask b durations=1\nbuffer a -> b prod=18446744073709551615,2 cons=1 tokens=0\n";
+        assert_eq!(
+            parse(text),
+            Err(CsdfError::RateOverflow {
+                buffer: crate::BufferRef::new(0, "a", "b"),
+            })
         );
     }
 
