@@ -10,7 +10,12 @@ use crate::task::{Task, TaskId};
 /// A Cyclo-Static Dataflow Graph `G = (T, B)`.
 ///
 /// Tasks and buffers are stored densely and addressed by [`TaskId`] /
-/// [`BufferId`]. Graphs are immutable once built; use
+/// [`BufferId`]. The buffers incident to each task are one compressed
+/// (CSR) adjacency: per task, its outgoing buffers then its incoming ones,
+/// each list in buffer index order. [`RepetitionVector::compute`] and the
+/// lint consistency walk visit [`CsdfGraph::incident`] in that order, and
+/// the buffer an inconsistent graph is reported at depends on it. Graphs
+/// are immutable once built; use
 /// [`CsdfGraphBuilder`](crate::CsdfGraphBuilder) to construct one and the
 /// transformation functions in [`crate::transform`] to derive new graphs.
 ///
@@ -34,24 +39,39 @@ pub struct CsdfGraph {
     name: String,
     tasks: Vec<Task>,
     buffers: Vec<Buffer>,
-    outgoing: Vec<Vec<BufferId>>,
-    incoming: Vec<Vec<BufferId>>,
+    /// Incident buffers, task after task: outgoing, then incoming.
+    adjacency: Vec<BufferId>,
+    /// Task `t`'s outgoing buffers are `adjacency[start[2t]..start[2t + 1]]`
+    /// and its incoming ones `adjacency[start[2t + 1]..start[2t + 2]]`.
+    adjacency_start: Vec<usize>,
 }
 
 impl CsdfGraph {
     pub(crate) fn from_parts(name: String, tasks: Vec<Task>, buffers: Vec<Buffer>) -> Self {
-        let mut outgoing = vec![Vec::new(); tasks.len()];
-        let mut incoming = vec![Vec::new(); tasks.len()];
+        // A counting sort: buffers are placed in index order, so every list
+        // keeps it.
+        let mut adjacency_start = vec![0usize; 2 * tasks.len() + 1];
+        for buffer in &buffers {
+            adjacency_start[2 * buffer.source().index() + 1] += 1;
+            adjacency_start[2 * buffer.target().index() + 2] += 1;
+        }
+        for row in 1..adjacency_start.len() {
+            adjacency_start[row] += adjacency_start[row - 1];
+        }
+        let mut adjacency = vec![BufferId(0); 2 * buffers.len()];
+        let mut next = adjacency_start.clone();
         for (index, buffer) in buffers.iter().enumerate() {
-            outgoing[buffer.source().index()].push(BufferId(index));
-            incoming[buffer.target().index()].push(BufferId(index));
+            for row in [2 * buffer.source().index(), 2 * buffer.target().index() + 1] {
+                adjacency[next[row]] = BufferId(index);
+                next[row] += 1;
+            }
         }
         CsdfGraph {
             name,
             tasks,
             buffers,
-            outgoing,
-            incoming,
+            adjacency,
+            adjacency_start,
         }
     }
 
@@ -125,14 +145,24 @@ impl CsdfGraph {
             .map(|(i, b)| (BufferId(i), b))
     }
 
-    /// Buffers produced by `task`.
+    /// Buffers produced by `task`, in index order.
     pub fn outgoing(&self, task: TaskId) -> &[BufferId] {
-        &self.outgoing[task.index()]
+        self.adjacency_rows(2 * task.index(), 1)
     }
 
-    /// Buffers consumed by `task`.
+    /// Buffers consumed by `task`, in index order.
     pub fn incoming(&self, task: TaskId) -> &[BufferId] {
-        &self.incoming[task.index()]
+        self.adjacency_rows(2 * task.index() + 1, 1)
+    }
+
+    /// Buffers incident to `task`: [`CsdfGraph::outgoing`] followed by
+    /// [`CsdfGraph::incoming`] (a self-loop appears in both).
+    pub fn incident(&self, task: TaskId) -> &[BufferId] {
+        self.adjacency_rows(2 * task.index(), 2)
+    }
+
+    fn adjacency_rows(&self, first: usize, rows: usize) -> &[BufferId] {
+        &self.adjacency[self.adjacency_start[first]..self.adjacency_start[first + rows]]
     }
 
     /// Finds a task by name.

@@ -82,7 +82,7 @@ impl RepetitionVector {
                 head += 1;
                 let task = TaskId::new(index);
                 let fraction = fractions[index];
-                for &buffer_id in graph.outgoing(task).iter().chain(graph.incoming(task)) {
+                for &buffer_id in graph.incident(task) {
                     let (source, target, i, o) = edges[buffer_id.index()];
                     // q_other = q_task · i_b / o_b downstream, · o_b / i_b upstream.
                     let (other, expected) = if source == task {

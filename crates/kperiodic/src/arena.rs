@@ -7,13 +7,20 @@
 //! re-derives every Theorem-2 constraint — the dominant cost on large graphs
 //! now that the MCR solve itself is fast. The arena instead keeps:
 //!
-//! * one [`TaskBlock`](crate::block::TaskBlock) per task (its expanded
-//!   duration slice), re-derived only when that task's `K_t` changes;
-//! * one cached arc list per buffer (block-local endpoints plus exact `L`/`H`
-//!   values), re-derived only when the buffer's producer or consumer changed
-//!   periodicity;
-//! * the assembled [`RatioGraph`], re-emitted from the caches through the
+//! * one [`TaskBlock`] per task — its periodicity, length and first node,
+//!   nothing else: expanded phase `p` of task `t` lasts `d_t[p mod ϕ(t)]`,
+//!   read from the base durations;
+//! * one flat arc store holding every buffer's constraint arcs (block-local
+//!   endpoints plus exact `L`/`H` values) in buffer order, indexed by
+//!   `arc_seg_start`. A buffer's arcs are re-derived only when its producer
+//!   or consumer changed periodicity or its marking changed. When every such
+//!   buffer keeps its arc count, the new arcs overwrite their segments in
+//!   place; otherwise the store is laid out again in one pass that copies
+//!   the kept segments and emits the re-derived ones between them. No
+//!   second full-size store outlives an update;
+//! * the assembled [`RatioGraph`], re-emitted from the store through the
 //!   [`RatioGraph::reset`] grow/patch API so no per-node allocation happens.
+//!   Its arc ids are the store's indices.
 //!
 //! # Node layout: per-block slack
 //!
@@ -55,8 +62,7 @@ use std::collections::BTreeSet;
 use csdf::{CsdfGraph, RepetitionVector, TaskId};
 use mcr::{ArcId, CancelToken, CriticalCycle, NodeId, RatioGraph};
 
-use crate::block::TaskBlock;
-use crate::constraints::{emit_buffer_arcs_tiled, BufferArc};
+use crate::constraints::{emit_buffer_arcs_tiled, BufferArc, EmitScratch};
 use crate::error::AnalysisError;
 use crate::event_graph::{EventGraphLimits, EventNode};
 use crate::periodicity::PeriodicityVector;
@@ -125,6 +131,11 @@ pub struct EventGraphArena {
     fingerprint: u64,
     lcm_k: u64,
     blocks: Vec<TaskBlock>,
+    /// Base durations of every task, task after task: expanded phase `p` of
+    /// task `t` lasts `durations[duration_start[t] + p mod ϕ(t)]`.
+    durations: Vec<u64>,
+    /// Start of each task's base durations (one extra trailing entry).
+    duration_start: Vec<usize>,
     nodes: Vec<EventNode>,
     ratio: RatioGraph,
     /// Per-task padded block sizes (`next_pow2(len)`) of the current node
@@ -133,20 +144,31 @@ pub struct EventGraphArena {
     capacities: Vec<usize>,
     /// Live (non-padding) node count of the current layout.
     live_nodes: usize,
-    /// Start of each buffer's arc segment in the flat arc vector (one extra
-    /// trailing entry holds the total), valid for the current emission.
-    arc_seg_start: Vec<u32>,
-    /// Cached constraint arcs, indexed by buffer id.
-    buffer_arcs: Vec<Vec<BufferArc>>,
+    /// Every buffer's constraint arcs, buffer after buffer.
+    arcs: Vec<BufferArc>,
+    /// Start of each buffer's segment in `arcs` and in the ratio graph's
+    /// arcs (one extra trailing entry holds the total).
+    arc_seg_start: Vec<usize>,
     /// K-invariant time denominators `i_b · q_t`, indexed by buffer id.
     buffer_denominator: Vec<i128>,
     /// The initial markings the cached arcs were derived at, indexed by
     /// buffer id; `apply_update` diffs the graph against this to find the
     /// buffers dirtied by in-place token/capacity mutations.
     initial_tokens: Vec<u64>,
-    // Scratch reused across updates (per-producer-phase consumer matches of
-    // the tiled constraint emission).
-    phase_scratch: Vec<u32>,
+    // Scratch reused across updates: the tiled emission's, one buffer's
+    // re-derived arcs, and the sorted dirty-buffer set.
+    emit_scratch: EmitScratch,
+    buffer_scratch: Vec<BufferArc>,
+    dirty_buffers: Vec<usize>,
+}
+
+/// The node block of one task: its periodicity, its length `K_t · ϕ(t)` and
+/// the index of its first event node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TaskBlock {
+    k: u64,
+    len: usize,
+    offset: usize,
 }
 
 impl EventGraphArena {
@@ -201,15 +223,25 @@ impl EventGraphArena {
         validate_periodicity(graph, k)?;
         let lcm_k = k.lcm()?;
 
-        // Enforce the cumulative node limit *while* expanding, so a graph
-        // over the limit errors out before allocating every duration slice.
+        // Enforce the cumulative node limit *while* sizing the blocks, so a
+        // graph over the limit errors out before anything is emitted.
         let mut blocks = Vec::with_capacity(graph.task_count());
+        let mut durations = Vec::new();
+        let mut duration_start = Vec::with_capacity(graph.task_count() + 1);
         let mut total_nodes = 0usize;
         for (task_id, task) in graph.tasks() {
-            total_nodes =
-                check_node_total(total_nodes, task.phase_count(), k.get(task_id), limits)?;
-            blocks.push(TaskBlock::build(task.durations(), k.get(task_id)));
+            let len = check_node_total(total_nodes, task.phase_count(), k.get(task_id), limits)?
+                - total_nodes;
+            total_nodes += len;
+            blocks.push(TaskBlock {
+                k: k.get(task_id),
+                len,
+                offset: 0,
+            });
+            duration_start.push(durations.len());
+            durations.extend_from_slice(task.durations());
         }
+        duration_start.push(durations.len());
 
         let mut buffer_denominator = Vec::with_capacity(graph.buffer_count());
         for (_, buffer) in graph.buffers() {
@@ -226,26 +258,32 @@ impl EventGraphArena {
             fingerprint,
             lcm_k,
             blocks,
+            durations,
+            duration_start,
             nodes: Vec::new(),
             ratio: RatioGraph::default(),
             capacities: Vec::new(),
             live_nodes: 0,
-            arc_seg_start: Vec::new(),
-            buffer_arcs: vec![Vec::new(); graph.buffer_count()],
+            arcs: Vec::new(),
+            arc_seg_start: Vec::with_capacity(graph.buffer_count() + 1),
             buffer_denominator,
             initial_tokens: graph.buffers().map(|(_, b)| b.initial_tokens()).collect(),
-            phase_scratch: Vec::new(),
+            emit_scratch: EmitScratch::default(),
+            buffer_scratch: Vec::new(),
+            dirty_buffers: Vec::new(),
         };
-        let mut total_arcs = 0usize;
+        let mut arcs = Vec::new();
         for (buffer_id, _) in graph.buffers() {
             if cancel.is_cancelled() {
                 return Err(AnalysisError::DeadlineExceeded);
             }
-            arena.rebuild_buffer(graph, buffer_id.index(), k)?;
-            total_arcs += arena.buffer_arcs[buffer_id.index()].len();
-            check_arc_total(total_arcs, limits)?;
+            arena.arc_seg_start.push(arcs.len());
+            arena.emit_buffer(graph, buffer_id.index(), k, &mut arcs)?;
+            check_arc_total(arcs.len(), limits)?;
         }
-        arena.assemble(graph, None)?;
+        arena.arc_seg_start.push(arcs.len());
+        arena.arcs = arcs;
+        arena.assemble(graph, false)?;
         Ok(arena)
     }
 
@@ -253,9 +291,9 @@ impl EventGraphArena {
     /// markings: only the node blocks of tasks whose `K_t` changed and the
     /// constraint arcs of their incident buffers — plus the arcs of buffers
     /// whose marking was mutated in place ([`CsdfGraph::set_initial_tokens`]
-    /// / [`CsdfGraph::set_capacity`]) — are re-derived; every other block,
-    /// arc, and duration slice is kept, and the ratio graph is re-assembled
-    /// in place from the caches. Marking changes can never dirty a node
+    /// / [`CsdfGraph::set_capacity`]) — are re-derived; every other block
+    /// and arc is kept, and the ratio graph is re-assembled in place from
+    /// the arc store. Marking changes can never dirty a node
     /// block: tokens only enter the Theorem-2 arc weights `β`, never the
     /// event-graph node structure.
     ///
@@ -333,11 +371,11 @@ impl EventGraphArena {
         }
 
         // Enforce the cumulative node limit on the *prospective* sizes before
-        // any block is re-expanded (and before its memory is allocated).
-        let kept: usize = self.nodes.len()
+        // any block is resized.
+        let kept: usize = self.live_nodes
             - dirty_tasks
                 .iter()
-                .map(|task| self.blocks[task.index()].len())
+                .map(|task| self.blocks[task.index()].len)
                 .sum::<usize>();
         let mut total_nodes = kept;
         for &task in &dirty_tasks {
@@ -349,15 +387,13 @@ impl EventGraphArena {
             )?;
         }
 
-        let mut dirty_buffers: BTreeSet<usize> = BTreeSet::new();
+        let mut dirty_buffers = std::mem::take(&mut self.dirty_buffers);
+        dirty_buffers.clear();
         for &task in &dirty_tasks {
-            self.blocks[task.index()].rebuild(graph.task(task).durations(), k.get(task));
-            for &buffer in graph.outgoing(task) {
-                dirty_buffers.insert(buffer.index());
-            }
-            for &buffer in graph.incoming(task) {
-                dirty_buffers.insert(buffer.index());
-            }
+            let block = &mut self.blocks[task.index()];
+            block.k = k.get(task);
+            block.len = graph.task(task).phase_count() * block.k as usize;
+            dirty_buffers.extend(graph.incident(task).iter().map(csdf::BufferId::index));
         }
         // Buffers whose marking was mutated in place since the cached arcs
         // were derived: only their β values (arc weights) change, so they
@@ -366,40 +402,100 @@ impl EventGraphArena {
         for (buffer_id, buffer) in graph.buffers() {
             if self.initial_tokens[buffer_id.index()] != buffer.initial_tokens() {
                 marking_dirty_buffers += 1;
-                dirty_buffers.insert(buffer_id.index());
+                dirty_buffers.push(buffer_id.index());
             }
         }
+        dirty_buffers.sort_unstable();
+        dirty_buffers.dedup();
 
-        for &buffer_index in &dirty_buffers {
-            if cancel.is_cancelled() {
-                return Err(AnalysisError::DeadlineExceeded);
-            }
-            self.rebuild_buffer(graph, buffer_index, k)?;
-        }
-        let total_arcs: usize = self.buffer_arcs.iter().map(Vec::len).sum();
-        check_arc_total(total_arcs, &self.limits)?;
-        let (assemble, patched_arcs) = self.assemble(graph, Some(&dirty_buffers))?;
+        let relaid = self.rederive(graph, k, &dirty_buffers, cancel)?;
+        let rebuilt_buffers = dirty_buffers.len();
+        self.dirty_buffers = dirty_buffers;
+        check_arc_total(self.arcs.len(), &self.limits)?;
+        let (assemble, patched_arcs) = self.assemble(graph, !relaid)?;
 
         Ok(ArenaUpdate {
             dirty_tasks: dirty_tasks.len(),
-            rebuilt_buffers: dirty_buffers.len(),
-            reused_buffers: self.buffer_arcs.len() - dirty_buffers.len(),
+            rebuilt_buffers,
+            reused_buffers: self.buffer_count() - rebuilt_buffers,
             marking_dirty_buffers,
             assemble,
             patched_arcs,
         })
     }
 
-    /// Re-derives the cached constraint arcs of one buffer at the current
-    /// periodicity (Theorem-2 constraints over the K-tiled rate vectors,
-    /// bi-values) through the output-sensitive tiled emission — the expanded
-    /// vectors are never materialised and only the useful phase pairs are
-    /// visited.
-    fn rebuild_buffer(
+    /// Re-derives the arcs of the sorted `dirty` buffers into the store. While
+    /// every re-derived buffer keeps its arc count its segment is overwritten
+    /// in place; from the first one that does not, the store is laid out
+    /// again in one pass (kept segments copied, re-derived ones emitted in
+    /// between) and the old store is dropped. Returns whether the store was
+    /// laid out again.
+    fn rederive(
+        &mut self,
+        graph: &CsdfGraph,
+        k: &PeriodicityVector,
+        dirty: &[usize],
+        cancel: &CancelToken,
+    ) -> Result<bool, AnalysisError> {
+        let mut scratch = std::mem::take(&mut self.buffer_scratch);
+        // The re-laid store and the first buffer not yet copied into it.
+        let mut relaid: Option<(Vec<BufferArc>, usize)> = None;
+        for &buffer in dirty {
+            if cancel.is_cancelled() {
+                return Err(AnalysisError::DeadlineExceeded);
+            }
+            let (start, end) = (self.arc_seg_start[buffer], self.arc_seg_start[buffer + 1]);
+            if let Some((store, copied)) = &mut relaid {
+                self.copy_segments(store, *copied, buffer);
+                self.arc_seg_start[buffer] = store.len();
+                self.emit_buffer(graph, buffer, k, store)?;
+                *copied = buffer + 1;
+                continue;
+            }
+            scratch.clear();
+            self.emit_buffer(graph, buffer, k, &mut scratch)?;
+            if scratch.len() == end - start {
+                self.arcs[start..end].copy_from_slice(&scratch);
+            } else {
+                let mut store = Vec::with_capacity(self.arcs.len() + scratch.len());
+                store.extend_from_slice(&self.arcs[..start]);
+                store.extend_from_slice(&scratch);
+                relaid = Some((store, buffer + 1));
+            }
+        }
+        self.buffer_scratch = scratch;
+        let Some((mut store, copied)) = relaid else {
+            return Ok(false);
+        };
+        let buffers = self.buffer_count();
+        self.copy_segments(&mut store, copied, buffers);
+        self.arc_seg_start[buffers] = store.len();
+        self.arcs = store;
+        Ok(true)
+    }
+
+    /// Appends the kept segments of buffers `from..to` of the current store
+    /// to a re-laid `store`, moving their segment starts along.
+    fn copy_segments(&mut self, store: &mut Vec<BufferArc>, from: usize, to: usize) {
+        let (start, end) = (self.arc_seg_start[from], self.arc_seg_start[to]);
+        let base = store.len();
+        for seg_start in &mut self.arc_seg_start[from..to] {
+            *seg_start = *seg_start - start + base;
+        }
+        store.extend_from_slice(&self.arcs[start..end]);
+    }
+
+    /// Derives the constraint arcs of one buffer at the current periodicity
+    /// (Theorem-2 constraints over the K-tiled rate vectors, bi-values) and
+    /// appends them to `out`, through the output-sensitive tiled emission —
+    /// the expanded vectors are never materialised and only the useful phase
+    /// pairs are visited.
+    fn emit_buffer(
         &mut self,
         graph: &CsdfGraph,
         buffer_index: usize,
         k: &PeriodicityVector,
+        out: &mut Vec<BufferArc>,
     ) -> Result<(), AnalysisError> {
         let buffer = graph.buffer(csdf::BufferId::new(buffer_index));
         self.initial_tokens[buffer_index] = buffer.initial_tokens();
@@ -409,33 +505,32 @@ impl EventGraphArena {
             buffer.consumption(),
             k.get(buffer.target()),
             buffer.initial_tokens(),
-            &self.blocks[buffer.source().index()].durations,
+            graph.task(buffer.source()).durations(),
             self.buffer_denominator[buffer_index],
-            &mut self.phase_scratch,
-            &mut self.buffer_arcs[buffer_index],
+            &mut self.emit_scratch,
+            out,
         )
         .map_err(AnalysisError::Model)
     }
 
-    /// Recomputes the ratio graph from the per-task and per-buffer caches,
-    /// taking the cheapest applicable path (see [`AssembleMode`]): a full
-    /// renumber when a block crossed its power-of-two capacity, a
-    /// layout-preserving arc re-emission when a dirty buffer's arc count
-    /// changed, and an in-place patch of just the dirty buffers' arcs
-    /// otherwise. `dirty` is the set of buffers whose cached arcs were
-    /// re-derived since the last assembly (`None` forces the full path).
-    /// Every path produces the same graph bit for bit — the layout is a pure
-    /// function of the current block lengths.
+    /// Recomputes the ratio graph from the blocks and the arc store, taking
+    /// the cheapest applicable path (see [`AssembleMode`]): a full renumber
+    /// when a block crossed its power-of-two capacity, a layout-preserving
+    /// arc re-emission when the store was laid out again, and an in-place
+    /// patch of just the dirty buffers' arcs (`self.dirty_buffers`) when
+    /// `in_place` says every re-derived segment kept its place. Every path
+    /// produces the same graph bit for bit — the layout is a pure function
+    /// of the current block lengths.
     fn assemble(
         &mut self,
         graph: &CsdfGraph,
-        dirty: Option<&BTreeSet<usize>>,
+        in_place: bool,
     ) -> Result<(AssembleMode, usize), AnalysisError> {
         // The node limit applies to *live* nodes, matching the incremental
         // checks of `build`/`apply_update`; padding slots are free.
         let mut live_nodes = 0usize;
         for block in &self.blocks {
-            live_nodes += block.len();
+            live_nodes += block.len;
             if live_nodes > self.limits.max_nodes {
                 return Err(AnalysisError::EventGraphTooLarge {
                     nodes: live_nodes,
@@ -450,33 +545,25 @@ impl EventGraphArena {
                 .blocks
                 .iter()
                 .zip(&self.capacities)
-                .all(|(block, &capacity)| block.len().next_power_of_two() == capacity);
-        let Some(dirty) = dirty.filter(|_| layout_current) else {
+                .all(|(block, &capacity)| block.len.next_power_of_two() == capacity);
+        if !layout_current {
             self.renumber();
             self.emit_arcs(graph);
             return Ok((AssembleMode::Renumbered, 0));
-        };
-
-        // The in-place patch needs every dirty buffer to keep its arc-slot
-        // count; otherwise later segments would shift.
-        let slots_stable = dirty.iter().all(|&buffer| {
-            let start = self.arc_seg_start[buffer] as usize;
-            let end = self.arc_seg_start[buffer + 1] as usize;
-            end - start == self.buffer_arcs[buffer].len()
-        });
-        if !slots_stable {
+        }
+        if !in_place {
             self.emit_arcs(graph);
             return Ok((AssembleMode::Reemitted, 0));
         }
 
         let mut patched = 0usize;
-        for &buffer_index in dirty {
+        for &buffer_index in &self.dirty_buffers {
             let buffer = graph.buffer(csdf::BufferId::new(buffer_index));
             let from_base = self.blocks[buffer.source().index()].offset;
             let to_base = self.blocks[buffer.target().index()].offset;
-            let segment = self.arc_seg_start[buffer_index] as usize;
-            for (slot, arc) in self.buffer_arcs[buffer_index].iter().enumerate() {
-                let id = ArcId::new(segment + slot);
+            let segment = self.arc_seg_start[buffer_index]..self.arc_seg_start[buffer_index + 1];
+            for (index, arc) in segment.clone().zip(&self.arcs[segment]) {
+                let id = ArcId::new(index);
                 let from = NodeId::new(from_base + arc.producer_phase as usize);
                 let to = NodeId::new(to_base + arc.consumer_phase as usize);
                 let current = self.ratio.arc(id);
@@ -506,7 +593,7 @@ impl EventGraphArena {
         self.capacities.extend(
             self.blocks
                 .iter()
-                .map(|block| block.len().next_power_of_two()),
+                .map(|block| block.len.next_power_of_two()),
         );
         let mut total = 0usize;
         for (block, &capacity) in self.blocks.iter_mut().zip(&self.capacities) {
@@ -523,32 +610,27 @@ impl EventGraphArena {
         }
     }
 
-    /// Re-emits every cached arc into the ratio graph (reset in place,
+    /// Re-emits the whole arc store into the ratio graph (reset in place,
     /// allocations kept) in buffer order — exactly the order of a
-    /// from-scratch build — and refreshes the per-buffer segment index.
+    /// from-scratch build.
     fn emit_arcs(&mut self, graph: &CsdfGraph) {
         let total_nodes: usize = self.capacities.iter().sum();
-        let total_arcs: usize = self.buffer_arcs.iter().map(Vec::len).sum();
         self.ratio.reset(total_nodes);
-        self.ratio.reserve_arcs(total_arcs);
-        self.arc_seg_start.clear();
-        self.arc_seg_start.reserve(self.buffer_arcs.len() + 1);
-        let mut emitted = 0u32;
+        self.ratio.reserve_arcs(self.arcs.len());
         for (buffer_id, buffer) in graph.buffers() {
-            self.arc_seg_start.push(emitted);
             let from_base = self.blocks[buffer.source().index()].offset;
             let to_base = self.blocks[buffer.target().index()].offset;
-            for arc in &self.buffer_arcs[buffer_id.index()] {
+            let segment =
+                self.arc_seg_start[buffer_id.index()]..self.arc_seg_start[buffer_id.index() + 1];
+            for arc in &self.arcs[segment] {
                 self.ratio.add_arc(
                     NodeId::new(from_base + arc.producer_phase as usize),
                     NodeId::new(to_base + arc.consumer_phase as usize),
                     arc.cost,
                     arc.time,
                 );
-                emitted += 1;
             }
         }
-        self.arc_seg_start.push(emitted);
         // One counting-sort pass refreshes the CSR adjacency in place (both
         // index arrays keep their allocation across resets), so the MCR
         // solver can borrow it instead of building its own.
@@ -575,7 +657,7 @@ impl EventGraphArena {
 
     /// Number of buffers of the CSDF graph this arena was built from.
     pub fn buffer_count(&self) -> usize {
-        self.buffer_arcs.len()
+        self.arc_seg_start.len() - 1
     }
 
     /// Whether `graph` is *structurally* the graph this arena was built
@@ -595,7 +677,7 @@ impl EventGraphArena {
     /// of `graph` already computed.
     pub(crate) fn matches_key(&self, graph: &CsdfGraph, fingerprint: u64) -> bool {
         self.blocks.len() == graph.task_count()
-            && self.buffer_arcs.len() == graph.buffer_count()
+            && self.buffer_count() == graph.buffer_count()
             && self.fingerprint == fingerprint
     }
 
@@ -636,18 +718,25 @@ impl EventGraphArena {
     /// Panics if `task` or `phase` is out of range.
     pub fn node_of(&self, task: TaskId, phase: usize) -> NodeId {
         let block = &self.blocks[task.index()];
-        assert!(phase < block.len());
+        assert!(phase < block.len);
         NodeId::new(block.offset + phase)
     }
 
     /// Duration of the `phase`-th transformed execution of `task`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` or `phase` is out of range.
     pub fn duration_of(&self, task: TaskId, phase: usize) -> u64 {
-        self.blocks[task.index()].durations[phase]
+        assert!(phase < self.blocks[task.index()].len);
+        let base = &self.durations
+            [self.duration_start[task.index()]..self.duration_start[task.index() + 1]];
+        base[phase % base.len()]
     }
 
     /// Number of transformed phases (`K_t · ϕ(t)`) of `task`.
     pub fn phase_count_of(&self, task: TaskId) -> usize {
-        self.blocks[task.index()].len()
+        self.blocks[task.index()].len
     }
 
     /// The periodicity `K_t` the current event graph uses for `task`.
@@ -716,8 +805,8 @@ fn validate_periodicity(graph: &CsdfGraph, k: &PeriodicityVector) -> Result<(), 
 }
 
 /// Adds one task's prospective block size (`K_t · ϕ(t)`) to a running node
-/// total, rejecting it against the limit *before* the block's duration slice
-/// is allocated. Returns the new total.
+/// total, rejecting it against the limit *before* any arc is emitted.
+/// Returns the new total.
 fn check_node_total(
     total_nodes: usize,
     phase_count: usize,
@@ -963,10 +1052,7 @@ mod tests {
             assert_eq!(arena.lcm_k(), fresh.lcm_k());
             assert!(arena.ratio_graph().adjacency_current());
         }
-        assert!(
-            saw[0] && saw[2],
-            "sequence exercised renumber and patch paths: {saw:?}"
-        );
+        assert_eq!(saw, [true; 3], "every assembly path ran");
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! Constraints are emitted **per buffer**: [`phase_constraints`] returns the
 //! raw `(α, β)` pairs of one buffer, and [`emit_buffer_arcs`] turns them
 //! directly into the bi-valued event-graph arcs of that buffer (block-local
-//! endpoints plus `L`/`H` values). The event-graph arena caches the result of
-//! `emit_buffer_arcs` per buffer and only re-derives it for buffers whose
-//! producer or consumer changed periodicity.
+//! endpoints plus `L`/`H` values); [`emit_buffer_arcs_tiled`] derives the
+//! same arcs straight from the base rates. The event-graph arena keeps every
+//! buffer's arcs in one flat store and only re-derives those of buffers
+//! whose producer or consumer changed periodicity.
 
 use csdf::{CsdfError, Rational};
 
@@ -146,9 +147,10 @@ pub(crate) struct BufferArc {
 /// Theorem-2 constraints over the expanded rate vectors, bi-valued with the
 /// producer-phase duration as cost and `−β / denominator` as time.
 ///
-/// `producer_durations` is the producer's expanded duration slice and
-/// `denominator` the K-invariant `i_b · q_t` of the buffer. The result is
-/// written into `out` (cleared first) so the arena reuses its allocation.
+/// `base_durations` is the producer's base duration slice (`ϕ(t)` entries;
+/// expanded phase `p` lasts `base_durations[p mod ϕ(t)]`) and `denominator`
+/// the K-invariant `i_b · q_t` of the buffer. The result is written into
+/// `out` (cleared first).
 ///
 /// # Errors
 ///
@@ -161,23 +163,39 @@ pub(crate) fn emit_buffer_arcs(
     production: &[u64],
     consumption: &[u64],
     initial_tokens: u64,
-    producer_durations: &[u64],
+    base_durations: &[u64],
     denominator: i128,
     out: &mut Vec<BufferArc>,
 ) -> Result<(), CsdfError> {
     out.clear();
     for_each_constraint(production, consumption, initial_tokens, |constraint| {
+        let duration = base_durations[constraint.producer_phase % base_durations.len()];
         out.push(BufferArc {
             producer_phase: u32::try_from(constraint.producer_phase)
                 .map_err(|_| CsdfError::Overflow)?,
             consumer_phase: u32::try_from(constraint.consumer_phase)
                 .map_err(|_| CsdfError::Overflow)?,
-            cost: Rational::from_integer(producer_durations[constraint.producer_phase] as i128),
+            cost: Rational::from_integer(duration as i128),
             time: Rational::new(-constraint.beta, denominator).map_err(CsdfError::Rational)?,
         });
         Ok(())
     })
 }
+
+/// Reusable scratch of [`emit_buffer_arcs_tiled`], so that a call allocates
+/// nothing once the scratch has grown to the largest buffer seen.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EmitScratch {
+    /// 1-based cumulative base consumption of the buffer being emitted.
+    cumulative: Vec<u64>,
+    /// Consumer phases matched by the current producer phase.
+    phases: Vec<u32>,
+}
+
+/// Totals and markings below this bound keep every intermediate value of
+/// the tiled emission inside an `i64`: each is a sum of at most four terms
+/// under `2^60`.
+const WORD_LIMIT: u128 = 1 << 60;
 
 /// Derives the bi-valued arcs of one buffer under the current periodicity
 /// **without materialising the expanded rate vectors or probing every phase
@@ -197,9 +215,12 @@ pub(crate) fn emit_buffer_arcs(
 /// identical row-major order** (property-tested against the naive oracle in
 /// this module).
 ///
-/// `producer_durations` is the producer's expanded duration slice and
-/// `denominator` the K-invariant `i_b · q_t`. `phase_scratch` is a reusable
-/// buffer for the per-producer-phase consumer matches.
+/// One body serves two word widths: `i64` while `i_b·K_s`, `o_b·K_t` and
+/// `M0` stay below `2^60`, `i128` beyond. The arcs are **appended** to `out`,
+/// so the arena emits every buffer into one flat store.
+///
+/// `base_durations` is the producer's base duration slice and
+/// `denominator` the K-invariant `i_b · q_t`.
 ///
 /// # Errors
 ///
@@ -213,138 +234,241 @@ pub(crate) fn emit_buffer_arcs_tiled(
     base_consumption: &[u64],
     k_target: u64,
     initial_tokens: u64,
-    producer_durations: &[u64],
+    base_durations: &[u64],
     denominator: i128,
-    phase_scratch: &mut Vec<u32>,
+    scratch: &mut EmitScratch,
     out: &mut Vec<BufferArc>,
 ) -> Result<(), CsdfError> {
-    out.clear();
     assert!(!base_production.is_empty() && !base_consumption.is_empty());
-    let phi_s = base_production.len();
-    let phi_c = base_consumption.len();
     let i_b: u64 = base_production.iter().sum();
     let o_b: u64 = base_consumption.iter().sum();
     assert!(i_b > 0 && o_b > 0);
-    let expanded_producers = (phi_s as u64)
+    let expanded_producers = (base_production.len() as u64)
         .checked_mul(k_source)
         .ok_or(CsdfError::Overflow)?;
-    let expanded_consumers = (phi_c as u64)
+    let expanded_consumers = (base_consumption.len() as u64)
         .checked_mul(k_target)
         .ok_or(CsdfError::Overflow)?;
     if u32::try_from(expanded_producers).is_err() || u32::try_from(expanded_consumers).is_err() {
         return Err(CsdfError::Overflow);
     }
-    let total_production = (i_b as i128)
-        .checked_mul(k_source as i128)
-        .ok_or(CsdfError::Overflow)?;
-    let total_consumption = (o_b as i128)
-        .checked_mul(k_target as i128)
-        .ok_or(CsdfError::Overflow)?;
-    let g = csdf::gcd_i128(total_production, total_consumption);
-    let ob = o_b as i128;
-    let ob_mod = ob % g;
-    // Solutions of `j·o_b ≡ Δ (mod g̃)` repeat with period `s = g̃ / e`.
-    let (e, s, inverse) = if ob_mod == 0 {
-        (0, 0, 0)
-    } else {
-        let e = csdf::gcd_i128(ob_mod, g);
-        let s = g / e;
-        (e, s, mod_inverse(ob_mod / e, s))
+    let total_production = u128::from(i_b) * u128::from(k_source);
+    let total_consumption = u128::from(o_b) * u128::from(k_target);
+    if total_production > i128::MAX as u128 || total_consumption > i128::MAX as u128 {
+        return Err(CsdfError::Overflow);
+    }
+    let tiles = Tiles {
+        base_production,
+        base_consumption,
+        k_target,
+        expanded_producers,
+        initial_tokens,
+        base_durations,
+        denominator,
+        o_b,
+        g: csdf::gcd_u128(total_production, total_consumption),
     };
-
-    // 1-based cumulative base consumption.
-    let mut cumulative_consumption = Vec::with_capacity(phi_c);
-    let mut running = 0i128;
-    for &rate in base_consumption {
-        running += rate as i128;
-        cumulative_consumption.push(running);
+    if total_production < WORD_LIMIT
+        && total_consumption < WORD_LIMIT
+        && u128::from(initial_tokens) < WORD_LIMIT
+    {
+        tiles.emit::<i64>(scratch, out)
+    } else {
+        tiles.emit::<i128>(scratch, out)
     }
-
-    let marking = initial_tokens as i128;
-    let mut produced_before = 0i128;
-    for p in 0..expanded_producers {
-        let pb = (p % phi_s as u64) as usize;
-        let v = base_production[pb] as i128;
-        produced_before += v;
-        phase_scratch.clear();
-        for (cb, &consumed_here) in base_consumption.iter().enumerate() {
-            let m = v.min(consumed_here as i128);
-            if m == 0 {
-                continue;
-            }
-            // q for consumer tile j = 0, then q_j = q_0 + j·o_b.
-            let q_zero = cumulative_consumption[cb] - produced_before - marking + v;
-            let r_zero = (q_zero - 1).rem_euclid(g);
-            if ob_mod == 0 {
-                // The residue never moves: all tiles match, or none do.
-                if r_zero < m {
-                    for j in 0..k_target {
-                        phase_scratch.push(j as u32 * phi_c as u32 + cb as u32);
-                    }
-                }
-                continue;
-            }
-            let m_eff = m.min(g);
-            // Valid residues `t ∈ [0, m_eff)` must satisfy `t ≡ r_0 (mod e)`.
-            let t_first = r_zero % e;
-            if t_first >= m_eff {
-                continue;
-            }
-            let classes = (m_eff - 1 - t_first) / e + 1;
-            if classes >= k_target as i128 {
-                // Dense case: probing every tile is cheaper than solving
-                // more congruence classes than there are tiles. Never worse
-                // than the naive inner loop.
-                let mut residue = r_zero;
-                for j in 0..k_target {
-                    if residue < m {
-                        phase_scratch.push(j as u32 * phi_c as u32 + cb as u32);
-                    }
-                    residue += ob_mod;
-                    if residue >= g {
-                        residue -= g;
-                    }
-                }
-                continue;
-            }
-            let mut t = t_first;
-            while t < m_eff {
-                // j ≡ (Δ/e)·(o_b/e)⁻¹ (mod s) with Δ = (t − r_0) mod g̃.
-                let delta = (t - r_zero).rem_euclid(g);
-                let j_first = ((delta / e) % s)
-                    .checked_mul(inverse)
-                    .ok_or(CsdfError::Overflow)?
-                    % s;
-                let mut j = j_first as u64;
-                while j < k_target {
-                    phase_scratch.push(j as u32 * phi_c as u32 + cb as u32);
-                    j += s as u64;
-                }
-                t += e;
-            }
-        }
-        // Congruence classes interleave across consumer phases; restore the
-        // naive row-major (consumer-phase-ascending) order exactly.
-        phase_scratch.sort_unstable();
-        for &consumer_phase in phase_scratch.iter() {
-            let j = (consumer_phase / phi_c as u32) as i128;
-            let cb = (consumer_phase % phi_c as u32) as usize;
-            let q = cumulative_consumption[cb] + j * ob - produced_before - marking + v;
-            let beta = floor_to_multiple(q - 1, g);
-            debug_assert!(
-                ceil_to_multiple(q - v.min(base_consumption[cb] as i128), g) <= beta,
-                "tiled emission produced a useless constraint"
-            );
-            out.push(BufferArc {
-                producer_phase: p as u32,
-                consumer_phase,
-                cost: Rational::from_integer(producer_durations[p as usize] as i128),
-                time: Rational::new(-beta, denominator).map_err(CsdfError::Rational)?,
-            });
-        }
-    }
-    Ok(())
 }
+
+/// One buffer's tiled emission problem, shared by both word widths.
+struct Tiles<'a> {
+    base_production: &'a [u64],
+    base_consumption: &'a [u64],
+    k_target: u64,
+    expanded_producers: u64,
+    initial_tokens: u64,
+    base_durations: &'a [u64],
+    denominator: i128,
+    o_b: u64,
+    /// `g̃ = gcd(i_b·K_s, o_b·K_t)`.
+    g: u128,
+}
+
+impl Tiles<'_> {
+    fn emit<W: Word>(
+        &self,
+        scratch: &mut EmitScratch,
+        out: &mut Vec<BufferArc>,
+    ) -> Result<(), CsdfError> {
+        let phi_s = self.base_production.len();
+        let phi_c = self.base_consumption.len() as u32;
+        let k_target = self.k_target;
+        let g128 = self.g as i128;
+        let g = W::from_i128(g128);
+        let ob = W::from_u64(self.o_b);
+        let ob_mod = ob % g;
+        // Solutions of `j·o_b ≡ Δ (mod g̃)` repeat with period `s = g̃ / e`.
+        let (e, s, inverse) = if ob_mod == W::ZERO {
+            (W::ZERO, 0, 0)
+        } else {
+            let ob_mod = ob_mod.to_i128();
+            let e = csdf::gcd_i128(ob_mod, g128);
+            let s = g128 / e;
+            (W::from_i128(e), s, mod_inverse(ob_mod / e, s))
+        };
+
+        let EmitScratch { cumulative, phases } = scratch;
+        cumulative.clear();
+        let mut running = 0u64;
+        for &rate in self.base_consumption {
+            running += rate;
+            cumulative.push(running);
+        }
+
+        let marking = W::from_u64(self.initial_tokens);
+        let mut produced_before = W::ZERO;
+        for p in 0..self.expanded_producers {
+            let produced_here = self.base_production[(p % phi_s as u64) as usize];
+            let v = W::from_u64(produced_here);
+            produced_before = produced_before + v;
+            phases.clear();
+            for (cb, &consumed_here) in self.base_consumption.iter().enumerate() {
+                let m = W::from_u64(produced_here.min(consumed_here));
+                if m == W::ZERO {
+                    continue;
+                }
+                let cb = cb as u32;
+                // q for consumer tile j = 0, then q_j = q_0 + j·o_b.
+                let q_zero = W::from_u64(cumulative[cb as usize]) - produced_before - marking + v;
+                let r_zero = (q_zero - W::ONE).rem_euclid(g);
+                if ob_mod == W::ZERO {
+                    // The residue never moves: all tiles match, or none do.
+                    if r_zero < m {
+                        phases.extend((0..k_target as u32).map(|j| j * phi_c + cb));
+                    }
+                    continue;
+                }
+                let m_eff = m.min(g);
+                // Valid residues `t ∈ [0, m_eff)` must satisfy `t ≡ r_0 (mod e)`.
+                let t_first = r_zero % e;
+                if t_first >= m_eff {
+                    continue;
+                }
+                let classes = (m_eff - W::ONE - t_first) / e + W::ONE;
+                if classes.to_i128() >= i128::from(k_target) {
+                    // Dense case: probing every tile is cheaper than solving
+                    // more congruence classes than there are tiles. Never
+                    // worse than the naive inner loop.
+                    let mut residue = r_zero;
+                    for j in 0..k_target as u32 {
+                        if residue < m {
+                            phases.push(j * phi_c + cb);
+                        }
+                        residue = residue + ob_mod;
+                        if residue >= g {
+                            residue = residue - g;
+                        }
+                    }
+                    continue;
+                }
+                let mut t = t_first;
+                while t < m_eff {
+                    // j ≡ (Δ/e)·(o_b/e)⁻¹ (mod s) with Δ = (t − r_0) mod g̃.
+                    let delta = (t - r_zero).rem_euclid(g).to_i128();
+                    let j_first = ((delta / e.to_i128()) % s)
+                        .checked_mul(inverse)
+                        .ok_or(CsdfError::Overflow)?
+                        % s;
+                    let mut j = j_first as u64;
+                    while j < k_target {
+                        phases.push(j as u32 * phi_c + cb);
+                        j += s as u64;
+                    }
+                    t = t + e;
+                }
+            }
+            // Congruence classes interleave across consumer phases; restore
+            // the naive row-major (consumer-phase-ascending) order exactly.
+            phases.sort_unstable();
+            let cost = Rational::from_integer(i128::from(
+                self.base_durations[(p % self.base_durations.len() as u64) as usize],
+            ));
+            for &consumer_phase in phases.iter() {
+                let j = W::from_u64(u64::from(consumer_phase / phi_c));
+                let cb = (consumer_phase % phi_c) as usize;
+                let q = W::from_u64(cumulative[cb]) + j * ob - produced_before - marking + v;
+                let beta = (q - W::ONE).div_euclid(g) * g;
+                debug_assert!(
+                    ceil_to_multiple(
+                        q.to_i128() - i128::from(produced_here.min(self.base_consumption[cb])),
+                        g128
+                    ) <= beta.to_i128(),
+                    "tiled emission produced a useless constraint"
+                );
+                out.push(BufferArc {
+                    producer_phase: p as u32,
+                    consumer_phase,
+                    cost,
+                    time: Rational::new(-beta.to_i128(), self.denominator)
+                        .map_err(CsdfError::Rational)?,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The integer word the tiled emission runs on: `i64` when every
+/// intermediate value provably fits (see [`WORD_LIMIT`]), `i128` otherwise.
+trait Word:
+    Copy
+    + Ord
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + std::ops::Div<Output = Self>
+    + std::ops::Rem<Output = Self>
+{
+    const ZERO: Self;
+    const ONE: Self;
+    /// `value` in this width; the caller guarantees that it fits.
+    fn from_i128(value: i128) -> Self;
+    /// `value` in this width; the caller guarantees that it fits.
+    fn from_u64(value: u64) -> Self;
+    fn to_i128(self) -> i128;
+    fn rem_euclid(self, modulus: Self) -> Self;
+    fn div_euclid(self, divisor: Self) -> Self;
+}
+
+macro_rules! word {
+    ($word:ty) => {
+        impl Word for $word {
+            const ZERO: Self = 0;
+            const ONE: Self = 1;
+            #[inline(always)]
+            fn from_i128(value: i128) -> Self {
+                value as $word
+            }
+            #[inline(always)]
+            fn from_u64(value: u64) -> Self {
+                value as $word
+            }
+            #[inline(always)]
+            fn to_i128(self) -> i128 {
+                self as i128
+            }
+            #[inline(always)]
+            fn rem_euclid(self, modulus: Self) -> Self {
+                <$word>::rem_euclid(self, modulus)
+            }
+            #[inline(always)]
+            fn div_euclid(self, divisor: Self) -> Self {
+                <$word>::div_euclid(self, divisor)
+            }
+        }
+    };
+}
+
+word!(i64);
+word!(i128);
 
 /// Modular inverse of `a` modulo `m` (`m ≥ 1`, `gcd(a, m) = 1`) by the
 /// extended Euclidean algorithm, in `[0, m)`.
@@ -366,24 +490,15 @@ fn mod_inverse(a: i128, m: i128) -> i128 {
 /// Duplicates a rate vector `factor` times (the `[v]^P` notation of the
 /// paper's Section 3.2).
 pub fn duplicate_rates(rates: &[u64], factor: u64) -> Vec<u64> {
-    let mut duplicated = Vec::new();
-    duplicate_rates_into(&mut duplicated, rates, factor);
-    duplicated
-}
-
-/// [`duplicate_rates`] into a reused buffer (cleared first): the single
-/// implementation of the `[v]^P` tiling behind the task blocks and the
-/// arena's rate-expansion scratch.
-pub(crate) fn duplicate_rates_into(out: &mut Vec<u64>, rates: &[u64], factor: u64) {
-    out.clear();
-    out.reserve(
+    let mut duplicated = Vec::with_capacity(
         rates
             .len()
             .saturating_mul(usize::try_from(factor).unwrap_or(usize::MAX)),
     );
     for _ in 0..factor {
-        out.extend_from_slice(rates);
+        duplicated.extend_from_slice(rates);
     }
+    duplicated
 }
 
 /// Rounds `value` down to a multiple of `step` (`⌊value⌋^step`).
@@ -402,6 +517,58 @@ pub fn ceil_to_multiple(value: i128, step: i128) -> i128 {
 mod tests {
     use super::*;
 
+    /// Emits one buffer both ways and requires bit-identical arcs in
+    /// identical order; returns the arc count.
+    #[allow(clippy::too_many_arguments)]
+    fn compare_with_the_naive_oracle(
+        production: &[u64],
+        k_source: u64,
+        consumption: &[u64],
+        k_target: u64,
+        tokens: u64,
+        durations: &[u64],
+        denominator: i128,
+        scratch: &mut EmitScratch,
+    ) -> usize {
+        let mut naive = Vec::new();
+        emit_buffer_arcs(
+            &duplicate_rates(production, k_source),
+            &duplicate_rates(consumption, k_target),
+            tokens,
+            durations,
+            denominator,
+            &mut naive,
+        )
+        .expect("naive emission succeeds");
+        // The tiled emission appends: a stale prefix must stay untouched.
+        let stale = BufferArc {
+            producer_phase: 7,
+            consumer_phase: 7,
+            cost: Rational::ONE,
+            time: Rational::ONE,
+        };
+        let mut tiled = vec![stale];
+        emit_buffer_arcs_tiled(
+            production,
+            k_source,
+            consumption,
+            k_target,
+            tokens,
+            durations,
+            denominator,
+            scratch,
+            &mut tiled,
+        )
+        .expect("tiled emission succeeds");
+        assert_eq!(tiled[0], stale);
+        assert_eq!(
+            naive,
+            tiled[1..],
+            "prod {production:?} x{k_source}, cons {consumption:?} x{k_target}, tokens {tokens}"
+        );
+        naive.len()
+    }
+
     /// Oracle check for the arena's fast path: the congruence-solving tiled
     /// emission must produce **bit-identical arcs in identical order** to
     /// the naive expanded double loop, across rate shapes (incl. zero
@@ -416,6 +583,7 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let mut scratch = EmitScratch::default();
         let mut checked_arcs = 0usize;
         for case in 0..400u64 {
             let phi_s = 1 + (next() % 4) as usize;
@@ -429,24 +597,8 @@ mod tests {
             let k_target = 1 + next() % if case % 7 == 0 { 40 } else { 6 };
             let tokens = next() % 25;
             let denominator = (production.iter().sum::<u64>() * (1 + next() % 4)) as i128;
-
-            let expanded_production = duplicate_rates(&production, k_source);
-            let expanded_consumption = duplicate_rates(&consumption, k_target);
-            let durations: Vec<u64> = (0..expanded_production.len()).map(|_| next() % 9).collect();
-
-            let mut naive = Vec::new();
-            emit_buffer_arcs(
-                &expanded_production,
-                &expanded_consumption,
-                tokens,
-                &durations,
-                denominator,
-                &mut naive,
-            )
-            .expect("naive emission succeeds");
-            let mut tiled = Vec::new();
-            let mut scratch = Vec::new();
-            emit_buffer_arcs_tiled(
+            let durations: Vec<u64> = (0..phi_s).map(|_| next() % 9).collect();
+            checked_arcs += compare_with_the_naive_oracle(
                 &production,
                 k_source,
                 &consumption,
@@ -455,16 +607,55 @@ mod tests {
                 &durations,
                 denominator,
                 &mut scratch,
-                &mut tiled,
-            )
-            .expect("tiled emission succeeds");
-            assert_eq!(
-                naive, tiled,
-                "case {case}: prod {production:?} x{k_source}, cons {consumption:?} x{k_target}, tokens {tokens}"
             );
-            checked_arcs += naive.len();
         }
         assert!(checked_arcs > 1_000, "the cases must exercise real arcs");
+
+        // The word-width boundary: `i_b·K_s`, `o_b·K_t` or the marking just
+        // below, at and just above `2^60` put the emission on the `i64` or
+        // the `i128` lane.
+        const LIMIT: u64 = 1 << 60;
+        let mut boundary_arcs = 0usize;
+        for offset in [-2i64, -1, 0, 1, 2] {
+            let near = LIMIT.wrapping_add_signed(offset);
+            // (production, k_source, consumption, k_target, tokens)
+            let cases = [
+                // i_b·K_s straddles 2^60, through K_s.
+                (
+                    vec![1 << 58],
+                    near >> 58,
+                    vec![1 << 58, 1 << 58],
+                    2,
+                    1 << 58,
+                ),
+                // i_b·K_s straddles 2^60, through the rates.
+                (vec![near - 3, 3], 1, vec![near / 2, near - near / 2], 1, 5),
+                // o_b·K_t straddles 2^60.
+                (vec![3, 1], 3, vec![near - 1, 1], 1, near / 3),
+                (vec![1 << 57], 3, vec![1 << 56], near >> 56, 0),
+                // The marking straddles 2^60.
+                (vec![2, 1, 3], 2, vec![3, 3], 2, near),
+                (vec![1 << 40], 4, vec![1 << 41], 2, near - (1 << 40)),
+            ];
+            for (production, k_source, consumption, k_target, tokens) in cases {
+                let durations: Vec<u64> = (1..=production.len() as u64).collect();
+                let denominator = 7 * i128::from(production.iter().sum::<u64>());
+                boundary_arcs += compare_with_the_naive_oracle(
+                    &production,
+                    k_source,
+                    &consumption,
+                    k_target,
+                    tokens,
+                    &durations,
+                    denominator,
+                    &mut scratch,
+                );
+            }
+        }
+        assert!(
+            boundary_arcs > 50,
+            "the boundary cases must exercise real arcs"
+        );
     }
 
     #[test]

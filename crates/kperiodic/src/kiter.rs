@@ -17,9 +17,13 @@
 //!   (`N_q = Σ_t ϕ_t·q_t` live nodes) has at most
 //!   `FULL_PERIODICITY_FACTOR` (4) times that iteration's live nodes, and fits
 //!   the node limit, the next iteration evaluates `K = q` directly and
-//!   certifies there. If that evaluation fails for any reason but
-//!   cancellation (an arc limit, an overflow), the run resumes from the
-//!   vector the paper's update would have produced and never jumps again.
+//!   certifies there. The same test runs once before the first iteration,
+//!   against the unitary graph's `N_1 = Σ_t ϕ_t` live nodes: when it passes,
+//!   the first evaluation is `K = q`, one cold build and one solve. If a
+//!   jumped evaluation fails for any reason but cancellation (an arc limit,
+//!   an overflow), the run resumes from the vector the paper's update would
+//!   have produced (the unitary vector, for a jumped start) and never jumps
+//!   again.
 //!
 //! The contract: the throughput is the one the paper's loop returns, bit for
 //! bit. The final K, the iteration count, the critical tasks, the final
@@ -38,9 +42,10 @@ use crate::periodicity::PeriodicityVector;
 
 /// The K-Iter update jumps to `K = q` once the `K = q` event graph has at
 /// most this many times the live nodes of the iteration that failed
-/// Theorem 4 (see the [module docs](self)). Growing K step by step redoes the
-/// patch, the SCC pass and the Howard rounds on the whole graph every
-/// iteration; a bounded-size jump replaces all remaining iterations with one.
+/// Theorem 4, or of the unitary graph before the first iteration (see the
+/// [module docs](self)). Growing K step by step redoes the patch, the SCC
+/// pass and the Howard rounds on the whole graph every iteration; a
+/// bounded-size jump replaces all remaining iterations with one.
 const FULL_PERIODICITY_FACTOR: u128 = 4;
 
 /// Configuration of the K-Iter loop.
@@ -182,7 +187,8 @@ pub fn kiter_with_pipeline(
 /// vector (an [`AnalysisSession`](crate::AnalysisSession) computes both once
 /// for its whole lifetime). The loop borrows `graph` for the whole run, so
 /// the fingerprint stays valid for every iteration's arena check. Like
-/// Algorithm 1, it starts from the unitary vector.
+/// Algorithm 1, it starts from the unitary vector, unless the start rule
+/// (see the [module docs](self)) starts it at `K = q`.
 pub(crate) fn kiter_with_repetition(
     graph: &CsdfGraph,
     fingerprint: u64,
@@ -197,12 +203,29 @@ pub(crate) fn kiter_with_repetition(
     // Live nodes of the `K = q` event graph; `None` once a jump is ruled out
     // for the rest of the run.
     let mut full_nodes = full_periodicity_nodes(graph, repetition);
+    let jump_fits = |full_nodes: Option<u128>, live_nodes: u128| {
+        full_nodes
+            .is_some_and(|full| full <= FULL_PERIODICITY_FACTOR * live_nodes && full <= max_nodes)
+    };
     // Tasks raised by the previous update: the dirty set the arena patch is
     // told about (empty on the first iteration, which builds).
     let mut dirty: Vec<TaskId> = Vec::new();
     // After a jump to `K = q`: the vector the paper's update would have
     // produced, evaluated instead if the jumped evaluation fails.
     let mut fallback: Option<PeriodicityVector> = None;
+    // The start rule: the jump test against the unitary graph's
+    // `N_1 = Σ_t ϕ_t` live nodes. A start at `K = q` falls back to the
+    // unitary vector, the paper's own start.
+    let unitary_nodes = graph
+        .tasks()
+        .map(|(_, task)| task.phase_count() as u128)
+        .sum();
+    if jump_fits(full_nodes, unitary_nodes) {
+        let mut full = periodicity.clone();
+        if !raise_to_repetition(&mut full, repetition)?.is_empty() {
+            fallback = Some(std::mem::replace(&mut periodicity, full));
+        }
+    }
 
     for iteration in 1..=max_iterations {
         let hint = (iteration > 1).then_some(dirty.as_slice());
@@ -304,9 +327,7 @@ pub(crate) fn kiter_with_repetition(
             });
         }
 
-        let jump = full_nodes
-            .is_some_and(|full| full <= FULL_PERIODICITY_FACTOR * live_nodes && full <= max_nodes);
-        if jump {
+        if jump_fits(full_nodes, live_nodes) {
             let mut paper = periodicity.clone();
             apply_update(&mut paper, &normalized)?;
             dirty = raise_to_repetition(&mut periodicity, repetition)?;
@@ -522,6 +543,64 @@ mod tests {
             let reused = kiter_with_pipeline(&g, &options, &mut pipeline).unwrap();
             assert_eq!(reused, limited);
             assert_eq!(kiter_with_options(&g, &options).unwrap(), limited);
+        }
+    }
+
+    #[test]
+    fn a_small_full_expansion_is_where_the_run_starts() {
+        // q = [1, 2, 4]: N_q = 7 ≤ 4·N_1 = 12, so the first and only
+        // evaluation is K = q: one cold build and one solve.
+        let g = ring_chain(2, 2);
+        let q = g.repetition_vector().unwrap();
+        let options = with_limits(usize::MAX, usize::MAX);
+        let mut pipeline = EvaluationPipeline::new(options.analysis);
+        let started = kiter_with_pipeline(&g, &options, &mut pipeline).unwrap();
+        assert_eq!(trajectory(&started), vec![vec![1, 2, 4]]);
+        assert_eq!(started.iterations, 1);
+        assert_eq!(started.periodicity, PeriodicityVector::full(&q));
+        assert_eq!(pipeline.stats().evaluations, 1);
+        assert_eq!(pipeline.stats().full_builds, 1);
+        assert_eq!(
+            started.throughput,
+            Throughput::Finite(Rational::new(1, 6).unwrap())
+        );
+        // A reused pipeline and a session return what the fresh run returns.
+        assert_eq!(
+            kiter_with_pipeline(&g, &options, &mut pipeline).unwrap(),
+            started
+        );
+        let mut session = crate::AnalysisSession::new(g.clone(), options).unwrap();
+        assert_eq!(session.evaluate().unwrap(), started);
+        assert_eq!(session.evaluate().unwrap(), started);
+    }
+
+    #[test]
+    fn tight_limits_refuse_or_undo_the_start_without_changing_the_answer() {
+        let g = ring_chain(2, 2);
+        let started = kiter_with_options(&g, &with_limits(usize::MAX, usize::MAX)).unwrap();
+        let paper = vec![vec![1, 1, 1], vec![1, 1, 2], vec![1, 2, 2]];
+        // N_q = 7 nodes over the node limit: the start at K = q is refused,
+        // so no evaluation is spent on it. The K = q graph has 13 arcs: over
+        // the arc limit its evaluation fails, and the run goes back to the
+        // unitary vector and follows the paper's trajectory (at most 11
+        // arcs).
+        for (options, evaluations) in [
+            (with_limits(6, usize::MAX), 3),
+            (with_limits(usize::MAX, 12), 4),
+        ] {
+            let mut pipeline = EvaluationPipeline::new(options.analysis);
+            let limited = kiter_with_pipeline(&g, &options, &mut pipeline).unwrap();
+            assert_eq!(limited.throughput, started.throughput);
+            assert_eq!(trajectory(&limited), paper);
+            assert_eq!(limited.iterations, 3);
+            assert_eq!(pipeline.stats().evaluations, evaluations);
+            // A reused pipeline and a session return what the fresh run
+            // returns.
+            let reused = kiter_with_pipeline(&g, &options, &mut pipeline).unwrap();
+            assert_eq!(reused, limited);
+            assert_eq!(kiter_with_options(&g, &options).unwrap(), limited);
+            let mut session = crate::AnalysisSession::new(g.clone(), options).unwrap();
+            assert_eq!(session.evaluate().unwrap(), limited);
         }
     }
 

@@ -71,7 +71,6 @@
 
 mod analysis;
 mod arena;
-mod block;
 mod constraints;
 mod duplication;
 mod error;

@@ -255,9 +255,8 @@ mod tests {
     use csdf::transform::bound_all_buffers_tracked;
     use csdf::{CsdfGraphBuilder, Throughput};
 
-    /// A multirate ring whose optimality test fails at K = 1 when the
-    /// feedback marking is 3 (the critical circuit mixes both tasks), so
-    /// K-Iter genuinely iterates.
+    /// A multirate ring, `q = [1, 2]`: its full expansion is small, so
+    /// K-Iter starts it at `K = q`.
     fn multirate_ring(tokens: u64) -> (CsdfGraph, BufferId) {
         let mut b = CsdfGraphBuilder::new();
         let x = b.add_sdf_task("x", 2);
@@ -323,9 +322,28 @@ mod tests {
         assert_eq!(session.stats().patched + 1, session.stats().evaluations);
     }
 
+    /// Two multirate rings sharing `y`, `q = [1, 8, 64]`: the full expansion
+    /// (73 nodes) exceeds 4× the unitary graph's 3, so K-Iter starts at
+    /// `K = 1` and needs three iterations. Returns the graph and the `z → y`
+    /// feedback buffer.
+    fn ring_chain() -> (CsdfGraph, BufferId) {
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_sdf_task("x", 8);
+        let y = b.add_sdf_task("y", 1);
+        let z = b.add_sdf_task("z", 1);
+        b.add_sdf_buffer(x, y, 8, 1, 0);
+        b.add_sdf_buffer(y, x, 1, 8, 8);
+        b.add_sdf_buffer(y, z, 8, 1, 0);
+        let feedback = b.add_sdf_buffer(z, y, 1, 8, 8);
+        for task in [x, y, z] {
+            b.add_serializing_self_loop(task);
+        }
+        (b.build().unwrap(), feedback)
+    }
+
     #[test]
     fn sessions_survive_evaluation_errors() {
-        let (graph, feedback) = multirate_ring(3);
+        let (graph, feedback) = ring_chain();
         let options = KIterOptions {
             analysis: AnalysisOptions {
                 max_iterations: 1,
@@ -333,16 +351,18 @@ mod tests {
             },
             ..KIterOptions::default()
         };
+        let unlimited = kiter_with_options(&graph, &KIterOptions::default()).unwrap();
+        assert_eq!(unlimited.iterations, 3);
         let mut session = AnalysisSession::new(graph.clone(), options).unwrap();
-        // One iteration is not enough for the multirate ring.
+        // One iteration is not enough for the ring chain.
         assert!(matches!(
             session.evaluate(),
-            Err(AnalysisError::IterationLimitReached { .. })
+            Err(AnalysisError::IterationLimitReached { iterations: 1 })
         ));
         // Relax the marking and the session keeps working.
-        session.set_initial_tokens(feedback, 64).unwrap();
+        session.set_initial_tokens(feedback, 512).unwrap();
         let mut relaxed = graph.clone();
-        relaxed.set_initial_tokens(feedback, 64).unwrap();
+        relaxed.set_initial_tokens(feedback, 512).unwrap();
         match session.evaluate() {
             Ok(result) => {
                 assert_eq!(

@@ -65,12 +65,7 @@ fn find_conflict(graph: &CsdfGraph) -> Option<Conflict> {
         queue.push_back(TaskId::new(start));
         while let Some(task) = queue.pop_front() {
             let task_fraction = fractions[task.index()].expect("assigned before queueing");
-            let neighbours = graph
-                .outgoing(task)
-                .iter()
-                .chain(graph.incoming(task).iter())
-                .copied();
-            for buffer_id in neighbours {
+            for &buffer_id in graph.incident(task) {
                 let buffer = graph.buffer(buffer_id);
                 let ratio = if buffer.source() == task {
                     Rational::new(

@@ -106,3 +106,70 @@ fn reports_are_bit_identical_across_threads_on_random_graphs() {
         }
     }
 }
+
+/// `graph` with one rate of buffer `buffer` raised by one.
+fn with_one_rate_perturbed(
+    graph: &kiter::model::CsdfGraph,
+    buffer: usize,
+    phase: usize,
+) -> kiter::model::CsdfGraph {
+    let mut builder = kiter::model::CsdfGraphBuilder::new();
+    for (_, task) in graph.tasks() {
+        builder.add_task(task.name(), task.durations().to_vec());
+    }
+    for (id, spec) in graph.buffers() {
+        let mut production = spec.production().to_vec();
+        if id.index() == buffer {
+            let phase = phase % production.len();
+            production[phase] += 1;
+        }
+        builder.add_buffer(
+            spec.source(),
+            spec.target(),
+            production,
+            spec.consumption().to_vec(),
+            spec.initial_tokens(),
+        );
+    }
+    builder
+        .build()
+        .expect("a raised rate keeps the graph valid")
+}
+
+/// The `L001` certificate starts at the buffer `repetition_vector` reports:
+/// the lint walk and the repetition vector's walk visit each task's
+/// buffers in the same order, so they meet the same first contradiction.
+#[test]
+fn inconsistency_certificates_start_at_the_repetition_vectors_buffer() {
+    let mut checked = 0usize;
+    for (family, config) in families() {
+        for seed in 0..80u64 {
+            let graph = random_graph(&config, seed).expect("generator emits valid graphs");
+            for perturbation in 0..3 {
+                let buffer = (seed as usize * 7 + perturbation * 13) % graph.buffer_count();
+                let perturbed = with_one_rate_perturbed(&graph, buffer, perturbation);
+                let Err(kiter::model::CsdfError::Inconsistent { buffer: expected }) =
+                    perturbed.repetition_vector()
+                else {
+                    continue;
+                };
+                let report = analyze(&perturbed);
+                let certificate = report
+                    .diagnostics
+                    .iter()
+                    .find(|d| d.code.as_str() == "L001")
+                    .unwrap_or_else(|| panic!("{family}/{seed}/{buffer}: no L001 reported"));
+                assert_eq!(
+                    certificate.buffers.first(),
+                    Some(&expected),
+                    "{family}/{seed}/{buffer}: the certificate starts elsewhere"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked >= 300,
+        "only {checked} perturbed graphs were inconsistent"
+    );
+}
