@@ -6,10 +6,10 @@
 //! `kperiodic` crate:
 //!
 //! * [`symbolic_execution_throughput`] — the exact state-space method of SDF3
-//!   (references [8] and [16]): as-soon-as-possible self-timed execution with
+//!   (references \[8\] and \[16\]): as-soon-as-possible self-timed execution with
 //!   recurrence detection;
 //! * [`expansion_throughput`] — the exact SDF → HSDF expansion + maximum
-//!   cycle ratio method (references [10] and [6]);
+//!   cycle ratio method (references \[10\] and \[6\]);
 //! * [`periodic_throughput`] — the approximate 1-periodic method
 //!   (reference \[4\]), a thin wrapper over `kperiodic::evaluate_k_periodic`
 //!   at unitary `K`.

@@ -56,7 +56,7 @@ pub use builder::CsdfGraphBuilder;
 pub use error::{BufferRef, CsdfError};
 pub use graph::CsdfGraph;
 pub use rational::{gcd_i128, gcd_u128, gcd_u64, lcm_u64, Rational, RationalError, RationalSum};
-pub use repetition::RepetitionVector;
+pub use repetition::{BalanceConflict, BalanceError, RepetitionVector};
 pub use source::SourceMap;
 pub use task::{Task, TaskId};
 pub use throughput::Throughput;

@@ -6,6 +6,7 @@
 //! weakly-connected component) is the repetition vector; it gives the number
 //! of iterations of every task inside one graph iteration.
 
+use crate::buffer::BufferId;
 use crate::error::CsdfError;
 use crate::graph::CsdfGraph;
 use crate::rational::{gcd_u128, gcd_u64, lcm_u64, RationalError};
@@ -51,6 +52,25 @@ impl RepetitionVector {
     ///   [`Rational`](crate::Rational) range.
     /// * [`CsdfError::Overflow`] when an entry exceeds `u64`.
     pub fn compute(graph: &CsdfGraph) -> Result<Self, CsdfError> {
+        Self::balance(graph).map_err(|error| match error {
+            BalanceError::Inconsistent(conflict) => CsdfError::Inconsistent {
+                buffer: graph.buffer_ref(conflict.buffer),
+            },
+            BalanceError::Overflow(error) => error,
+        })
+    }
+
+    /// [`RepetitionVector::compute`], with the breadth-first forest of the
+    /// propagation attached when the balance equations admit no positive
+    /// solution, so a caller can certify the inconsistency without walking
+    /// the graph again.
+    ///
+    /// # Errors
+    ///
+    /// * [`BalanceError::Inconsistent`] where `compute` fails with
+    ///   [`CsdfError::Inconsistent`], on the same buffer;
+    /// * [`BalanceError::Overflow`] with `compute`'s error otherwise.
+    pub fn balance(graph: &CsdfGraph) -> Result<Self, BalanceError> {
         let n = graph.task_count();
         // Every buffer's endpoints and `i_b / o_b` in lowest terms, packed
         // so a visit reads one entry. The builder rejects buffers whose
@@ -66,10 +86,14 @@ impl RepetitionVector {
         // `q_t / q_start` in lowest terms; a zero denominator marks a task
         // not reached yet.
         let mut fractions: Vec<(u128, u128)> = vec![(0, 0); n];
+        // The buffer each task was reached through, `None` for the first
+        // task of each component.
+        let mut parent: Vec<Option<BufferId>> = vec![None; n];
         // Tasks in visit order, which is also the breadth-first queue: each
         // component is one contiguous run, ending at `component_ends`.
         let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut component_ends: Vec<usize> = Vec::new();
+        let overflow = || BalanceError::Overflow(CsdfError::Overflow);
 
         for start in 0..n {
             if fractions[start].1 != 0 {
@@ -90,15 +114,21 @@ impl RepetitionVector {
                     } else {
                         (source, multiply(fraction, o, i))
                     };
-                    let expected = expected.ok_or(CsdfError::Rational(RationalError::Overflow))?;
+                    let expected = expected.ok_or(BalanceError::Overflow(CsdfError::Rational(
+                        RationalError::Overflow,
+                    )))?;
                     let slot = &mut fractions[other.index()];
                     if slot.1 == 0 {
                         *slot = expected;
+                        parent[other.index()] = Some(buffer_id);
                         order.push(other.index());
                     } else if *slot != expected {
-                        return Err(CsdfError::Inconsistent {
-                            buffer: graph.buffer_ref(buffer_id),
-                        });
+                        return Err(BalanceError::Inconsistent(BalanceConflict {
+                            buffer: buffer_id,
+                            from: task,
+                            to: other,
+                            parent,
+                        }));
                     }
                 }
             }
@@ -117,15 +147,15 @@ impl RepetitionVector {
             begin = end;
             let mut lcm = 1u64;
             for &t in members {
-                let den = u64::try_from(fractions[t].1).map_err(|_| CsdfError::Overflow)?;
-                lcm = lcm_u64(lcm, den).map_err(|_| CsdfError::Overflow)?;
+                let den = u64::try_from(fractions[t].1).map_err(|_| overflow())?;
+                lcm = lcm_u64(lcm, den).map_err(|_| overflow())?;
             }
             for &t in members {
                 let (num, den) = fractions[t];
                 entries[t] = u64::try_from(num)
                     .ok()
                     .and_then(|num| num.checked_mul(lcm / den as u64))
-                    .ok_or(CsdfError::Overflow)?;
+                    .ok_or_else(overflow)?;
             }
         }
 
@@ -172,6 +202,34 @@ impl RepetitionVector {
             lhs == rhs
         })
     }
+}
+
+/// The first contradiction the balance propagation of
+/// [`RepetitionVector::balance`] met, with the breadth-first forest that
+/// led to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BalanceConflict {
+    /// The buffer whose balance equation contradicts the fractions already
+    /// assigned to its endpoints.
+    pub buffer: BufferId,
+    /// The endpoint whose buffers were being visited.
+    pub from: TaskId,
+    /// The other endpoint, reached before.
+    pub to: TaskId,
+    /// Per task, the buffer through which the propagation first reached it;
+    /// `None` for the first task of each component and for tasks not
+    /// reached yet.
+    pub parent: Vec<Option<BufferId>>,
+}
+
+/// Why [`RepetitionVector::balance`] found no repetition vector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BalanceError {
+    /// The balance equations admit no positive solution.
+    Inconsistent(BalanceConflict),
+    /// A propagated fraction or an entry left its range:
+    /// [`CsdfError::Rational`] or [`CsdfError::Overflow`].
+    Overflow(CsdfError),
 }
 
 /// `(num / den) · (a / b)` in lowest terms, for operands in lowest terms, or
@@ -248,6 +306,32 @@ mod tests {
             Err(CsdfError::Inconsistent { .. })
         ));
         assert!(!g.is_consistent());
+    }
+
+    #[test]
+    fn balance_hands_over_the_conflict_and_its_forest() {
+        // x -> y -> z and x -> z with a rate mismatch on the direct edge.
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_sdf_task("x", 1);
+        let y = b.add_sdf_task("y", 1);
+        let z = b.add_sdf_task("z", 1);
+        b.add_sdf_buffer(x, y, 1, 1, 0);
+        b.add_sdf_buffer(y, z, 1, 1, 0);
+        b.add_sdf_buffer(x, z, 2, 1, 0);
+        let g = b.build().unwrap();
+        let Err(BalanceError::Inconsistent(conflict)) = RepetitionVector::balance(&g) else {
+            panic!("inconsistent graph balanced");
+        };
+        let Err(CsdfError::Inconsistent { buffer }) = g.repetition_vector() else {
+            panic!("inconsistent graph balanced");
+        };
+        assert_eq!(conflict.buffer.index(), buffer.index);
+        // x is the root; y and z are reached from x directly.
+        assert_eq!(
+            conflict.parent,
+            vec![None, Some(BufferId::new(0)), Some(BufferId::new(2))]
+        );
+        assert_eq!((conflict.from, conflict.to), (y, z));
     }
 
     #[test]

@@ -249,9 +249,11 @@ pub struct Sdf3Import {
 
 /// Parses an SDF3 `<sdf>`/`<csdf>` XML document into a [`CsdfGraph`].
 ///
-/// See the [module docs](self) for the recognised subset. Tasks keep the
-/// actor document order and buffers the channel document order, so ids are
-/// stable across re-imports of the same file.
+/// It reads the throughput-relevant subset — actors, ports with (phased)
+/// rates, channels with initial tokens, and execution times — and rejects
+/// anything outside it. Tasks keep the actor document order and buffers the
+/// channel document order, so ids are stable across re-imports of the same
+/// file.
 ///
 /// # Errors
 ///

@@ -364,9 +364,9 @@ impl EvaluationPipeline {
 }
 
 /// A Howard policy keyed by event instead of node id: per event
-/// `(task, phase)`, the event its policy arc leads to. The arena renumbers
-/// its nodes whenever a block outgrows its slack, so this is how a policy
-/// survives a patch.
+/// `(task, phase)`, the event its policy arc leads to. The arena's blocks
+/// are laid out densely, so every `K` change moves the nodes of the blocks
+/// after the first changed one; this is how a policy survives that.
 #[derive(Debug, Default)]
 struct EventPolicy {
     /// Start of each task's phases in `successor` (one extra trailing entry);

@@ -10,37 +10,35 @@
 //! * one [`TaskBlock`] per task — its periodicity, length and first node,
 //!   nothing else: expanded phase `p` of task `t` lasts `d_t[p mod ϕ(t)]`,
 //!   read from the base durations;
-//! * one flat arc store holding every buffer's constraint arcs (block-local
-//!   endpoints plus exact `L`/`H` values) in buffer order, indexed by
-//!   `arc_seg_start`. A buffer's arcs are re-derived only when its producer
-//!   or consumer changed periodicity or its marking changed. When every such
-//!   buffer keeps its arc count, the new arcs overwrite their segments in
-//!   place; otherwise the store is laid out again in one pass that copies
-//!   the kept segments and emits the re-derived ones between them. No
-//!   second full-size store outlives an update;
-//! * the assembled [`RatioGraph`], re-emitted from the store through the
-//!   [`RatioGraph::reset`] grow/patch API so no per-node allocation happens.
-//!   Its arc ids are the store's indices.
+//! * the assembled [`RatioGraph`], which is also the only arc store: every
+//!   buffer's constraint arcs sit in it buffer after buffer, in the segment
+//!   `arc_seg_start[b] .. arc_seg_start[b + 1]`. A buffer's arcs are
+//!   re-derived only when its producer or consumer changed periodicity or
+//!   its marking changed; the re-derived arcs of one update pass through a
+//!   reused scratch and nothing else holds a second copy of the graph.
 //!
-//! # Node layout: per-block slack
+//! # Node layout and the two update paths
 //!
-//! Task blocks are laid out with power-of-two slack: block `t` occupies node
-//! ids `[offset_t, offset_t + next_pow2(len_t))`, with only the first `len_t`
-//! slots live. The layout is a pure function of the *current* block lengths,
-//! so a patched arena and a from-scratch build at the same periodicity vector
-//! produce bit-identical [`RatioGraph`]s (same numbering, same arc order,
-//! same values) — the `PartialEq` contract below. The padding buys stability:
-//! as long as no block crosses its power-of-two capacity, every offset is
-//! unchanged and [`EventGraphArena::assemble`] can skip the `O(nodes)`
-//! renumbering and, when the dirty buffers' arc counts are unchanged too,
-//! patch the dirty arcs in place ([`RatioGraph::patch_arc_weights`] /
-//! [`RatioGraph::patch_arc`]) instead of re-emitting all `O(arcs)` of them.
-//! Marking-only re-evaluations — the in-place capacity mutations an analysis
-//! session applies between solves — hit the cheapest path: weights-only
-//! patches that keep the CSR adjacency current without a rebuild. Padding
-//! slots are isolated nodes (no arcs), so they form acyclic singleton SCCs
-//! the MCR solver skips; [`EventGraphArena::node_count`] keeps reporting the
-//! *live* node count.
+//! Task blocks are laid out densely: block `t` occupies node ids
+//! `[offset_t, offset_t + K_t·ϕ(t))`, the offsets being the prefix sums of
+//! the block lengths, and every node is a live event. The layout is a pure
+//! function of the *current* block lengths, so a patched arena and a
+//! from-scratch build at the same periodicity vector produce bit-identical
+//! [`RatioGraph`]s (same numbering, same arc order, same values) — the
+//! `PartialEq` contract below. An update takes one of two paths
+//! ([`AssembleMode`]):
+//!
+//! * **patched** — no block length changed and every re-derived buffer kept
+//!   its arc count: the dirty buffers' arcs are overwritten in place
+//!   ([`RatioGraph::patch_arc_weights`] / [`RatioGraph::patch_arc`]).
+//!   Marking-only re-evaluations — the in-place capacity mutations an
+//!   analysis session applies between solves — take this path, and when
+//!   no endpoint moves the CSR adjacency stays current without a rebuild;
+//! * **laid out again** — otherwise (every `K` change moves the offsets of
+//!   the blocks after the first changed one): one pass over the ratio
+//!   graph's arcs shifts each kept arc's endpoints by its blocks' offset
+//!   change and emits the re-derived buffers' arcs between them
+//!   ([`RatioGraph::relayout`]).
 //!
 //! # Time scaling
 //!
@@ -67,18 +65,16 @@ use crate::error::AnalysisError;
 use crate::event_graph::{EventGraphLimits, EventNode};
 use crate::periodicity::PeriodicityVector;
 
-/// How [`EventGraphArena::assemble`] refreshed the ratio graph during one
-/// update (cheapest applicable path wins).
+/// How [`EventGraphArena::apply_update`] refreshed the ratio graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AssembleMode {
-    /// The node layout changed (a block crossed its power-of-two capacity):
-    /// offsets, the node list and every arc were re-derived.
+    /// The graph was laid out again: a block length or a re-derived
+    /// buffer's arc count changed, so the block offsets were recomputed,
+    /// every kept arc was shifted onto them and the re-derived arcs were
+    /// emitted between the kept ones. A build is laid out this way too.
     #[default]
-    Renumbered,
-    /// The node layout was kept but a dirty buffer's arc count changed: all
-    /// arcs were re-emitted into the existing slots (no node work).
-    Reemitted,
-    /// Node layout and arc slots both kept: only the dirty buffers' arcs
+    LaidOut,
+    /// Block lengths and arc counts both kept: only the dirty buffers' arcs
     /// were patched in place — and when no endpoint moved, the CSR adjacency
     /// stayed current without a rebuild.
     Patched,
@@ -97,7 +93,7 @@ pub struct ArenaUpdate {
     /// marking changed since the previous update — the in-place capacity
     /// mutations an analysis session applies between evaluations.
     pub marking_dirty_buffers: usize,
-    /// Which assembly path refreshed the ratio graph.
+    /// Which update path refreshed the ratio graph.
     pub assemble: AssembleMode,
     /// Arcs patched in place (non-zero only on the
     /// [`AssembleMode::Patched`] path).
@@ -136,18 +132,13 @@ pub struct EventGraphArena {
     durations: Vec<u64>,
     /// Start of each task's base durations (one extra trailing entry).
     duration_start: Vec<usize>,
+    /// The event of every node, block after block.
     nodes: Vec<EventNode>,
+    /// The event graph and the only arc store: every buffer's arcs, buffer
+    /// after buffer.
     ratio: RatioGraph,
-    /// Per-task padded block sizes (`next_pow2(len)`) of the current node
-    /// layout; empty until the first assembly. The layout is current while
-    /// every block still satisfies `capacity == next_pow2(len)`.
-    capacities: Vec<usize>,
-    /// Live (non-padding) node count of the current layout.
-    live_nodes: usize,
-    /// Every buffer's constraint arcs, buffer after buffer.
-    arcs: Vec<BufferArc>,
-    /// Start of each buffer's segment in `arcs` and in the ratio graph's
-    /// arcs (one extra trailing entry holds the total).
+    /// Start of each buffer's segment in the ratio graph's arcs (one extra
+    /// trailing entry holds the total).
     arc_seg_start: Vec<usize>,
     /// K-invariant time denominators `i_b · q_t`, indexed by buffer id.
     buffer_denominator: Vec<i128>,
@@ -155,11 +146,13 @@ pub struct EventGraphArena {
     /// buffer id; `apply_update` diffs the graph against this to find the
     /// buffers dirtied by in-place token/capacity mutations.
     initial_tokens: Vec<u64>,
-    // Scratch reused across updates: the tiled emission's, one buffer's
-    // re-derived arcs, and the sorted dirty-buffer set.
+    // Scratch reused across updates: the tiled emission's, the re-derived
+    // arcs of one build buffer or of one update's dirty buffers (buffer
+    // after buffer), and the sorted dirty buffers, each with the end of its
+    // arcs in `buffer_scratch`.
     emit_scratch: EmitScratch,
     buffer_scratch: Vec<BufferArc>,
-    dirty_buffers: Vec<usize>,
+    dirty_buffers: Vec<(usize, usize)>,
 }
 
 /// The node block of one task: its periodicity, its length `K_t · ϕ(t)` and
@@ -223,20 +216,19 @@ impl EventGraphArena {
         validate_periodicity(graph, k)?;
         let lcm_k = k.lcm()?;
 
-        // Enforce the cumulative node limit *while* sizing the blocks, so a
-        // graph over the limit errors out before anything is emitted.
+        // Enforce the cumulative node limit *while* laying out the blocks, so
+        // a graph over the limit errors out before anything is emitted.
         let mut blocks = Vec::with_capacity(graph.task_count());
         let mut durations = Vec::new();
         let mut duration_start = Vec::with_capacity(graph.task_count() + 1);
         let mut total_nodes = 0usize;
         for (task_id, task) in graph.tasks() {
-            let len = check_node_total(total_nodes, task.phase_count(), k.get(task_id), limits)?
-                - total_nodes;
-            total_nodes += len;
+            let offset = total_nodes;
+            total_nodes = check_node_total(offset, task.phase_count(), k.get(task_id), limits)?;
             blocks.push(TaskBlock {
                 k: k.get(task_id),
-                len,
-                offset: 0,
+                len: total_nodes - offset,
+                offset,
             });
             duration_start.push(durations.len());
             durations.extend_from_slice(task.durations());
@@ -260,11 +252,8 @@ impl EventGraphArena {
             blocks,
             durations,
             duration_start,
-            nodes: Vec::new(),
-            ratio: RatioGraph::default(),
-            capacities: Vec::new(),
-            live_nodes: 0,
-            arcs: Vec::new(),
+            nodes: Vec::with_capacity(total_nodes),
+            ratio: RatioGraph::new(total_nodes),
             arc_seg_start: Vec::with_capacity(graph.buffer_count() + 1),
             buffer_denominator,
             initial_tokens: graph.buffers().map(|(_, b)| b.initial_tokens()).collect(),
@@ -272,18 +261,23 @@ impl EventGraphArena {
             buffer_scratch: Vec::new(),
             dirty_buffers: Vec::new(),
         };
-        let mut arcs = Vec::new();
-        for (buffer_id, _) in graph.buffers() {
+        arena.fill_nodes();
+        let mut scratch = Vec::new();
+        for (buffer_id, buffer) in graph.buffers() {
             if cancel.is_cancelled() {
                 return Err(AnalysisError::DeadlineExceeded);
             }
-            arena.arc_seg_start.push(arcs.len());
-            arena.emit_buffer(graph, buffer_id.index(), k, &mut arcs)?;
-            check_arc_total(arcs.len(), limits)?;
+            arena.arc_seg_start.push(arena.ratio.arc_count());
+            scratch.clear();
+            arena.emit_buffer(graph, buffer_id.index(), k, &mut scratch)?;
+            check_arc_total(arena.ratio.arc_count() + scratch.len(), limits)?;
+            arena.push_arcs(buffer, &scratch);
         }
-        arena.arc_seg_start.push(arcs.len());
-        arena.arcs = arcs;
-        arena.assemble(graph, false)?;
+        arena.arc_seg_start.push(arena.ratio.arc_count());
+        arena.buffer_scratch = scratch;
+        // One counting-sort pass builds the CSR adjacency, so the MCR solver
+        // can borrow it instead of building its own.
+        arena.ratio.rebuild_adjacency();
         Ok(arena)
     }
 
@@ -292,8 +286,8 @@ impl EventGraphArena {
     /// constraint arcs of their incident buffers — plus the arcs of buffers
     /// whose marking was mutated in place ([`CsdfGraph::set_initial_tokens`]
     /// / [`CsdfGraph::set_capacity`]) — are re-derived; every other block
-    /// and arc is kept, and the ratio graph is re-assembled in place from
-    /// the arc store. Marking changes can never dirty a node
+    /// and arc is kept, and the ratio graph is patched or laid out again in
+    /// place (see [`AssembleMode`]). Marking changes can never dirty a node
     /// block: tokens only enter the Theorem-2 arc weights `β`, never the
     /// event-graph node structure.
     ///
@@ -372,7 +366,7 @@ impl EventGraphArena {
 
         // Enforce the cumulative node limit on the *prospective* sizes before
         // any block is resized.
-        let kept: usize = self.live_nodes
+        let kept: usize = self.nodes.len()
             - dirty_tasks
                 .iter()
                 .map(|task| self.blocks[task.index()].len)
@@ -387,13 +381,18 @@ impl EventGraphArena {
             )?;
         }
 
-        let mut dirty_buffers = std::mem::take(&mut self.dirty_buffers);
-        dirty_buffers.clear();
+        let mut dirty = std::mem::take(&mut self.dirty_buffers);
+        dirty.clear();
         for &task in &dirty_tasks {
             let block = &mut self.blocks[task.index()];
             block.k = k.get(task);
             block.len = graph.task(task).phase_count() * block.k as usize;
-            dirty_buffers.extend(graph.incident(task).iter().map(csdf::BufferId::index));
+            dirty.extend(
+                graph
+                    .incident(task)
+                    .iter()
+                    .map(|buffer| (buffer.index(), 0)),
+            );
         }
         // Buffers whose marking was mutated in place since the cached arcs
         // were derived: only their β values (arc weights) change, so they
@@ -402,17 +401,40 @@ impl EventGraphArena {
         for (buffer_id, buffer) in graph.buffers() {
             if self.initial_tokens[buffer_id.index()] != buffer.initial_tokens() {
                 marking_dirty_buffers += 1;
-                dirty_buffers.push(buffer_id.index());
+                dirty.push((buffer_id.index(), 0));
             }
         }
-        dirty_buffers.sort_unstable();
-        dirty_buffers.dedup();
+        dirty.sort_unstable();
+        dirty.dedup();
 
-        let relaid = self.rederive(graph, k, &dirty_buffers, cancel)?;
-        let rebuilt_buffers = dirty_buffers.len();
-        self.dirty_buffers = dirty_buffers;
-        check_arc_total(self.arcs.len(), &self.limits)?;
-        let (assemble, patched_arcs) = self.assemble(graph, !relaid)?;
+        // Re-derive the dirty buffers' arcs into the scratch, buffer after
+        // buffer, noting whether every one kept its arc count.
+        let mut scratch = std::mem::take(&mut self.buffer_scratch);
+        scratch.clear();
+        let mut counts_kept = true;
+        let mut total_arcs = self.ratio.arc_count();
+        for (buffer, end) in &mut dirty {
+            if cancel.is_cancelled() {
+                return Err(AnalysisError::DeadlineExceeded);
+            }
+            let start = scratch.len();
+            self.emit_buffer(graph, *buffer, k, &mut scratch)?;
+            *end = scratch.len();
+            let old_count = self.arc_seg_start[*buffer + 1] - self.arc_seg_start[*buffer];
+            counts_kept &= *end - start == old_count;
+            total_arcs = total_arcs - old_count + (*end - start);
+        }
+        check_arc_total(total_arcs, &self.limits)?;
+
+        let (assemble, patched_arcs) = if dirty_tasks.is_empty() && counts_kept {
+            (AssembleMode::Patched, self.patch(graph, &dirty, &scratch))
+        } else {
+            self.lay_out(graph, &dirty, &scratch, total_arcs);
+            (AssembleMode::LaidOut, 0)
+        };
+        let rebuilt_buffers = dirty.len();
+        self.buffer_scratch = scratch;
+        self.dirty_buffers = dirty;
 
         Ok(ArenaUpdate {
             dirty_tasks: dirty_tasks.len(),
@@ -422,67 +444,6 @@ impl EventGraphArena {
             assemble,
             patched_arcs,
         })
-    }
-
-    /// Re-derives the arcs of the sorted `dirty` buffers into the store. While
-    /// every re-derived buffer keeps its arc count its segment is overwritten
-    /// in place; from the first one that does not, the store is laid out
-    /// again in one pass (kept segments copied, re-derived ones emitted in
-    /// between) and the old store is dropped. Returns whether the store was
-    /// laid out again.
-    fn rederive(
-        &mut self,
-        graph: &CsdfGraph,
-        k: &PeriodicityVector,
-        dirty: &[usize],
-        cancel: &CancelToken,
-    ) -> Result<bool, AnalysisError> {
-        let mut scratch = std::mem::take(&mut self.buffer_scratch);
-        // The re-laid store and the first buffer not yet copied into it.
-        let mut relaid: Option<(Vec<BufferArc>, usize)> = None;
-        for &buffer in dirty {
-            if cancel.is_cancelled() {
-                return Err(AnalysisError::DeadlineExceeded);
-            }
-            let (start, end) = (self.arc_seg_start[buffer], self.arc_seg_start[buffer + 1]);
-            if let Some((store, copied)) = &mut relaid {
-                self.copy_segments(store, *copied, buffer);
-                self.arc_seg_start[buffer] = store.len();
-                self.emit_buffer(graph, buffer, k, store)?;
-                *copied = buffer + 1;
-                continue;
-            }
-            scratch.clear();
-            self.emit_buffer(graph, buffer, k, &mut scratch)?;
-            if scratch.len() == end - start {
-                self.arcs[start..end].copy_from_slice(&scratch);
-            } else {
-                let mut store = Vec::with_capacity(self.arcs.len() + scratch.len());
-                store.extend_from_slice(&self.arcs[..start]);
-                store.extend_from_slice(&scratch);
-                relaid = Some((store, buffer + 1));
-            }
-        }
-        self.buffer_scratch = scratch;
-        let Some((mut store, copied)) = relaid else {
-            return Ok(false);
-        };
-        let buffers = self.buffer_count();
-        self.copy_segments(&mut store, copied, buffers);
-        self.arc_seg_start[buffers] = store.len();
-        self.arcs = store;
-        Ok(true)
-    }
-
-    /// Appends the kept segments of buffers `from..to` of the current store
-    /// to a re-laid `store`, moving their segment starts along.
-    fn copy_segments(&mut self, store: &mut Vec<BufferArc>, from: usize, to: usize) {
-        let (start, end) = (self.arc_seg_start[from], self.arc_seg_start[to]);
-        let base = store.len();
-        for seg_start in &mut self.arc_seg_start[from..to] {
-            *seg_start = *seg_start - start + base;
-        }
-        store.extend_from_slice(&self.arcs[start..end]);
     }
 
     /// Derives the constraint arcs of one buffer at the current periodicity
@@ -513,56 +474,39 @@ impl EventGraphArena {
         .map_err(AnalysisError::Model)
     }
 
-    /// Recomputes the ratio graph from the blocks and the arc store, taking
-    /// the cheapest applicable path (see [`AssembleMode`]): a full renumber
-    /// when a block crossed its power-of-two capacity, a layout-preserving
-    /// arc re-emission when the store was laid out again, and an in-place
-    /// patch of just the dirty buffers' arcs (`self.dirty_buffers`) when
-    /// `in_place` says every re-derived segment kept its place. Every path
-    /// produces the same graph bit for bit — the layout is a pure function
-    /// of the current block lengths.
-    fn assemble(
+    /// Appends one buffer's re-derived `arcs` to the ratio graph, re-based
+    /// on its endpoints' current block offsets.
+    fn push_arcs(&mut self, buffer: &csdf::Buffer, arcs: &[BufferArc]) {
+        let from_base = self.blocks[buffer.source().index()].offset;
+        let to_base = self.blocks[buffer.target().index()].offset;
+        for arc in arcs {
+            self.ratio.add_arc(
+                NodeId::new(from_base + arc.producer_phase as usize),
+                NodeId::new(to_base + arc.consumer_phase as usize),
+                arc.cost,
+                arc.time,
+            );
+        }
+    }
+
+    /// The patched path: overwrites the `dirty` buffers' segments with their
+    /// re-derived arcs (`scratch`, buffer after buffer), which have the same
+    /// counts, and returns how many arcs changed.
+    fn patch(
         &mut self,
         graph: &CsdfGraph,
-        in_place: bool,
-    ) -> Result<(AssembleMode, usize), AnalysisError> {
-        // The node limit applies to *live* nodes, matching the incremental
-        // checks of `build`/`apply_update`; padding slots are free.
-        let mut live_nodes = 0usize;
-        for block in &self.blocks {
-            live_nodes += block.len;
-            if live_nodes > self.limits.max_nodes {
-                return Err(AnalysisError::EventGraphTooLarge {
-                    nodes: live_nodes,
-                    limit: self.limits.max_nodes,
-                });
-            }
-        }
-        self.live_nodes = live_nodes;
-
-        let layout_current = self.capacities.len() == self.blocks.len()
-            && self
-                .blocks
-                .iter()
-                .zip(&self.capacities)
-                .all(|(block, &capacity)| block.len.next_power_of_two() == capacity);
-        if !layout_current {
-            self.renumber();
-            self.emit_arcs(graph);
-            return Ok((AssembleMode::Renumbered, 0));
-        }
-        if !in_place {
-            self.emit_arcs(graph);
-            return Ok((AssembleMode::Reemitted, 0));
-        }
-
+        dirty: &[(usize, usize)],
+        scratch: &[BufferArc],
+    ) -> usize {
         let mut patched = 0usize;
-        for &buffer_index in &self.dirty_buffers {
+        let mut scratch_start = 0;
+        for &(buffer_index, scratch_end) in dirty {
             let buffer = graph.buffer(csdf::BufferId::new(buffer_index));
             let from_base = self.blocks[buffer.source().index()].offset;
             let to_base = self.blocks[buffer.target().index()].offset;
-            let segment = self.arc_seg_start[buffer_index]..self.arc_seg_start[buffer_index + 1];
-            for (index, arc) in segment.clone().zip(&self.arcs[segment]) {
+            let arcs = &scratch[scratch_start..scratch_end];
+            scratch_start = scratch_end;
+            for (index, arc) in (self.arc_seg_start[buffer_index]..).zip(arcs) {
                 let id = ArcId::new(index);
                 let from = NodeId::new(from_base + arc.producer_phase as usize);
                 let to = NodeId::new(to_base + arc.consumer_phase as usize);
@@ -581,60 +525,68 @@ impl EventGraphArena {
         // Weights-only patches keep a current CSR current (no-op rebuild);
         // an endpoint move costs exactly one counting sort.
         self.ratio.rebuild_adjacency();
-        Ok((AssembleMode::Patched, patched))
+        patched
     }
 
-    /// Recomputes the padded node layout — per-block capacities
-    /// (`next_pow2(len)`), offsets and the node list — from the current
-    /// block lengths. Padding slots carry their in-block slot index as a
-    /// phase; they never gain arcs.
-    fn renumber(&mut self) {
-        self.capacities.clear();
-        self.capacities.extend(
-            self.blocks
-                .iter()
-                .map(|block| block.len.next_power_of_two()),
-        );
-        let mut total = 0usize;
-        for (block, &capacity) in self.blocks.iter_mut().zip(&self.capacities) {
-            block.offset = total;
-            total += capacity;
+    /// The laid-out-again path: recomputes the block offsets and the node
+    /// list from the current block lengths, then makes one pass over the
+    /// buffers in order — a kept buffer's arcs are shifted by its blocks'
+    /// offset change, a `dirty` buffer's arcs are taken from `scratch` —
+    /// into a ratio graph of `total_arcs` arcs. The result is exactly the
+    /// graph a from-scratch build emits.
+    fn lay_out(
+        &mut self,
+        graph: &CsdfGraph,
+        dirty: &[(usize, usize)],
+        scratch: &[BufferArc],
+        total_arcs: usize,
+    ) {
+        let mut old_offsets = Vec::with_capacity(self.blocks.len());
+        let mut total_nodes = 0usize;
+        for block in &mut self.blocks {
+            old_offsets.push(block.offset);
+            block.offset = total_nodes;
+            total_nodes += block.len;
         }
-        self.nodes.clear();
-        self.nodes.reserve(total);
-        for (index, &capacity) in self.capacities.iter().enumerate() {
-            let task = TaskId::new(index);
-            for phase in 0..capacity {
-                self.nodes.push(EventNode { task, phase });
-            }
-        }
-    }
+        self.fill_nodes();
+        let old_arcs = self.ratio.relayout(total_nodes, total_arcs);
 
-    /// Re-emits the whole arc store into the ratio graph (reset in place,
-    /// allocations kept) in buffer order — exactly the order of a
-    /// from-scratch build.
-    fn emit_arcs(&mut self, graph: &CsdfGraph) {
-        let total_nodes: usize = self.capacities.iter().sum();
-        self.ratio.reset(total_nodes);
-        self.ratio.reserve_arcs(self.arcs.len());
+        let mut dirty = dirty.iter().peekable();
+        let mut scratch_start = 0;
         for (buffer_id, buffer) in graph.buffers() {
-            let from_base = self.blocks[buffer.source().index()].offset;
-            let to_base = self.blocks[buffer.target().index()].offset;
-            let segment =
-                self.arc_seg_start[buffer_id.index()]..self.arc_seg_start[buffer_id.index() + 1];
-            for arc in &self.arcs[segment] {
-                self.ratio.add_arc(
-                    NodeId::new(from_base + arc.producer_phase as usize),
-                    NodeId::new(to_base + arc.consumer_phase as usize),
-                    arc.cost,
-                    arc.time,
-                );
+            let index = buffer_id.index();
+            let start = self.ratio.arc_count();
+            if let Some(&(_, scratch_end)) = dirty.next_if(|&&(dirty, _)| dirty == index) {
+                self.push_arcs(buffer, &scratch[scratch_start..scratch_end]);
+                scratch_start = scratch_end;
+            } else {
+                let (source, target) = (buffer.source().index(), buffer.target().index());
+                let (from_old, from_new) = (old_offsets[source], self.blocks[source].offset);
+                let (to_old, to_new) = (old_offsets[target], self.blocks[target].offset);
+                for arc in &old_arcs[self.arc_seg_start[index]..self.arc_seg_start[index + 1]] {
+                    self.ratio.add_arc(
+                        NodeId::new(arc.from.index() - from_old + from_new),
+                        NodeId::new(arc.to.index() - to_old + to_new),
+                        arc.cost,
+                        arc.time,
+                    );
+                }
             }
+            self.arc_seg_start[index] = start;
         }
-        // One counting-sort pass refreshes the CSR adjacency in place (both
-        // index arrays keep their allocation across resets), so the MCR
-        // solver can borrow it instead of building its own.
+        let buffers = self.buffer_count();
+        self.arc_seg_start[buffers] = self.ratio.arc_count();
         self.ratio.rebuild_adjacency();
+    }
+
+    /// Recomputes the node list from the current block lengths.
+    fn fill_nodes(&mut self) {
+        self.nodes.clear();
+        for (index, block) in self.blocks.iter().enumerate() {
+            let task = TaskId::new(index);
+            self.nodes
+                .extend((0..block.len).map(|phase| EventNode { task, phase }));
+        }
     }
 
     /// The underlying bi-valued ratio graph (lcm-free time scaling: its
@@ -643,11 +595,9 @@ impl EventGraphArena {
         &self.ratio
     }
 
-    /// Number of live execution nodes. The backing ratio graph is larger —
-    /// `ratio_graph().node_count()` includes the isolated padding slots of
-    /// the power-of-two block layout (see the module docs).
+    /// Number of execution nodes (equal to `ratio_graph().node_count()`).
     pub fn node_count(&self) -> usize {
-        self.live_nodes
+        self.nodes.len()
     }
 
     /// Number of tasks of the CSDF graph this arena was built from.
@@ -992,23 +942,70 @@ mod tests {
     }
 
     #[test]
-    fn padded_layout_keeps_live_counts_and_lookups() {
+    fn dense_layout_numbers_every_event_once() {
         let g = multirate();
         let q = g.repetition_vector().unwrap();
         let limits = EventGraphLimits::default();
         let mut k = PeriodicityVector::unitary(&g);
         k.set(TaskId::new(1), 3).unwrap();
-        let arena = EventGraphArena::build(&g, &q, &k, &limits).unwrap();
+        let mut arena = EventGraphArena::build(&g, &q, &k, &limits).unwrap();
 
-        // Task 0: 2 phases at K=1 → block of 2, capacity 2. Task 1: 1 phase
-        // at K=3 → block of 3, capacity 4. Live = 5, padded = 6.
-        assert_eq!(arena.node_count(), 5);
-        assert_eq!(arena.ratio_graph().node_count(), 6);
-        for task in [TaskId::new(0), TaskId::new(1)] {
-            for phase in 0..arena.phase_count_of(task) {
-                let node = arena.node_of(task, phase);
-                assert_eq!(arena.event(node), EventNode { task, phase });
+        // Task 0: 2 phases at K=1; task 1: 1 phase at K=3. Then raise task 0
+        // to K=2, which moves task 1's block.
+        let check = |arena: &EventGraphArena, expected: usize| {
+            assert_eq!(arena.node_count(), expected);
+            assert_eq!(arena.ratio_graph().node_count(), arena.node_count());
+            let mut next = 0;
+            for task in [TaskId::new(0), TaskId::new(1)] {
+                for phase in 0..arena.phase_count_of(task) {
+                    let node = arena.node_of(task, phase);
+                    assert_eq!(node.index(), next, "blocks are dense and in task order");
+                    assert_eq!(arena.event(node), EventNode { task, phase });
+                    next += 1;
+                }
             }
+        };
+        check(&arena, 5);
+        k.set(TaskId::new(0), 2).unwrap();
+        let update = arena.apply_update(&g, &k, None).unwrap();
+        assert_eq!(update.assemble, AssembleMode::LaidOut);
+        check(&arena, 7);
+        let fresh = EventGraphArena::build(&g, &q, &k, &limits).unwrap();
+        assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
+    }
+
+    #[test]
+    fn marking_only_update_that_changes_an_arc_count_is_laid_out_again() {
+        // Two two-phase tasks whose buffer keeps a phase pair useful or not
+        // depending on its marking: the graph has 4 arcs at 0 or 2 tokens
+        // and 3 at 1.
+        let mut b = CsdfGraphBuilder::new();
+        let x = b.add_task("x", vec![1, 2]);
+        let y = b.add_task("y", vec![1, 1]);
+        b.add_buffer(x, y, vec![1, 2], vec![1, 2], 0);
+        b.add_buffer(y, x, vec![1, 2], vec![1, 2], 20);
+        let mut g = b.build().unwrap();
+        let q = g.repetition_vector().unwrap();
+        let limits = EventGraphLimits::default();
+        let k = PeriodicityVector::unitary(&g);
+        let mut arena = EventGraphArena::build(&g, &q, &k, &limits).unwrap();
+
+        for (tokens, arcs, mode) in [
+            (1, 3, AssembleMode::LaidOut),
+            (2, 4, AssembleMode::LaidOut),
+            (3, 4, AssembleMode::Patched),
+        ] {
+            g.set_initial_tokens(csdf::BufferId::new(0), tokens)
+                .unwrap();
+            let update = arena.apply_update(&g, &k, None).unwrap();
+            assert_eq!(update.dirty_tasks, 0);
+            assert_eq!(update.rebuilt_buffers, 1);
+            assert_eq!(update.assemble, mode, "{tokens} tokens");
+            assert_eq!(arena.arc_count(), arcs, "{tokens} tokens");
+            let fresh = EventGraphArena::build(&g, &q, &k, &limits).unwrap();
+            assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
+            assert_eq!(arena.ratio_graph().node_count(), arena.node_count());
+            assert!(arena.ratio_graph().adjacency_current());
         }
     }
 
@@ -1030,7 +1027,7 @@ mod tests {
         let mut graph = base.clone();
         let mut k = PeriodicityVector::unitary(&graph);
         let mut arena = EventGraphArena::build(&graph, &q, &k, &limits).unwrap();
-        let mut saw = [false; 3];
+        let mut saw = [false; 2];
         for _ in 0..60 {
             if next() % 2 == 0 {
                 let task = TaskId::new((next() % 2) as usize);
@@ -1042,17 +1039,17 @@ mod tests {
             }
             let update = arena.apply_update(&graph, &k, None).unwrap();
             saw[match update.assemble {
-                AssembleMode::Renumbered => 0,
-                AssembleMode::Reemitted => 1,
-                AssembleMode::Patched => 2,
+                AssembleMode::LaidOut => 0,
+                AssembleMode::Patched => 1,
             }] = true;
             let fresh = EventGraphArena::build(&graph, &q, &k, &limits).unwrap();
             assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
             assert_eq!(arena.node_count(), fresh.node_count());
+            assert_eq!(arena.ratio_graph().node_count(), arena.node_count());
             assert_eq!(arena.lcm_k(), fresh.lcm_k());
             assert!(arena.ratio_graph().adjacency_current());
         }
-        assert_eq!(saw, [true; 3], "every assembly path ran");
+        assert_eq!(saw, [true; 2], "both update paths ran");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! directly into the bi-valued event-graph arcs of that buffer (block-local
 //! endpoints plus `L`/`H` values); [`emit_buffer_arcs_tiled`] derives the
 //! same arcs straight from the base rates. The event-graph arena keeps every
-//! buffer's arcs in one flat store and only re-derives those of buffers
-//! whose producer or consumer changed periodicity.
+//! buffer's arcs in its ratio graph and only re-derives those of buffers
+//! whose producer or consumer changed periodicity or whose marking changed.
 
 use csdf::{CsdfError, Rational};
 
@@ -126,10 +126,10 @@ pub(crate) fn for_each_constraint(
     Ok(())
 }
 
-/// One cached bi-valued arc of a buffer's constraint set. Endpoints are
-/// *block-local* phase indices; the arena re-bases them on the producer's and
-/// consumer's node-block offsets when assembling the ratio graph, so a cached
-/// arc stays valid when other tasks' blocks move.
+/// One re-derived bi-valued arc of a buffer's constraint set, as the
+/// emission writes it into the arena's scratch. Endpoints are *block-local*
+/// phase indices; the arena re-bases them on the producer's and consumer's
+/// node-block offsets when it adds the arc to the ratio graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BufferArc {
     /// Producer phase in `0 .. K_t·ϕ(t)` of the source task.
@@ -217,7 +217,7 @@ const WORD_LIMIT: u128 = 1 << 60;
 ///
 /// One body serves two word widths: `i64` while `i_b·K_s`, `o_b·K_t` and
 /// `M0` stay below `2^60`, `i128` beyond. The arcs are **appended** to `out`,
-/// so the arena emits every buffer into one flat store.
+/// so the arena emits all of an update's dirty buffers into one scratch.
 ///
 /// `base_durations` is the producer's base duration slice and
 /// `denominator` the K-invariant `i_b · q_t`.

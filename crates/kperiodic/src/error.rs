@@ -37,8 +37,9 @@ pub enum AnalysisError {
     /// against a graph it was not built from (its cached blocks and arcs
     /// would silently be wrong); build a fresh arena instead.
     ArenaGraphMismatch,
-    /// The pre-solve lint gate ([`AnalysisOptions::pre_lint`]
-    /// (`crate::AnalysisOptions::pre_lint`)) found a structural error, so no
+    /// The pre-solve lint gate
+    /// ([`AnalysisOptions::pre_lint`](crate::AnalysisOptions::pre_lint))
+    /// found a structural error, so no
     /// event graph was built. `code` is the stable `csdf-lint` code
     /// (`"L001"`, `"L002"`, ...) of the first error diagnostic.
     RejectedByLint {

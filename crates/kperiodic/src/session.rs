@@ -31,8 +31,11 @@ use crate::kiter::{kiter_with_repetition, KIterOptions, KIterResult};
 
 /// A long-lived throughput-analysis session over one mutable CSDF graph.
 ///
-/// See the [module docs](self) for the contract. The session is the unit of
-/// work the `explore` crate's sweep runners hand to each worker thread.
+/// Every [`AnalysisSession::evaluate`] is bit-identical to a cold
+/// [`optimal_throughput`](crate::optimal_throughput) on a copy of the
+/// mutated graph; only the work to get there shrinks. The session is the
+/// unit of work the `explore` crate's sweep runners hand to each worker
+/// thread.
 ///
 /// # Examples
 ///

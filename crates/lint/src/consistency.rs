@@ -1,9 +1,10 @@
-//! Rate-consistency pass (`L001`): re-runs the balance-equation propagation
-//! of [`csdf::RepetitionVector`] with parent tracking, so a conflict can be
-//! reported with a *certificate* — the undirected cycle of buffers whose
-//! rate ratios multiply to something other than one.
+//! Rate-consistency pass (`L001`): reports the conflict met by the balance
+//! propagation of [`csdf::RepetitionVector::balance`] with a *certificate*
+//! — the undirected cycle of buffers whose rate ratios multiply to
+//! something other than one — built from the propagation's own
+//! breadth-first forest.
 
-use csdf::{CsdfGraph, Rational, RepetitionVector, TaskId};
+use csdf::{BalanceConflict, BalanceError, CsdfGraph, RepetitionVector};
 
 use crate::diag::{Diagnostic, LintCode, LintReport};
 use crate::Spans;
@@ -15,95 +16,16 @@ pub(crate) fn check(
     spans: &Spans<'_>,
     report: &mut LintReport,
 ) -> Option<RepetitionVector> {
-    // The propagation below mirrors `repetition_vector`'s, so it finds a
-    // conflict exactly when that one fails as inconsistent: a consistent
-    // graph is propagated once.
-    let err = match graph.repetition_vector() {
+    match RepetitionVector::balance(graph) {
         Ok(q) => return Some(q),
-        Err(err) => err,
-    };
-    if let Some(conflict) = find_conflict(graph) {
-        report.push(certificate_diagnostic(graph, spans, &conflict));
-    } else {
-        // No conflict, so this is arithmetic overflow, not inconsistency.
-        report.push(Diagnostic::new(
-            LintCode::AnalysisBudgetExceeded,
-            format!("repetition vector could not be computed: {err}"),
-        ));
-    }
-    None
-}
-
-/// A balance conflict: the buffer whose ratio contradicts the fractions
-/// already assigned to its two endpoints, plus the BFS parent forest needed
-/// to extract the certificate cycle.
-struct Conflict {
-    buffer: usize,
-    /// The task whose neighbours were being expanded.
-    from: usize,
-    /// The already-settled other endpoint.
-    to: usize,
-    /// `parent[t]` = `(parent_task, buffer)` in the BFS forest.
-    parent: Vec<Option<(usize, usize)>>,
-}
-
-/// Mirrors the fraction propagation of `RepetitionVector::compute` exactly
-/// (same totals-ratio orientation, same BFS order), additionally recording
-/// the parent edge of every task. Arithmetic failures are treated as "no
-/// conflict found" and left to `repetition_vector` to classify.
-fn find_conflict(graph: &CsdfGraph) -> Option<Conflict> {
-    let n = graph.task_count();
-    let mut fractions: Vec<Option<Rational>> = vec![None; n];
-    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-    let mut queue = std::collections::VecDeque::new();
-
-    for start in 0..n {
-        if fractions[start].is_some() {
-            continue;
+        Err(BalanceError::Inconsistent(conflict)) => {
+            report.push(certificate_diagnostic(graph, spans, &conflict));
         }
-        fractions[start] = Some(Rational::ONE);
-        queue.push_back(TaskId::new(start));
-        while let Some(task) = queue.pop_front() {
-            let task_fraction = fractions[task.index()].expect("assigned before queueing");
-            for &buffer_id in graph.incident(task) {
-                let buffer = graph.buffer(buffer_id);
-                let ratio = if buffer.source() == task {
-                    Rational::new(
-                        buffer.total_production() as i128,
-                        buffer.total_consumption() as i128,
-                    )
-                } else {
-                    Rational::new(
-                        buffer.total_consumption() as i128,
-                        buffer.total_production() as i128,
-                    )
-                };
-                let other = if buffer.source() == task {
-                    buffer.target()
-                } else {
-                    buffer.source()
-                };
-                let Ok(expected) = ratio.and_then(|r| task_fraction.checked_mul(&r)) else {
-                    return None;
-                };
-                match fractions[other.index()] {
-                    None => {
-                        fractions[other.index()] = Some(expected);
-                        parent[other.index()] = Some((task.index(), buffer_id.index()));
-                        queue.push_back(other);
-                    }
-                    Some(existing) => {
-                        if existing != expected {
-                            return Some(Conflict {
-                                buffer: buffer_id.index(),
-                                from: task.index(),
-                                to: other.index(),
-                                parent,
-                            });
-                        }
-                    }
-                }
-            }
+        Err(BalanceError::Overflow(err)) => {
+            report.push(Diagnostic::new(
+                LintCode::AnalysisBudgetExceeded,
+                format!("repetition vector could not be computed: {err}"),
+            ));
         }
     }
     None
@@ -113,12 +35,30 @@ fn find_conflict(graph: &CsdfGraph) -> Option<Conflict> {
 /// plus the BFS-forest paths from its endpoints up to their lowest common
 /// ancestor — an undirected simple cycle, near-minimal because the forest is
 /// a breadth-first (shortest-path) tree.
-fn certificate_diagnostic(graph: &CsdfGraph, spans: &Spans<'_>, conflict: &Conflict) -> Diagnostic {
+fn certificate_diagnostic(
+    graph: &CsdfGraph,
+    spans: &Spans<'_>,
+    conflict: &BalanceConflict,
+) -> Diagnostic {
+    // `(parent task, buffer)` of a task in the forest: the buffer's other
+    // endpoint.
+    let parent = |task: usize| {
+        conflict.parent[task].map(|buffer_id| {
+            let buffer = graph.buffer(buffer_id);
+            let other = if buffer.target().index() == task {
+                buffer.source()
+            } else {
+                buffer.target()
+            };
+            (other.index(), buffer_id.index())
+        })
+    };
+    let (from, to) = (conflict.from.index(), conflict.to.index());
     // Ancestors of `from`, with their depth, walking to the forest root.
     let mut from_chain: Vec<(usize, Option<usize>)> = Vec::new(); // (task, buffer to parent)
-    let mut cursor = conflict.from;
+    let mut cursor = from;
     from_chain.push((cursor, None));
-    while let Some((p, b)) = conflict.parent[cursor] {
+    while let Some((p, b)) = parent(cursor) {
         from_chain.last_mut().expect("nonempty").1 = Some(b);
         from_chain.push((p, None));
         cursor = p;
@@ -131,16 +71,16 @@ fn certificate_diagnostic(graph: &CsdfGraph, spans: &Spans<'_>, conflict: &Confl
     // Walk up from `to` until the chain of `from` is hit (the LCA). `to` and
     // `from` are in the same BFS tree: the conflicting buffer connects them.
     let mut to_path: Vec<usize> = Vec::new(); // buffers from `to` towards LCA
-    let mut cursor = conflict.to;
+    let mut cursor = to;
     while depth_of[cursor] == usize::MAX {
-        let (p, b) = conflict.parent[cursor].expect("reaches the tree root");
+        let (p, b) = parent(cursor).expect("reaches the tree root");
         to_path.push(b);
         cursor = p;
     }
     let lca_depth = depth_of[cursor];
 
     // Cycle: conflict buffer, `to → LCA` buffers, then `LCA → from` buffers.
-    let mut cycle: Vec<usize> = vec![conflict.buffer];
+    let mut cycle: Vec<usize> = vec![conflict.buffer.index()];
     cycle.extend(&to_path);
     for &(_, buffer) in from_chain[..lca_depth].iter().rev() {
         cycle.push(buffer.expect("every non-terminal chain entry has an edge"));
@@ -151,8 +91,8 @@ fn certificate_diagnostic(graph: &CsdfGraph, spans: &Spans<'_>, conflict: &Confl
         .map(|&b| graph.buffer_ref(csdf::BufferId::new(b)))
         .collect();
     let mut tasks = vec![
-        graph.task(TaskId::new(conflict.from)).name().to_string(),
-        graph.task(TaskId::new(conflict.to)).name().to_string(),
+        graph.task(conflict.from).name().to_string(),
+        graph.task(conflict.to).name().to_string(),
     ];
     tasks.dedup();
     let cycle_text = buffers
@@ -170,7 +110,7 @@ fn certificate_diagnostic(graph: &CsdfGraph, spans: &Spans<'_>, conflict: &Confl
             cycle_text
         ),
     );
-    diagnostic.line = spans.buffer_line(conflict.buffer);
+    diagnostic.line = spans.buffer_line(conflict.buffer.index());
     diagnostic.tasks = tasks;
     diagnostic.buffers = buffers;
     diagnostic

@@ -70,21 +70,19 @@ pub struct Arc {
 /// of earlier revisions, plus each slot's arc target, so traversals read
 /// contiguous `u32`s instead of whole arc records. The CSR is rebuilt by a
 /// stable counting sort in [`RatioGraph::rebuild_adjacency`]; mutations
-/// ([`RatioGraph::add_arc`], [`RatioGraph::reset`]) mark it stale, and
-/// [`RatioGraph::outgoing`] panics on a stale index (call
-/// `rebuild_adjacency` after the last mutation). The MCR [`crate::Solver`]
+/// ([`RatioGraph::add_arc`], [`RatioGraph::relayout`]) mark it stale until
+/// the next rebuild. The MCR [`crate::Solver`]
 /// does not require a rebuilt adjacency — it keeps its own CSR scratch for
 /// graphs handed to it mid-construction.
 ///
-/// # Growing and patching
+/// # Patching and laying out again
 ///
 /// Besides one-shot construction ([`RatioGraph::new`] + [`RatioGraph::add_arc`]),
-/// the graph supports in-place reuse for callers that repeatedly rebuild
-/// almost-identical graphs (the K-Iter event-graph arena): [`RatioGraph::add_node`]
-/// appends node blocks, [`RatioGraph::reserve_arcs`] pre-sizes the arc storage,
-/// and [`RatioGraph::reset`] clears the arc set while keeping every allocation
-/// (the arc vector and both CSR arrays keep their capacity), so re-emitting
-/// the arcs of an updated graph performs no per-node reallocation.
+/// the graph supports in-place updates for callers that repeatedly rebuild
+/// almost-identical graphs (the K-Iter event-graph arena):
+/// [`RatioGraph::patch_arc_weights`] and [`RatioGraph::patch_arc`] overwrite
+/// single arcs, and [`RatioGraph::relayout`] hands the old arcs back while
+/// the new ones are added, keeping the CSR arrays' allocations.
 ///
 /// Two graphs compare equal ([`PartialEq`]) when they have the same node
 /// count and the same arcs, in the same insertion order, with bit-identical
@@ -151,26 +149,15 @@ impl RatioGraph {
         NodeId(index)
     }
 
-    /// Adds one more node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.node_count);
-        self.node_count += 1;
-        self.version += 1;
-        id
-    }
-
-    /// Clears the graph down to `node_count` isolated nodes while keeping
-    /// every allocation: the arc storage and the CSR adjacency arrays
-    /// retain their capacity, so arcs can be re-emitted without reallocating.
-    pub fn reset(&mut self, node_count: usize) {
-        self.arcs.clear();
+    /// Starts laying the graph out again over `node_count` nodes: returns
+    /// the current arcs, for the caller to read while it adds the new ones
+    /// with [`RatioGraph::add_arc`], and leaves the graph arc-less with room
+    /// for `arc_capacity` arcs. The CSR adjacency arrays keep their
+    /// allocation.
+    pub fn relayout(&mut self, node_count: usize, arc_capacity: usize) -> Vec<Arc> {
         self.node_count = node_count;
         self.version += 1;
-    }
-
-    /// Reserves capacity for at least `additional` more arcs.
-    pub fn reserve_arcs(&mut self, additional: usize) {
-        self.arcs.reserve(additional);
+        std::mem::replace(&mut self.arcs, Vec::with_capacity(arc_capacity))
     }
 
     /// Adds an arc and returns its id. O(1): the arc is appended to the flat
@@ -242,8 +229,8 @@ impl RatioGraph {
     /// flat arc vector: arcs leaving the same node keep their insertion
     /// order, matching the `Vec<Vec<ArcId>>` adjacency of earlier revisions
     /// bit for bit. The index arrays keep their allocation across
-    /// [`RatioGraph::reset`], so the event-graph arena's grow/patch cycle
-    /// performs no adjacency allocation after warm-up.
+    /// [`RatioGraph::relayout`], so the event-graph arena's patch and layout
+    /// cycle allocates adjacency only when the graph grows.
     ///
     /// No-op when the index is already current.
     pub fn rebuild_adjacency(&mut self) {
@@ -257,13 +244,6 @@ impl RatioGraph {
     /// Whether the CSR adjacency reflects the current arc set.
     pub fn adjacency_current(&self) -> bool {
         self.adjacency_version == self.version
-    }
-
-    /// The CSR adjacency as flat `(arc_offsets, arc_index)` slices, when
-    /// current (see [`RatioGraph::rebuild_adjacency`]).
-    pub fn adjacency(&self) -> Option<(&[u32], &[ArcId])> {
-        self.csr()
-            .map(|csr| (csr.offsets.as_slice(), csr.arcs.as_slice()))
     }
 
     /// The whole CSR index, arc targets included, when current.
@@ -298,29 +278,6 @@ impl RatioGraph {
     /// The flat arc storage, indexed by [`ArcId`].
     pub(crate) fn raw_arcs(&self) -> &[Arc] {
         &self.arcs
-    }
-
-    /// Iterator over all node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_count).map(NodeId)
-    }
-
-    /// Arcs leaving `node`, in insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or if the CSR adjacency is stale —
-    /// call [`RatioGraph::rebuild_adjacency`] after the last mutation.
-    pub fn outgoing(&self, node: NodeId) -> &[ArcId] {
-        assert!(node.0 < self.node_count, "node index out of range");
-        if self.arcs.is_empty() {
-            return &[];
-        }
-        assert!(
-            self.adjacency_current(),
-            "CSR adjacency is stale; call rebuild_adjacency() after mutating the graph"
-        );
-        &self.csr.arcs[self.csr.row(node.0)]
     }
 
     /// Sum of the costs and times along a sequence of arcs, accumulated
@@ -402,10 +359,16 @@ impl Csr {
 mod tests {
     use super::*;
 
+    /// The arcs leaving `node`, read from the current CSR index.
+    fn outgoing(g: &RatioGraph, node: NodeId) -> &[ArcId] {
+        let csr = g.csr().expect("current adjacency");
+        &csr.arcs[csr.row(node.index())]
+    }
+
     #[test]
     fn construction_and_adjacency() {
-        let mut g = RatioGraph::new(2);
-        let extra = g.add_node();
+        let mut g = RatioGraph::new(3);
+        let extra = g.node(2);
         assert_eq!(g.node_count(), 3);
         let a = g.node(0);
         let b = g.node(1);
@@ -415,11 +378,10 @@ mod tests {
         assert!(!g.adjacency_current());
         g.rebuild_adjacency();
         assert!(g.adjacency_current());
-        assert_eq!(g.outgoing(a), &[e1]);
-        assert_eq!(g.outgoing(b), &[e2]);
-        assert!(g.outgoing(extra).is_empty());
+        assert_eq!(outgoing(&g, a), &[e1]);
+        assert_eq!(outgoing(&g, b), &[e2]);
+        assert!(outgoing(&g, extra).is_empty());
         assert_eq!(g.arc(e2).cost, Rational::from_integer(2));
-        assert_eq!(g.nodes().count(), 3);
     }
 
     #[test]
@@ -450,19 +412,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_capacity_and_restores_equality() {
+    fn relayout_returns_the_old_arcs_and_restores_equality() {
         let mut g = RatioGraph::new(2);
         g.add_arc(g.node(0), g.node(1), Rational::ONE, Rational::ONE);
         g.add_arc(g.node(1), g.node(0), Rational::ONE, Rational::ONE);
+        g.rebuild_adjacency();
         let reference = g.clone();
 
-        g.reset(3);
+        let old = g.relayout(3, 2);
+        assert_eq!(old.len(), 2);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.arc_count(), 0);
-        assert!(g.outgoing(g.node(0)).is_empty());
+        assert!(!g.adjacency_current());
 
-        g.reset(2);
-        g.reserve_arcs(2);
+        let old = g.relayout(2, 2);
+        assert!(old.is_empty());
         g.add_arc(g.node(0), g.node(1), Rational::ONE, Rational::ONE);
         g.add_arc(g.node(1), g.node(0), Rational::ONE, Rational::ONE);
         assert_eq!(g, reference);
@@ -477,7 +441,7 @@ mod tests {
 
         g.patch_arc_weights(e1, Rational::from_integer(7), Rational::ZERO);
         assert!(g.adjacency_current());
-        assert_eq!(g.outgoing(g.node(0)), &[e1]);
+        assert_eq!(outgoing(&g, g.node(0)), &[e1]);
         assert_eq!(g.arc(e1).cost, Rational::from_integer(7));
         assert_eq!(g.arc(e1).time, Rational::ZERO);
 
@@ -504,8 +468,8 @@ mod tests {
         );
         assert!(!g.adjacency_current());
         g.rebuild_adjacency();
-        assert_eq!(g.outgoing(g.node(2)), &[e2]);
-        assert!(g.outgoing(g.node(1)).is_empty());
+        assert_eq!(outgoing(&g, g.node(2)), &[e2]);
+        assert!(outgoing(&g, g.node(1)).is_empty());
 
         let mut fresh = RatioGraph::new(3);
         fresh.add_arc(fresh.node(0), fresh.node(1), Rational::ONE, Rational::ONE);
@@ -536,22 +500,22 @@ mod tests {
         assert!(g.csr().is_none());
         g.rebuild_adjacency();
         check(&g);
-        assert_eq!(g.outgoing(g.node(1)), &[moved]);
+        assert_eq!(outgoing(&g, g.node(1)), &[moved]);
     }
 
     #[test]
-    fn adjacency_tracks_resets_even_at_equal_arc_counts() {
-        // A reset followed by re-adding the same number of arcs must not be
-        // mistaken for a current index (regression guard for the version
+    fn adjacency_tracks_relayouts_even_at_equal_arc_counts() {
+        // A relayout followed by re-adding the same number of arcs must not
+        // be mistaken for a current index (regression guard for the version
         // counter: plain arc-count comparison would be fooled here).
         let mut g = RatioGraph::new(2);
         g.add_arc(g.node(0), g.node(1), Rational::ONE, Rational::ONE);
         g.rebuild_adjacency();
-        g.reset(2);
+        g.relayout(2, 1);
         g.add_arc(g.node(1), g.node(0), Rational::ONE, Rational::ONE);
         assert!(!g.adjacency_current());
         g.rebuild_adjacency();
-        assert_eq!(g.outgoing(g.node(1)).len(), 1);
-        assert!(g.outgoing(g.node(0)).is_empty());
+        assert_eq!(outgoing(&g, g.node(1)).len(), 1);
+        assert!(outgoing(&g, g.node(0)).is_empty());
     }
 }

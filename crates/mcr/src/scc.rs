@@ -134,7 +134,7 @@ impl SccBuffers {
 ///
 /// Components are numbered in reverse topological order (Tarjan's output
 /// order); every node belongs to exactly one component. This is the public
-/// convenience API; the solver uses the reusable [`SccBuffers`] internally.
+/// convenience API; the solver uses the reusable `SccBuffers` internally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SccDecomposition {
     component_of: Vec<usize>,

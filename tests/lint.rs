@@ -137,8 +137,8 @@ fn with_one_rate_perturbed(
 }
 
 /// The `L001` certificate starts at the buffer `repetition_vector` reports:
-/// the lint walk and the repetition vector's walk visit each task's
-/// buffers in the same order, so they meet the same first contradiction.
+/// lint builds it from the same balance propagation, so both name its first
+/// contradiction.
 #[test]
 fn inconsistency_certificates_start_at_the_repetition_vectors_buffer() {
     let mut checked = 0usize;
