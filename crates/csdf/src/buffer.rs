@@ -35,56 +35,44 @@ impl fmt::Display for BufferId {
 /// execution of the consumer's phase `p'`. `initial_tokens` is the marking
 /// `M0(b)`.
 ///
+/// A `Buffer` is a `Copy` view into its [`crate::CsdfGraph`], which keeps
+/// every buffer's rates in one array and its endpoints and marking in one
+/// fixed-size record; the `'g` slices the accessors return borrow the graph,
+/// not the view, so they outlive it:
+///
+/// ```
+/// use csdf::CsdfGraphBuilder;
+///
+/// let mut builder = CsdfGraphBuilder::new();
+/// let t = builder.add_task("t", vec![1, 1, 1]);
+/// let u = builder.add_task("u", vec![1, 1]);
+/// let id = builder.add_buffer(t, u, vec![2, 3, 1], vec![2, 5], 0);
+/// let graph = builder.build()?;
+/// // The view is a temporary; the slice lives as long as `graph`.
+/// let production: &[u64] = graph.buffer(id).production();
+/// assert_eq!(production, &[2, 3, 1]);
+/// # Ok::<(), csdf::CsdfError>(())
+/// ```
+///
 /// The paper's Figure 1 example — a buffer with production `[2,3,1]`,
 /// consumption `[2,5]` and empty marking — is reproduced in the unit tests of
 /// this module.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Buffer {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Buffer<'g> {
     source: TaskId,
     target: TaskId,
-    production: Vec<u64>,
-    consumption: Vec<u64>,
+    production: &'g [u64],
+    consumption: &'g [u64],
     initial_tokens: u64,
 }
 
-impl Buffer {
-    /// Creates a buffer between two tasks.
-    ///
-    /// The rate vectors are validated against the task phase counts by the
-    /// [`crate::CsdfGraphBuilder`]; this constructor only checks that neither
-    /// vector is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `production` or `consumption` is empty.
-    pub fn new(
+impl<'g> Buffer<'g> {
+    /// The view of a buffer stored as these endpoints, rates and marking.
+    pub(crate) fn new(
         source: TaskId,
         target: TaskId,
-        production: Vec<u64>,
-        consumption: Vec<u64>,
-        initial_tokens: u64,
-    ) -> Self {
-        assert!(!production.is_empty(), "production rates must not be empty");
-        assert!(
-            !consumption.is_empty(),
-            "consumption rates must not be empty"
-        );
-        Buffer {
-            source,
-            target,
-            production,
-            consumption,
-            initial_tokens,
-        }
-    }
-
-    /// A buffer whose rate vectors the [`crate::CsdfGraphBuilder`] has yet
-    /// to validate against its tasks' phase counts.
-    pub(crate) fn unvalidated(
-        source: TaskId,
-        target: TaskId,
-        production: Vec<u64>,
-        consumption: Vec<u64>,
+        production: &'g [u64],
+        consumption: &'g [u64],
         initial_tokens: u64,
     ) -> Self {
         Buffer {
@@ -94,53 +82,41 @@ impl Buffer {
             consumption,
             initial_tokens,
         }
-    }
-
-    /// Points the buffer at other tasks, for a builder resolving names late.
-    pub(crate) fn set_endpoints(&mut self, source: TaskId, target: TaskId) {
-        self.source = source;
-        self.target = target;
     }
 
     /// The producing task `t`.
-    pub fn source(&self) -> TaskId {
+    pub fn source(self) -> TaskId {
         self.source
     }
 
     /// The consuming task `t'`.
-    pub fn target(&self) -> TaskId {
+    pub fn target(self) -> TaskId {
         self.target
     }
 
     /// Per-phase production rates `in_b`.
-    pub fn production(&self) -> &[u64] {
-        &self.production
+    pub fn production(self) -> &'g [u64] {
+        self.production
     }
 
     /// Per-phase consumption rates `out_b`.
-    pub fn consumption(&self) -> &[u64] {
-        &self.consumption
+    pub fn consumption(self) -> &'g [u64] {
+        self.consumption
     }
 
     /// Tokens produced by the producer phase with 0-based index `phase`.
-    pub fn production_at(&self, phase: usize) -> u64 {
+    pub fn production_at(self, phase: usize) -> u64 {
         self.production[phase]
     }
 
     /// Tokens consumed by the consumer phase with 0-based index `phase`.
-    pub fn consumption_at(&self, phase: usize) -> u64 {
+    pub fn consumption_at(self, phase: usize) -> u64 {
         self.consumption[phase]
     }
 
     /// Initial marking `M0(b)`.
-    pub fn initial_tokens(&self) -> u64 {
+    pub fn initial_tokens(self) -> u64 {
         self.initial_tokens
-    }
-
-    /// Replaces the initial marking `M0(b)` — the mutation primitive behind
-    /// [`crate::CsdfGraph::set_initial_tokens`].
-    pub(crate) fn set_initial_tokens(&mut self, tokens: u64) {
-        self.initial_tokens = tokens;
     }
 
     /// Returns `true` when `other` is the *reverse* of this buffer: the
@@ -148,7 +124,7 @@ impl Buffer {
     /// the back-pressure buffer that models a bounded capacity (see
     /// [`crate::transform::bound_buffers`]); the initial markings are
     /// unconstrained, since the reverse marking encodes the capacity slack.
-    pub fn is_reverse_of(&self, other: &Buffer) -> bool {
+    pub fn is_reverse_of(self, other: Buffer<'_>) -> bool {
         self.source == other.target
             && self.target == other.source
             && self.production == other.consumption
@@ -156,30 +132,30 @@ impl Buffer {
     }
 
     /// Total tokens `i_b` written during one full iteration of the producer.
-    pub fn total_production(&self) -> u64 {
+    pub fn total_production(self) -> u64 {
         self.production.iter().sum()
     }
 
     /// Total tokens `o_b` read during one full iteration of the consumer.
-    pub fn total_consumption(&self) -> u64 {
+    pub fn total_consumption(self) -> u64 {
         self.consumption.iter().sum()
     }
 
     /// `gcd(i_b, o_b)`, written `gcd_a` in the paper; used by the Theorem-2
     /// constraint strengthening.
-    pub fn rate_gcd(&self) -> u64 {
+    pub fn rate_gcd(self) -> u64 {
         gcd_u64(self.total_production(), self.total_consumption())
     }
 
     /// Returns `true` when the buffer connects a task to itself.
-    pub fn is_self_loop(&self) -> bool {
+    pub fn is_self_loop(self) -> bool {
         self.source == self.target
     }
 
     /// Cumulative tokens produced into this buffer at the completion of the
     /// producer phase with 0-based index `phase` of iteration `n` (1-based):
     /// `Ia⟨t_{phase+1}, n⟩` of the paper.
-    pub fn cumulative_production(&self, phase: usize, n: u64) -> u64 {
+    pub fn cumulative_production(self, phase: usize, n: u64) -> u64 {
         let within: u64 = self.production[..=phase].iter().sum();
         within + (n - 1) * self.total_production()
     }
@@ -187,13 +163,13 @@ impl Buffer {
     /// Cumulative tokens consumed from this buffer at the completion of the
     /// consumer phase with 0-based index `phase` of iteration `n` (1-based):
     /// `Oa⟨t'_{phase+1}, n⟩` of the paper.
-    pub fn cumulative_consumption(&self, phase: usize, n: u64) -> u64 {
+    pub fn cumulative_consumption(self, phase: usize, n: u64) -> u64 {
         let within: u64 = self.consumption[..=phase].iter().sum();
         within + (n - 1) * self.total_consumption()
     }
 }
 
-impl fmt::Display for Buffer {
+impl fmt::Display for Buffer<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -207,9 +183,9 @@ impl fmt::Display for Buffer {
 mod tests {
     use super::*;
 
-    fn figure1_buffer() -> Buffer {
+    fn figure1_buffer() -> Buffer<'static> {
         // Paper Figure 1: in_b = [2,3,1], out_b = [2,5], M0 = 0.
-        Buffer::new(TaskId::new(0), TaskId::new(1), vec![2, 3, 1], vec![2, 5], 0)
+        Buffer::new(TaskId::new(0), TaskId::new(1), &[2, 3, 1], &[2, 5], 0)
     }
 
     #[test]
@@ -246,14 +222,18 @@ mod tests {
 
     #[test]
     fn self_loop_detection() {
-        let b = Buffer::new(TaskId::new(3), TaskId::new(3), vec![1], vec![1], 1);
+        let b = Buffer::new(TaskId::new(3), TaskId::new(3), &[1], &[1], 1);
         assert!(b.is_self_loop());
     }
 
     #[test]
-    #[should_panic(expected = "production rates")]
-    fn empty_production_panics() {
-        let _ = Buffer::new(TaskId::new(0), TaskId::new(1), vec![], vec![1], 0);
+    fn reverse_detection_mirrors_endpoints_and_rates() {
+        let b = figure1_buffer();
+        let reverse = Buffer::new(TaskId::new(1), TaskId::new(0), &[2, 5], &[2, 3, 1], 9);
+        assert!(reverse.is_reverse_of(b));
+        assert!(b.is_reverse_of(reverse));
+        assert!(!b.is_reverse_of(b));
+        assert_eq!(b.to_string(), "t0 -[2, 3, 1]/[2, 5][0]-> t1");
     }
 
     #[test]

@@ -2,16 +2,18 @@
 
 use std::collections::HashSet;
 
-use crate::buffer::{Buffer, BufferId};
+use crate::buffer::BufferId;
 use crate::error::CsdfError;
-use crate::graph::CsdfGraph;
-use crate::task::{Task, TaskId};
+use crate::graph::{CsdfGraph, Tables};
+use crate::task::TaskId;
 
 /// Builder for [`CsdfGraph`] values.
 ///
 /// Tasks and buffers may be added in any order; all structural validation
 /// (phase counts vs. rate vector lengths, duplicate names, dangling ids,
-/// zero-rate buffers) happens in [`CsdfGraphBuilder::build`].
+/// zero-rate buffers) happens in [`CsdfGraphBuilder::build`]. The builder
+/// appends to the same flat arrays the graph keeps, so `build` moves them
+/// into the graph instead of copying task by task.
 ///
 /// # Examples
 ///
@@ -29,9 +31,7 @@ use crate::task::{Task, TaskId};
 #[derive(Debug, Clone, Default)]
 pub struct CsdfGraphBuilder {
     name: String,
-    tasks: Vec<Task>,
-    /// Validated by `build`, then moved into the graph as they are.
-    buffers: Vec<Buffer>,
+    tables: Tables,
 }
 
 impl CsdfGraphBuilder {
@@ -44,23 +44,29 @@ impl CsdfGraphBuilder {
     pub fn named(name: impl Into<String>) -> Self {
         CsdfGraphBuilder {
             name: name.into(),
-            tasks: Vec::new(),
-            buffers: Vec::new(),
+            tables: Tables::default(),
+        }
+    }
+
+    /// A builder named `name` that starts with every task and buffer of
+    /// `graph`, for transforms that add buffers to a copy of a graph.
+    pub(crate) fn extending(graph: &CsdfGraph, name: String) -> Self {
+        CsdfGraphBuilder {
+            name,
+            tables: graph.tables().clone(),
         }
     }
 
     /// Adds a cyclo-static task with one duration per phase and returns its id.
     pub fn add_task(&mut self, name: impl Into<String>, durations: Vec<u64>) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        // An empty duration vector is diagnosed in `build`; store a marker
-        // phase so `Task::new` does not panic here.
-        let durations = if durations.is_empty() {
-            vec![u64::MAX]
+        // An empty duration vector is diagnosed in `build`, which finds this
+        // marker phase in its place.
+        if durations.is_empty() {
+            self.tables.durations.push(u64::MAX);
         } else {
-            durations
-        };
-        self.tasks.push(Task::new(name, durations));
-        id
+            self.tables.durations.extend(durations);
+        }
+        self.tables.push_task(&name.into())
     }
 
     /// Adds an SDF task (single phase) with the given duration.
@@ -81,33 +87,11 @@ impl CsdfGraphBuilder {
         consumption: Vec<u64>,
         initial_tokens: u64,
     ) -> BufferId {
-        let id = BufferId(self.buffers.len());
-        self.buffers.push(Buffer::unvalidated(
-            source,
-            target,
-            production,
-            consumption,
-            initial_tokens,
-        ));
-        id
-    }
-
-    /// Renames the graph being built: the text parser learns the name a
-    /// graph keeps only at its first task line.
-    pub(crate) fn set_name(&mut self, name: &str) {
-        name.clone_into(&mut self.name);
-    }
-
-    /// Points an added buffer at other tasks: the text parser adds a buffer
-    /// that names a task not declared yet, and resolves it after the last
-    /// line.
-    pub(crate) fn set_buffer_endpoints(
-        &mut self,
-        buffer: BufferId,
-        source: TaskId,
-        target: TaskId,
-    ) {
-        self.buffers[buffer.index()].set_endpoints(source, target);
+        self.tables.rates.extend(production);
+        let consumption_start = self.tables.rates.len();
+        self.tables.rates.extend(consumption);
+        self.tables
+            .push_buffer(source, target, consumption_start, initial_tokens)
     }
 
     /// Adds an SDF buffer (scalar rates) from `source` to `target`.
@@ -135,21 +119,22 @@ impl CsdfGraphBuilder {
     /// the task so that each phase must wait for the completion of the
     /// previous one across iterations.
     pub fn add_serializing_self_loop(&mut self, task: TaskId) -> BufferId {
-        let phases = self
-            .tasks
-            .get(task.index())
-            .map_or(1, super::task::Task::phase_count);
+        let phases = if task.index() < self.tables.task_count() {
+            self.tables.phase_count(task.index())
+        } else {
+            1
+        };
         self.add_buffer(task, task, vec![1; phases], vec![1; phases], 1)
     }
 
     /// Number of tasks added so far.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.tables.task_count()
     }
 
     /// Number of buffers added so far.
     pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
+        self.tables.buffers.len()
     }
 
     /// Validates the accumulated tasks and buffers and produces the graph.
@@ -168,76 +153,40 @@ impl CsdfGraphBuilder {
     ///   over a full iteration exceeds `u64`.
     pub fn build(self) -> Result<CsdfGraph, CsdfError> {
         self.check_tasks()?;
-        for (index, buffer) in self.buffers.iter().enumerate() {
-            let source = self
-                .tasks
-                .get(buffer.source().index())
-                .ok_or(CsdfError::TaskIndexOutOfRange(buffer.source().index()))?;
-            let target = self
-                .tasks
-                .get(buffer.target().index())
-                .ok_or(CsdfError::TaskIndexOutOfRange(buffer.target().index()))?;
-            if buffer.production().len() != source.phase_count() {
-                return Err(CsdfError::RateLengthMismatch {
-                    task: source.name().to_string(),
-                    phases: source.phase_count(),
-                    rate_len: buffer.production().len(),
-                });
-            }
-            if buffer.consumption().len() != target.phase_count() {
-                return Err(CsdfError::RateLengthMismatch {
-                    task: target.name().to_string(),
-                    phases: target.phase_count(),
-                    rate_len: buffer.consumption().len(),
-                });
-            }
-            let buffer_ref = || crate::BufferRef::new(index, source.name(), target.name());
-            let (Some(produced), Some(consumed)) =
-                (total(buffer.production()), total(buffer.consumption()))
-            else {
-                return Err(CsdfError::RateOverflow {
-                    buffer: buffer_ref(),
-                });
-            };
-            if produced == 0 || consumed == 0 {
-                return Err(CsdfError::ZeroRateBuffer {
-                    buffer: buffer_ref(),
-                });
-            }
-        }
-        let mut buffers = self.buffers;
-        // Drops the growth slack, in place: the graph keeps its buffers.
-        buffers.shrink_to_fit();
-        Ok(CsdfGraph::from_parts(self.name, self.tasks, buffers))
+        self.tables.check_buffers()?;
+        Ok(CsdfGraph::from_parts(self.name, self.tables))
     }
 
     /// The task half of [`CsdfGraphBuilder::build`]'s validation: the first
-    /// empty-phase or duplicate-name error in declaration order. The text
-    /// parser also calls it to rank task errors above unresolved buffer
-    /// endpoints.
-    pub(crate) fn check_tasks(&self) -> Result<(), CsdfError> {
-        if self.tasks.is_empty() {
+    /// empty-phase or duplicate-name error in declaration order.
+    fn check_tasks(&self) -> Result<(), CsdfError> {
+        let count = self.tables.task_count();
+        if count == 0 {
             return Err(CsdfError::EmptyGraph);
         }
-        let mut names = HashSet::with_capacity(self.tasks.len());
-        for task in &self.tasks {
-            if task.durations() == [u64::MAX] {
-                return Err(CsdfError::EmptyPhases(task.name().to_string()));
-            }
-            if !names.insert(task.name()) {
-                return Err(CsdfError::DuplicateTaskName(task.name().to_string()));
+        let mut names = HashSet::with_capacity(count);
+        for index in 0..count {
+            let task = self.tables.task(index);
+            let duplicate = !names.insert(task.name());
+            if let Some(error) = task_error(task.name(), task.durations(), duplicate) {
+                return Err(error);
             }
         }
         Ok(())
     }
 }
 
-/// The sum of a rate list, or `None` past `u64`: a built graph's
-/// [`Buffer::total_production`] and [`Buffer::total_consumption`] never wrap.
-fn total(rates: &[u64]) -> Option<u64> {
-    rates
-        .iter()
-        .try_fold(0u64, |sum, &rate| sum.checked_add(rate))
+/// The error [`CsdfGraphBuilder::build`] reports at a task with these name
+/// and durations, if any: a task without phases (the builder's marker
+/// duration `u64::MAX`) ranks above a `duplicate` name.
+pub(crate) fn task_error(name: &str, durations: &[u64], duplicate: bool) -> Option<CsdfError> {
+    if durations == [u64::MAX] {
+        Some(CsdfError::EmptyPhases(name.to_string()))
+    } else if duplicate {
+        Some(CsdfError::DuplicateTaskName(name.to_string()))
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -10,12 +10,23 @@ use crate::task::{Task, TaskId};
 /// A Cyclo-Static Dataflow Graph `G = (T, B)`.
 ///
 /// Tasks and buffers are stored densely and addressed by [`TaskId`] /
-/// [`BufferId`]. The buffers incident to each task are one compressed
-/// (CSR) adjacency: per task, its outgoing buffers then its incoming ones,
-/// each list in buffer index order. [`RepetitionVector::compute`] and the
-/// lint consistency walk visit [`CsdfGraph::incident`] in that order, and
-/// the buffer an inconsistent graph is reported at depends on it. Graphs
-/// are immutable once built; use
+/// [`BufferId`], in flat arrays rather than one heap block per task or
+/// buffer: every task name lives in one string and every phase duration in
+/// one array, task after task; every buffer's production then consumption
+/// rates live in one array, buffer after buffer, and each buffer keeps one
+/// fixed-size record of endpoints, rate offsets and marking. [`Task`] and
+/// [`Buffer`] are `Copy` views into that storage, and the names and rate
+/// slices they hand out borrow the graph for its lifetime `'g`, not the
+/// view. Cloning or dropping a graph is a handful of allocations or frees,
+/// whatever its size.
+///
+/// The buffers incident to each task are one compressed (CSR) adjacency:
+/// per task, its outgoing buffers then its incoming ones, each list in
+/// buffer index order. [`RepetitionVector::compute`] and the lint
+/// consistency walk visit [`CsdfGraph::incident`] in that order, and the
+/// buffer an inconsistent graph is reported at depends on it. Graphs are
+/// immutable once built, but for their markings
+/// ([`CsdfGraph::set_initial_tokens`]); use
 /// [`CsdfGraphBuilder`](crate::CsdfGraphBuilder) to construct one and the
 /// transformation functions in [`crate::transform`] to derive new graphs.
 ///
@@ -34,11 +45,10 @@ use crate::task::{Task, TaskId};
 /// assert_eq!(graph.repetition_vector()?.get(consumer), 2);
 /// # Ok::<(), csdf::CsdfError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct CsdfGraph {
     name: String,
-    tasks: Vec<Task>,
-    buffers: Vec<Buffer>,
+    tables: Tables,
     /// Incident buffers, task after task: outgoing, then incoming.
     adjacency: Vec<BufferId>,
     /// Task `t`'s outgoing buffers are `adjacency[start[2t]..start[2t + 1]]`
@@ -46,33 +56,209 @@ pub struct CsdfGraph {
     adjacency_start: Vec<usize>,
 }
 
+/// The flat task and buffer storage of a [`CsdfGraph`], which the builder
+/// and the text parser fill before any validation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Tables {
+    /// Every task name, task after task.
+    names: String,
+    /// Task `t`'s name is `names[name_start[t]..name_start[t + 1]]`.
+    name_start: Vec<usize>,
+    /// Every task's per-phase durations, task after task.
+    pub(crate) durations: Vec<u64>,
+    /// Task `t`'s durations are `durations[phase_start[t]..phase_start[t + 1]]`.
+    phase_start: Vec<usize>,
+    /// Every buffer's production then consumption rates, buffer after buffer.
+    pub(crate) rates: Vec<u64>,
+    pub(crate) buffers: Vec<BufferRecord>,
+}
+
+/// One buffer: its production rates are `rates[production..consumption]`
+/// and its consumption rates `rates[consumption..end]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BufferRecord {
+    pub(crate) source: TaskId,
+    pub(crate) target: TaskId,
+    production: usize,
+    consumption: usize,
+    end: usize,
+    initial_tokens: u64,
+}
+
+impl Default for Tables {
+    fn default() -> Self {
+        Tables::with_capacity(0, 0)
+    }
+}
+
+impl Tables {
+    /// Empty tables with room for `tasks` tasks and `buffers` buffers, and
+    /// for one phase per task and one rate per buffer side.
+    pub(crate) fn with_capacity(tasks: usize, buffers: usize) -> Self {
+        let mut name_start = Vec::with_capacity(tasks + 1);
+        name_start.push(0);
+        let mut phase_start = Vec::with_capacity(tasks + 1);
+        phase_start.push(0);
+        Tables {
+            names: String::new(),
+            name_start,
+            durations: Vec::with_capacity(tasks),
+            phase_start,
+            rates: Vec::with_capacity(2 * buffers),
+            buffers: Vec::with_capacity(buffers),
+        }
+    }
+
+    pub(crate) fn task_count(&self) -> usize {
+        self.name_start.len() - 1
+    }
+
+    /// The phase count of task `index`, which must exist.
+    pub(crate) fn phase_count(&self, index: usize) -> usize {
+        self.phase_start[index + 1] - self.phase_start[index]
+    }
+
+    /// Task `index`, which must exist.
+    pub(crate) fn task(&self, index: usize) -> Task<'_> {
+        Task::new(
+            &self.names[self.name_start[index]..self.name_start[index + 1]],
+            &self.durations[self.phase_start[index]..self.phase_start[index + 1]],
+        )
+    }
+
+    pub(crate) fn buffer(&self, record: &BufferRecord) -> Buffer<'_> {
+        Buffer::new(
+            record.source,
+            record.target,
+            &self.rates[record.production..record.consumption],
+            &self.rates[record.consumption..record.end],
+            record.initial_tokens,
+        )
+    }
+
+    /// Adds a task named `name` whose durations were appended to
+    /// `durations` since the previous task.
+    pub(crate) fn push_task(&mut self, name: &str) -> TaskId {
+        let id = TaskId(self.task_count());
+        self.names.push_str(name);
+        self.name_start.push(self.names.len());
+        self.phase_start.push(self.durations.len());
+        id
+    }
+
+    /// Adds a buffer whose production then consumption rates were appended
+    /// to `rates` since the previous buffer, the consumption rates from
+    /// index `consumption` on.
+    pub(crate) fn push_buffer(
+        &mut self,
+        source: TaskId,
+        target: TaskId,
+        consumption: usize,
+        initial_tokens: u64,
+    ) -> BufferId {
+        let id = BufferId(self.buffers.len());
+        self.buffers.push(BufferRecord {
+            source,
+            target,
+            production: self.buffers.last().map_or(0, |previous| previous.end),
+            consumption,
+            end: self.rates.len(),
+            initial_tokens,
+        });
+        id
+    }
+
+    /// The buffer half of [`CsdfGraphBuilder::build`](crate::CsdfGraphBuilder::build)'s
+    /// validation: the first buffer, in index order, with a dangling
+    /// endpoint, a rate list whose length differs from its task's phase
+    /// count, or a rate total past `u64` or at zero.
+    pub(crate) fn check_buffers(&self) -> Result<(), CsdfError> {
+        let task_count = self.task_count();
+        for (index, record) in self.buffers.iter().enumerate() {
+            for endpoint in [record.source, record.target] {
+                if endpoint.index() >= task_count {
+                    return Err(CsdfError::TaskIndexOutOfRange(endpoint.index()));
+                }
+            }
+            let buffer = self.buffer(record);
+            let sides = [
+                (record.source.0, buffer.production()),
+                (record.target.0, buffer.consumption()),
+            ];
+            for (task, rates) in sides {
+                let phases = self.phase_count(task);
+                if rates.len() != phases {
+                    return Err(CsdfError::RateLengthMismatch {
+                        task: self.task(task).name().to_string(),
+                        phases,
+                        rate_len: rates.len(),
+                    });
+                }
+            }
+            let buffer_ref = || {
+                let name = |task: TaskId| self.task(task.0).name();
+                crate::BufferRef::new(index, name(record.source), name(record.target))
+            };
+            let (Some(produced), Some(consumed)) =
+                (total(buffer.production()), total(buffer.consumption()))
+            else {
+                return Err(CsdfError::RateOverflow {
+                    buffer: buffer_ref(),
+                });
+            };
+            if produced == 0 || consumed == 0 {
+                return Err(CsdfError::ZeroRateBuffer {
+                    buffer: buffer_ref(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The sum of a rate list, or `None` past `u64`: a built graph's
+/// [`Buffer::total_production`] and [`Buffer::total_consumption`] never wrap.
+fn total(rates: &[u64]) -> Option<u64> {
+    rates
+        .iter()
+        .try_fold(0u64, |sum, &rate| sum.checked_add(rate))
+}
+
 impl CsdfGraph {
-    pub(crate) fn from_parts(name: String, tasks: Vec<Task>, buffers: Vec<Buffer>) -> Self {
+    /// The graph of validated `tables`. Their growth slack stays: trimming
+    /// it reallocates, and on a daemon parsing on several threads those
+    /// reallocations left enough holes in the allocator's per-thread heaps
+    /// to raise its peak memory by a tenth.
+    pub(crate) fn from_parts(name: String, tables: Tables) -> Self {
         // A counting sort: buffers are placed in index order, so every list
         // keeps it.
-        let mut adjacency_start = vec![0usize; 2 * tasks.len() + 1];
-        for buffer in &buffers {
-            adjacency_start[2 * buffer.source().index() + 1] += 1;
-            adjacency_start[2 * buffer.target().index() + 2] += 1;
+        let mut adjacency_start = vec![0usize; 2 * tables.task_count() + 1];
+        for buffer in &tables.buffers {
+            adjacency_start[2 * buffer.source.index() + 1] += 1;
+            adjacency_start[2 * buffer.target.index() + 2] += 1;
         }
         for row in 1..adjacency_start.len() {
             adjacency_start[row] += adjacency_start[row - 1];
         }
-        let mut adjacency = vec![BufferId(0); 2 * buffers.len()];
+        let mut adjacency = vec![BufferId(0); 2 * tables.buffers.len()];
         let mut next = adjacency_start.clone();
-        for (index, buffer) in buffers.iter().enumerate() {
-            for row in [2 * buffer.source().index(), 2 * buffer.target().index() + 1] {
+        for (index, buffer) in tables.buffers.iter().enumerate() {
+            for row in [2 * buffer.source.index(), 2 * buffer.target.index() + 1] {
                 adjacency[next[row]] = BufferId(index);
                 next[row] += 1;
             }
         }
         CsdfGraph {
             name,
-            tasks,
-            buffers,
+            tables,
             adjacency,
             adjacency_start,
         }
+    }
+
+    /// The flat storage, for a builder that extends a copy of this graph.
+    pub(crate) fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     /// Human-readable graph name (defaults to `"csdf"`).
@@ -82,12 +268,12 @@ impl CsdfGraph {
 
     /// Number of tasks `|T|`.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.tables.task_count()
     }
 
     /// Number of buffers `|B|`.
     pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
+        self.tables.buffers.len()
     }
 
     /// The task addressed by `id`.
@@ -95,8 +281,8 @@ impl CsdfGraph {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this graph.
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+    pub fn task(&self, id: TaskId) -> Task<'_> {
+        self.tables.task(id.index())
     }
 
     /// The buffer addressed by `id`.
@@ -104,45 +290,63 @@ impl CsdfGraph {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this graph.
-    pub fn buffer(&self, id: BufferId) -> &Buffer {
-        &self.buffers[id.index()]
+    pub fn buffer(&self, id: BufferId) -> Buffer<'_> {
+        self.tables.buffer(&self.tables.buffers[id.index()])
     }
 
     /// Fallible task lookup.
-    pub fn try_task(&self, id: TaskId) -> Result<&Task, CsdfError> {
-        self.tasks
-            .get(id.index())
-            .ok_or(CsdfError::TaskIndexOutOfRange(id.index()))
+    pub fn try_task(&self, id: TaskId) -> Result<Task<'_>, CsdfError> {
+        if id.index() < self.task_count() {
+            Ok(self.tables.task(id.index()))
+        } else {
+            Err(CsdfError::TaskIndexOutOfRange(id.index()))
+        }
     }
 
     /// Fallible buffer lookup.
-    pub fn try_buffer(&self, id: BufferId) -> Result<&Buffer, CsdfError> {
-        self.buffers
+    pub fn try_buffer(&self, id: BufferId) -> Result<Buffer<'_>, CsdfError> {
+        self.tables
+            .buffers
             .get(id.index())
+            .map(|record| self.tables.buffer(record))
             .ok_or(CsdfError::BufferIndexOutOfRange(id.index()))
     }
 
     /// Iterator over all task ids in index order.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        (0..self.tasks.len()).map(TaskId)
+        (0..self.task_count()).map(TaskId)
     }
 
     /// Iterator over all buffer ids in index order.
     pub fn buffer_ids(&self) -> impl Iterator<Item = BufferId> + '_ {
-        (0..self.buffers.len()).map(BufferId)
+        (0..self.buffer_count()).map(BufferId)
     }
 
-    /// Iterator over `(TaskId, &Task)` pairs.
-    pub fn tasks(&self) -> impl Iterator<Item = (TaskId, &Task)> + '_ {
-        self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i), t))
+    /// Iterator over `(TaskId, Task)` pairs in index order.
+    pub fn tasks(&self) -> impl Iterator<Item = (TaskId, Task<'_>)> + '_ {
+        (0..self.task_count()).map(|index| (TaskId(index), self.tables.task(index)))
     }
 
-    /// Iterator over `(BufferId, &Buffer)` pairs.
-    pub fn buffers(&self) -> impl Iterator<Item = (BufferId, &Buffer)> + '_ {
-        self.buffers
+    /// Iterator over `(BufferId, Buffer)` pairs in index order.
+    pub fn buffers(&self) -> impl Iterator<Item = (BufferId, Buffer<'_>)> + '_ {
+        self.tables
+            .buffers
             .iter()
             .enumerate()
-            .map(|(i, b)| (BufferId(i), b))
+            .map(|(index, record)| (BufferId(index), self.tables.buffer(record)))
+    }
+
+    /// Every task's per-phase durations, task after task: task `t`'s are
+    /// `phase_durations()[phase_offsets()[t]..phase_offsets()[t + 1]]`.
+    pub fn phase_durations(&self) -> &[u64] {
+        &self.tables.durations
+    }
+
+    /// The offsets of the tasks' phases in
+    /// [`CsdfGraph::phase_durations`]: `task_count() + 1` entries, from 0 to
+    /// [`CsdfGraph::total_phase_count`].
+    pub fn phase_offsets(&self) -> &[usize] {
+        &self.tables.phase_start
     }
 
     /// Buffers produced by `task`, in index order.
@@ -167,7 +371,9 @@ impl CsdfGraph {
 
     /// Finds a task by name.
     pub fn find_task(&self, name: &str) -> Option<TaskId> {
-        self.tasks.iter().position(|t| t.name() == name).map(TaskId)
+        self.tasks()
+            .find(|(_, task)| task.name() == name)
+            .map(|(id, _)| id)
     }
 
     /// A [`BufferRef`](crate::BufferRef) — index plus endpoint task names —
@@ -188,17 +394,15 @@ impl CsdfGraph {
     /// Returns `true` when every task has a single phase (the graph is an
     /// ordinary Synchronous Dataflow Graph).
     pub fn is_sdf(&self) -> bool {
-        self.tasks.iter().all(Task::is_sdf)
+        // Every task has at least one phase.
+        self.total_phase_count() == self.task_count()
     }
 
     /// Returns `true` when the graph is a Homogeneous SDF graph: every task has
     /// a single phase and every rate equals one.
     pub fn is_hsdf(&self) -> bool {
-        self.is_sdf()
-            && self
-                .buffers
-                .iter()
-                .all(|b| b.total_production() == 1 && b.total_consumption() == 1)
+        // With one phase per task, each buffer has one rate per side.
+        self.is_sdf() && self.tables.rates.iter().all(|&rate| rate == 1)
     }
 
     /// Replaces the initial marking `M0(b)` of one buffer in place, returning
@@ -215,13 +419,12 @@ impl CsdfGraph {
     /// Returns [`CsdfError::BufferIndexOutOfRange`] when `buffer` does not
     /// belong to this graph.
     pub fn set_initial_tokens(&mut self, buffer: BufferId, tokens: u64) -> Result<u64, CsdfError> {
-        let buffer = self
+        let record = self
+            .tables
             .buffers
             .get_mut(buffer.index())
             .ok_or(CsdfError::BufferIndexOutOfRange(buffer.index()))?;
-        let previous = buffer.initial_tokens();
-        buffer.set_initial_tokens(tokens);
-        Ok(previous)
+        Ok(std::mem::replace(&mut record.initial_tokens, tokens))
     }
 
     /// Sets the capacity of a bounded buffer in place, returning the previous
@@ -296,12 +499,33 @@ impl CsdfGraph {
     /// Sum of all phase counts, i.e. the number of nodes of the 1-periodic
     /// event graph.
     pub fn total_phase_count(&self) -> usize {
-        self.tasks.iter().map(Task::phase_count).sum()
+        self.tables.durations.len()
     }
 
-    /// Total number of initial tokens stored in the graph.
-    pub fn total_initial_tokens(&self) -> u64 {
-        self.buffers.iter().map(Buffer::initial_tokens).sum()
+    /// Total number of initial tokens stored in the graph, which may exceed
+    /// `u64` when several markings are near its limit.
+    pub fn total_initial_tokens(&self) -> u128 {
+        self.tables
+            .buffers
+            .iter()
+            .map(|record| u128::from(record.initial_tokens))
+            .sum()
+    }
+}
+
+impl fmt::Debug for CsdfGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Tasks and buffers print as their views, not as the flat arrays: the
+        // same output as when the graph held one value per task and buffer.
+        let tasks: Vec<Task<'_>> = self.tasks().map(|(_, task)| task).collect();
+        let buffers: Vec<Buffer<'_>> = self.buffers().map(|(_, buffer)| buffer).collect();
+        f.debug_struct("CsdfGraph")
+            .field("name", &self.name)
+            .field("tasks", &tasks)
+            .field("buffers", &buffers)
+            .field("adjacency", &self.adjacency)
+            .field("adjacency_start", &self.adjacency_start)
+            .finish()
     }
 }
 
@@ -396,6 +620,40 @@ mod tests {
             g.set_initial_tokens(crate::BufferId::new(7), 1),
             Err(crate::CsdfError::BufferIndexOutOfRange(7))
         ));
+    }
+
+    #[test]
+    fn total_initial_tokens_sums_past_u64() {
+        // Two markings of 2^63 sum to 2^64, one past `u64::MAX`.
+        let text = "task a durations=1\n\
+                    buffer a -> a prod=1 cons=1 tokens=9223372036854775808\n\
+                    buffer a -> a prod=1 cons=1 tokens=9223372036854775808\n";
+        let g = crate::text::parse(text).unwrap();
+        assert_eq!(g.total_initial_tokens(), 1u128 << 64);
+        let mut b = CsdfGraphBuilder::new();
+        let a = b.add_task("a", vec![1]);
+        for _ in 0..3 {
+            b.add_buffer(a, a, vec![1], vec![1], u64::MAX);
+        }
+        let g = b.build().unwrap();
+        assert_eq!(g.total_initial_tokens(), 3 * u128::from(u64::MAX));
+    }
+
+    #[test]
+    fn debug_lists_tasks_and_buffers_as_views() {
+        let mut b = CsdfGraphBuilder::named("pipe");
+        let a = b.add_task("a", vec![1, 2]);
+        let c = b.add_sdf_task("c", 3);
+        b.add_buffer(a, c, vec![1, 1], vec![2], 4);
+        let g = b.build().unwrap();
+        assert_eq!(
+            format!("{g:?}"),
+            "CsdfGraph { name: \"pipe\", \
+             tasks: [Task { name: \"a\", durations: [1, 2] }, Task { name: \"c\", durations: [3] }], \
+             buffers: [Buffer { source: TaskId(0), target: TaskId(1), production: [1, 1], \
+             consumption: [2], initial_tokens: 4 }], \
+             adjacency: [BufferId(0), BufferId(0)], adjacency_start: [0, 1, 1, 1, 2] }"
+        );
     }
 
     #[test]

@@ -37,44 +37,44 @@ impl fmt::Display for TaskId {
 /// of the task is one pass over all phases. A Synchronous Dataflow (SDF) actor
 /// is the special case `p == 1`.
 ///
+/// A `Task` is a `Copy` view into its [`crate::CsdfGraph`], which keeps every
+/// task name in one string and every duration in one array; the `'g` slices
+/// the accessors return borrow the graph, not the view.
+///
 /// # Examples
 ///
 /// ```
-/// use csdf::Task;
+/// use csdf::CsdfGraphBuilder;
 ///
-/// let t = Task::new("filter", vec![2, 1, 1]);
+/// let mut builder = CsdfGraphBuilder::new();
+/// let id = builder.add_task("filter", vec![2, 1, 1]);
+/// let graph = builder.build()?;
+/// let t = graph.task(id);
+/// assert_eq!(t.name(), "filter");
 /// assert_eq!(t.phase_count(), 3);
 /// assert_eq!(t.duration(2), 1);
 /// assert_eq!(t.total_duration(), 4);
+/// # Ok::<(), csdf::CsdfError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Task {
-    name: String,
-    durations: Vec<u64>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Task<'g> {
+    name: &'g str,
+    durations: &'g [u64],
 }
 
-impl Task {
-    /// Creates a task from a name and per-phase durations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `durations` is empty; use [`crate::CsdfGraphBuilder`] for a
-    /// fallible construction path.
-    pub fn new(name: impl Into<String>, durations: Vec<u64>) -> Self {
-        assert!(!durations.is_empty(), "a task needs at least one phase");
-        Task {
-            name: name.into(),
-            durations,
-        }
+impl<'g> Task<'g> {
+    /// The view of a task stored as `name` and `durations`.
+    pub(crate) fn new(name: &'g str, durations: &'g [u64]) -> Self {
+        Task { name, durations }
     }
 
     /// The task name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(self) -> &'g str {
+        self.name
     }
 
     /// Number of phases `ϕ(t)`.
-    pub fn phase_count(&self) -> usize {
+    pub fn phase_count(self) -> usize {
         self.durations.len()
     }
 
@@ -83,28 +83,28 @@ impl Task {
     /// # Panics
     ///
     /// Panics if `phase >= self.phase_count()`.
-    pub fn duration(&self, phase: usize) -> u64 {
+    pub fn duration(self, phase: usize) -> u64 {
         self.durations[phase]
     }
 
     /// All per-phase durations in phase order.
-    pub fn durations(&self) -> &[u64] {
-        &self.durations
+    pub fn durations(self) -> &'g [u64] {
+        self.durations
     }
 
     /// Sum of the durations of all phases (the length of one iteration when
     /// executed back to back).
-    pub fn total_duration(&self) -> u64 {
+    pub fn total_duration(self) -> u64 {
         self.durations.iter().sum()
     }
 
     /// Returns `true` when the task has a single phase (an SDF actor).
-    pub fn is_sdf(&self) -> bool {
+    pub fn is_sdf(self) -> bool {
         self.durations.len() == 1
     }
 }
 
-impl fmt::Display for Task {
+impl fmt::Display for Task<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} d={:?}", self.name, self.durations)
     }
@@ -116,26 +116,21 @@ mod tests {
 
     #[test]
     fn task_exposes_phase_information() {
-        let t = Task::new("a", vec![1, 2, 3]);
+        let t = Task::new("a", &[1, 2, 3]);
         assert_eq!(t.name(), "a");
         assert_eq!(t.phase_count(), 3);
         assert_eq!(t.durations(), &[1, 2, 3]);
         assert_eq!(t.duration(0), 1);
         assert_eq!(t.total_duration(), 6);
         assert!(!t.is_sdf());
+        assert_eq!(t.to_string(), "a d=[1, 2, 3]");
     }
 
     #[test]
     fn single_phase_task_is_sdf() {
-        let t = Task::new("a", vec![5]);
+        let t = Task::new("a", &[5]);
         assert!(t.is_sdf());
         assert_eq!(t.total_duration(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one phase")]
-    fn empty_durations_panic() {
-        let _ = Task::new("a", vec![]);
     }
 
     #[test]

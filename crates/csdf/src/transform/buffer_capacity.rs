@@ -164,19 +164,7 @@ pub fn bound_buffers_tracked(
     graph: &CsdfGraph,
     capacities: &[BufferCapacity],
 ) -> Result<BoundedGraph, CsdfError> {
-    let mut builder = CsdfGraphBuilder::named(format!("{}_bounded", graph.name()));
-    for (_, task) in graph.tasks() {
-        builder.add_task(task.name().to_string(), task.durations().to_vec());
-    }
-    for (_, buffer) in graph.buffers() {
-        builder.add_buffer(
-            buffer.source(),
-            buffer.target(),
-            buffer.production().to_vec(),
-            buffer.consumption().to_vec(),
-            buffer.initial_tokens(),
-        );
-    }
+    let mut builder = CsdfGraphBuilder::extending(graph, format!("{}_bounded", graph.name()));
     let mut reverse_of: Vec<Option<BufferId>> = vec![None; graph.buffer_count()];
     let mut bounded = vec![false; graph.buffer_count()];
     for assignment in capacities {
@@ -223,7 +211,7 @@ pub fn bound_buffers_tracked(
 /// Same as [`bound_buffers`].
 pub fn bound_all_buffers<F>(graph: &CsdfGraph, capacity_of: F) -> Result<CsdfGraph, CsdfError>
 where
-    F: FnMut(BufferId, &crate::Buffer) -> u64,
+    F: FnMut(BufferId, crate::Buffer<'_>) -> u64,
 {
     bound_all_buffers_tracked(graph, capacity_of).map(BoundedGraph::into_graph)
 }
@@ -239,7 +227,7 @@ pub fn bound_all_buffers_tracked<F>(
     mut capacity_of: F,
 ) -> Result<BoundedGraph, CsdfError>
 where
-    F: FnMut(BufferId, &crate::Buffer) -> u64,
+    F: FnMut(BufferId, crate::Buffer<'_>) -> u64,
 {
     let capacities: Vec<BufferCapacity> = graph
         .buffers()

@@ -34,19 +34,7 @@ use crate::graph::CsdfGraph;
 /// # Ok::<(), csdf::CsdfError>(())
 /// ```
 pub fn serialize_tasks(graph: &CsdfGraph) -> Result<CsdfGraph, CsdfError> {
-    let mut builder = CsdfGraphBuilder::named(graph.name().to_string());
-    for (_, task) in graph.tasks() {
-        builder.add_task(task.name().to_string(), task.durations().to_vec());
-    }
-    for (_, buffer) in graph.buffers() {
-        builder.add_buffer(
-            buffer.source(),
-            buffer.target(),
-            buffer.production().to_vec(),
-            buffer.consumption().to_vec(),
-            buffer.initial_tokens(),
-        );
-    }
+    let mut builder = CsdfGraphBuilder::extending(graph, graph.name().to_string());
     for task_id in graph.task_ids() {
         let has_self_loop = graph
             .outgoing(task_id)

@@ -87,7 +87,7 @@ impl SweepOutcome {
 /// the sizing rule of the paper's Table 2 "fixed buffer size" rows (and of
 /// `csdf_generators::buffer_sized`), so sweep points line up with the
 /// published benchmark convention.
-pub fn uniform_slack_capacity(buffer: &Buffer, slack: u64) -> u64 {
+pub fn uniform_slack_capacity(buffer: Buffer<'_>, slack: u64) -> u64 {
     slack
         .max(1)
         .saturating_mul(buffer.total_production() + buffer.total_consumption())

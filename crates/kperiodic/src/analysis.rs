@@ -191,8 +191,9 @@ impl PipelineStats {
 /// loop drives one pipeline for its whole run so that each iteration only
 /// re-derives the event-graph pieces its periodicity update dirtied and the
 /// solver scratch buffers are resized, never recreated. The arena is reused
-/// only while the same graph (by structural fingerprint,
-/// [`EventGraphArena::matches_graph`]) is evaluated; switching graphs
+/// only while the same graph structure (by
+/// [`structure_fingerprint`](crate::structure_fingerprint)) is evaluated,
+/// whatever its markings; switching graphs
 /// triggers a from-scratch rebuild, so one pipeline can safely serve a sweep
 /// over many graphs.
 ///

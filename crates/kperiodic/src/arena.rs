@@ -181,30 +181,21 @@ impl EventGraphArena {
         k: &PeriodicityVector,
         limits: &EventGraphLimits,
     ) -> Result<Self, AnalysisError> {
-        Self::build_with_cancel(graph, repetition, k, limits, &CancelToken::default())
-    }
-
-    /// [`EventGraphArena::build`] with a cancellation token polled once per
-    /// buffer rebuild; a cancelled build returns
-    /// [`AnalysisError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EventGraphArena::build`], plus
-    /// [`AnalysisError::DeadlineExceeded`] on cancellation.
-    pub fn build_with_cancel(
-        graph: &CsdfGraph,
-        repetition: &RepetitionVector,
-        k: &PeriodicityVector,
-        limits: &EventGraphLimits,
-        cancel: &CancelToken,
-    ) -> Result<Self, AnalysisError> {
         let fingerprint = graph_fingerprint(graph);
-        Self::build_keyed(graph, fingerprint, repetition, k, limits, cancel)
+        Self::build_keyed(
+            graph,
+            fingerprint,
+            repetition,
+            k,
+            limits,
+            &CancelToken::default(),
+        )
     }
 
-    /// [`EventGraphArena::build_with_cancel`] with the structure fingerprint
-    /// of `graph` already computed ([`graph_fingerprint`]).
+    /// [`EventGraphArena::build`] with the structure fingerprint of `graph`
+    /// already computed ([`graph_fingerprint`]) and a cancellation token
+    /// polled once per buffer; a cancelled build returns
+    /// [`AnalysisError::DeadlineExceeded`].
     pub(crate) fn build_keyed(
         graph: &CsdfGraph,
         fingerprint: u64,
@@ -219,21 +210,17 @@ impl EventGraphArena {
         // Enforce the cumulative node limit *while* laying out the blocks, so
         // a graph over the limit errors out before anything is emitted.
         let mut blocks = Vec::with_capacity(graph.task_count());
-        let mut durations = Vec::new();
-        let mut duration_start = Vec::with_capacity(graph.task_count() + 1);
         let mut total_nodes = 0usize;
-        for (task_id, task) in graph.tasks() {
+        for (index, phases) in graph.phase_offsets().windows(2).enumerate() {
             let offset = total_nodes;
-            total_nodes = check_node_total(offset, task.phase_count(), k.get(task_id), limits)?;
+            let task_k = k.get(TaskId::new(index));
+            total_nodes = check_node_total(offset, phases[1] - phases[0], task_k, limits)?;
             blocks.push(TaskBlock {
-                k: k.get(task_id),
+                k: task_k,
                 len: total_nodes - offset,
                 offset,
             });
-            duration_start.push(durations.len());
-            durations.extend_from_slice(task.durations());
         }
-        duration_start.push(durations.len());
 
         let mut buffer_denominator = Vec::with_capacity(graph.buffer_count());
         for (_, buffer) in graph.buffers() {
@@ -250,8 +237,8 @@ impl EventGraphArena {
             fingerprint,
             lcm_k,
             blocks,
-            durations,
-            duration_start,
+            durations: graph.phase_durations().to_vec(),
+            duration_start: graph.phase_offsets().to_vec(),
             nodes: Vec::with_capacity(total_nodes),
             ratio: RatioGraph::new(total_nodes),
             arc_seg_start: Vec::with_capacity(graph.buffer_count() + 1),
@@ -310,31 +297,15 @@ impl EventGraphArena {
         k: &PeriodicityVector,
         dirty_hint: Option<&[TaskId]>,
     ) -> Result<ArenaUpdate, AnalysisError> {
-        self.apply_update_with_cancel(graph, k, dirty_hint, &CancelToken::default())
+        let fingerprint = graph_fingerprint(graph);
+        self.apply_update_keyed(graph, fingerprint, k, dirty_hint, &CancelToken::default())
     }
 
-    /// [`EventGraphArena::apply_update`] with a cancellation token polled
-    /// once per dirty-buffer rebuild; a cancelled patch returns
+    /// [`EventGraphArena::apply_update`] with the structure fingerprint of
+    /// `graph` already computed ([`graph_fingerprint`]) and a cancellation
+    /// token polled once per dirty buffer; a cancelled patch returns
     /// [`AnalysisError::DeadlineExceeded`] (and, like any other patch error,
     /// leaves the arena to be discarded by the caller).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EventGraphArena::apply_update`], plus
-    /// [`AnalysisError::DeadlineExceeded`] on cancellation.
-    pub fn apply_update_with_cancel(
-        &mut self,
-        graph: &CsdfGraph,
-        k: &PeriodicityVector,
-        dirty_hint: Option<&[TaskId]>,
-        cancel: &CancelToken,
-    ) -> Result<ArenaUpdate, AnalysisError> {
-        let fingerprint = graph_fingerprint(graph);
-        self.apply_update_keyed(graph, fingerprint, k, dirty_hint, cancel)
-    }
-
-    /// [`EventGraphArena::apply_update_with_cancel`] with the structure
-    /// fingerprint of `graph` already computed ([`graph_fingerprint`]).
     pub(crate) fn apply_update_keyed(
         &mut self,
         graph: &CsdfGraph,
@@ -460,13 +431,14 @@ impl EventGraphArena {
     ) -> Result<(), AnalysisError> {
         let buffer = graph.buffer(csdf::BufferId::new(buffer_index));
         self.initial_tokens[buffer_index] = buffer.initial_tokens();
+        let source = buffer.source().index();
         emit_buffer_arcs_tiled(
             buffer.production(),
             k.get(buffer.source()),
             buffer.consumption(),
             k.get(buffer.target()),
             buffer.initial_tokens(),
-            graph.task(buffer.source()).durations(),
+            &self.durations[self.duration_start[source]..self.duration_start[source + 1]],
             self.buffer_denominator[buffer_index],
             &mut self.emit_scratch,
             out,
@@ -476,7 +448,7 @@ impl EventGraphArena {
 
     /// Appends one buffer's re-derived `arcs` to the ratio graph, re-based
     /// on its endpoints' current block offsets.
-    fn push_arcs(&mut self, buffer: &csdf::Buffer, arcs: &[BufferArc]) {
+    fn push_arcs(&mut self, buffer: csdf::Buffer<'_>, arcs: &[BufferArc]) {
         let from_base = self.blocks[buffer.source().index()].offset;
         let to_base = self.blocks[buffer.target().index()].offset;
         for arc in arcs {
@@ -610,36 +582,20 @@ impl EventGraphArena {
         self.arc_seg_start.len() - 1
     }
 
-    /// Whether `graph` is *structurally* the graph this arena was built
-    /// from: same tasks, durations, buffer endpoints and rates — initial
-    /// markings excluded. This is what [`EventGraphArena::apply_update`]
-    /// requires: marking differences are a patchable input (the arena
-    /// re-derives exactly the mutated buffers' arcs), so the
-    /// [`EvaluationPipeline`](crate::EvaluationPipeline) keeps reusing an
-    /// arena across the in-place token/capacity mutations of an analysis
-    /// session and only falls back to a from-scratch build when the
+    /// Whether `graph`, whose structure fingerprint is `fingerprint`
+    /// ([`graph_fingerprint`]), is *structurally* the graph this arena was
+    /// built from: same tasks, durations, buffer endpoints and rates —
+    /// initial markings excluded. This is what
+    /// [`EventGraphArena::apply_update`] requires: marking differences are a
+    /// patchable input (the arena re-derives exactly the mutated buffers'
+    /// arcs), so the [`EvaluationPipeline`](crate::EvaluationPipeline) keeps
+    /// reusing an arena across the in-place token/capacity mutations of an
+    /// analysis session and only falls back to a from-scratch build when the
     /// structure itself changes.
-    pub fn matches_structure(&self, graph: &CsdfGraph) -> bool {
-        self.matches_key(graph, graph_fingerprint(graph))
-    }
-
-    /// [`EventGraphArena::matches_structure`] with the structure fingerprint
-    /// of `graph` already computed.
     pub(crate) fn matches_key(&self, graph: &CsdfGraph, fingerprint: u64) -> bool {
         self.blocks.len() == graph.task_count()
             && self.buffer_count() == graph.buffer_count()
             && self.fingerprint == fingerprint
-    }
-
-    /// Whether `graph` is identical to the graph the cached arcs were last
-    /// derived from: [`EventGraphArena::matches_structure`] *and* the same
-    /// initial markings (a patch would be a no-op for the buffers).
-    pub fn matches_graph(&self, graph: &CsdfGraph) -> bool {
-        self.matches_structure(graph)
-            && graph
-                .buffers()
-                .zip(&self.initial_tokens)
-                .all(|((_, buffer), &cached)| buffer.initial_tokens() == cached)
     }
 
     /// Number of constraint arcs.
@@ -865,9 +821,8 @@ mod tests {
         b.add_serializing_self_loop(x);
         b.add_serializing_self_loop(y);
         let other = b.build().unwrap();
-        assert!(arena.matches_graph(&g));
-        assert!(arena.matches_structure(&g));
-        assert!(!arena.matches_structure(&other));
+        assert!(arena.matches_key(&g, graph_fingerprint(&g)));
+        assert!(!arena.matches_key(&other, graph_fingerprint(&other)));
         let k_other = PeriodicityVector::unitary(&other);
         assert!(matches!(
             arena.apply_update(&other, &k_other, None),
@@ -889,8 +844,7 @@ mod tests {
         mutated
             .set_initial_tokens(csdf::BufferId::new(1), 9)
             .unwrap();
-        assert!(arena.matches_structure(&mutated));
-        assert!(!arena.matches_graph(&mutated));
+        assert!(arena.matches_key(&mutated, graph_fingerprint(&mutated)));
 
         let update = arena.apply_update(&mutated, &k, None).unwrap();
         assert_eq!(update.dirty_tasks, 0);
@@ -900,7 +854,11 @@ mod tests {
 
         let fresh = EventGraphArena::build(&mutated, &q, &k, &limits).unwrap();
         assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
-        assert!(arena.matches_graph(&mutated));
+        // The arena now caches the mutated marking: a second update of the
+        // same graph re-derives nothing.
+        let update = arena.apply_update(&mutated, &k, None).unwrap();
+        assert_eq!(update.marking_dirty_buffers, 0);
+        assert_eq!(update.rebuilt_buffers, 0);
 
         // A combined K + marking update re-derives the union of both dirty
         // sets and stays bit-identical too.

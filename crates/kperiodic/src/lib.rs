@@ -111,8 +111,8 @@ pub use session::AnalysisSession;
 /// with equal fingerprints can share a warm [`AnalysisSession`] via
 /// [`AnalysisSession::adopt_markings`]; a [`SessionPool`] routes checkout
 /// requests by this value. Collisions are astronomically unlikely and
-/// treated as advisory hardening, exactly like
-/// [`EventGraphArena::matches_structure`].
+/// treated as advisory hardening, exactly like the arena's own check before
+/// [`EventGraphArena::apply_update`].
 pub fn structure_fingerprint(graph: &csdf::CsdfGraph) -> u64 {
     arena::graph_fingerprint(graph)
 }
