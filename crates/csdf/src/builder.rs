@@ -58,15 +58,18 @@ impl CsdfGraphBuilder {
     }
 
     /// Adds a cyclo-static task with one duration per phase and returns its id.
+    // The owned vectors of `add_task` and `add_buffer` are their public
+    // signatures; the values are copied into the graph's flat arrays.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn add_task(&mut self, name: impl Into<String>, durations: Vec<u64>) -> TaskId {
         // An empty duration vector is diagnosed in `build`, which finds this
         // marker phase in its place.
-        if durations.is_empty() {
-            self.tables.durations.push(u64::MAX);
+        let durations = if durations.is_empty() {
+            &[u64::MAX][..]
         } else {
-            self.tables.durations.extend(durations);
-        }
-        self.tables.push_task(&name.into())
+            &durations
+        };
+        self.tables.push_task(&name.into(), durations)
     }
 
     /// Adds an SDF task (single phase) with the given duration.
@@ -79,6 +82,7 @@ impl CsdfGraphBuilder {
     /// `production` must have one entry per phase of `source` and
     /// `consumption` one entry per phase of `target`; this is validated in
     /// [`CsdfGraphBuilder::build`].
+    #[allow(clippy::needless_pass_by_value)]
     pub fn add_buffer(
         &mut self,
         source: TaskId,
@@ -87,11 +91,8 @@ impl CsdfGraphBuilder {
         consumption: Vec<u64>,
         initial_tokens: u64,
     ) -> BufferId {
-        self.tables.rates.extend(production);
-        let consumption_start = self.tables.rates.len();
-        self.tables.rates.extend(consumption);
         self.tables
-            .push_buffer(source, target, consumption_start, initial_tokens)
+            .push_buffer(source, target, &production, &consumption, initial_tokens)
     }
 
     /// Adds an SDF buffer (scalar rates) from `source` to `target`.
@@ -134,7 +135,7 @@ impl CsdfGraphBuilder {
 
     /// Number of buffers added so far.
     pub fn buffer_count(&self) -> usize {
-        self.tables.buffers.len()
+        self.tables.buffer_count()
     }
 
     /// Validates the accumulated tasks and buffers and produces the graph.

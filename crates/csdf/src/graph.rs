@@ -57,7 +57,8 @@ pub struct CsdfGraph {
 }
 
 /// The flat task and buffer storage of a [`CsdfGraph`], which the builder
-/// and the text parser fill before any validation.
+/// and the text parser fill before any validation. Only its own methods
+/// touch the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Tables {
     /// Every task name, task after task.
@@ -65,20 +66,20 @@ pub(crate) struct Tables {
     /// Task `t`'s name is `names[name_start[t]..name_start[t + 1]]`.
     name_start: Vec<usize>,
     /// Every task's per-phase durations, task after task.
-    pub(crate) durations: Vec<u64>,
+    durations: Vec<u64>,
     /// Task `t`'s durations are `durations[phase_start[t]..phase_start[t + 1]]`.
     phase_start: Vec<usize>,
     /// Every buffer's production then consumption rates, buffer after buffer.
-    pub(crate) rates: Vec<u64>,
-    pub(crate) buffers: Vec<BufferRecord>,
+    rates: Vec<u64>,
+    buffers: Vec<BufferRecord>,
 }
 
 /// One buffer: its production rates are `rates[production..consumption]`
 /// and its consumption rates `rates[consumption..end]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BufferRecord {
-    pub(crate) source: TaskId,
-    pub(crate) target: TaskId,
+struct BufferRecord {
+    source: TaskId,
+    target: TaskId,
     production: usize,
     consumption: usize,
     end: usize,
@@ -113,6 +114,10 @@ impl Tables {
         self.name_start.len() - 1
     }
 
+    pub(crate) fn buffer_count(&self) -> usize {
+        self.buffers.len()
+    }
+
     /// The phase count of task `index`, which must exist.
     pub(crate) fn phase_count(&self, index: usize) -> usize {
         self.phase_start[index + 1] - self.phase_start[index]
@@ -126,7 +131,7 @@ impl Tables {
         )
     }
 
-    pub(crate) fn buffer(&self, record: &BufferRecord) -> Buffer<'_> {
+    fn buffer(&self, record: &BufferRecord) -> Buffer<'_> {
         Buffer::new(
             record.source,
             record.target,
@@ -136,36 +141,44 @@ impl Tables {
         )
     }
 
-    /// Adds a task named `name` whose durations were appended to
-    /// `durations` since the previous task.
-    pub(crate) fn push_task(&mut self, name: &str) -> TaskId {
+    /// Adds a task.
+    pub(crate) fn push_task(&mut self, name: &str, durations: &[u64]) -> TaskId {
         let id = TaskId(self.task_count());
         self.names.push_str(name);
         self.name_start.push(self.names.len());
+        self.durations.extend_from_slice(durations);
         self.phase_start.push(self.durations.len());
         id
     }
 
-    /// Adds a buffer whose production then consumption rates were appended
-    /// to `rates` since the previous buffer, the consumption rates from
-    /// index `consumption` on.
+    /// Adds a buffer.
     pub(crate) fn push_buffer(
         &mut self,
         source: TaskId,
         target: TaskId,
-        consumption: usize,
+        production: &[u64],
+        consumption: &[u64],
         initial_tokens: u64,
     ) -> BufferId {
         let id = BufferId(self.buffers.len());
+        let start = self.rates.len();
+        self.rates.extend_from_slice(production);
+        self.rates.extend_from_slice(consumption);
         self.buffers.push(BufferRecord {
             source,
             target,
-            production: self.buffers.last().map_or(0, |previous| previous.end),
-            consumption,
+            production: start,
+            consumption: start + production.len(),
             end: self.rates.len(),
             initial_tokens,
         });
         id
+    }
+
+    /// Replaces the endpoints of `buffer`, which must exist.
+    pub(crate) fn set_endpoints(&mut self, buffer: BufferId, source: TaskId, target: TaskId) {
+        let record = &mut self.buffers[buffer.index()];
+        (record.source, record.target) = (source, target);
     }
 
     /// The buffer half of [`CsdfGraphBuilder::build`](crate::CsdfGraphBuilder::build)'s
@@ -273,7 +286,7 @@ impl CsdfGraph {
 
     /// Number of buffers `|B|`.
     pub fn buffer_count(&self) -> usize {
-        self.tables.buffers.len()
+        self.tables.buffer_count()
     }
 
     /// The task addressed by `id`.
@@ -334,19 +347,6 @@ impl CsdfGraph {
             .iter()
             .enumerate()
             .map(|(index, record)| (BufferId(index), self.tables.buffer(record)))
-    }
-
-    /// Every task's per-phase durations, task after task: task `t`'s are
-    /// `phase_durations()[phase_offsets()[t]..phase_offsets()[t + 1]]`.
-    pub fn phase_durations(&self) -> &[u64] {
-        &self.tables.durations
-    }
-
-    /// The offsets of the tasks' phases in
-    /// [`CsdfGraph::phase_durations`]: `task_count() + 1` entries, from 0 to
-    /// [`CsdfGraph::total_phase_count`].
-    pub fn phase_offsets(&self) -> &[usize] {
-        &self.tables.phase_start
     }
 
     /// Buffers produced by `task`, in index order.

@@ -131,9 +131,13 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
     let mut name = "csdf";
     // The name in force at the first task line is the graph's.
     let mut graph_name: Option<&str> = None;
-    // Names, durations and rates are appended straight into the graph's
-    // flat arrays, sized from the declaration count.
+    // The graph's flat arrays are sized from the declaration count.
     let (tasks, buffers) = declaration_counts(input);
+    // The values of the line's lists, copied into the tables once the line
+    // is read. It is allocated before the tables: allocated on the first
+    // line, between their growing arrays, it raised the peak memory of a
+    // daemon parsing on several threads by a tenth.
+    let mut values: Vec<u64> = Vec::with_capacity(64);
     let mut tables = Tables::with_capacity(tasks, buffers);
     // Task ids by name, borrowed from the text: the insert of each task
     // name also finds a duplicate, and the first declaration wins. std's
@@ -161,10 +165,10 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                 let task_name = scanner
                     .word()
                     .ok_or_else(|| parse_error(line, "missing task name"))?;
-                let first_phase = tables.durations.len();
-                parse_list(scanner.word(), "durations", line, &mut tables.durations)?;
+                values.clear();
+                parse_list(scanner.word(), "durations", line, &mut values)?;
                 graph_name.get_or_insert(name);
-                let id = tables.push_task(task_name);
+                let id = tables.push_task(task_name, &values);
                 let duplicate = match task_ids.entry(task_name) {
                     Entry::Occupied(_) => true,
                     Entry::Vacant(slot) => {
@@ -173,8 +177,7 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                     }
                 };
                 if task_error.is_none() {
-                    let durations = &tables.durations[first_phase..];
-                    task_error = builder::task_error(task_name, durations, duplicate);
+                    task_error = builder::task_error(task_name, &values, duplicate);
                 }
                 task_lines.push(Some(line));
             }
@@ -188,15 +191,17 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                 let target = scanner
                     .word()
                     .ok_or_else(|| parse_error(line, "missing target task"))?;
-                parse_list(scanner.word(), "prod", line, &mut tables.rates)?;
-                let consumption = tables.rates.len();
-                parse_list(scanner.word(), "cons", line, &mut tables.rates)?;
+                values.clear();
+                parse_list(scanner.word(), "prod", line, &mut values)?;
+                let produced = values.len();
+                parse_list(scanner.word(), "cons", line, &mut values)?;
+                let (production, consumption) = values.split_at(produced);
                 let tokens = parse_tokens(scanner.word(), line)?;
                 let (source_id, target_id) = match (task_ids.get(source), task_ids.get(target)) {
                     (Some(&source_id), Some(&target_id)) => (source_id, target_id),
                     _ => {
                         unresolved.push(Unresolved {
-                            buffer: BufferId::new(tables.buffers.len()),
+                            buffer: BufferId::new(tables.buffer_count()),
                             line,
                             source,
                             target,
@@ -205,7 +210,7 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                         (TaskId::new(0), TaskId::new(0))
                     }
                 };
-                tables.push_buffer(source_id, target_id, consumption, tokens);
+                tables.push_buffer(source_id, target_id, production, consumption, tokens);
                 buffer_lines.push(Some(line));
             }
             Some(other) => {
@@ -226,10 +231,7 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                 .ok_or_else(|| parse_error(pending.line, &format!("unknown task `{task}`")))
         };
         match resolve(pending.source).and_then(|source| Ok((source, resolve(pending.target)?))) {
-            Ok((source, target)) => {
-                let record = &mut tables.buffers[pending.buffer.index()];
-                (record.source, record.target) = (source, target);
-            }
+            Ok((source, target)) => tables.set_endpoints(pending.buffer, source, target),
             // Task errors rank above unknown names.
             Err(unknown) => return Err(task_error.unwrap_or(unknown)),
         }
@@ -379,68 +381,58 @@ fn parse_list(
     line: usize,
     values: &mut Vec<u64>,
 ) -> Result<(), CsdfError> {
-    let list = field_value(word, key, line)?;
-    let start = values.len();
-    let plain = list
-        .as_bytes()
-        .split(|&byte| byte == b',')
-        .try_for_each(|item| {
-            values.push(plain_decimal(item)?);
-            Some(())
-        });
-    if plain.is_none() {
-        // Anything but plain digits goes to `str::parse`, which decides it.
-        values.truncate(start);
-        for item in list.split(',') {
-            values.push(parse_number(item, key, line)?);
-        }
+    for item in split_list(field_value(word, key, line)?) {
+        values.push(parse_number(item, key, line)?);
     }
     Ok(())
 }
 
-/// Parses the single-valued `tokens=` field.
+/// Parses the single-valued `tokens=` field. A malformed number is reported
+/// as in the rate lists, before a list of more than one value.
 fn parse_tokens(word: Option<&str>, line: usize) -> Result<u64, CsdfError> {
-    let value = field_value(word, "tokens", line)?;
-    if let Some(tokens) = plain_decimal(value.as_bytes()) {
-        return Ok(tokens);
+    let (mut tokens, mut count) = (0, 0);
+    for item in split_list(field_value(word, "tokens", line)?) {
+        tokens = parse_number(item, "tokens", line)?;
+        count += 1;
     }
-    parse_number(value, "tokens", line).or_else(|_| {
-        // A malformed number is reported as in the rate lists; a list of
-        // well-formed numbers has more than one value.
-        let mut count = 0;
-        for item in value.split(',') {
-            parse_number(item, "tokens", line)?;
-            count += 1;
-        }
+    if count == 1 {
+        Ok(tokens)
+    } else {
         Err(parse_error(
             line,
             &format!("expected one value in `tokens`, found {count}"),
         ))
-    })
+    }
 }
 
-/// `item` if it is a non-empty run of ASCII digits of at most `u64::MAX`,
-/// read as `str::parse` reads it; `None` for anything else, which goes to
-/// [`parse_number`]. Plain digits are what every generated text holds, and
-/// reading them by hand (with the lists split on bytes) cuts the parse time
-/// of a 10k-task graph by about a fifth on a 2-core x86-64 host.
-fn plain_decimal(item: &[u8]) -> Option<u64> {
-    if item.is_empty() {
-        return None;
-    }
-    let mut value = 0u64;
-    for &byte in item {
-        if !byte.is_ascii_digit() {
-            return None;
+/// The comma-separated items of a list. Splitting the bytes rather than the
+/// `str` makes a 10k-task parse about a tenth faster on a 2-core x86-64
+/// host.
+fn split_list(list: &str) -> impl Iterator<Item = &[u8]> {
+    list.as_bytes().split(|&byte| byte == b',')
+}
+
+/// Reads a decimal `u64` as `str::parse` reads it: an optional `+`, then at
+/// least one ASCII digit, at most `u64::MAX`. Reading by hand, not through
+/// `str::parse`, cuts the parse time of a 10k-task graph by about a fifth
+/// on a 2-core x86-64 host.
+fn parse_number(item: &[u8], key: &str, line: usize) -> Result<u64, CsdfError> {
+    let digits = item.strip_prefix(b"+").unwrap_or(item);
+    let value = digits.iter().try_fold(0u64, |value, &byte| {
+        let digit = byte.checked_sub(b'0').filter(|&digit| digit < 10)?;
+        value.checked_mul(10)?.checked_add(u64::from(digit))
+    });
+    match value {
+        Some(value) if !digits.is_empty() => Ok(value),
+        _ => {
+            // A `str` split at ASCII commas: every item is UTF-8.
+            let item = String::from_utf8_lossy(item);
+            Err(parse_error(
+                line,
+                &format!("invalid number `{item}` in `{key}`"),
+            ))
         }
-        value = value.checked_mul(10)?.checked_add(u64::from(byte - b'0'))?;
     }
-    Some(value)
-}
-
-fn parse_number(item: &str, key: &str, line: usize) -> Result<u64, CsdfError> {
-    item.parse()
-        .map_err(|_| parse_error(line, &format!("invalid number `{item}` in `{key}`")))
 }
 
 fn parse_error(line: usize, message: &str) -> CsdfError {
@@ -564,25 +556,35 @@ mod tests {
     }
 
     #[test]
-    fn plain_numbers_read_as_str_parse_reads_them() {
+    fn numbers_read_as_str_parse_reads_them() {
         for item in [
             "",
             "0",
             "007",
             "+5",
+            "+",
+            "++5",
+            "+-5",
             "-0",
+            "-5",
             "1_0",
             " 1",
             "1 ",
+            "1+",
+            "/",
+            ":",
             "\u{ff11}",
+            "+18446744073709551615",
             "18446744073709551615",
             "18446744073709551616",
             "99999999999999999999",
         ] {
             let expected = item.parse::<u64>().ok();
-            if let Some(value) = plain_decimal(item.as_bytes()) {
-                assert_eq!(Some(value), expected, "{item:?}");
-            }
+            assert_eq!(
+                parse_number(item.as_bytes(), "prod", 1).ok(),
+                expected,
+                "{item:?}"
+            );
             let mut values = vec![7];
             let parsed = parse_list(Some(&format!("prod={item},3")), "prod", 1, &mut values);
             match expected {
@@ -596,8 +598,6 @@ mod tests {
                 ),
             }
         }
-        assert_eq!(plain_decimal(b"18446744073709551615"), Some(u64::MAX));
-        assert_eq!(plain_decimal(b"+5"), None);
     }
 
     #[test]

@@ -210,17 +210,21 @@ impl EventGraphArena {
         // Enforce the cumulative node limit *while* laying out the blocks, so
         // a graph over the limit errors out before anything is emitted.
         let mut blocks = Vec::with_capacity(graph.task_count());
+        let mut durations = Vec::with_capacity(graph.total_phase_count());
+        let mut duration_start = Vec::with_capacity(graph.task_count() + 1);
         let mut total_nodes = 0usize;
-        for (index, phases) in graph.phase_offsets().windows(2).enumerate() {
+        for (task_id, task) in graph.tasks() {
             let offset = total_nodes;
-            let task_k = k.get(TaskId::new(index));
-            total_nodes = check_node_total(offset, phases[1] - phases[0], task_k, limits)?;
+            total_nodes = check_node_total(offset, task.phase_count(), k.get(task_id), limits)?;
             blocks.push(TaskBlock {
-                k: task_k,
+                k: k.get(task_id),
                 len: total_nodes - offset,
                 offset,
             });
+            duration_start.push(durations.len());
+            durations.extend_from_slice(task.durations());
         }
+        duration_start.push(durations.len());
 
         let mut buffer_denominator = Vec::with_capacity(graph.buffer_count());
         for (_, buffer) in graph.buffers() {
@@ -237,8 +241,8 @@ impl EventGraphArena {
             fingerprint,
             lcm_k,
             blocks,
-            durations: graph.phase_durations().to_vec(),
-            duration_start: graph.phase_offsets().to_vec(),
+            durations,
+            duration_start,
             nodes: Vec::with_capacity(total_nodes),
             ratio: RatioGraph::new(total_nodes),
             arc_seg_start: Vec::with_capacity(graph.buffer_count() + 1),
