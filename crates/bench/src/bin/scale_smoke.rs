@@ -15,9 +15,15 @@
 //! instead of silently slowing it down. The total matters on its own: the
 //! jump to `K = q` moves time from the solve into the build and the patch. The K-Iter
 //! trajectory is deterministic per graph, so `--check` also fails when the
-//! iteration count or the Howard round count differs from the baseline
-//! row's: a change to either (a solver lane that changed any decision, say)
-//! has to show up in review as a changed baseline.
+//! iteration count, the Howard round count or the lane census differs from
+//! the baseline row's: a change to any of them (a solver lane that changed
+//! any decision, say) has to show up in review as a changed baseline.
+//!
+//! Memory is reported and gated too: `peak_rss_mb` is the process's peak
+//! resident set (`VmHWM`), and `event_graph_bytes` the heap the final event
+//! graph holds ([`kperiodic::EventGraphArena::heap_bytes`]), also per node
+//! and per arc. `--check` fails when the peak resident set exceeds the
+//! baseline's by more than [`RSS_TOLERANCE`].
 //!
 //! Run with `cargo run -p kiter-bench --bin scale_smoke --release -- [--json]
 //! [--check BENCH_TABLE1.json]`. `KITER_SMOKE_TASKS` overrides the task count
@@ -35,6 +41,12 @@ use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterO
 /// Generous on purpose: CI machines are noisy; a real regression (losing the
 /// integer kernel, re-deriving the event graph per iteration) is >4×.
 const CHECK_FACTOR: f64 = 3.0;
+
+/// A `peak_rss_mb` more than this share above the baseline fails `--check`.
+/// Nine runs of one build on 2 cores spread by 0.6% at 10k tasks and 0.1%
+/// at 100k (2.6% at 1k, the 0.1 MiB print step on 3.9 MiB); 5% is about
+/// eight times the 10k spread.
+const RSS_TOLERANCE: f64 = 0.05;
 
 /// Parse and repetition-vector times are the fastest of at least this many
 /// runs: a run of a few milliseconds is too noisy to gate on its own, and a
@@ -100,18 +112,28 @@ fn main() {
         }
     };
     let stats = pipeline.stats();
-    let (nodes, arcs) = pipeline
-        .arena()
-        .map_or((0, 0), |arena| (arena.node_count(), arena.arc_count()));
+    let (nodes, arcs, heap_bytes) = pipeline.arena().map_or((0, 0, 0), |arena| {
+        (arena.node_count(), arena.arc_count(), arena.heap_bytes())
+    });
     let solve_ms = stats.solve_time.as_secs_f64() * 1e3;
+    let lanes = format!(
+        "{{\"i64\":{},\"i128\":{},\"checked\":{},\"scalar\":{},\"parametric\":{}}}",
+        stats.lanes.int64,
+        stats.lanes.int128,
+        stats.lanes.checked,
+        stats.lanes.scalar,
+        stats.lanes.parametric,
+    );
+    let peak_rss_mb = peak_rss_mb();
     println!(
         "{{\"tasks\":{},\"buffers\":{},\"nproc\":{nproc},\"throughput\":\"{}\",\
          \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"parse_ms\":{parse_ms:.2},\
          \"repetition_ms\":{repetition_ms:.2},\"total_ms\":{total_ms:.1},\
          \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{solve_ms:.1},\
-         \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"lanes\":{{\"i64\":{},\
-         \"i128\":{},\"checked\":{},\"scalar\":{},\"parametric\":{}}},\"patched\":{},\
-         \"rebuilt_buffers\":{},\"reused_buffers\":{},\"completed\":true}}",
+         \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"lanes\":{lanes},\"patched\":{},\
+         \"rebuilt_buffers\":{},\"reused_buffers\":{},\"peak_rss_mb\":{peak_rss_mb:.1},\
+         \"event_graph_bytes\":{heap_bytes},\"bytes_per_node\":{:.1},\
+         \"bytes_per_arc\":{:.1},\"completed\":true}}",
         graph.task_count(),
         graph.buffer_count(),
         json_escape(&result.throughput.to_string()),
@@ -120,14 +142,11 @@ fn main() {
         stats.patch_time.as_secs_f64() * 1e3,
         stats.last_solve_time.as_secs_f64() * 1e3,
         stats.howard_rounds,
-        stats.lanes.int64,
-        stats.lanes.int128,
-        stats.lanes.checked,
-        stats.lanes.scalar,
-        stats.lanes.parametric,
         stats.patched,
         stats.rebuilt_buffers,
         stats.reused_buffers,
+        heap_bytes as f64 / nodes.max(1) as f64,
+        heap_bytes as f64 / arcs.max(1) as f64,
     );
     // Non-vacuous outcome: the generated graph is strongly connected and
     // serialised, so its throughput must be finite.
@@ -146,10 +165,37 @@ fn main() {
                 ("solve split", "solve_ms", solve_ms),
                 ("total", "total_ms", total_ms),
             ],
-            result.iterations,
-            stats.howard_rounds,
+            Measured {
+                iterations: result.iterations,
+                howard_rounds: stats.howard_rounds,
+                lanes: &lanes,
+                peak_rss_mb,
+            },
         );
     }
+}
+
+/// The process's peak resident set in MiB (`VmHWM` of
+/// `/proc/self/status`), or 0 where that file does not exist.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+            let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+            Some(kib / 1024.0)
+        })
+        .unwrap_or(0.0)
+}
+
+/// What `--check` compares exactly (iterations, Howard rounds, the lane
+/// census as printed) or against a tolerance (the peak resident set).
+#[derive(Clone, Copy)]
+struct Measured<'a> {
+    iterations: usize,
+    howard_rounds: u64,
+    lanes: &'a str,
+    peak_rss_mb: f64,
 }
 
 /// Runs `load` at least [`LOAD_REPEATS`] times and until [`LOAD_BUDGET`]
@@ -174,15 +220,21 @@ fn fastest_timed<T>(mut load: impl FnMut() -> T) -> (T, f64) {
 /// Compares the measured times — `(what, baseline key, milliseconds)` —
 /// against the committed baseline (the `"table":"scale_smoke"` JSON line
 /// whose `"tasks"` matches), failing the process on a regression beyond
-/// [`CHECK_FACTOR`] or on any change of the iteration count or the Howard
-/// round count.
+/// [`CHECK_FACTOR`], on a peak resident set beyond [`RSS_TOLERANCE`], or on
+/// any change of the iteration count, the Howard round count or the lane
+/// census.
 fn check_against_baseline(
     path: &str,
     tasks: usize,
     timings: &[(&str, &str, f64)],
-    iterations: usize,
-    howard_rounds: u64,
+    run: Measured<'_>,
 ) {
+    let Measured {
+        iterations,
+        howard_rounds,
+        lanes,
+        peak_rss_mb,
+    } = run;
     let contents = match std::fs::read_to_string(path) {
         Ok(contents) => contents,
         Err(err) => {
@@ -195,11 +247,20 @@ fn check_against_baseline(
         .iter()
         .map(|&(_, key, _)| baseline.and_then(|line| extract_number(line, key)))
         .collect();
-    let (Some(baseline_times), Some(baseline_iterations), Some(baseline_rounds)) = (
+    let (
+        Some(baseline_times),
+        Some(baseline_iterations),
+        Some(baseline_rounds),
+        Some(baseline_lanes),
+        Some(baseline_rss),
+    ) = (
         baseline_times,
         baseline.and_then(|line| extract_number(line, "iterations")),
         baseline.and_then(|line| extract_number(line, "howard_rounds")),
-    ) else {
+        baseline.and_then(|line| extract_object(line, "lanes")),
+        baseline.and_then(|line| extract_number(line, "peak_rss_mb")),
+    )
+    else {
         eprintln!(
             "check failed: no \"table\":\"scale_smoke\" baseline for {tasks} tasks in {path}"
         );
@@ -222,6 +283,28 @@ fn check_against_baseline(
         );
         std::process::exit(1);
     }
+    if lanes != baseline_lanes {
+        eprintln!(
+            "perf-smoke gate failed: lane census {lanes}, the committed baseline has \
+             {baseline_lanes} at {tasks} tasks (the census is deterministic: a change moved \
+             a component to another solver lane; regenerate the baseline only if that is \
+             intended)"
+        );
+        std::process::exit(1);
+    }
+    let rss_limit = baseline_rss * (1.0 + RSS_TOLERANCE);
+    if peak_rss_mb > rss_limit {
+        eprintln!(
+            "perf-smoke gate failed: peak RSS {peak_rss_mb:.1} MiB exceeds the committed \
+             baseline ({baseline_rss:.1} MiB -> limit {rss_limit:.1} MiB) at {tasks} tasks"
+        );
+        std::process::exit(1);
+    }
+    eprintln!(
+        "perf-smoke gate ok: peak RSS {peak_rss_mb:.1} MiB within {:.0}% of the \
+         {baseline_rss:.1} MiB baseline",
+        RSS_TOLERANCE * 100.0
+    );
     for (&(what, _, measured), baseline) in timings.iter().zip(baseline_times) {
         let limit = baseline * CHECK_FACTOR;
         if measured > limit {
@@ -246,6 +329,14 @@ fn baseline_line(contents: &str, tasks: usize) -> Option<&str> {
         .lines()
         .filter(|line| line.contains("\"table\":\"scale_smoke\""))
         .find(|line| line.contains(&format!("\"tasks\":{tasks},")))
+}
+
+/// The `{...}` value of `key` (a flat object) in `line`, braces included.
+fn extract_object<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let marker = format!("\"{key}\":{{");
+    let start = line.find(&marker)? + marker.len() - 1;
+    let end = start + line[start..].find('}')?;
+    Some(&line[start..=end])
 }
 
 fn extract_number(line: &str, key: &str) -> Option<f64> {

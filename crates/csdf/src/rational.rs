@@ -129,16 +129,37 @@ impl Rational {
         Rational { num: value, den: 1 }
     }
 
+    /// Rebuilds a rational from the parts of a reduced one — a
+    /// [`Rational::numer`] / [`Rational::denom`] pair kept apart — without
+    /// the gcd that [`Rational::new`] pays. The caller vouches that
+    /// `den > 0` and that the parts have no common factor; a debug build
+    /// checks both. Parts of any other shape make a value that compares
+    /// unequal to the same number built by [`Rational::new`].
+    pub fn from_reduced_parts(num: i128, den: i128) -> Self {
+        debug_assert!(
+            den > 0 && gcd_i128(num, den) == 1,
+            "{num}/{den} is not reduced"
+        );
+        Rational { num, den }
+    }
+
     fn reduced(num: i128, den: i128) -> Self {
         debug_assert!(den != 0);
         if num == 0 {
             return Rational { num: 0, den: 1 };
         }
-        let sign = if (num < 0) ^ (den < 0) { -1 } else { 1 };
+        // Divide first and move the sign onto the numerator after: a
+        // numerator of `i128::MIN` over a positive denominator has no
+        // absolute value, yet is a reduced fraction.
         let g = gcd_i128(num, den);
-        Rational {
-            num: sign * (num / g).abs(),
-            den: (den / g).abs(),
+        let (num, den) = (num / g, den / g);
+        if den < 0 {
+            Rational {
+                num: -num,
+                den: -den,
+            }
+        } else {
+            Rational { num, den }
         }
     }
 
@@ -497,6 +518,22 @@ mod tests {
         let r = Rational::new(-3, -6).unwrap();
         assert_eq!(r.numer(), 1);
         assert_eq!(r.denom(), 2);
+    }
+
+    #[test]
+    fn the_most_negative_numerator_reduces() {
+        assert_eq!(
+            Rational::new(i128::MIN, 1),
+            Ok(Rational::from_integer(i128::MIN))
+        );
+        assert_eq!(
+            Rational::new(i128::MIN, 6),
+            Ok(Rational::from_reduced_parts(i128::MIN / 2, 3))
+        );
+        let mut sum = RationalSum::new();
+        sum.add(&Rational::from_integer(-i128::MAX)).unwrap();
+        sum.add(&Rational::from_integer(-1)).unwrap();
+        assert_eq!(sum.finish(), Rational::from_integer(i128::MIN));
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn join(values: &[u64]) -> String {
 /// and the usual builder errors for semantic problems (unknown task names,
 /// rate-length mismatches, ...), in the order given in the module docs.
 pub fn parse(input: &str) -> Result<CsdfGraph, CsdfError> {
-    parse_with_sources(input).map(|(graph, _)| graph)
+    scan(input, None)
 }
 
 /// A buffer naming a task not declared yet, resolved after the last line.
@@ -128,6 +128,23 @@ struct Unresolved<'a> {
 ///
 /// Those of [`parse`].
 pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfError> {
+    let mut lines = DeclarationLines::default();
+    let graph = scan(input, Some(&mut lines))?;
+    Ok((graph, SourceMap::new(lines.tasks, lines.buffers)))
+}
+
+/// The 1-based line of each task and buffer declaration, in declaration
+/// order: what [`parse_with_sources`] returns as a [`SourceMap`].
+#[derive(Default)]
+struct DeclarationLines {
+    tasks: Vec<Option<usize>>,
+    buffers: Vec<Option<usize>>,
+}
+
+/// The one parser behind [`parse`] and [`parse_with_sources`]: reads the
+/// graph and, when given `lines`, records the line of every declaration in
+/// it. [`parse`] passes none, so it builds no line tables.
+fn scan(input: &str, mut lines: Option<&mut DeclarationLines>) -> Result<CsdfGraph, CsdfError> {
     let mut name = "csdf";
     // The name in force at the first task line is the graph's.
     let mut graph_name: Option<&str> = None;
@@ -146,8 +163,10 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
     // The first task error in declaration order, which ranks above every
     // buffer error.
     let mut task_error: Option<CsdfError> = None;
-    let mut task_lines: Vec<Option<usize>> = Vec::with_capacity(tasks);
-    let mut buffer_lines: Vec<Option<usize>> = Vec::with_capacity(buffers);
+    if let Some(lines) = lines.as_deref_mut() {
+        lines.tasks.reserve(tasks);
+        lines.buffers.reserve(buffers);
+    }
     let mut unresolved: Vec<Unresolved<'_>> = Vec::new();
 
     let mut scanner = Scanner::new(input);
@@ -179,7 +198,9 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                 if task_error.is_none() {
                     task_error = builder::task_error(task_name, &values, duplicate);
                 }
-                task_lines.push(Some(line));
+                if let Some(lines) = lines.as_deref_mut() {
+                    lines.tasks.push(Some(line));
+                }
             }
             Some("buffer") => {
                 let source = scanner
@@ -211,7 +232,9 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
                     }
                 };
                 tables.push_buffer(source_id, target_id, production, consumption, tokens);
-                buffer_lines.push(Some(line));
+                if let Some(lines) = lines.as_deref_mut() {
+                    lines.buffers.push(Some(line));
+                }
             }
             Some(other) => {
                 return Err(parse_error(line, &format!("unknown directive `{other}`")));
@@ -240,10 +263,7 @@ pub fn parse_with_sources(input: &str) -> Result<(CsdfGraph, SourceMap), CsdfErr
         return Err(error);
     }
     tables.check_buffers()?;
-    Ok((
-        CsdfGraph::from_parts(graph_name.to_string(), tables),
-        SourceMap::new(task_lines, buffer_lines),
-    ))
+    Ok(CsdfGraph::from_parts(graph_name.to_string(), tables))
 }
 
 /// The number of lines that start with `t` and with `b`: the task and buffer
@@ -620,5 +640,39 @@ mod tests {
     fn wrong_field_name_is_reported() {
         let text = "graph g\ntask a durations=1\ntask b durations=1\nbuffer a -> b production=1 cons=1 tokens=0\n";
         assert!(matches!(parse(text), Err(CsdfError::Parse { line: 4, .. })));
+    }
+
+    #[test]
+    fn parse_and_parse_with_sources_agree() {
+        let graph = {
+            let mut b = CsdfGraphBuilder::named("fig1");
+            let t = b.add_task("t", vec![1, 1, 1]);
+            let u = b.add_task("u", vec![2, 2]);
+            b.add_buffer(t, u, vec![2, 3, 1], vec![2, 5], 4);
+            b.add_serializing_self_loop(t);
+            to_text(&b.build().unwrap())
+        };
+        // The round-trip text, the well-formed fixtures and every error
+        // fixture of this module.
+        for text in [
+            graph.as_str(),
+            "\n# a comment\ngraph demo\n\ntask a durations=1\ntask b durations=2\nbuffer a -> b prod=1 cons=1 tokens=0\n",
+            "buffer a -> b prod=1 cons=1 tokens=0\ntask b durations=2\ntask a durations=1\n",
+            "graph demo\ntask a durations=1\nbuffer a => a prod=1 cons=1 tokens=0\n",
+            "graph g\ntask a durations=1\nbuffer a -> missing prod=1 cons=1 tokens=0\n",
+            "actor a durations=1\n",
+            "graph g\ntask a durations=1,x\n",
+            "# nothing\n",
+            "task a durations=1\nbuffer a -> a prod=1 cons=1 tokens=4,5\n",
+            "task a durations=1\nbuffer a -> a prod=1 cons=1 tokens=4,x\n",
+            "task a durations=1\ntask b durations=1\nbuffer a -> b prod=18446744073709551615,2 cons=1 tokens=0\n",
+            "graph g\ntask a durations=1\ntask b durations=1\nbuffer a -> b production=1 cons=1 tokens=0\n",
+        ] {
+            assert_eq!(
+                parse(text),
+                parse_with_sources(text).map(|(graph, _)| graph),
+                "{text:?}"
+            );
+        }
     }
 }

@@ -132,8 +132,9 @@ pub struct EventGraphArena {
     durations: Vec<u64>,
     /// Start of each task's base durations (one extra trailing entry).
     duration_start: Vec<usize>,
-    /// The event of every node, block after block.
-    nodes: Vec<EventNode>,
+    /// The task of every node, block after block (a node's phase is its
+    /// offset in its task's block).
+    task_of: Vec<u32>,
     /// The event graph and the only arc store: every buffer's arcs, buffer
     /// after buffer.
     ratio: RatioGraph,
@@ -243,7 +244,7 @@ impl EventGraphArena {
             blocks,
             durations,
             duration_start,
-            nodes: Vec::with_capacity(total_nodes),
+            task_of: Vec::with_capacity(total_nodes),
             ratio: RatioGraph::new(total_nodes),
             arc_seg_start: Vec::with_capacity(graph.buffer_count() + 1),
             buffer_denominator,
@@ -341,7 +342,7 @@ impl EventGraphArena {
 
         // Enforce the cumulative node limit on the *prospective* sizes before
         // any block is resized.
-        let kept: usize = self.nodes.len()
+        let kept: usize = self.task_of.len()
             - dirty_tasks
                 .iter()
                 .map(|task| self.blocks[task.index()].len)
@@ -487,8 +488,8 @@ impl EventGraphArena {
                 let from = NodeId::new(from_base + arc.producer_phase as usize);
                 let to = NodeId::new(to_base + arc.consumer_phase as usize);
                 let current = self.ratio.arc(id);
-                if current.from == from && current.to == to {
-                    if current.cost != arc.cost || current.time != arc.time {
+                if current.from() == from && current.to() == to {
+                    if !current.has_weights(&arc.cost, &arc.time) {
                         self.ratio.patch_arc_weights(id, arc.cost, arc.time);
                         patched += 1;
                     }
@@ -539,12 +540,13 @@ impl EventGraphArena {
                 let (source, target) = (buffer.source().index(), buffer.target().index());
                 let (from_old, from_new) = (old_offsets[source], self.blocks[source].offset);
                 let (to_old, to_new) = (old_offsets[target], self.blocks[target].offset);
-                for arc in &old_arcs[self.arc_seg_start[index]..self.arc_seg_start[index + 1]] {
+                for id in self.arc_seg_start[index]..self.arc_seg_start[index + 1] {
+                    let arc = old_arcs.arc(ArcId::new(id));
                     self.ratio.add_arc(
-                        NodeId::new(arc.from.index() - from_old + from_new),
-                        NodeId::new(arc.to.index() - to_old + to_new),
-                        arc.cost,
-                        arc.time,
+                        NodeId::new(arc.from().index() - from_old + from_new),
+                        NodeId::new(arc.to().index() - to_old + to_new),
+                        arc.cost(),
+                        arc.time(),
                     );
                 }
             }
@@ -555,13 +557,11 @@ impl EventGraphArena {
         self.ratio.rebuild_adjacency();
     }
 
-    /// Recomputes the node list from the current block lengths.
+    /// Recomputes the node table from the current block lengths.
     fn fill_nodes(&mut self) {
-        self.nodes.clear();
-        for (index, block) in self.blocks.iter().enumerate() {
-            let task = TaskId::new(index);
-            self.nodes
-                .extend((0..block.len).map(|phase| EventNode { task, phase }));
+        self.task_of.clear();
+        for (task, block) in (0u32..).zip(&self.blocks) {
+            self.task_of.extend(std::iter::repeat(task).take(block.len));
         }
     }
 
@@ -573,7 +573,7 @@ impl EventGraphArena {
 
     /// Number of execution nodes (equal to `ratio_graph().node_count()`).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.task_of.len()
     }
 
     /// Number of tasks of the CSDF graph this arena was built from.
@@ -607,6 +607,23 @@ impl EventGraphArena {
         self.ratio.arc_count()
     }
 
+    /// Heap bytes the arena holds, by capacity: the ratio graph
+    /// ([`RatioGraph::heap_bytes`]), the task blocks and node table, the
+    /// per-buffer tables and the emission scratch.
+    pub fn heap_bytes(&self) -> usize {
+        self.ratio.heap_bytes()
+            + vec_bytes(&self.blocks)
+            + vec_bytes(&self.durations)
+            + vec_bytes(&self.duration_start)
+            + vec_bytes(&self.task_of)
+            + vec_bytes(&self.arc_seg_start)
+            + vec_bytes(&self.buffer_denominator)
+            + vec_bytes(&self.initial_tokens)
+            + self.emit_scratch.heap_bytes()
+            + vec_bytes(&self.buffer_scratch)
+            + vec_bytes(&self.dirty_buffers)
+    }
+
     /// `lcm(K)` of the periodicity vector of the current event graph.
     pub fn lcm_k(&self) -> u64 {
         self.lcm_k
@@ -618,7 +635,11 @@ impl EventGraphArena {
     ///
     /// Panics if `node` does not belong to this event graph.
     pub fn event(&self, node: NodeId) -> EventNode {
-        self.nodes[node.index()]
+        let task = self.task_of[node.index()] as usize;
+        EventNode {
+            task: TaskId::new(task),
+            phase: node.index() - self.blocks[task].offset,
+        }
     }
 
     /// Event-graph node of the `phase`-th transformed execution of `task`.
@@ -700,6 +721,11 @@ pub(crate) fn graph_fingerprint(graph: &CsdfGraph) -> u64 {
         }
     }
     hash
+}
+
+/// Heap bytes of a vector, by capacity.
+pub(crate) fn vec_bytes<T>(vector: &Vec<T>) -> usize {
+    vector.capacity() * std::mem::size_of::<T>()
 }
 
 fn validate_periodicity(graph: &CsdfGraph, k: &PeriodicityVector) -> Result<(), AnalysisError> {

@@ -192,6 +192,13 @@ pub(crate) struct EmitScratch {
     phases: Vec<u32>,
 }
 
+impl EmitScratch {
+    /// Heap bytes held, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::arena::vec_bytes(&self.cumulative) + crate::arena::vec_bytes(&self.phases)
+    }
+}
+
 /// Totals and markings below this bound keep every intermediate value of
 /// the tiled emission inside an `i64`: each is a sum of at most four terms
 /// under `2^60`.

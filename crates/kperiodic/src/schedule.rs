@@ -211,8 +211,8 @@ fn longest_path_starts(
     // positive weight, so n−1 relaxation rounds converge.
     let mut weights = Vec::with_capacity(ratio.arc_count());
     for (_, arc) in ratio.arcs() {
-        let weight = arc.cost.checked_sub(&omega.checked_mul(&arc.time)?)?;
-        weights.push((arc.from.index(), arc.to.index(), weight));
+        let weight = arc.cost().checked_sub(&omega.checked_mul(&arc.time())?)?;
+        weights.push((arc.from().index(), arc.to().index(), weight));
     }
     for _ in 0..n {
         let mut improved = false;

@@ -20,7 +20,7 @@ pub fn enumerate_elementary_cycles(graph: &RatioGraph) -> Vec<Vec<ArcId>> {
     // never rebuilt (it is a test helper; the allocation is irrelevant).
     let mut outgoing: Vec<Vec<ArcId>> = vec![Vec::new(); n];
     for (arc_id, arc) in graph.arcs() {
-        outgoing[arc.from.index()].push(arc_id);
+        outgoing[arc.from().index()].push(arc_id);
     }
     for start in 0..n {
         let start_node = NodeId::new(start);
@@ -51,7 +51,7 @@ fn dfs(
 ) {
     on_path[current.index()] = true;
     for &arc_id in &outgoing[current.index()] {
-        let next = graph.arc(arc_id).to;
+        let next = graph.arc(arc_id).to();
         if next == start {
             let mut cycle = path_arcs.clone();
             cycle.push(arc_id);
@@ -83,7 +83,7 @@ pub fn maximum_cycle_ratio_brute_force(graph: &RatioGraph) -> Result<CycleRatioO
     let mut best: Option<(Rational, CriticalCycle)> = None;
     for arcs in cycles {
         let (cost, time) = graph.path_weight(&arcs)?;
-        let nodes = arcs.iter().map(|&a| graph.arc(a).from).collect();
+        let nodes = arcs.iter().map(|&a| graph.arc(a).from()).collect();
         let cycle = CriticalCycle {
             arcs,
             nodes,

@@ -153,9 +153,8 @@ pub(crate) fn howard_component(scratch: &mut Scratch, n: usize) -> HowardOutcome
 /// ignoring the ones it cannot classify (a Bail-class circuit met *before*
 /// the first infeasible one still bails).
 fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
-    scratch.epoch += 2;
-    let on_walk = scratch.epoch - 1;
-    let resolved = scratch.epoch;
+    let resolved = scratch.advance_epoch(2);
+    let on_walk = resolved - 1;
     let mut infinite: Vec<Vec<usize>> = Vec::new();
     for start in 0..n {
         if scratch.resolved[start] == resolved {
@@ -167,14 +166,14 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
         let mut current = start;
         while scratch.resolved[current] != resolved && scratch.mark[current] != on_walk {
             scratch.mark[current] = on_walk;
-            scratch.mark_pos[current] = scratch.walk.len();
-            scratch.walk.push(current);
-            current = scratch.arc_to[scratch.policy[current]] as usize;
+            scratch.mark_pos[current] = scratch.walk.len() as u32;
+            scratch.walk.push(current as u32);
+            current = scratch.arc_to[scratch.policy[current] as usize] as usize;
         }
         let new_circuit = scratch.resolved[current] != resolved;
         if !infinite.is_empty() {
             if new_circuit {
-                let p = scratch.mark_pos[current];
+                let p = scratch.mark_pos[current] as usize;
                 if let Some((cost, time)) = circuit_sums(scratch, p) {
                     if is_infeasible(&cost, &time) {
                         infinite.push(circuit_positions(scratch, p));
@@ -182,7 +181,7 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
                 }
             }
             for &node in &scratch.walk {
-                scratch.resolved[node] = resolved;
+                scratch.resolved[node as usize] = resolved;
             }
             continue;
         }
@@ -190,7 +189,7 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
             scratch.walk.len()
         } else {
             // New circuit: walk[p..] in traversal order.
-            let p = scratch.mark_pos[current];
+            let p = scratch.mark_pos[current] as usize;
             let Some((cost, time)) = circuit_sums(scratch, p) else {
                 return Evaluation::Bail;
             };
@@ -204,7 +203,7 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
                 }
                 infinite.push(circuit_positions(scratch, p));
                 for &node in &scratch.walk {
-                    scratch.resolved[node] = resolved;
+                    scratch.resolved[node as usize] = resolved;
                 }
                 continue;
             }
@@ -214,14 +213,15 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
             // Values around the circuit: anchor at walk[p] with value zero,
             // then telescope backwards (the reduced weights sum to zero
             // around the circuit, so this is consistent).
-            let anchor = scratch.walk[p];
+            let anchor = scratch.walk[p] as usize;
             scratch.gain[anchor] = gain;
             scratch.value[anchor] = Rational::ZERO;
             scratch.resolved[anchor] = resolved;
             let mut next_value = Rational::ZERO;
             for index in (p + 1..scratch.walk.len()).rev() {
-                let node = scratch.walk[index];
-                let Some(weight) = reduced_weight(scratch, scratch.policy[node], gain) else {
+                let node = scratch.walk[index] as usize;
+                let Some(weight) = reduced_weight(scratch, scratch.policy[node] as usize, gain)
+                else {
                     return Evaluation::Bail;
                 };
                 let Ok(value) = weight.checked_add(&next_value) else {
@@ -237,8 +237,8 @@ fn evaluate(scratch: &mut Scratch, n: usize) -> Evaluation {
         // Tree part of the walk: propagate gain and value backwards from the
         // (now resolved) junction.
         for index in (0..tree_top).rev() {
-            let node = scratch.walk[index];
-            let position = scratch.policy[node];
+            let node = scratch.walk[index] as usize;
+            let position = scratch.policy[node] as usize;
             let successor = scratch.arc_to[position] as usize;
             debug_assert_eq!(scratch.resolved[successor], resolved);
             let gain = scratch.gain[successor];
@@ -266,7 +266,7 @@ fn circuit_sums(scratch: &Scratch, p: usize) -> Option<(Rational, Rational)> {
     let mut cost_sum = csdf::RationalSum::new();
     let mut time_sum = csdf::RationalSum::new();
     for &node in &scratch.walk[p..] {
-        let position = scratch.policy[node];
+        let position = scratch.policy[node as usize] as usize;
         cost_sum.add(&scratch.arc_cost[position]).ok()?;
         time_sum.add(&scratch.arc_time[position]).ok()?;
     }
@@ -285,7 +285,7 @@ fn is_infeasible(cost: &Rational, time: &Rational) -> bool {
 pub(crate) fn circuit_positions(scratch: &Scratch, p: usize) -> Vec<usize> {
     scratch.walk[p..]
         .iter()
-        .map(|&node| scratch.policy[node])
+        .map(|&node| scratch.policy[node as usize] as usize)
         .collect()
 }
 
@@ -309,7 +309,7 @@ pub(crate) fn start_policy(scratch: &mut Scratch, n: usize) -> bool {
             lo
         } else {
             (lo..hi)
-                .find(|&position| scratch.arc_to[position] == preferred)
+                .find(|&position| scratch.arc_to[position as usize] == preferred)
                 .unwrap_or(lo)
         };
     }
@@ -331,7 +331,7 @@ fn improve(scratch: &mut Scratch, n: usize) -> Option<bool> {
         let mut best_position = scratch.policy[node];
         let mut best_gain = scratch.gain[node];
         for position in scratch.first[node]..scratch.first[node + 1] {
-            let target = scratch.arc_to[position] as usize;
+            let target = scratch.arc_to[position as usize] as usize;
             if scratch.gain[target] > best_gain {
                 best_gain = scratch.gain[target];
                 best_position = position;
@@ -348,21 +348,21 @@ fn improve(scratch: &mut Scratch, n: usize) -> Option<bool> {
     }
     for node in 0..n {
         let gain = scratch.gain[node];
-        let mut best_position = usize::MAX;
+        let mut best_position = u32::MAX;
         let mut best_value = scratch.value[node];
         for position in scratch.first[node]..scratch.first[node + 1] {
-            let target = scratch.arc_to[position] as usize;
+            let target = scratch.arc_to[position as usize] as usize;
             if scratch.gain[target] != gain {
                 continue;
             }
-            let weight = reduced_weight(scratch, position, gain)?;
+            let weight = reduced_weight(scratch, position as usize, gain)?;
             let candidate = weight.checked_add(&scratch.value[target]).ok()?;
             if candidate > best_value {
                 best_value = candidate;
                 best_position = position;
             }
         }
-        if best_position != usize::MAX {
+        if best_position != u32::MAX {
             scratch.policy[node] = best_position;
             changed = true;
         }
@@ -375,18 +375,18 @@ fn improve(scratch: &mut Scratch, n: usize) -> Option<bool> {
 /// only reads the policy and the arc targets, which both kernels maintain
 /// identically.
 pub(crate) fn policy_cycle_from(scratch: &mut Scratch, start: usize) -> Vec<usize> {
-    scratch.epoch += 1;
-    let seen = scratch.epoch;
+    let seen = scratch.advance_epoch(1);
     let mut current = start;
     while scratch.mark[current] != seen {
         scratch.mark[current] = seen;
-        current = scratch.arc_to[scratch.policy[current]] as usize;
+        current = scratch.arc_to[scratch.policy[current] as usize] as usize;
     }
     let entry = current;
     let mut positions = Vec::new();
     loop {
-        positions.push(scratch.policy[current]);
-        current = scratch.arc_to[scratch.policy[current]] as usize;
+        let position = scratch.policy[current] as usize;
+        positions.push(position);
+        current = scratch.arc_to[position] as usize;
         if current == entry {
             break;
         }

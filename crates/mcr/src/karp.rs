@@ -50,12 +50,12 @@ pub fn maximum_cycle_mean(graph: &RatioGraph) -> Result<Option<Rational>, McrErr
     let mut arcs_by_component: Vec<Vec<(usize, usize, Rational)>> =
         vec![Vec::new(); scc.component_count()];
     for (_, arc) in graph.arcs() {
-        let component = scc.component_of(arc.from);
-        if component == scc.component_of(arc.to) {
+        let component = scc.component_of(arc.from());
+        if component == scc.component_of(arc.to()) {
             arcs_by_component[component].push((
-                local_of[arc.from.index()],
-                local_of[arc.to.index()],
-                arc.cost,
+                local_of[arc.from().index()],
+                local_of[arc.to().index()],
+                arc.cost(),
             ));
         }
     }

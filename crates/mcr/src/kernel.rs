@@ -21,17 +21,21 @@
 //! the critical circuit is re-materialised through the exact rational
 //! [`crate::solve::materialize_cycle`] path.
 //!
-//! The kernel reads arc weights straight from the [`RatioGraph`] through the
-//! component's arc-id map, so the component view is loaded *lean* (without
-//! per-arc `Rational` copies); only the fallback paths fill those in.
+//! The kernel reads arc weights straight from the [`RatioGraph`]'s integer
+//! columns through the component's arc-id map — each arc's reduced cost and
+//! time numerators and its denominator class — so the component view is
+//! loaded *lean* (without per-arc `Rational` copies); only the fallback
+//! paths fill those in.
 //!
 //! # Lanes
 //!
 //! One source runs on two word widths, `i64` and `i128` (the private
-//! [`Word`] trait), with arithmetic unchecked or checked. Scaling also
-//! records the largest scaled magnitude `B = max |L̂|, |Ĥ|`, and `n·B`
-//! bounds every quantity the iteration computes on a component of `n`
-//! nodes:
+//! [`Word`] trait), with arithmetic unchecked or checked. A component's
+//! common denominators `Dc` and `Dt` are the lcm of the cost and of the time
+//! denominators of the classes its arcs use; scaling writes
+//! `L̂ = L·Dc/den(L)` and `Ĥ = H·Dt/den(H)` and records the largest scaled
+//! magnitude `B = max |L̂|, |Ĥ|`, and `n·B` bounds every quantity the
+//! iteration computes on a component of `n` nodes:
 //!
 //! * policy-circuit sums are at most `n·B`, so are the reduced gain
 //!   numerators and denominators;
@@ -49,13 +53,18 @@
 //! | `i128`, unchecked | `n·B ≤ 2^62` | `4n²B² ≤ 2^126 < 2^127` |
 //! | `i128`, checked | otherwise | overflow detected |
 //!
-//! Scaling is one pass writing the words of the lane it expects: `i64`
-//! first, and only a component whose scaled weights do not fit `i64`, or
-//! whose `n·B` exceeds `2^30`, is scaled again onto `i128` words. The
-//! unchecked lanes compute the same values as the checked lane without
-//! overflow branches, and their gain round skips the row scan of every node
-//! already at the round-start maximum gain (gain rounds only copy existing
-//! gains, so no strictly greater gain can appear within the round).
+//! Scaling takes one lcm per denominator class the component uses, then one
+//! pass writing the words of the lane it expects, one multiply per arc by
+//! its class's factor `Dc/den(L)` (or `Dt/den(H)`): `i64` first, and only a
+//! component whose scaled weights do not fit `i64`, or whose `n·B` exceeds
+//! `2^30`, is scaled again onto `i128` words. A graph of one class (an event
+//! graph whose times are all integers, say) is neither scanned for classes
+//! nor multiplied. The common denominators are the lcm of the component's
+//! reduced denominators, whatever order its classes come in. The unchecked
+//! lanes compute the same values as the checked lane without overflow
+//! branches, and their gain round skips the row scan of every node already
+//! at the round-start maximum gain (gain rounds only copy existing gains,
+//! so no strictly greater gain can appear within the round).
 //!
 //! # Exactness and fallback
 //!
@@ -65,7 +74,9 @@
 //! policy trajectory — and therefore the returned circuit and ratio — is
 //! **bit-identical** to the scalar path's, on every lane. In the checked lane
 //! all arithmetic is checked: if a scaled numerator, a product, or a common
-//! denominator does not fit `i128`, [`howard_component_int`] returns `None`
+//! denominator does not fit `i128` (the lcm of the classes' denominators
+//! can overflow even where every circuit's sum fits),
+//! [`howard_component_int`] returns `None`
 //! and the caller runs the scalar kernel instead, which has no such limits.
 //! The equivalence (every lane, at and beyond its bound, and the fallback) is
 //! pinned by this module's tests.
@@ -76,7 +87,7 @@ use std::ops::{Add, Div, Mul, Sub};
 
 use csdf::{gcd_i128, Rational};
 
-use crate::graph::{ArcId, RatioGraph};
+use crate::graph::RatioGraph;
 use crate::howard::{
     circuit_positions, policy_cycle_from, start_policy, Evaluation, HowardOutcome,
 };
@@ -175,8 +186,9 @@ pub(crate) fn howard_component_int(
     if scratch.arc_len() == 0 {
         return Some(HowardOutcome::Bail);
     }
+    let denominators = common_denominators(graph, scratch)?;
     let narrow = with_words(scratch, |scratch, words: &mut IntWords<i64>| {
-        let scaled = scale_component(graph, &scratch.arc_id, words)
+        let scaled = scale_component(graph, scratch, denominators, words)
             .filter(|scaled| scaled.bound(n) <= I64_BOUND)?;
         Some(iterate::<_, true>(scratch, words, n, &scaled))
     });
@@ -185,7 +197,7 @@ pub(crate) fn howard_component_int(
         return outcome;
     }
     let (outcome, unchecked) = with_words(scratch, |scratch, words: &mut IntWords<i128>| {
-        let scaled = scale_component(graph, &scratch.arc_id, words)?;
+        let scaled = scale_component(graph, scratch, denominators, words)?;
         Some(if scaled.bound(n) <= I128_BOUND {
             (iterate::<_, true>(scratch, words, n, &scaled), true)
         } else {
@@ -306,20 +318,64 @@ impl ScaledComponent {
     }
 }
 
-/// Common denominators `Dc`/`Dt` and the scaled numerators
-/// (`L̂ = L·Dc/den(L)`, `Ĥ = H·Dt/den(H)`) of the component's arcs
-/// (`arc_ids`, values read from `graph`), written as `W` words; `None` when
-/// a numerator does not fit `W` or a denominator does not fit `i128`. One
-/// pass: arcs are scaled under the *running* lcm, and whenever a later arc
-/// grows it, the already-written prefix is rescaled by the growth factor
-/// (lcm is monotone, so prefix magnitudes only go up and an overflow in
-/// either step implies the final value overflows too). Event-graph arcs
-/// share a handful of denominators in long runs, so a one-entry scale memo
-/// skips almost every `i128` division, and [`mul_scale`] keeps the
-/// multiplies in native `i64` where they fit.
+/// The common denominators `Dc`/`Dt` of the component loaded in
+/// `scratch`: the lcm of the cost and of the time denominators of the
+/// classes its arcs use, one lcm per class, with each used class's scale
+/// factors `(Dc / den(L), Dt / den(H))` left in `scratch.class_factor`.
+/// `None` when a common denominator does not fit `i128`.
+fn common_denominators(graph: &RatioGraph, scratch: &mut Scratch) -> Option<(i128, i128)> {
+    let Scratch {
+        arc_id,
+        class_factor,
+        class_used,
+        ..
+    } = scratch;
+    // The previous component's classes go back to unused.
+    for &class in class_used.iter() {
+        if let Some(factor) = class_factor.get_mut(class as usize) {
+            *factor = (0, 0);
+        }
+    }
+    class_used.clear();
+    let classes = graph.classes();
+    class_factor.resize(classes.len(), (0, 0));
+    if classes.len() == 1 {
+        // A graph of one class needs no scan: the component uses it.
+        class_factor[0] = (1, 1);
+        class_used.push(0);
+    } else {
+        let links = &graph.columns().links;
+        for &arc in arc_id.iter() {
+            let class = links[arc.index()].class;
+            let factor = &mut class_factor[class as usize];
+            if factor.0 == 0 {
+                *factor = (1, 1);
+                class_used.push(class);
+            }
+        }
+    }
+    let (mut den_cost, mut den_time) = (1i128, 1i128);
+    for &class in class_used.iter() {
+        let denominators = classes[class as usize];
+        den_cost = lcm_i128(den_cost, denominators.cost)?;
+        den_time = lcm_i128(den_time, denominators.time)?;
+    }
+    for &class in class_used.iter() {
+        let denominators = classes[class as usize];
+        class_factor[class as usize] = (den_cost / denominators.cost, den_time / denominators.time);
+    }
+    Some((den_cost, den_time))
+}
+
+/// The scaled numerators (`L̂ = L·Dc/den(L)`, `Ĥ = H·Dt/den(H)`) of the
+/// component's arcs, written as `W` words: one multiply per arc, by its
+/// class's factor from [`common_denominators`]; `None` when a scaled
+/// numerator does not fit `W`. [`mul_scale`] keeps the multiplies in native
+/// `i64` where they fit.
 fn scale_component<W: Word>(
     graph: &RatioGraph,
-    arc_ids: &[ArcId],
+    scratch: &Scratch,
+    (den_cost, den_time): (i128, i128),
     words: &mut IntWords<W>,
 ) -> Option<ScaledComponent> {
     let IntWords {
@@ -327,70 +383,31 @@ fn scale_component<W: Word>(
         time: times,
         ..
     } = words;
-    let m = arc_ids.len();
     costs.clear();
     times.clear();
-    costs.reserve(m);
-    times.reserve(m);
-    let mut den_cost: i128 = 1;
-    let mut den_time: i128 = 1;
-    // (index where the previous lcm stopped applying, lcm used before that).
-    let mut cost_upgrades: Vec<(usize, i128)> = Vec::new();
-    let mut time_upgrades: Vec<(usize, i128)> = Vec::new();
-    // One-entry scale memos, reset on every lcm upgrade: arcs arrive in
-    // buffer/block order, so runs of consecutive arcs share a denominator.
-    let mut memo_cost = (1i128, 1i128);
-    let mut memo_time = (1i128, 1i128);
+    costs.reserve(scratch.arc_id.len());
+    times.reserve(scratch.arc_id.len());
+    let columns = graph.columns();
+    // The factors of a component of one class, which need no per-arc
+    // class read.
+    let single = match scratch.class_used[..] {
+        [class] => Some(scratch.class_factor[class as usize]),
+        _ => None,
+    };
     let mut costs_nonneg = true;
     let mut max_abs: i128 = 0;
-    for (index, &arc_id) in arc_ids.iter().enumerate() {
-        let arc = graph.arc(arc_id);
-        let cost_den = arc.cost.denom();
-        if cost_den != memo_cost.0 {
-            if den_cost % cost_den != 0 {
-                let grown = lcm_i128(den_cost, cost_den)?;
-                cost_upgrades.push((index, den_cost));
-                den_cost = grown;
-            }
-            memo_cost = (cost_den, den_cost / cost_den);
-        }
-        let cost = mul_scale(arc.cost.numer(), memo_cost.1)?;
+    for &arc in &scratch.arc_id {
+        let index = arc.index();
+        let (cost_factor, time_factor) =
+            single.unwrap_or_else(|| scratch.class_factor[columns.links[index].class as usize]);
+        let numerators = columns.numerators[index];
+        let cost = mul_scale(numerators.cost, cost_factor)?;
         costs_nonneg &= cost >= 0;
         max_abs = max_abs.max(abs_i128(cost));
         costs.push(W::from_i128(cost)?);
-        let time_den = arc.time.denom();
-        if time_den != memo_time.0 {
-            if den_time % time_den != 0 {
-                let grown = lcm_i128(den_time, time_den)?;
-                time_upgrades.push((index, den_time));
-                den_time = grown;
-            }
-            memo_time = (time_den, den_time / time_den);
-        }
-        let time = mul_scale(arc.time.numer(), memo_time.1)?;
+        let time = mul_scale(numerators.time, time_factor)?;
         max_abs = max_abs.max(abs_i128(time));
         times.push(W::from_i128(time)?);
-    }
-    // Rescale the prefixes written under a smaller lcm, walking the upgrades
-    // forward: entry `j` brings `values[..end_j]` from its recorded lcm up to
-    // the next entry's (or the final) lcm, so before entry `j + 1` runs, the
-    // whole prefix below `end_{j+1}` is uniformly under that entry's lcm.
-    for (upgrades, values, den) in [
-        (&cost_upgrades, costs, den_cost),
-        (&time_upgrades, times, den_time),
-    ] {
-        for (j, &(end, used)) in upgrades.iter().enumerate() {
-            let target = upgrades.get(j + 1).map_or(den, |&(_, next)| next);
-            let factor = target / used;
-            if factor == 1 {
-                continue;
-            }
-            for value in &mut values[..end] {
-                let scaled = mul_scale(value.to_i128(), factor)?;
-                max_abs = max_abs.max(abs_i128(scaled));
-                *value = W::from_i128(scaled)?;
-            }
-        }
     }
     Some(ScaledComponent {
         den_cost,
@@ -488,9 +505,8 @@ fn evaluate<W: Word, const FAST: bool>(
     words: &mut IntWords<W>,
     n: usize,
 ) -> Option<Evaluation> {
-    scratch.epoch += 2;
-    let on_walk = scratch.epoch - 1;
-    let resolved = scratch.epoch;
+    let resolved = scratch.advance_epoch(2);
+    let on_walk = resolved - 1;
     let mut infinite: Vec<Vec<usize>> = Vec::new();
     for start in 0..n {
         if scratch.resolved[start] == resolved {
@@ -509,13 +525,13 @@ fn evaluate<W: Word, const FAST: bool>(
         let mut current = start;
         while resolved_stamp[current] != resolved && mark[current] != on_walk {
             mark[current] = on_walk;
-            mark_pos[current] = walk.len();
-            walk.push(current);
-            current = arc_to[policy[current]] as usize;
+            mark_pos[current] = walk.len() as u32;
+            walk.push(current as u32);
+            current = arc_to[policy[current] as usize] as usize;
         }
         let new_circuit = resolved_stamp[current] != resolved;
         // A new policy circuit is walk[p..], in traversal order.
-        let p = mark_pos[current];
+        let p = mark_pos[current] as usize;
         if !infinite.is_empty() {
             if new_circuit {
                 let (cost, time) = circuit_sums::<W, FAST>(scratch, words, p)?;
@@ -524,7 +540,7 @@ fn evaluate<W: Word, const FAST: bool>(
                 }
             }
             for &node in &scratch.walk {
-                scratch.resolved[node] = resolved;
+                scratch.resolved[node as usize] = resolved;
             }
             continue;
         }
@@ -541,7 +557,7 @@ fn evaluate<W: Word, const FAST: bool>(
             }
             infinite.push(circuit_positions(scratch, p));
             for &node in &scratch.walk {
-                scratch.resolved[node] = resolved;
+                scratch.resolved[node as usize] = resolved;
             }
             continue;
         }
@@ -570,7 +586,7 @@ fn circuit_sums<W: Word, const FAST: bool>(
     let mut cost = W::ZERO;
     let mut time = W::ZERO;
     for &node in &scratch.walk[p..] {
-        let position = scratch.policy[node];
+        let position = scratch.policy[node as usize] as usize;
         cost = add::<W, FAST>(cost, words.cost[position])?;
         time = add::<W, FAST>(time, words.time[position])?;
     }
@@ -585,7 +601,7 @@ fn resolve_walk<W: Word, const FAST: bool>(
     p: usize,
     cost: W,
     time: W,
-    resolved: u64,
+    resolved: u32,
 ) -> Option<()> {
     let Scratch {
         policy,
@@ -607,15 +623,15 @@ fn resolve_walk<W: Word, const FAST: bool>(
     } else {
         (cost, time)
     };
-    let anchor = walk[p];
+    let anchor = walk[p] as usize;
     gain_num[anchor] = num;
     gain_den[anchor] = den;
     values[anchor] = W::ZERO;
     resolved_stamp[anchor] = resolved;
     let mut next_value = W::ZERO;
     for walk_index in (p + 1..walk.len()).rev() {
-        let node = walk[walk_index];
-        let position = policy[node];
+        let node = walk[walk_index] as usize;
+        let position = policy[node] as usize;
         let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
         let value = add::<W, FAST>(weight, next_value)?;
         gain_num[node] = num;
@@ -633,7 +649,7 @@ fn resolve_walk_tree<W: Word, const FAST: bool>(
     scratch: &mut Scratch,
     words: &mut IntWords<W>,
     tree_top: usize,
-    resolved: u64,
+    resolved: u32,
 ) -> Option<()> {
     let Scratch {
         arc_to,
@@ -650,8 +666,8 @@ fn resolve_walk_tree<W: Word, const FAST: bool>(
         value: values,
     } = words;
     for walk_index in (0..tree_top).rev() {
-        let node = walk[walk_index];
-        let position = policy[node];
+        let node = walk[walk_index] as usize;
+        let position = policy[node] as usize;
         let successor = arc_to[position] as usize;
         debug_assert_eq!(resolved_stamp[successor], resolved);
         let num = gain_num[successor];
@@ -712,7 +728,7 @@ fn improve<W: Word, const FAST: bool>(
         let mut best_position = policy[node];
         let mut best = node;
         let (lo, hi) = (first[node], first[node + 1]);
-        for (position, &to) in (lo..hi).zip(&arc_to[lo..hi]) {
+        for (position, &to) in (lo..hi).zip(&arc_to[lo as usize..hi as usize]) {
             let target = to as usize;
             let lhs = mul::<W, FAST>(gain_num[target], gain_den[best])?;
             let rhs = mul::<W, FAST>(gain_num[best], gain_den[target])?;
@@ -736,22 +752,27 @@ fn improve<W: Word, const FAST: bool>(
     for node in 0..n {
         let num = gain_num[node];
         let den = gain_den[node];
-        let mut best_position = usize::MAX;
+        let mut best_position = u32::MAX;
         let mut best_value = values[node];
         for position in first[node]..first[node + 1] {
-            let target = arc_to[position] as usize;
+            let target = arc_to[position as usize] as usize;
             // Canonical pairs: different representation ⇔ different gain.
             if gain_num[target] != num || gain_den[target] != den {
                 continue;
             }
-            let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
+            let weight = reduced_weight::<W, FAST>(
+                costs[position as usize],
+                times[position as usize],
+                num,
+                den,
+            )?;
             let candidate = add::<W, FAST>(weight, values[target])?;
             if candidate > best_value {
                 best_value = candidate;
                 best_position = position;
             }
         }
-        if best_position != usize::MAX {
+        if best_position != u32::MAX {
             policy[node] = best_position;
             changed = true;
         }
@@ -763,7 +784,7 @@ fn improve<W: Word, const FAST: bool>(
 mod tests {
     use super::*;
     use crate::solve::{integer_howard, HowardKernel};
-    use crate::NodeId;
+    use crate::{ArcId, NodeId};
     use crate::{
         CancelToken, CycleRatioOutcome, LaneCounts, McrError, Policy, Solver, SolverChoice,
     };
@@ -844,11 +865,14 @@ mod tests {
         if scratch.arc_len() == 0 {
             return HowardOutcome::Bail;
         }
-        with_words(scratch, |scratch, words: &mut IntWords<i128>| {
-            let scaled = scale_component(graph, &scratch.arc_id, words)?;
-            iterate::<_, false>(scratch, words, n, &scaled)
-        })
-        .unwrap_or_else(|| scalar(graph, scratch, n))
+        common_denominators(graph, scratch)
+            .and_then(|denominators| {
+                with_words(scratch, |scratch, words: &mut IntWords<i128>| {
+                    let scaled = scale_component(graph, scratch, denominators, words)?;
+                    iterate::<_, false>(scratch, words, n, &scaled)
+                })
+            })
+            .unwrap_or_else(|| scalar(graph, scratch, n))
     }
 
     /// A pseudo-random start policy for `g`: per node, no successor, an
@@ -863,11 +887,11 @@ mod tests {
                 1 => {
                     let outgoing: Vec<_> = g
                         .arcs()
-                        .filter(|(_, arc)| arc.from.index() == node)
+                        .filter(|(_, arc)| arc.from().index() == node)
                         .collect();
                     if !outgoing.is_empty() {
                         let (_, arc) = outgoing[(next() % outgoing.len() as u64) as usize];
-                        policy.set_successor(g.node(node), arc.to);
+                        policy.set_successor(g.node(node), arc.to());
                     }
                 }
                 _ => policy.set_successor(g.node(node), g.node((next() % n as u64) as usize)),
@@ -965,6 +989,54 @@ mod tests {
         assert!(lanes.checked > 0, "no checked lane exercised");
         assert!(lanes.scalar > 0, "no scalar fallback exercised");
         assert!(errors > 0, "no overflow error exercised");
+
+        // Small weights whose denominator classes have an lcm past `i128`:
+        // no common denominator exists, yet every circuit sums fine.
+        for seed in 0..8u64 {
+            let g = flower(seed);
+            assert_kernels_agree(&g, &format!("flower seed {seed}"));
+            let mut solver = Solver::new(SolverChoice::Howard);
+            let outcome = solver.solve(&g).expect("every circuit sum fits");
+            assert_eq!(
+                solver.lane_counts(),
+                LaneCounts {
+                    scalar: 1,
+                    ..LaneCounts::default()
+                },
+                "flower seed {seed}"
+            );
+            let reference = Solver::new(SolverChoice::Parametric).solve(&g).unwrap();
+            assert_eq!(
+                (variant(&outcome), outcome.ratio()),
+                (variant(&reference), reference.ratio()),
+                "flower seed {seed}"
+            );
+            let (cycle, expected) = (outcome.cycle().unwrap(), reference.cycle().unwrap());
+            assert_eq!((cycle.cost, cycle.time), (expected.cost, expected.time));
+        }
+    }
+
+    /// Three two-arc circuits through node 0 (petals), petal `i`'s arcs
+    /// timed `a_i/p_i` and `m − a_i/p_i` for pairwise coprime `p_i`: each
+    /// circuit's time is the integer `m`, and no walk holds more than two
+    /// open fractions, while the lcm of the component's time denominators,
+    /// `2^43 · 3^27 · 5^19 > 2^129`, overflows `i128`.
+    fn flower(seed: u64) -> RatioGraph {
+        let mut next = xorshift(seed);
+        let mut g = RatioGraph::new(4);
+        for (petal, p) in [1i128 << 43, 3i128.pow(27), 5i128.pow(19)]
+            .into_iter()
+            .enumerate()
+        {
+            let m = 1 + (next() % 5) as i128;
+            let out_time = Rational::new(p - 1, p).unwrap();
+            let back_time = Rational::from_integer(m).checked_sub(&out_time).unwrap();
+            let cost =
+                |next: &mut dyn FnMut() -> u64| Rational::from_integer((next() % 50) as i128);
+            g.add_arc(g.node(0), g.node(petal + 1), cost(&mut next), out_time);
+            g.add_arc(g.node(petal + 1), g.node(0), cost(&mut next), back_time);
+        }
+        g
     }
 
     /// A ring of `n` nodes with random chords and small weights, whose first

@@ -149,7 +149,7 @@ impl SccDecomposition {
         let mut buffers = SccBuffers::default();
         let mut temporary = Csr::default();
         let csr = graph.csr().unwrap_or_else(|| {
-            temporary.build(graph.node_count(), graph.raw_arcs());
+            temporary.build(graph.node_count(), graph.columns());
             &temporary
         });
         buffers.compute(graph.node_count(), csr);
@@ -207,7 +207,7 @@ impl SccDecomposition {
         }
         graph
             .arcs()
-            .any(|(_, arc)| arc.from == node && arc.to == node)
+            .any(|(_, arc)| arc.from() == node && arc.to() == node)
     }
 }
 

@@ -401,7 +401,7 @@ impl Solver {
         let csr: &Csr = match graph.csr() {
             Some(csr) => csr,
             None => {
-                own_csr.build(graph.node_count(), graph.raw_arcs());
+                own_csr.build(graph.node_count(), graph.columns());
                 own_csr
             }
         };
@@ -536,17 +536,20 @@ enum ComponentOutcome {
 /// Reusable per-solve state shared by the parametric method and Howard's
 /// policy iteration. One strongly connected component at a time is loaded
 /// into the dense "component view" (`arc_*`, `first`); stamp-based marker
-/// arrays avoid `O(n)` clears between uses.
+/// arrays avoid `O(n)` clears between uses. Node and arc indices are `u32`
+/// (the CSR index already bounds both counts by `u32::MAX`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     // Component view: arcs grouped by (local) source node, CSR layout.
-    local_of: Vec<usize>,
+    /// Local id per graph node of the current component, [`NO_LOCAL`]
+    /// elsewhere.
+    local_of: Vec<u32>,
     arc_from: Vec<u32>,
     pub(crate) arc_to: Vec<u32>,
     pub(crate) arc_cost: Vec<Rational>,
     pub(crate) arc_time: Vec<Rational>,
     pub(crate) arc_id: Vec<ArcId>,
-    pub(crate) first: Vec<usize>,
+    pub(crate) first: Vec<u32>,
     /// Whether `arc_cost`/`arc_time` hold the current component's weights
     /// (loads are lean; see [`Scratch::ensure_component_rationals`]).
     rationals_loaded: bool,
@@ -557,8 +560,8 @@ pub(crate) struct Scratch {
     active: Vec<usize>,
     next_active: Vec<usize>,
     in_next: Vec<bool>,
-    // Howard policy-iteration state.
-    pub(crate) policy: Vec<usize>,
+    // Howard policy-iteration state: the chosen arc position per node.
+    pub(crate) policy: Vec<u32>,
     /// Start policy of the current component: preferred successor per local
     /// node (local ids, [`NO_SUCCESSOR`] for none); empty for a cold start.
     pub(crate) start: Vec<u32>,
@@ -572,24 +575,47 @@ pub(crate) struct Scratch {
     // `crate::kernel`).
     pub(crate) words64: IntWords<i64>,
     pub(crate) words128: IntWords<i128>,
+    /// Per denominator class of the graph: the integer kernel's scale
+    /// factors for the current component, `(0, 0)` for a class it does not
+    /// use ...
+    pub(crate) class_factor: Vec<(i128, i128)>,
+    /// ... and the classes it uses, in order of first use.
+    pub(crate) class_used: Vec<u32>,
     // Stamped marker arrays shared by cycle walks/scans (valid when the entry
-    // equals the current `epoch`).
-    pub(crate) mark: Vec<u64>,
-    pub(crate) mark_pos: Vec<usize>,
-    pub(crate) resolved: Vec<u64>,
-    pub(crate) walk: Vec<usize>,
-    pub(crate) epoch: u64,
+    // equals the current `epoch`; see [`Scratch::advance_epoch`]).
+    pub(crate) mark: Vec<u32>,
+    pub(crate) mark_pos: Vec<u32>,
+    pub(crate) resolved: Vec<u32>,
+    pub(crate) walk: Vec<u32>,
+    epoch: u32,
     /// Cancellation token polled once per solver round (see
     /// [`Solver::set_cancel_token`]); the default token never cancels.
     pub(crate) cancel: CancelToken,
 }
 
+/// The absent local id in `Scratch::local_of`.
+const NO_LOCAL: u32 = u32::MAX;
+
 impl Scratch {
     /// Prepares the graph-sized renumbering table for a new solve.
     fn prepare(&mut self, node_count: usize) {
         if self.local_of.len() < node_count {
-            self.local_of.resize(node_count, usize::MAX);
+            self.local_of.resize(node_count, NO_LOCAL);
         }
+    }
+
+    /// Moves the stamp epoch `step` ahead and returns it: stamps equal to
+    /// the new epoch, or to the `step - 1` values below it, are fresh, every
+    /// older one is stale. When the counter would wrap, every stamp is
+    /// cleared first.
+    pub(crate) fn advance_epoch(&mut self, step: u32) -> u32 {
+        if self.epoch > u32::MAX - step {
+            self.mark.fill(0);
+            self.resolved.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += step;
+        self.epoch
     }
 
     /// Loads one component into the dense view, reading adjacency (arc ids
@@ -600,7 +626,7 @@ impl Scratch {
     /// calls [`Scratch::ensure_component_rationals`] first.
     fn begin_component(&mut self, members: &[u32], csr: &Csr) {
         let n = members.len();
-        for (local, &node) in members.iter().enumerate() {
+        for (local, &node) in (0u32..).zip(members) {
             self.local_of[node as usize] = local;
         }
         self.arc_from.clear();
@@ -608,21 +634,20 @@ impl Scratch {
         self.arc_id.clear();
         self.first.clear();
         self.first.reserve(n + 1);
-        for (local, &node) in members.iter().enumerate() {
-            let node = node as usize;
-            self.first.push(self.arc_to.len());
-            let row = csr.row(node);
+        for (local, &node) in (0u32..).zip(members) {
+            self.first.push(self.arc_to.len() as u32);
+            let row = csr.row(node as usize);
             for (&target, &arc_id) in csr.targets[row.clone()].iter().zip(&csr.arcs[row]) {
                 let to = self.local_of[target as usize];
-                if to == usize::MAX {
+                if to == NO_LOCAL {
                     continue;
                 }
-                self.arc_from.push(local as u32);
-                self.arc_to.push(to as u32);
+                self.arc_from.push(local);
+                self.arc_to.push(to);
                 self.arc_id.push(arc_id);
             }
         }
-        self.first.push(self.arc_to.len());
+        self.first.push(self.arc_to.len() as u32);
         self.rationals_loaded = false;
         // Node-sized state used by both algorithms.
         grow_stamped(&mut self.mark, n);
@@ -644,8 +669,8 @@ impl Scratch {
         self.arc_time.reserve(self.arc_id.len());
         for &arc_id in &self.arc_id {
             let arc = graph.arc(arc_id);
-            self.arc_cost.push(arc.cost);
-            self.arc_time.push(arc.time);
+            self.arc_cost.push(arc.cost());
+            self.arc_time.push(arc.time());
         }
         self.rationals_loaded = true;
     }
@@ -662,10 +687,7 @@ impl Scratch {
             members
                 .iter()
                 .map(|&node| match successors.get(node as usize) {
-                    Some(&next) if next != NO_SUCCESSOR => {
-                        let local = self.local_of[next as usize];
-                        u32::try_from(local).unwrap_or(NO_SUCCESSOR)
-                    }
+                    Some(&next) if next != NO_SUCCESSOR => self.local_of[next as usize],
                     _ => NO_SUCCESSOR,
                 }),
         );
@@ -676,14 +698,14 @@ impl Scratch {
     /// before anything else on a cyclic component, so it is never stale.
     fn store_policy(&self, members: &[u32], successors: &mut [u32]) {
         for (local, &node) in members.iter().enumerate() {
-            successors[node as usize] = members[self.arc_to[self.policy[local]] as usize];
+            successors[node as usize] = members[self.arc_to[self.policy[local] as usize] as usize];
         }
     }
 
     /// Restores the renumbering table after a component is done.
     fn end_component(&mut self, members: &[u32]) {
         for &node in members {
-            self.local_of[node as usize] = usize::MAX;
+            self.local_of[node as usize] = NO_LOCAL;
         }
     }
 
@@ -693,7 +715,7 @@ impl Scratch {
     }
 }
 
-fn grow_stamped(buffer: &mut Vec<u64>, n: usize) {
+fn grow_stamped(buffer: &mut Vec<u32>, n: usize) {
     if buffer.len() < n {
         buffer.resize(n, 0);
     }
@@ -707,7 +729,7 @@ pub(crate) fn materialize_cycle(
     positions: &[usize],
 ) -> Result<CriticalCycle, McrError> {
     let arcs: Vec<ArcId> = positions.iter().map(|&p| scratch.arc_id[p]).collect();
-    let nodes: Vec<NodeId> = arcs.iter().map(|&arc| graph.arc(arc).from).collect();
+    let nodes: Vec<NodeId> = arcs.iter().map(|&arc| graph.arc(arc).from()).collect();
     let (cost, time) = graph.path_weight(&arcs)?;
     Ok(CriticalCycle {
         arcs,
@@ -809,7 +831,7 @@ fn find_violating_cycle(
         }
         for active_index in 0..scratch.active.len() {
             let node = scratch.active[active_index];
-            for position in scratch.first[node]..scratch.first[node + 1] {
+            for position in scratch.first[node] as usize..scratch.first[node + 1] as usize {
                 let to = scratch.arc_to[position] as usize;
                 let candidate = (
                     scratch.distance[node]
@@ -859,9 +881,8 @@ fn lex_greater(a: &(Rational, Rational), b: &(Rational, Rational)) -> bool {
 /// three-state marking. Returns the circuit's arc positions in traversal
 /// order, or `None` while the predecessor graph is still a forest.
 fn scan_predecessor_cycle(scratch: &mut Scratch, n: usize) -> Option<Vec<usize>> {
-    scratch.epoch += 2;
-    let on_chain = scratch.epoch - 1;
-    let done = scratch.epoch;
+    let done = scratch.advance_epoch(2);
+    let on_chain = done - 1;
     for start in 0..n {
         if scratch.mark[start] == done || scratch.mark[start] == on_chain {
             continue;
@@ -876,27 +897,27 @@ fn scan_predecessor_cycle(scratch: &mut Scratch, n: usize) -> Option<Vec<usize>>
                 break false;
             }
             scratch.mark[current] = on_chain;
-            scratch.mark_pos[current] = scratch.walk.len();
-            scratch.walk.push(current);
+            scratch.mark_pos[current] = scratch.walk.len() as u32;
+            scratch.walk.push(current as u32);
             current = predecessor_source(scratch, current);
         };
         if found {
             // The chain was collected walking *backwards*: the circuit is the
             // suffix from `current`'s first visit, reversed into traversal
             // order.
-            let first = scratch.mark_pos[current];
+            let first = scratch.mark_pos[current] as usize;
             let mut positions: Vec<usize> = scratch.walk[first..]
                 .iter()
-                .map(|&node| scratch.predecessor[node])
+                .map(|&node| scratch.predecessor[node as usize])
                 .collect();
             positions.reverse();
             for &node in &scratch.walk {
-                scratch.mark[node] = done;
+                scratch.mark[node as usize] = done;
             }
             return Some(positions);
         }
         for &node in &scratch.walk {
-            scratch.mark[node] = done;
+            scratch.mark[node as usize] = done;
         }
     }
     None
@@ -1089,6 +1110,23 @@ mod tests {
                 other => panic!("unexpected {other:?} for {choice:?}"),
             }
         }
+    }
+
+    #[test]
+    fn stamps_survive_the_epoch_wrapping() {
+        // A ring with chords takes several Howard rounds, so the stamp epoch
+        // wraps in the middle of a solve.
+        let mut g = RatioGraph::new(8);
+        for i in 0..8 {
+            g.add_arc(g.node(i), g.node((i + 1) % 8), int(i as i128), int(1));
+            g.add_arc(g.node(i), g.node((i + 3) % 8), int(1), int(2));
+        }
+        let expected = Solver::new(SolverChoice::Howard).solve(&g);
+        let mut solver = Solver::new(SolverChoice::Howard);
+        solver.scratch.epoch = u32::MAX - 3;
+        assert_eq!(solver.solve(&g), expected);
+        assert!(solver.scratch.epoch < 64);
+        assert_eq!(solver.solve(&g), expected);
     }
 
     #[test]

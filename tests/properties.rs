@@ -309,8 +309,8 @@ proptest! {
                         prop_assert_eq!(graph.path_weight(&circuit.arcs).expect("weights"), (circuit.cost, circuit.time));
                         for (index, &arc) in circuit.arcs.iter().enumerate() {
                             let next = circuit.arcs[(index + 1) % circuit.arcs.len()];
-                            prop_assert_eq!(graph.arc(arc).to, graph.arc(next).from);
-                            prop_assert_eq!(graph.arc(arc).from, circuit.nodes[index]);
+                            prop_assert_eq!(graph.arc(arc).to(), graph.arc(next).from());
+                            prop_assert_eq!(graph.arc(arc).from(), circuit.nodes[index]);
                         }
                     }
                 }
