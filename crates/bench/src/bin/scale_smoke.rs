@@ -19,11 +19,14 @@
 //! the baseline row's: a change to any of them (a solver lane that changed
 //! any decision, say) has to show up in review as a changed baseline.
 //!
-//! Memory is reported and gated too: `peak_rss_mb` is the process's peak
-//! resident set (`VmHWM`), and `event_graph_bytes` the heap the final event
-//! graph holds ([`kperiodic::EventGraphArena::heap_bytes`]), also per node
-//! and per arc. `--check` fails when the peak resident set exceeds the
-//! baseline's by more than [`RSS_TOLERANCE`].
+//! Memory is reported and gated too: `event_graph_bytes` is the heap the
+//! final event graph holds ([`kperiodic::EventGraphArena::heap_bytes`], by
+//! capacity), also printed per node and per arc, and `peak_rss_mb` the
+//! process's peak resident set (`VmHWM`). The event graph's bytes are
+//! deterministic per graph like the iteration count, so `--check` fails
+//! when they differ from the baseline row's. The peak resident set is only
+//! reported: it depends on the host's allocator, C library and huge-page
+//! setting, so a committed figure from one machine is no gate for another.
 //!
 //! Run with `cargo run -p kiter-bench --bin scale_smoke --release -- [--json]
 //! [--check BENCH_TABLE1.json]`. `KITER_SMOKE_TASKS` overrides the task count
@@ -41,12 +44,6 @@ use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterO
 /// Generous on purpose: CI machines are noisy; a real regression (losing the
 /// integer kernel, re-deriving the event graph per iteration) is >4×.
 const CHECK_FACTOR: f64 = 3.0;
-
-/// A `peak_rss_mb` more than this share above the baseline fails `--check`.
-/// Nine runs of one build on 2 cores spread by 0.6% at 10k tasks and 0.1%
-/// at 100k (2.6% at 1k, the 0.1 MiB print step on 3.9 MiB); 5% is about
-/// eight times the 10k spread.
-const RSS_TOLERANCE: f64 = 0.05;
 
 /// Parse and repetition-vector times are the fastest of at least this many
 /// runs: a run of a few milliseconds is too noisy to gate on its own, and a
@@ -169,7 +166,7 @@ fn main() {
                 iterations: result.iterations,
                 howard_rounds: stats.howard_rounds,
                 lanes: &lanes,
-                peak_rss_mb,
+                event_graph_bytes: heap_bytes,
             },
         );
     }
@@ -188,14 +185,14 @@ fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// What `--check` compares exactly (iterations, Howard rounds, the lane
-/// census as printed) or against a tolerance (the peak resident set).
+/// What `--check` compares exactly: iterations, Howard rounds, the lane
+/// census as printed and the event graph's heap bytes.
 #[derive(Clone, Copy)]
 struct Measured<'a> {
     iterations: usize,
     howard_rounds: u64,
     lanes: &'a str,
-    peak_rss_mb: f64,
+    event_graph_bytes: usize,
 }
 
 /// Runs `load` at least [`LOAD_REPEATS`] times and until [`LOAD_BUDGET`]
@@ -220,9 +217,8 @@ fn fastest_timed<T>(mut load: impl FnMut() -> T) -> (T, f64) {
 /// Compares the measured times — `(what, baseline key, milliseconds)` —
 /// against the committed baseline (the `"table":"scale_smoke"` JSON line
 /// whose `"tasks"` matches), failing the process on a regression beyond
-/// [`CHECK_FACTOR`], on a peak resident set beyond [`RSS_TOLERANCE`], or on
-/// any change of the iteration count, the Howard round count or the lane
-/// census.
+/// [`CHECK_FACTOR`], or on any change of the iteration count, the Howard
+/// round count, the lane census or the event graph's heap bytes.
 fn check_against_baseline(
     path: &str,
     tasks: usize,
@@ -233,7 +229,7 @@ fn check_against_baseline(
         iterations,
         howard_rounds,
         lanes,
-        peak_rss_mb,
+        event_graph_bytes,
     } = run;
     let contents = match std::fs::read_to_string(path) {
         Ok(contents) => contents,
@@ -252,13 +248,13 @@ fn check_against_baseline(
         Some(baseline_iterations),
         Some(baseline_rounds),
         Some(baseline_lanes),
-        Some(baseline_rss),
+        Some(baseline_bytes),
     ) = (
         baseline_times,
         baseline.and_then(|line| extract_number(line, "iterations")),
         baseline.and_then(|line| extract_number(line, "howard_rounds")),
         baseline.and_then(|line| extract_object(line, "lanes")),
-        baseline.and_then(|line| extract_number(line, "peak_rss_mb")),
+        baseline.and_then(|line| extract_number(line, "event_graph_bytes")),
     )
     else {
         eprintln!(
@@ -292,19 +288,15 @@ fn check_against_baseline(
         );
         std::process::exit(1);
     }
-    let rss_limit = baseline_rss * (1.0 + RSS_TOLERANCE);
-    if peak_rss_mb > rss_limit {
+    if event_graph_bytes as f64 != baseline_bytes {
         eprintln!(
-            "perf-smoke gate failed: peak RSS {peak_rss_mb:.1} MiB exceeds the committed \
-             baseline ({baseline_rss:.1} MiB -> limit {rss_limit:.1} MiB) at {tasks} tasks"
+            "perf-smoke gate failed: the event graph holds {event_graph_bytes} heap bytes, \
+             the committed baseline has {baseline_bytes} at {tasks} tasks (the figure is \
+             deterministic: a change moved the event graph's layout or capacities; \
+             regenerate the baseline only if that is intended)"
         );
         std::process::exit(1);
     }
-    eprintln!(
-        "perf-smoke gate ok: peak RSS {peak_rss_mb:.1} MiB within {:.0}% of the \
-         {baseline_rss:.1} MiB baseline",
-        RSS_TOLERANCE * 100.0
-    );
     for (&(what, _, measured), baseline) in timings.iter().zip(baseline_times) {
         let limit = baseline * CHECK_FACTOR;
         if measured > limit {

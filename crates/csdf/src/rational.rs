@@ -131,15 +131,20 @@ impl Rational {
 
     /// Rebuilds a rational from the parts of a reduced one — a
     /// [`Rational::numer`] / [`Rational::denom`] pair kept apart — without
-    /// the gcd that [`Rational::new`] pays. The caller vouches that
-    /// `den > 0` and that the parts have no common factor; a debug build
-    /// checks both. Parts of any other shape make a value that compares
-    /// unequal to the same number built by [`Rational::new`].
+    /// the gcd that [`Rational::new`] pays. Not part of the public API:
+    /// it serves crates that store reduced parts column-wise.
+    ///
+    /// The caller vouches that the parts have no common factor, which only a
+    /// debug build checks; parts with one make a value that compares unequal
+    /// to the same number built by [`Rational::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `den <= 0`.
+    #[doc(hidden)]
     pub fn from_reduced_parts(num: i128, den: i128) -> Self {
-        debug_assert!(
-            den > 0 && gcd_i128(num, den) == 1,
-            "{num}/{den} is not reduced"
-        );
+        assert!(den > 0, "denominator {den} is not positive");
+        debug_assert!(gcd_i128(num, den) == 1, "{num}/{den} is not reduced");
         Rational { num, den }
     }
 
@@ -534,6 +539,12 @@ mod tests {
         sum.add(&Rational::from_integer(-i128::MAX)).unwrap();
         sum.add(&Rational::from_integer(-1)).unwrap();
         assert_eq!(sum.finish(), Rational::from_integer(i128::MIN));
+    }
+
+    #[test]
+    #[should_panic(expected = "not positive")]
+    fn reduced_parts_refuse_a_non_positive_denominator() {
+        let _ = Rational::from_reduced_parts(1, -2);
     }
 
     #[test]
