@@ -33,7 +33,7 @@ use csdf::Throughput;
 
 pub use budget::Budget;
 pub use expansion::expansion_throughput;
-pub use periodic::{periodic_throughput, periodic_throughput_with_options};
+pub use periodic::periodic_throughput;
 pub use symbolic::symbolic_execution_throughput;
 
 /// How trustworthy the throughput reported by a baseline is.

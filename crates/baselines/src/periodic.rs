@@ -45,20 +45,12 @@ use crate::{EvaluationStatus, MethodResult};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn periodic_throughput(graph: &CsdfGraph) -> Result<MethodResult, AnalysisError> {
-    periodic_throughput_with_options(graph, &AnalysisOptions::default())
-}
-
-/// Same as [`periodic_throughput`] with explicit analysis options.
-///
-/// # Errors
-///
-/// Propagates [`AnalysisError`] from the underlying fixed-K evaluation.
-pub fn periodic_throughput_with_options(
-    graph: &CsdfGraph,
-    options: &AnalysisOptions,
-) -> Result<MethodResult, AnalysisError> {
     let start = Instant::now();
-    let evaluation = evaluate_k_periodic(graph, &PeriodicityVector::unitary(graph), options)?;
+    let evaluation = evaluate_k_periodic(
+        graph,
+        &PeriodicityVector::unitary(graph),
+        &AnalysisOptions::default(),
+    )?;
     let (status, throughput) = match evaluation.outcome {
         EvaluationOutcome::Feasible { throughput, .. } => {
             (EvaluationStatus::LowerBound, Some(throughput))

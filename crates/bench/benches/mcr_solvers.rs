@@ -1,8 +1,7 @@
 //! Micro-benchmark of the maximum-cycle-ratio solvers on event graphs of
 //! growing size (the inner kernel of every K-Iter iteration), head-to-head
-//! across [`mcr::SolverChoice`]s (with Karp's cycle mean as an oracle
-//! timing), plus the buffer-sized JPEG2000 reproducer whose infeasible event
-//! graphs made the parametric method run for minutes.
+//! across [`mcr::SolverChoice`]s, plus the buffer-sized JPEG2000 reproducer
+//! whose infeasible event graphs made the parametric method run for minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csdf_generators::apps::{industrial_app, jpeg2000};
@@ -10,7 +9,7 @@ use csdf_generators::{buffer_sized, random_graph, RandomGraphConfig};
 use kperiodic::{
     kiter_with_options, EventGraphArena, EventGraphLimits, KIterOptions, PeriodicityVector,
 };
-use mcr::{maximum_cycle_mean, RatioGraph, Solver, SolverChoice};
+use mcr::{RatioGraph, Solver, SolverChoice};
 
 fn solver_choices() -> [(&'static str, SolverChoice); 3] {
     [
@@ -49,11 +48,6 @@ fn bench_mcr(c: &mut Criterion) {
                 },
             );
         }
-        group.bench_with_input(
-            BenchmarkId::new("karp_cycle_mean", tasks),
-            event_graph.ratio_graph(),
-            |b, ratio_graph| b.iter(|| maximum_cycle_mean(ratio_graph).expect("solve")),
-        );
     }
     group.finish();
 }

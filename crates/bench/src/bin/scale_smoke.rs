@@ -114,12 +114,8 @@ fn main() {
     });
     let solve_ms = stats.solve_time.as_secs_f64() * 1e3;
     let lanes = format!(
-        "{{\"i64\":{},\"i128\":{},\"checked\":{},\"scalar\":{},\"parametric\":{}}}",
-        stats.lanes.int64,
-        stats.lanes.int128,
-        stats.lanes.checked,
-        stats.lanes.scalar,
-        stats.lanes.parametric,
+        "{{\"i64\":{},\"i128\":{},\"scalar\":{},\"parametric\":{}}}",
+        stats.lanes.int64, stats.lanes.int128, stats.lanes.scalar, stats.lanes.parametric,
     );
     let peak_rss_mb = peak_rss_mb();
     println!(

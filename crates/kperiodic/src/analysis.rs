@@ -137,8 +137,9 @@ pub struct PipelineStats {
     pub solve_time: Duration,
     /// Howard policy-evaluation rounds run by the MCR solver.
     pub howard_rounds: u64,
-    /// Strongly connected components the MCR solver solved per path
-    /// (integer-kernel lane, scalar fallback or parametric method).
+    /// Strongly connected components the MCR solver solved per path (the
+    /// `i64` or `i128` lane of the integer kernel, the scalar kernel or the
+    /// parametric method).
     pub lanes: mcr::LaneCounts,
     /// Construction time (build or patch) of the most recent evaluation —
     /// together with [`PipelineStats::last_solve_time`] this is the

@@ -18,113 +18,19 @@
 //! ```
 //!
 //! where `⌈x⌉^γ` (resp. `⌊x⌋^γ`) rounds up (resp. down) to a multiple of `γ`.
-//! This module computes these quantities on *expanded* rate vectors, so the
-//! same code serves the 1-periodic case and the K-periodic case (where every
-//! vector is duplicated `K_t` times, Section 3.2).
+//! This module computes these quantities for the *expanded* rate vectors, so
+//! the same code serves the 1-periodic case and the K-periodic case (where
+//! every vector is duplicated `K_t` times, Section 3.2).
 //!
-//! Constraints are emitted **per buffer**: [`phase_constraints`] returns the
-//! raw `(α, β)` pairs of one buffer, and [`emit_buffer_arcs`] turns them
-//! directly into the bi-valued event-graph arcs of that buffer (block-local
-//! endpoints plus `L`/`H` values); [`emit_buffer_arcs_tiled`] derives the
-//! same arcs straight from the base rates. The event-graph arena keeps every
+//! Constraints are emitted **per buffer**: [`emit_buffer_arcs_tiled`]
+//! derives the bi-valued event-graph arcs of one buffer (block-local
+//! endpoints plus `L`/`H` values) straight from the base rates, without
+//! expanding them. The naive double loop over the expanded vectors is kept
+//! in this module's tests as its oracle. The event-graph arena keeps every
 //! buffer's arcs in its ratio graph and only re-derives those of buffers
 //! whose producer or consumer changed periodicity or whose marking changed.
 
 use csdf::{CsdfError, Rational};
-
-/// One useful (non-redundant) precedence constraint between a producer phase
-/// and a consumer phase of a buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseConstraint {
-    /// 0-based producer phase index (into the expanded production vector).
-    pub producer_phase: usize,
-    /// 0-based consumer phase index (into the expanded consumption vector).
-    pub consumer_phase: usize,
-    /// The `α_a(p,p')` bound (a multiple of `gcd_a`).
-    pub alpha: i128,
-    /// The `β_a(p,p')` bound (a multiple of `gcd_a`); this is the value that
-    /// enters the schedule constraint and the event-graph arc weight.
-    pub beta: i128,
-}
-
-/// Computes every useful phase-pair constraint of a buffer described by its
-/// (possibly duplicated) production / consumption vectors and initial marking.
-///
-/// The returned constraints are exactly the pairs `(p, p')` of the paper's set
-/// `Y(a)` for which `α ≤ β`, in row-major order (producer phase outermost).
-///
-/// # Panics
-///
-/// Panics if either rate vector is empty or sums to zero (the
-/// [`csdf::CsdfGraphBuilder`] never produces such buffers).
-pub fn phase_constraints(
-    production: &[u64],
-    consumption: &[u64],
-    initial_tokens: u64,
-) -> Vec<PhaseConstraint> {
-    let mut constraints = Vec::new();
-    let emitted: Result<(), CsdfError> =
-        for_each_constraint(production, consumption, initial_tokens, |constraint| {
-            constraints.push(constraint);
-            Ok(())
-        });
-    emitted.expect("collecting constraints is infallible");
-    constraints
-}
-
-/// Visits every useful phase-pair constraint of one buffer in row-major order
-/// (producer phase outermost), without allocating the constraint list.
-///
-/// # Panics
-///
-/// Panics if either rate vector is empty or sums to zero (the
-/// [`csdf::CsdfGraphBuilder`] never produces such buffers).
-///
-/// # Errors
-///
-/// Propagates the first error returned by `visit`.
-pub(crate) fn for_each_constraint(
-    production: &[u64],
-    consumption: &[u64],
-    initial_tokens: u64,
-    mut visit: impl FnMut(PhaseConstraint) -> Result<(), CsdfError>,
-) -> Result<(), CsdfError> {
-    assert!(!production.is_empty() && !consumption.is_empty());
-    let total_production: u64 = production.iter().sum();
-    let total_consumption: u64 = consumption.iter().sum();
-    assert!(total_production > 0 && total_consumption > 0);
-    let gcd = csdf::gcd_u64(total_production, total_consumption) as i128;
-
-    // 1-based cumulative consumption (the inner loop reuses it per producer
-    // phase; the cumulative production is carried by the outer loop).
-    let mut cumulative_consumption = Vec::with_capacity(consumption.len());
-    let mut running = 0i128;
-    for &rate in consumption {
-        running += rate as i128;
-        cumulative_consumption.push(running);
-    }
-
-    let marking = initial_tokens as i128;
-    let mut produced_before = 0i128;
-    for (p, &produced_here) in production.iter().enumerate() {
-        produced_before += produced_here as i128;
-        for (p_prime, &consumed_here) in consumption.iter().enumerate() {
-            let consumed_before = cumulative_consumption[p_prime];
-            let q_value = consumed_before - produced_before - marking + produced_here as i128;
-            let alpha = ceil_to_multiple(q_value - (produced_here.min(consumed_here)) as i128, gcd);
-            let beta = floor_to_multiple(q_value - 1, gcd);
-            if alpha <= beta {
-                visit(PhaseConstraint {
-                    producer_phase: p,
-                    consumer_phase: p_prime,
-                    alpha,
-                    beta,
-                })?;
-            }
-        }
-    }
-    Ok(())
-}
 
 /// One re-derived bi-valued arc of a buffer's constraint set, as the
 /// emission writes it into the arena's scratch. Endpoints are *block-local*
@@ -141,45 +47,6 @@ pub(crate) struct BufferArc {
     /// `H(e)`: `−β_a(p, p') / (i_b · q_t)` — see the arena docs for why the
     /// `lcm(K)` factor of the paper's formula is deliberately left out.
     pub time: Rational,
-}
-
-/// Derives the bi-valued arcs of one buffer under the current periodicity:
-/// Theorem-2 constraints over the expanded rate vectors, bi-valued with the
-/// producer-phase duration as cost and `−β / denominator` as time.
-///
-/// `base_durations` is the producer's base duration slice (`ϕ(t)` entries;
-/// expanded phase `p` lasts `base_durations[p mod ϕ(t)]`) and `denominator`
-/// the K-invariant `i_b · q_t` of the buffer. The result is written into
-/// `out` (cleared first).
-///
-/// # Errors
-///
-/// Returns [`CsdfError::Rational`] when a time value overflows `i128`.
-// Outside tests the arena only drives the tiled fast path; the naive
-// emission is retained as the executable reference semantics and the oracle
-// of `tiled_emission_matches_the_naive_oracle`.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn emit_buffer_arcs(
-    production: &[u64],
-    consumption: &[u64],
-    initial_tokens: u64,
-    base_durations: &[u64],
-    denominator: i128,
-    out: &mut Vec<BufferArc>,
-) -> Result<(), CsdfError> {
-    out.clear();
-    for_each_constraint(production, consumption, initial_tokens, |constraint| {
-        let duration = base_durations[constraint.producer_phase % base_durations.len()];
-        out.push(BufferArc {
-            producer_phase: u32::try_from(constraint.producer_phase)
-                .map_err(|_| CsdfError::Overflow)?,
-            consumer_phase: u32::try_from(constraint.consumer_phase)
-                .map_err(|_| CsdfError::Overflow)?,
-            cost: Rational::from_integer(duration as i128),
-            time: Rational::new(-constraint.beta, denominator).map_err(CsdfError::Rational)?,
-        });
-        Ok(())
-    })
 }
 
 /// Reusable scratch of [`emit_buffer_arcs_tiled`], so that a call allocates
@@ -214,13 +81,13 @@ const WORD_LIMIT: u128 = 1 << 60;
 /// `q_j = q_0 + j·o_b (mod g̃)`: the tile indices `j` that satisfy it form a
 /// union of congruence classes modulo `g̃ / gcd(o_b, g̃)` that can be solved
 /// directly (one modular inverse per class) instead of probed one by one.
-/// The naive [`emit_buffer_arcs`] is `O(K_s·ϕ_s · K_t·ϕ_t)` per buffer —
+/// The naive expanded double loop is `O(K_s·ϕ_s · K_t·ϕ_t)` per buffer —
 /// ~50M probes per buffer for the paper's buffer-sized JPEG2000 instance at
 /// full `K`, which dominated the whole analysis — while this path is
 /// `O(K_s·ϕ_s · (ϕ_c + arcs log arcs))` with a per-phase fallback that never
 /// exceeds the naive inner loop. The emitted arcs are **bit-identical, in
 /// identical row-major order** (property-tested against the naive oracle in
-/// this module).
+/// this module's tests).
 ///
 /// One body serves two word widths: `i64` while `i_b·K_s`, `o_b·K_t` and
 /// `M0` stay below `2^60`, `i128` beyond. The arcs are **appended** to `out`,
@@ -494,28 +361,8 @@ fn mod_inverse(a: i128, m: i128) -> i128 {
     x_prev.rem_euclid(m)
 }
 
-/// Duplicates a rate vector `factor` times (the `[v]^P` notation of the
-/// paper's Section 3.2).
-pub fn duplicate_rates(rates: &[u64], factor: u64) -> Vec<u64> {
-    let mut duplicated = Vec::with_capacity(
-        rates
-            .len()
-            .saturating_mul(usize::try_from(factor).unwrap_or(usize::MAX)),
-    );
-    for _ in 0..factor {
-        duplicated.extend_from_slice(rates);
-    }
-    duplicated
-}
-
-/// Rounds `value` down to a multiple of `step` (`⌊value⌋^step`).
-pub fn floor_to_multiple(value: i128, step: i128) -> i128 {
-    debug_assert!(step > 0);
-    value.div_euclid(step) * step
-}
-
 /// Rounds `value` up to a multiple of `step` (`⌈value⌉^step`).
-pub fn ceil_to_multiple(value: i128, step: i128) -> i128 {
+pub(crate) fn ceil_to_multiple(value: i128, step: i128) -> i128 {
     debug_assert!(step > 0);
     -((-value).div_euclid(step)) * step
 }
@@ -523,6 +370,92 @@ pub fn ceil_to_multiple(value: i128, step: i128) -> i128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One useful (non-redundant) precedence constraint between a producer
+    /// phase and a consumer phase of a buffer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct PhaseConstraint {
+        /// 0-based producer phase index (into the expanded production vector).
+        producer_phase: usize,
+        /// 0-based consumer phase index (into the expanded consumption vector).
+        consumer_phase: usize,
+        /// The `α_a(p,p')` bound (a multiple of `gcd_a`).
+        alpha: i128,
+        /// The `β_a(p,p')` bound (a multiple of `gcd_a`); this is the value
+        /// that enters the schedule constraint and the event-graph arc weight.
+        beta: i128,
+    }
+
+    /// The naive Theorem-2 path, the reference semantics of the tiled
+    /// emission: every useful phase-pair constraint of a buffer described by
+    /// its (possibly duplicated) production / consumption vectors and initial
+    /// marking, probing every pair. These are exactly the pairs `(p, p')` of
+    /// the paper's set `Y(a)` for which `α ≤ β`, in row-major order (producer
+    /// phase outermost).
+    fn phase_constraints(
+        production: &[u64],
+        consumption: &[u64],
+        initial_tokens: u64,
+    ) -> Vec<PhaseConstraint> {
+        let gcd = csdf::gcd_u64(production.iter().sum(), consumption.iter().sum()) as i128;
+        let marking = initial_tokens as i128;
+        let mut constraints = Vec::new();
+        let mut produced_before = 0i128;
+        for (p, &produced_here) in production.iter().enumerate() {
+            produced_before += produced_here as i128;
+            let mut consumed_before = 0i128;
+            for (p_prime, &consumed_here) in consumption.iter().enumerate() {
+                consumed_before += consumed_here as i128;
+                let q_value = consumed_before - produced_before - marking + produced_here as i128;
+                let alpha =
+                    ceil_to_multiple(q_value - (produced_here.min(consumed_here)) as i128, gcd);
+                let beta = floor_to_multiple(q_value - 1, gcd);
+                if alpha <= beta {
+                    constraints.push(PhaseConstraint {
+                        producer_phase: p,
+                        consumer_phase: p_prime,
+                        alpha,
+                        beta,
+                    });
+                }
+            }
+        }
+        constraints
+    }
+
+    /// The bi-valued arcs of [`phase_constraints`]: the producer-phase
+    /// duration (`base_durations[p mod ϕ(t)]`) as cost and `−β / denominator`
+    /// as time.
+    fn emit_buffer_arcs(
+        production: &[u64],
+        consumption: &[u64],
+        initial_tokens: u64,
+        base_durations: &[u64],
+        denominator: i128,
+    ) -> Vec<BufferArc> {
+        phase_constraints(production, consumption, initial_tokens)
+            .into_iter()
+            .map(|constraint| BufferArc {
+                producer_phase: u32::try_from(constraint.producer_phase).unwrap(),
+                consumer_phase: u32::try_from(constraint.consumer_phase).unwrap(),
+                cost: Rational::from_integer(
+                    base_durations[constraint.producer_phase % base_durations.len()] as i128,
+                ),
+                time: Rational::new(-constraint.beta, denominator).unwrap(),
+            })
+            .collect()
+    }
+
+    /// Duplicates a rate vector `factor` times (the `[v]^P` notation of the
+    /// paper's Section 3.2).
+    fn duplicate_rates(rates: &[u64], factor: u64) -> Vec<u64> {
+        rates.repeat(factor as usize)
+    }
+
+    /// Rounds `value` down to a multiple of `step` (`⌊value⌋^step`).
+    fn floor_to_multiple(value: i128, step: i128) -> i128 {
+        value.div_euclid(step) * step
+    }
 
     /// Emits one buffer both ways and requires bit-identical arcs in
     /// identical order; returns the arc count.
@@ -537,16 +470,13 @@ mod tests {
         denominator: i128,
         scratch: &mut EmitScratch,
     ) -> usize {
-        let mut naive = Vec::new();
-        emit_buffer_arcs(
+        let naive = emit_buffer_arcs(
             &duplicate_rates(production, k_source),
             &duplicate_rates(consumption, k_target),
             tokens,
             durations,
             denominator,
-            &mut naive,
-        )
-        .expect("naive emission succeeds");
+        );
         // The tiled emission appends: a stale prefix must stay untouched.
         let stale = BufferArc {
             producer_phase: 7,

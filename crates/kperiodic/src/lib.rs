@@ -6,11 +6,12 @@
 //!
 //! * [`PeriodicityVector`] — the vector `K` of a K-periodic schedule
 //!   (Section 2.4);
-//! * [`duplicate_phases`] / [`transformed_repetition_vector`] — the `G → G̃`
-//!   transformation of Section 3.2 (Theorem 3);
 //! * [`EventGraphArena`] — the bi-valued graph whose maximum cost-to-time
 //!   ratio is the minimum period (Section 3.3), built once and patched in
-//!   place across iterations;
+//!   place across iterations. Its arcs are the Theorem-2 constraints of the
+//!   transformed graph `G̃` of Section 3.2 (every phase vector repeated
+//!   `K_t` times, Theorem 3), derived from the base rates without building
+//!   `G̃`;
 //! * [`EvaluationPipeline`] — the one fixed-K evaluation path, reused by
 //!   K-Iter across its iterations; [`evaluate_k_periodic`] runs a fresh one
 //!   (at unitary `K` it gives the 1-periodic bound of reference \[4\]);
@@ -72,7 +73,6 @@
 mod analysis;
 mod arena;
 mod constraints;
-mod duplication;
 mod error;
 mod event_graph;
 mod kiter;
@@ -87,10 +87,6 @@ pub use analysis::{
     KPeriodicEvaluation, PipelineStats,
 };
 pub use arena::{ArenaUpdate, AssembleMode, EventGraphArena};
-pub use constraints::{
-    ceil_to_multiple, duplicate_rates, floor_to_multiple, phase_constraints, PhaseConstraint,
-};
-pub use duplication::{duplicate_phases, transformed_repetition_vector};
 pub use error::AnalysisError;
 pub use event_graph::{EventGraphLimits, EventNode};
 pub use kiter::{

@@ -9,9 +9,9 @@
 //! single sweep over the arcs.
 //!
 //! This scalar kernel is the fallback of the integer kernel in
-//! [`crate::kernel`] (which runs whenever a component's scaled weights fit
-//! `i128`) and the reference its tests compare against; an order-sensitive
-//! change here must be mirrored there.
+//! [`crate::kernel`] (which runs whenever one of its two lanes admits the
+//! component) and the reference its tests compare against; an
+//! order-sensitive change here must be mirrored there.
 //!
 //! # Exactness
 //!

@@ -30,8 +30,8 @@
 //! # Lanes
 //!
 //! One source runs on two word widths, `i64` and `i128` (the private
-//! [`Word`] trait), with arithmetic unchecked or checked. A component's
-//! common denominators `Dc` and `Dt` are the lcm of the cost and of the time
+//! [`Word`] trait), with plain unchecked arithmetic. A component's common
+//! denominators `Dc` and `Dt` are the lcm of the cost and of the time
 //! denominators of the classes its arcs use; scaling writes
 //! `L̂ = L·Dc/den(L)` and `Ĥ = H·Dt/den(H)` and records the largest scaled
 //! magnitude `B = max |L̂|, |Ĥ|`, and `n·B` bounds every quantity the
@@ -49,9 +49,8 @@
 //!
 //! | lane | condition | largest value |
 //! |---|---|---|
-//! | `i64`, unchecked | `n·B ≤ 2^30` | `4n²B² ≤ 2^62 < 2^63` |
-//! | `i128`, unchecked | `n·B ≤ 2^62` | `4n²B² ≤ 2^126 < 2^127` |
-//! | `i128`, checked | otherwise | overflow detected |
+//! | `i64` | `n·B ≤ 2^30` | `4n²B² ≤ 2^62 < 2^63` |
+//! | `i128` | `n·B ≤ 2^62` | `4n²B² ≤ 2^126 < 2^127` |
 //!
 //! Scaling takes one lcm per denominator class the component uses, then one
 //! pass writing the words of the lane it expects, one multiply per arc by
@@ -60,11 +59,10 @@
 //! `2^30`, is scaled again onto `i128` words. A graph of one class (an event
 //! graph whose times are all integers, say) is neither scanned for classes
 //! nor multiplied. The common denominators are the lcm of the component's
-//! reduced denominators, whatever order its classes come in. The unchecked
-//! lanes compute the same values as the checked lane without overflow
-//! branches, and their gain round skips the row scan of every node already
-//! at the round-start maximum gain (gain rounds only copy existing gains,
-//! so no strictly greater gain can appear within the round).
+//! reduced denominators, whatever order its classes come in. The gain round
+//! skips the row scan of every node already at the round-start maximum gain
+//! (gain rounds only copy existing gains, so no strictly greater gain can
+//! appear within the round).
 //!
 //! # Exactness and fallback
 //!
@@ -72,14 +70,16 @@
 //! classification, the convergence test, the certificate condition) is the
 //! scalar decision multiplied through by positive common denominators, so the
 //! policy trajectory — and therefore the returned circuit and ratio — is
-//! **bit-identical** to the scalar path's, on every lane. In the checked lane
-//! all arithmetic is checked: if a scaled numerator, a product, or a common
-//! denominator does not fit `i128` (the lcm of the classes' denominators
-//! can overflow even where every circuit's sum fits),
-//! [`howard_component_int`] returns `None`
-//! and the caller runs the scalar kernel instead, which has no such limits.
-//! The equivalence (every lane, at and beyond its bound, and the fallback) is
-//! pinned by this module's tests.
+//! **bit-identical** to the scalar path's, on both lanes. Since a lane only
+//! admits components its bound proves, the iteration itself cannot overflow.
+//! Only the kernel entry can fail: when a common denominator does not fit
+//! `i128` (the lcm of the classes' denominators can overflow even where
+//! every circuit's sum fits), a scaled weight does not fit `i128`, `n·B`
+//! exceeds `2^62`, or λ does not fit a [`Rational`],
+//! [`howard_component_int`] returns `None` and the caller runs the scalar
+//! kernel instead, which has no such limits. The equivalence (both lanes, at
+//! and beyond their bounds, and the fallback) is pinned by this module's
+//! tests.
 
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -93,9 +93,9 @@ use crate::howard::{
 };
 use crate::solve::Scratch;
 
-/// Largest `n·B` the unchecked `i64` lane accepts (see the module docs).
+/// Largest `n·B` the `i64` lane accepts (see the module docs).
 const I64_BOUND: i128 = 1 << 30;
-/// Largest `n·B` the unchecked `i128` lane accepts.
+/// Largest `n·B` the `i128` lane accepts.
 const I128_BOUND: i128 = 1 << 62;
 
 /// An integer word the kernel runs on: `i64` or `i128`.
@@ -111,9 +111,6 @@ pub(crate) trait Word:
 {
     const ZERO: Self;
     const ONE: Self;
-    fn checked_add(self, other: Self) -> Option<Self>;
-    fn checked_sub(self, other: Self) -> Option<Self>;
-    fn checked_mul(self, other: Self) -> Option<Self>;
     fn from_i128(value: i128) -> Option<Self>;
     fn to_i128(self) -> i128;
     /// This width's kernel state in `scratch`.
@@ -130,18 +127,6 @@ macro_rules! word {
         impl Word for $word {
             const ZERO: Self = 0;
             const ONE: Self = 1;
-            #[inline(always)]
-            fn checked_add(self, other: Self) -> Option<Self> {
-                <$word>::checked_add(self, other)
-            }
-            #[inline(always)]
-            fn checked_sub(self, other: Self) -> Option<Self> {
-                <$word>::checked_sub(self, other)
-            }
-            #[inline(always)]
-            fn checked_mul(self, other: Self) -> Option<Self> {
-                <$word>::checked_mul(self, other)
-            }
             #[inline(always)]
             fn from_i128(value: i128) -> Option<Self> {
                 Self::try_from(value).ok()
@@ -176,8 +161,8 @@ pub(crate) struct IntWords<W> {
 /// Runs Howard's policy iteration on the component currently loaded in
 /// `scratch` (`n` nodes) using the integer kernel, on the narrowest lane the
 /// component's scaled weights allow, and counts the lane. Returns `None`
-/// when the component cannot be scaled into `i128` range or the checked lane
-/// overflows (the caller falls back to the scalar kernel).
+/// when no lane admits the component or λ does not fit a [`Rational`] (the
+/// caller falls back to the scalar kernel).
 pub(crate) fn howard_component_int(
     graph: &RatioGraph,
     scratch: &mut Scratch,
@@ -187,30 +172,30 @@ pub(crate) fn howard_component_int(
         return Some(HowardOutcome::Bail);
     }
     let denominators = common_denominators(graph, scratch)?;
-    let narrow = with_words(scratch, |scratch, words: &mut IntWords<i64>| {
-        let scaled = scale_component(graph, scratch, denominators, words)
-            .filter(|scaled| scaled.bound(n) <= I64_BOUND)?;
-        Some(iterate::<_, true>(scratch, words, n, &scaled))
-    });
-    if let Some(outcome) = narrow {
+    if let Some(outcome) = run_lane::<i64>(graph, scratch, denominators, n, I64_BOUND) {
         scratch.lanes.int64 += u64::from(outcome.is_some());
         return outcome;
     }
-    let (outcome, unchecked) = with_words(scratch, |scratch, words: &mut IntWords<i128>| {
-        let scaled = scale_component(graph, scratch, denominators, words)?;
-        Some(if scaled.bound(n) <= I128_BOUND {
-            (iterate::<_, true>(scratch, words, n, &scaled), true)
-        } else {
-            (iterate::<_, false>(scratch, words, n, &scaled), false)
-        })
-    })?;
-    let outcome = outcome?;
-    if unchecked {
-        scratch.lanes.int128 += 1;
-    } else {
-        scratch.lanes.checked += 1;
-    }
+    let outcome = run_lane::<i128>(graph, scratch, denominators, n, I128_BOUND)??;
+    scratch.lanes.int128 += 1;
     Some(outcome)
+}
+
+/// Scales the component onto `W` words and iterates on them, if its scaled
+/// weights fit `W` and its `n·B` is at most `bound`; `None` otherwise. The
+/// inner `None` is [`iterate`]'s λ overflow.
+fn run_lane<W: Word>(
+    graph: &RatioGraph,
+    scratch: &mut Scratch,
+    denominators: (i128, i128),
+    n: usize,
+    bound: i128,
+) -> Option<Option<HowardOutcome>> {
+    with_words(scratch, |scratch, words: &mut IntWords<W>| {
+        let scaled = scale_component(graph, scratch, denominators, words)
+            .filter(|scaled| scaled.bound(n) <= bound)?;
+        Some(iterate(scratch, words, n, &scaled))
+    })
 }
 
 /// Runs `body` with the `W` words moved out of `scratch` (their allocation
@@ -225,9 +210,9 @@ fn with_words<W: Word, R>(
     result
 }
 
-/// The policy iteration proper, on an already scaled component. `FAST`
-/// selects the unchecked lane (see the module docs for when it is sound).
-fn iterate<W: Word, const FAST: bool>(
+/// The policy iteration proper, on a component scaled within its lane's
+/// bound. `None` only when λ does not fit a [`Rational`].
+fn iterate<W: Word>(
     scratch: &mut Scratch,
     words: &mut IntWords<W>,
     n: usize,
@@ -253,12 +238,12 @@ fn iterate<W: Word, const FAST: bool>(
             return Some(HowardOutcome::Bail);
         }
         scratch.howard_rounds += 1;
-        match evaluate::<W, FAST>(scratch, words, n)? {
+        match evaluate(scratch, words, n) {
             Evaluation::Done => {}
             Evaluation::Infinite(circuits) => return Some(HowardOutcome::Infinite { circuits }),
             Evaluation::Bail => return Some(HowardOutcome::Bail),
         }
-        if !improve::<W, FAST>(scratch, words, n)? {
+        if !improve(scratch, words, n) {
             converged = true;
             break;
         }
@@ -272,7 +257,7 @@ fn iterate<W: Word, const FAST: bool>(
     // rationals are equal).
     let mut best_node = 0usize;
     for node in 1..n {
-        if cmp_gain::<W, FAST>(words, node, best_node)? != Ordering::Less {
+        if cmp_gain(words, node, best_node) != Ordering::Less {
             best_node = node;
         }
     }
@@ -283,7 +268,7 @@ fn iterate<W: Word, const FAST: bool>(
     }
     // λ = (g_n / g_d) · (Dt / Dc), reduced once; identical to the scalar
     // circuit ratio because both are the same rational number in canonical
-    // form. Overflow here is as good as overflow anywhere: fall back.
+    // form. A λ past `i128` falls back to the scalar kernel.
     let gain = Rational::new(
         words.gain_num[best_node].to_i128(),
         words.gain_den[best_node].to_i128(),
@@ -299,7 +284,6 @@ fn iterate<W: Word, const FAST: bool>(
         Some(HowardOutcome::Estimate { lambda, positions })
     }
 }
-
 /// The common denominators of a scaled component, plus the facts the kernel
 /// entry needs that would otherwise cost extra full passes over the arrays.
 struct ScaledComponent {
@@ -447,64 +431,25 @@ fn lcm_i128(a: i128, b: i128) -> Option<i128> {
     (a / g).checked_mul(b)
 }
 
-/// `a · b`: unchecked in the fast lanes (proven in range), checked otherwise.
-#[inline(always)]
-fn mul<W: Word, const FAST: bool>(a: W, b: W) -> Option<W> {
-    if FAST {
-        Some(a * b)
-    } else {
-        a.checked_mul(b)
-    }
-}
-
-/// `a + b`, with the lane semantics of [`mul`].
-#[inline(always)]
-fn add<W: Word, const FAST: bool>(a: W, b: W) -> Option<W> {
-    if FAST {
-        Some(a + b)
-    } else {
-        a.checked_add(b)
-    }
-}
-
 /// `L̂(e)·g_d − g_n·Ĥ(e)`: the reduced weight of an arc under gain
 /// `g_n / g_d`, scaled by the (positive) class denominator `g_d`.
 #[inline(always)]
-fn reduced_weight<W: Word, const FAST: bool>(cost: W, time: W, num: W, den: W) -> Option<W> {
-    let scaled_cost = mul::<W, FAST>(cost, den)?;
-    let scaled_time = mul::<W, FAST>(num, time)?;
-    if FAST {
-        Some(scaled_cost - scaled_time)
-    } else {
-        scaled_cost.checked_sub(scaled_time)
-    }
+fn reduced_weight<W: Word>(cost: W, time: W, num: W, den: W) -> W {
+    cost * den - num * time
 }
 
 /// Compares the gains of two local nodes: canonical pairs with positive
-/// denominators, so one cross-multiplication decides. `None` on overflow
-/// (the caller abandons the integer kernel — a wrong ordering must never be
-/// returned silently).
+/// denominators, so one cross-multiplication decides.
 #[inline(always)]
-fn cmp_gain<W: Word, const FAST: bool>(
-    words: &IntWords<W>,
-    a: usize,
-    b: usize,
-) -> Option<Ordering> {
-    let lhs = mul::<W, FAST>(words.gain_num[a], words.gain_den[b])?;
-    let rhs = mul::<W, FAST>(words.gain_num[b], words.gain_den[a])?;
-    Some(lhs.cmp(&rhs))
+fn cmp_gain<W: Word>(words: &IntWords<W>, a: usize, b: usize) -> Ordering {
+    (words.gain_num[a] * words.gain_den[b]).cmp(&(words.gain_num[b] * words.gain_den[a]))
 }
 
 /// Integer policy evaluation: mirrors `howard::evaluate` decision for
 /// decision, including the collection of every infeasible policy circuit
-/// once the first one is met. Outer `None` means arithmetic overflow (caller
-/// falls back to the scalar kernel); the inner [`Evaluation`] values have the
-/// scalar meanings.
-fn evaluate<W: Word, const FAST: bool>(
-    scratch: &mut Scratch,
-    words: &mut IntWords<W>,
-    n: usize,
-) -> Option<Evaluation> {
+/// once the first one is met; the [`Evaluation`] values have the scalar
+/// meanings.
+fn evaluate<W: Word>(scratch: &mut Scratch, words: &mut IntWords<W>, n: usize) -> Evaluation {
     let resolved = scratch.advance_epoch(2);
     let on_walk = resolved - 1;
     let mut infinite: Vec<Vec<usize>> = Vec::new();
@@ -534,7 +479,7 @@ fn evaluate<W: Word, const FAST: bool>(
         let p = mark_pos[current] as usize;
         if !infinite.is_empty() {
             if new_circuit {
-                let (cost, time) = circuit_sums::<W, FAST>(scratch, words, p)?;
+                let (cost, time) = circuit_sums(scratch, words, p);
                 if is_infeasible(cost, time) {
                     infinite.push(circuit_positions(scratch, p));
                 }
@@ -545,15 +490,15 @@ fn evaluate<W: Word, const FAST: bool>(
             continue;
         }
         if !new_circuit {
-            resolve_walk_tree::<W, FAST>(scratch, words, scratch.walk.len(), resolved)?;
+            resolve_walk_tree(scratch, words, scratch.walk.len(), resolved);
             continue;
         }
-        let (cost, time) = circuit_sums::<W, FAST>(scratch, words, p)?;
+        let (cost, time) = circuit_sums(scratch, words, p);
         if time <= W::ZERO {
             // Same classification as the scalar kernel (the positive scaling
             // preserves every sign).
             if !is_infeasible(cost, time) {
-                return Some(Evaluation::Bail);
+                return Evaluation::Bail;
             }
             infinite.push(circuit_positions(scratch, p));
             for &node in &scratch.walk {
@@ -561,13 +506,13 @@ fn evaluate<W: Word, const FAST: bool>(
             }
             continue;
         }
-        resolve_walk::<W, FAST>(scratch, words, p, cost, time, resolved)?;
+        resolve_walk(scratch, words, p, cost, time, resolved);
     }
-    Some(if infinite.is_empty() {
+    if infinite.is_empty() {
         Evaluation::Done
     } else {
         Evaluation::Infinite(infinite)
-    })
+    }
 }
 
 /// Non-positive time and lexicographically positive weight: the scaled twin
@@ -578,31 +523,27 @@ fn is_infeasible<W: Word>(cost: W, time: W) -> bool {
 
 /// Scaled cost and time sums of the policy circuit `walk[p..]` — plain
 /// integer adds.
-fn circuit_sums<W: Word, const FAST: bool>(
-    scratch: &Scratch,
-    words: &IntWords<W>,
-    p: usize,
-) -> Option<(W, W)> {
+fn circuit_sums<W: Word>(scratch: &Scratch, words: &IntWords<W>, p: usize) -> (W, W) {
     let mut cost = W::ZERO;
     let mut time = W::ZERO;
     for &node in &scratch.walk[p..] {
         let position = scratch.policy[node as usize] as usize;
-        cost = add::<W, FAST>(cost, words.cost[position])?;
-        time = add::<W, FAST>(time, words.time[position])?;
+        cost = cost + words.cost[position];
+        time = time + words.time[position];
     }
-    Some((cost, time))
+    (cost, time)
 }
 
 /// Assigns gain `cost / time` (positive time) and values to the new policy
 /// circuit `walk[p..]`, then to the tree part `walk[..p]` of the walk.
-fn resolve_walk<W: Word, const FAST: bool>(
+fn resolve_walk<W: Word>(
     scratch: &mut Scratch,
     words: &mut IntWords<W>,
     p: usize,
     cost: W,
     time: W,
     resolved: u32,
-) -> Option<()> {
+) {
     let Scratch {
         policy,
         resolved: resolved_stamp,
@@ -632,25 +573,24 @@ fn resolve_walk<W: Word, const FAST: bool>(
     for walk_index in (p + 1..walk.len()).rev() {
         let node = walk[walk_index] as usize;
         let position = policy[node] as usize;
-        let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
-        let value = add::<W, FAST>(weight, next_value)?;
+        let value = reduced_weight(costs[position], times[position], num, den) + next_value;
         gain_num[node] = num;
         gain_den[node] = den;
         values[node] = value;
         resolved_stamp[node] = resolved;
         next_value = value;
     }
-    resolve_walk_tree::<W, FAST>(scratch, words, p, resolved)
+    resolve_walk_tree(scratch, words, p, resolved);
 }
 
 /// Tree part `walk[..tree_top]` of a walk: propagates gain class and value
 /// backwards from the (already resolved) junction.
-fn resolve_walk_tree<W: Word, const FAST: bool>(
+fn resolve_walk_tree<W: Word>(
     scratch: &mut Scratch,
     words: &mut IntWords<W>,
     tree_top: usize,
     resolved: u32,
-) -> Option<()> {
+) {
     let Scratch {
         arc_to,
         policy,
@@ -672,14 +612,12 @@ fn resolve_walk_tree<W: Word, const FAST: bool>(
         debug_assert_eq!(resolved_stamp[successor], resolved);
         let num = gain_num[successor];
         let den = gain_den[successor];
-        let weight = reduced_weight::<W, FAST>(costs[position], times[position], num, den)?;
-        let value = add::<W, FAST>(weight, values[successor])?;
         gain_num[node] = num;
         gain_den[node] = den;
-        values[node] = value;
+        values[node] =
+            reduced_weight(costs[position], times[position], num, den) + values[successor];
         resolved_stamp[node] = resolved;
     }
-    Some(())
 }
 
 /// Integer policy improvement, mirroring `howard::improve`: gain
@@ -687,12 +625,8 @@ fn resolve_walk_tree<W: Word, const FAST: bool>(
 /// earlier commits), then bias improvements between equal-gain nodes — where
 /// "equal gain" is equality of canonical pairs, so the bias comparison is a
 /// plain integer comparison over the shared class denominator. Returns
-/// `Some(changed)`, or `None` on overflow.
-fn improve<W: Word, const FAST: bool>(
-    scratch: &mut Scratch,
-    words: &mut IntWords<W>,
-    n: usize,
-) -> Option<bool> {
+/// whether the policy changed.
+fn improve<W: Word>(scratch: &mut Scratch, words: &mut IntWords<W>, n: usize) -> bool {
     let Scratch {
         arc_to,
         first,
@@ -707,22 +641,20 @@ fn improve<W: Word, const FAST: bool>(
         value: values,
     } = words;
 
-    // Fast lanes: the round-start maximum gain. A node already at it cannot
-    // strictly improve, so its row scan is skipped. Canonical pairs make the
+    // The round-start maximum gain. A node already at it cannot strictly
+    // improve, so its row scan is skipped. Canonical pairs make the
     // equality test two integer compares.
     let (mut max_num, mut max_den) = (gain_num[0], gain_den[0]);
-    if FAST {
-        for node in 1..n {
-            if gain_num[node] * max_den > max_num * gain_den[node] {
-                max_num = gain_num[node];
-                max_den = gain_den[node];
-            }
+    for node in 1..n {
+        if gain_num[node] * max_den > max_num * gain_den[node] {
+            max_num = gain_num[node];
+            max_den = gain_den[node];
         }
     }
 
     let mut changed = false;
     for node in 0..n {
-        if FAST && gain_num[node] == max_num && gain_den[node] == max_den {
+        if gain_num[node] == max_num && gain_den[node] == max_den {
             continue;
         }
         let mut best_position = policy[node];
@@ -730,16 +662,12 @@ fn improve<W: Word, const FAST: bool>(
         let (lo, hi) = (first[node], first[node + 1]);
         for (position, &to) in (lo..hi).zip(&arc_to[lo as usize..hi as usize]) {
             let target = to as usize;
-            let lhs = mul::<W, FAST>(gain_num[target], gain_den[best])?;
-            let rhs = mul::<W, FAST>(gain_num[best], gain_den[target])?;
-            if lhs > rhs {
+            if gain_num[target] * gain_den[best] > gain_num[best] * gain_den[target] {
                 best = target;
                 best_position = position;
             }
         }
-        let lhs = mul::<W, FAST>(gain_num[best], gain_den[node])?;
-        let rhs = mul::<W, FAST>(gain_num[node], gain_den[best])?;
-        if lhs > rhs {
+        if gain_num[best] * gain_den[node] > gain_num[node] * gain_den[best] {
             policy[node] = best_position;
             gain_num[node] = gain_num[best];
             gain_den[node] = gain_den[best];
@@ -747,7 +675,7 @@ fn improve<W: Word, const FAST: bool>(
         }
     }
     if changed {
-        return Some(true);
+        return true;
     }
     for node in 0..n {
         let num = gain_num[node];
@@ -760,13 +688,9 @@ fn improve<W: Word, const FAST: bool>(
             if gain_num[target] != num || gain_den[target] != den {
                 continue;
             }
-            let weight = reduced_weight::<W, FAST>(
-                costs[position as usize],
-                times[position as usize],
-                num,
-                den,
-            )?;
-            let candidate = add::<W, FAST>(weight, values[target])?;
+            let position_index = position as usize;
+            let candidate = reduced_weight(costs[position_index], times[position_index], num, den)
+                + values[target];
             if candidate > best_value {
                 best_value = candidate;
                 best_position = position;
@@ -777,13 +701,13 @@ fn improve<W: Word, const FAST: bool>(
             changed = true;
         }
     }
-    Some(changed)
+    changed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{integer_howard, HowardKernel};
+    use crate::solve::integer_howard;
     use crate::{ArcId, NodeId};
     use crate::{
         CancelToken, CycleRatioOutcome, LaneCounts, McrError, Policy, Solver, SolverChoice,
@@ -801,10 +725,10 @@ mod tests {
 
     fn arc_weights(next: &mut impl FnMut() -> u64, huge: bool) -> (Rational, Rational) {
         let cost = if huge {
-            // Magnitudes from 2^64 to 2^120: the fast-lane bound
-            // `B ≤ 2^62 / n` always fails, and the larger ones overflow
-            // checked products, driving the checked lane, the scalar-kernel
-            // fallback and rational overflow errors.
+            // Magnitudes from 2^64 to 2^120: the `i128` lane's bound
+            // `B ≤ 2^62 / n` always fails, driving the scalar-kernel
+            // fallback, and the larger ones overflow its rational
+            // arithmetic.
             let shift = 64 + next() % 57;
             Rational::from_integer(((next() % 5) as i128 - 2) << shift)
         } else {
@@ -860,21 +784,6 @@ mod tests {
         crate::howard::howard_component(scratch, n)
     }
 
-    /// The integer kernel forced onto its checked lane.
-    fn checked_lane(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
-        if scratch.arc_len() == 0 {
-            return HowardOutcome::Bail;
-        }
-        common_denominators(graph, scratch)
-            .and_then(|denominators| {
-                with_words(scratch, |scratch, words: &mut IntWords<i128>| {
-                    let scaled = scale_component(graph, scratch, denominators, words)?;
-                    iterate::<_, false>(scratch, words, n, &scaled)
-                })
-            })
-            .unwrap_or_else(|| scalar(graph, scratch, n))
-    }
-
     /// A pseudo-random start policy for `g`: per node, no successor, an
     /// actual successor, or an arbitrary (possibly non-adjacent) node.
     fn random_policy(g: &RatioGraph, seed: u64) -> Policy {
@@ -913,31 +822,15 @@ mod tests {
                 cold,
                 "{label} {choice:?}"
             );
-            assert_eq!(
-                Solver::new(choice).solve_using(g, checked_lane, None),
-                cold,
-                "{label} {choice:?} checked lane"
-            );
             for start in 0..3u64 {
                 let seeded = random_policy(g, start ^ g.arc_count() as u64);
                 let mut reference_policy = seeded.clone();
                 let reference =
                     Solver::new(choice).solve_using(g, scalar, Some(&mut reference_policy));
-                for (kernel, lane) in [
-                    (integer_howard as HowardKernel, "integer"),
-                    (checked_lane, "checked lane"),
-                ] {
-                    let mut policy = seeded.clone();
-                    let outcome = Solver::new(choice).solve_using(g, kernel, Some(&mut policy));
-                    assert_eq!(
-                        outcome, reference,
-                        "{label} {choice:?} {lane} start {start}"
-                    );
-                    assert_eq!(
-                        policy, reference_policy,
-                        "{label} {choice:?} {lane} start {start}"
-                    );
-                }
+                let mut policy = seeded.clone();
+                let outcome = Solver::new(choice).solve_using(g, integer_howard, Some(&mut policy));
+                assert_eq!(outcome, reference, "{label} {choice:?} start {start}");
+                assert_eq!(policy, reference_policy, "{label} {choice:?} start {start}");
                 // Overflow may strike on one trajectory only.
                 if let (Ok(warm), Ok(cold)) = (&reference, &cold) {
                     assert_eq!(
@@ -984,9 +877,8 @@ mod tests {
             errors += usize::from(solver.solve(&g).is_err());
             lanes.merge(&solver.lane_counts());
         }
-        // The huge rings must reach the checked lane, the scalar fallback
-        // and the rational overflow error, or this test would not cover them.
-        assert!(lanes.checked > 0, "no checked lane exercised");
+        // The huge rings must reach the scalar fallback and the rational
+        // overflow error, or this test would not cover them.
         assert!(lanes.scalar > 0, "no scalar fallback exercised");
         assert!(errors > 0, "no overflow error exercised");
 
@@ -1079,8 +971,8 @@ mod tests {
             int128: 1,
             ..LaneCounts::default()
         };
-        let checked = LaneCounts {
-            checked: 1,
+        let scalar_lane = LaneCounts {
+            scalar: 1,
             ..LaneCounts::default()
         };
         for n in [4usize, 16, 64] {
@@ -1089,7 +981,7 @@ mod tests {
                 (I64_BOUND, int64),
                 (I64_BOUND + n_wide, int128),
                 (I128_BOUND, int128),
-                (I128_BOUND + n_wide, checked),
+                (I128_BOUND + n_wide, scalar_lane),
             ] {
                 for seed in 0..4u64 {
                     let g = boundary_ring(seed, n, nb / n_wide);

@@ -1,4 +1,4 @@
-//! # mcr — Maximum Cycle Ratio / Maximum Cycle Mean solvers
+//! # mcr — Maximum Cycle Ratio solvers
 //!
 //! The K-Iter algorithm (DAC 2016) evaluates the minimum period of a
 //! (K-)periodic schedule by solving a *Maximum Cost-to-time Ratio Problem*
@@ -15,18 +15,14 @@
 //!   another on the calling thread. Howard always runs one kernel: an
 //!   integer-numerator policy iteration over per-component common
 //!   denominators (the `kernel` module) on `i64` or `i128` words, picked per
-//!   component by a proven magnitude bound, with the scalar `Rational`
-//!   kernel as the fallback when the scaled weights overflow `i128`
-//!   ([`Solver::lane_counts`] counts the components per path). It starts cold
+//!   component by a proven magnitude bound, so the iteration itself cannot
+//!   overflow. A component that neither lane admits runs the scalar
+//!   `Rational` kernel instead ([`Solver::lane_counts`] counts the
+//!   components per path). It starts cold
 //!   ([`Solver::solve`]) or from a given [`Policy`] ([`Solver::solve_from`]),
 //!   which K-Iter uses to warm-start each iteration from the last;
 //! * [`maximum_cycle_ratio`] — one-shot parametric solve returning the
 //!   maximum ratio and a critical circuit ([`CycleRatioOutcome`]);
-//! * [`maximum_cycle_mean`] — Karp's algorithm for the unit-time special
-//!   case (`O(n)` memory, two rolling-row passes), kept as an independent
-//!   test oracle;
-//! * [`maximum_cycle_ratio_brute_force`] / [`enumerate_elementary_cycles`] —
-//!   an exhaustive oracle for tests;
 //! * [`SccDecomposition`] — Tarjan's strongly connected components.
 //!
 //! Every solver choice, and every Howard start policy ([`Policy`],
@@ -55,19 +51,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod brute;
 mod cancel;
 mod graph;
 mod howard;
-mod karp;
 mod kernel;
 mod scc;
 mod solve;
 
-pub use brute::{enumerate_elementary_cycles, maximum_cycle_ratio_brute_force};
 pub use cancel::CancelToken;
 pub use graph::{Arc, ArcId, NodeId, RatioGraph};
-pub use karp::maximum_cycle_mean;
 pub use scc::SccDecomposition;
 pub use solve::{
     maximum_cycle_ratio, CriticalCycle, CycleRatioOutcome, LaneCounts, McrError, Policy, Solver,

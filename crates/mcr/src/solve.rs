@@ -198,8 +198,8 @@ fn uses_howard(choice: SolverChoice, n: usize) -> bool {
 pub(crate) type HowardKernel = fn(&RatioGraph, &mut Scratch, usize) -> HowardOutcome;
 
 /// The integer kernel ([`crate::kernel`]), falling back to the scalar
-/// [`crate::howard`] kernel when the component's scaled weights overflow
-/// `i128`. Outcomes are bit-identical either way.
+/// [`crate::howard`] kernel when no integer lane admits the component.
+/// Outcomes are bit-identical either way.
 pub(crate) fn integer_howard(graph: &RatioGraph, scratch: &mut Scratch, n: usize) -> HowardOutcome {
     kernel::howard_component_int(graph, scratch, n).unwrap_or_else(|| {
         scratch.lanes.scalar += 1;
@@ -217,14 +217,14 @@ pub(crate) fn integer_howard(graph: &RatioGraph, scratch: &mut Scratch, n: usize
 /// in the `kernel` module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LaneCounts {
-    /// Components Howard solved on `i64` words, unchecked.
+    /// Components Howard solved on `i64` words.
     pub int64: u64,
-    /// Components Howard solved on `i128` words, unchecked.
+    /// Components Howard solved on `i128` words.
     pub int128: u64,
-    /// Components Howard solved on `i128` words with checked arithmetic.
-    pub checked: u64,
-    /// Components the scalar `Rational` kernel solved because the integer
-    /// kernel overflowed.
+    /// Components the scalar `Rational` kernel solved because no integer
+    /// lane admitted them: a common denominator or a scaled weight past
+    /// `i128`, `n·B` (nodes times the largest scaled weight) past `2^62`,
+    /// or a ratio past `i128`.
     pub scalar: u64,
     /// Components sent straight to the parametric method.
     pub parametric: u64,
@@ -235,7 +235,6 @@ impl LaneCounts {
     pub fn merge(&mut self, other: &LaneCounts) {
         self.int64 += other.int64;
         self.int128 += other.int128;
-        self.checked += other.checked;
         self.scalar += other.scalar;
         self.parametric += other.parametric;
     }

@@ -3,15 +3,16 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use kiter::analysis::{
-    duplicate_phases, evaluate_k_periodic, transformed_repetition_vector, EvaluationOutcome,
-    EventGraphLimits,
+mod oracles;
+use oracles::{
+    duplicate_phases, maximum_cycle_mean, maximum_cycle_ratio_brute_force,
+    transformed_repetition_vector,
 };
+
+use kiter::analysis::{evaluate_k_periodic, EvaluationOutcome, EventGraphLimits};
 use kiter::generators::{random_graph, RandomGraphConfig};
 use kiter::model::transform::bound_all_buffers_tracked;
-use kiter::ratio::{
-    maximum_cycle_mean, maximum_cycle_ratio, CycleRatioOutcome, RatioGraph, Solver, SolverChoice,
-};
+use kiter::ratio::{maximum_cycle_ratio, CycleRatioOutcome, RatioGraph, Solver, SolverChoice};
 use kiter::{
     expansion_throughput, optimal_throughput, symbolic_execution_throughput, AnalysisOptions,
     Budget, EventGraphArena, KPeriodicSchedule, PeriodicityVector, Rational, TaskId, Throughput,
@@ -251,9 +252,9 @@ proptest! {
             .map(|index| 1 + ((k_seed >> (index % 8)) & 0x3))
             .collect();
         let k = PeriodicityVector::from_entries(&graph, entries).expect("valid K");
-        let transformed = duplicate_phases(&graph, &k).expect("duplication");
+        let transformed = duplicate_phases(&graph, &k);
         prop_assert!(transformed.is_consistent());
-        let q_tilde = transformed_repetition_vector(&q, &k).expect("q tilde");
+        let q_tilde = transformed_repetition_vector(&q, &k);
         prop_assert!(q_tilde.validates(&transformed));
     }
 
@@ -281,13 +282,20 @@ proptest! {
     /// Every MCR solver choice returns the same outcome and exact ratio on
     /// arbitrary bi-valued graphs, including arcs with zero and negative
     /// times (Howard's certificate either applies or it defers to the
-    /// parametric certifier, so agreement must be bit-exact).
+    /// parametric certifier, so agreement must be bit-exact), and so does an
+    /// exhaustive search over the elementary circuits.
     #[test]
     fn mcr_solvers_agree_on_random_ratio_graphs(base_seed in 0u64..50_000, nodes in 1usize..10, arcs in 1usize..28) {
         for sub in 0..24u64 {
         let seed = base_seed.wrapping_mul(131).wrapping_add(sub);
         let graph = random_ratio_graph(seed, nodes, arcs, false);
         let reference = maximum_cycle_ratio(&graph).expect("parametric");
+        let brute_force = maximum_cycle_ratio_brute_force(&graph).expect("brute force");
+        prop_assert!(
+            outcome_signature(&reference) == outcome_signature(&brute_force),
+            "brute force disagrees on seed {} ({} nodes, {} arcs): {:?} vs {:?}",
+            seed, nodes, arcs, reference, brute_force
+        );
         for choice in [SolverChoice::Howard, SolverChoice::Auto] {
             let outcome = Solver::new(choice).solve(&graph).expect("alternative solver");
             prop_assert!(
