@@ -306,6 +306,73 @@ fn lint_and_verify_cross_check_the_solver() {
     assert_eq!(field(&diagnostics[0], "line").as_u64(), Some(2));
 }
 
+/// `verify` on a source the importer rejects: the response carries the
+/// importer's message as `solver_error`, lint's `L000`/`L003` diagnostic, a
+/// passing `lint_flags_unloadable` check and an `agree` verdict.
+#[test]
+fn verify_reports_sources_that_fail_to_load() {
+    let daemon = Daemon::new(ServiceConfig::default());
+    let verify = |spec: &Json| {
+        Json::parse(&daemon.handle_line(&format!(r#"{{"id":8,"type":"verify","graph":{spec}}}"#)))
+            .unwrap()
+    };
+    let unparsable = Json::Object(vec![
+        ("format".to_string(), Json::Str("text".to_string())),
+        (
+            "source".to_string(),
+            Json::Str("graph g\nnonsense\n".to_string()),
+        ),
+    ]);
+    // The feedback buffer z -> x holds 2 tokens; a `bufferSize` of 1 cannot.
+    let undersized = Json::Object(vec![
+        ("format".to_string(), Json::Str("sdf3".to_string())),
+        (
+            "source".to_string(),
+            Json::Str(csdf::text::write_sdf3_xml_with_capacities(
+                &ring(2),
+                &[(csdf::BufferId::new(2), 1)],
+            )),
+        ),
+    ]);
+    for (spec, code, solver_error) in [
+        (
+            &unparsable,
+            "L000",
+            "parse error at line 2: unknown directive `nonsense`",
+        ),
+        (
+            &undersized,
+            "L003",
+            "buffer 2 (`z` -> `x`) capacity 1 is smaller than its initial marking 2",
+        ),
+    ] {
+        let response = verify(spec);
+        assert_eq!(field(&response, "status").as_str(), Some("ok"), "{code}");
+        assert_eq!(
+            field(&response, "solver_error").as_str(),
+            Some(solver_error),
+            "{code}"
+        );
+        let diagnostics = field(&response, "diagnostics").as_array().unwrap();
+        assert_eq!(diagnostics.len(), 1, "{code}");
+        assert_eq!(field(&diagnostics[0], "code").as_str(), Some(code));
+        assert_eq!(field(&response, "errors").as_u64(), Some(1), "{code}");
+        let checks = field(&response, "checks").as_array().unwrap();
+        assert_eq!(checks.len(), 1, "{code}");
+        assert_eq!(
+            field(&checks[0], "check").as_str(),
+            Some("lint_flags_unloadable")
+        );
+        assert_eq!(field(&checks[0], "passed").as_bool(), Some(true));
+        assert_eq!(
+            field(&response, "verdict").as_str(),
+            Some("agree"),
+            "{code}"
+        );
+        assert!(field(&response, "throughput").as_str().is_none(), "{code}");
+    }
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_responses_are_bit_identical_to_the_batch_transport() {
