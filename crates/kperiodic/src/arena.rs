@@ -9,13 +9,15 @@
 //!
 //! * one [`TaskBlock`] per task — its periodicity, length and first node,
 //!   nothing else: expanded phase `p` of task `t` lasts `d_t[p mod ϕ(t)]`,
-//!   read from the base durations;
+//!   read from the [`CsdfGraph`]'s own duration table;
 //! * the assembled [`RatioGraph`], which is also the only arc store: every
 //!   buffer's constraint arcs sit in it buffer after buffer, in the segment
 //!   `arc_seg_start[b] .. arc_seg_start[b + 1]`. A buffer's arcs are
 //!   re-derived only when its producer or consumer changed periodicity or
 //!   its marking changed; the re-derived arcs of one update pass through a
-//!   reused scratch and nothing else holds a second copy of the graph.
+//!   reused scratch and nothing else holds a second copy of the graph. The
+//!   ratio graph keeps no adjacency index: the MCR solver builds one per
+//!   solve.
 //!
 //! # Node layout and the two update paths
 //!
@@ -29,11 +31,10 @@
 //! ([`AssembleMode`]):
 //!
 //! * **patched** — no block length changed and every re-derived buffer kept
-//!   its arc count: the dirty buffers' arcs are overwritten in place
-//!   ([`RatioGraph::patch_arc_weights`] / [`RatioGraph::patch_arc`]).
-//!   Marking-only re-evaluations — the in-place capacity mutations an
-//!   analysis session applies between solves — take this path, and when
-//!   no endpoint moves the CSR adjacency stays current without a rebuild;
+//!   its arc count: each changed arc of the dirty buffers is overwritten in
+//!   place ([`RatioGraph::patch_arc`]). Marking-only re-evaluations — the
+//!   in-place capacity mutations an analysis session applies between
+//!   solves — take this path;
 //! * **laid out again** — otherwise (every `K` change moves the offsets of
 //!   the blocks after the first changed one): one pass over the ratio
 //!   graph's arcs shifts each kept arc's endpoints by its blocks' offset
@@ -75,8 +76,7 @@ pub enum AssembleMode {
     #[default]
     LaidOut,
     /// Block lengths and arc counts both kept: only the dirty buffers' arcs
-    /// were patched in place — and when no endpoint moved, the CSR adjacency
-    /// stayed current without a rebuild.
+    /// were patched in place.
     Patched,
 }
 
@@ -127,11 +127,6 @@ pub struct EventGraphArena {
     fingerprint: u64,
     lcm_k: u64,
     blocks: Vec<TaskBlock>,
-    /// Base durations of every task, task after task: expanded phase `p` of
-    /// task `t` lasts `durations[duration_start[t] + p mod ϕ(t)]`.
-    durations: Vec<u64>,
-    /// Start of each task's base durations (one extra trailing entry).
-    duration_start: Vec<usize>,
     /// The task of every node, block after block (a node's phase is its
     /// offset in its task's block).
     task_of: Vec<u32>,
@@ -211,8 +206,6 @@ impl EventGraphArena {
         // Enforce the cumulative node limit *while* laying out the blocks, so
         // a graph over the limit errors out before anything is emitted.
         let mut blocks = Vec::with_capacity(graph.task_count());
-        let mut durations = Vec::with_capacity(graph.total_phase_count());
-        let mut duration_start = Vec::with_capacity(graph.task_count() + 1);
         let mut total_nodes = 0usize;
         for (task_id, task) in graph.tasks() {
             let offset = total_nodes;
@@ -222,10 +215,7 @@ impl EventGraphArena {
                 len: total_nodes - offset,
                 offset,
             });
-            duration_start.push(durations.len());
-            durations.extend_from_slice(task.durations());
         }
-        duration_start.push(durations.len());
 
         let mut buffer_denominator = Vec::with_capacity(graph.buffer_count());
         for (_, buffer) in graph.buffers() {
@@ -242,8 +232,6 @@ impl EventGraphArena {
             fingerprint,
             lcm_k,
             blocks,
-            durations,
-            duration_start,
             task_of: Vec::with_capacity(total_nodes),
             ratio: RatioGraph::new(total_nodes),
             arc_seg_start: Vec::with_capacity(graph.buffer_count() + 1),
@@ -267,9 +255,6 @@ impl EventGraphArena {
         }
         arena.arc_seg_start.push(arena.ratio.arc_count());
         arena.buffer_scratch = scratch;
-        // One counting-sort pass builds the CSR adjacency, so the MCR solver
-        // can borrow it instead of building its own.
-        arena.ratio.rebuild_adjacency();
         Ok(arena)
     }
 
@@ -436,14 +421,13 @@ impl EventGraphArena {
     ) -> Result<(), AnalysisError> {
         let buffer = graph.buffer(csdf::BufferId::new(buffer_index));
         self.initial_tokens[buffer_index] = buffer.initial_tokens();
-        let source = buffer.source().index();
         emit_buffer_arcs_tiled(
             buffer.production(),
             k.get(buffer.source()),
             buffer.consumption(),
             k.get(buffer.target()),
             buffer.initial_tokens(),
-            &self.durations[self.duration_start[source]..self.duration_start[source + 1]],
+            graph.task(buffer.source()).durations(),
             self.buffer_denominator[buffer_index],
             &mut self.emit_scratch,
             out,
@@ -468,7 +452,8 @@ impl EventGraphArena {
 
     /// The patched path: overwrites the `dirty` buffers' segments with their
     /// re-derived arcs (`scratch`, buffer after buffer), which have the same
-    /// counts, and returns how many arcs changed.
+    /// counts, writing each changed arc once, and returns how many arcs
+    /// changed.
     fn patch(
         &mut self,
         graph: &CsdfGraph,
@@ -488,20 +473,15 @@ impl EventGraphArena {
                 let from = NodeId::new(from_base + arc.producer_phase as usize);
                 let to = NodeId::new(to_base + arc.consumer_phase as usize);
                 let current = self.ratio.arc(id);
-                if current.from() == from && current.to() == to {
-                    if !current.has_weights(&arc.cost, &arc.time) {
-                        self.ratio.patch_arc_weights(id, arc.cost, arc.time);
-                        patched += 1;
-                    }
-                } else {
+                if current.from() != from
+                    || current.to() != to
+                    || !current.has_weights(&arc.cost, &arc.time)
+                {
                     self.ratio.patch_arc(id, from, to, arc.cost, arc.time);
                     patched += 1;
                 }
             }
         }
-        // Weights-only patches keep a current CSR current (no-op rebuild);
-        // an endpoint move costs exactly one counting sort.
-        self.ratio.rebuild_adjacency();
         patched
     }
 
@@ -554,7 +534,6 @@ impl EventGraphArena {
         }
         let buffers = self.buffer_count();
         self.arc_seg_start[buffers] = self.ratio.arc_count();
-        self.ratio.rebuild_adjacency();
     }
 
     /// Recomputes the node table from the current block lengths.
@@ -613,8 +592,6 @@ impl EventGraphArena {
     pub fn heap_bytes(&self) -> usize {
         self.ratio.heap_bytes()
             + vec_bytes(&self.blocks)
-            + vec_bytes(&self.durations)
-            + vec_bytes(&self.duration_start)
             + vec_bytes(&self.task_of)
             + vec_bytes(&self.arc_seg_start)
             + vec_bytes(&self.buffer_denominator)
@@ -651,18 +628,6 @@ impl EventGraphArena {
         let block = &self.blocks[task.index()];
         assert!(phase < block.len);
         NodeId::new(block.offset + phase)
-    }
-
-    /// Duration of the `phase`-th transformed execution of `task`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` or `phase` is out of range.
-    pub fn duration_of(&self, task: TaskId, phase: usize) -> u64 {
-        assert!(phase < self.blocks[task.index()].len);
-        let base = &self.durations
-            [self.duration_start[task.index()]..self.duration_start[task.index() + 1]];
-        base[phase % base.len()]
     }
 
     /// Number of transformed phases (`K_t · ϕ(t)`) of `task`.
@@ -923,7 +888,6 @@ mod tests {
         let update = arena.apply_update(&mutated, &k, None).unwrap();
         assert_eq!(update.assemble, AssembleMode::Patched);
         assert!(update.patched_arcs > 0);
-        assert!(arena.ratio_graph().adjacency_current());
 
         let fresh = EventGraphArena::build(&mutated, &q, &k, &limits).unwrap();
         assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
@@ -993,7 +957,6 @@ mod tests {
             let fresh = EventGraphArena::build(&g, &q, &k, &limits).unwrap();
             assert_eq!(arena.ratio_graph(), fresh.ratio_graph());
             assert_eq!(arena.ratio_graph().node_count(), arena.node_count());
-            assert!(arena.ratio_graph().adjacency_current());
         }
     }
 
@@ -1035,7 +998,6 @@ mod tests {
             assert_eq!(arena.node_count(), fresh.node_count());
             assert_eq!(arena.ratio_graph().node_count(), arena.node_count());
             assert_eq!(arena.lcm_k(), fresh.lcm_k());
-            assert!(arena.ratio_graph().adjacency_current());
         }
         assert_eq!(saw, [true; 2], "both update paths ran");
     }

@@ -108,7 +108,6 @@ mod tests {
                 phase: 2
             }
         );
-        assert_eq!(eg.duration_of(TaskId::new(0), 2), 1);
         assert_eq!(eg.periodicity_of(TaskId::new(0)), 3);
     }
 

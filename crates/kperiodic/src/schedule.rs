@@ -68,7 +68,7 @@ impl KPeriodicSchedule {
             for phase in 0..count {
                 let node = event_graph.node_of(task_id, phase);
                 task_starts.push(starts_flat[node.index()]);
-                task_durations.push(event_graph.duration_of(task_id, phase));
+                task_durations.push(task.duration(phase % task.phase_count()));
             }
             // µ_t = Ω_G · K_t / q_t
             let mu = period

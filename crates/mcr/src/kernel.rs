@@ -1067,12 +1067,14 @@ mod tests {
         // rings follow in the same policy.
         let mut g = under_timed_rings(3, 2);
         let first = rings_in_walk_order(&g, 2)[0][0].index() / 2;
-        g.patch_arc_weights(ArcId::new(2 * first), Rational::ZERO, Rational::ONE);
-        g.patch_arc_weights(
-            ArcId::new(2 * first + 1),
-            Rational::ZERO,
-            Rational::from_integer(-1),
-        );
+        for (index, time) in [
+            (2 * first, Rational::ONE),
+            (2 * first + 1, Rational::from_integer(-1)),
+        ] {
+            let id = ArcId::new(index);
+            let (from, to) = (g.arc(id).from(), g.arc(id).to());
+            g.patch_arc(id, from, to, Rational::ZERO, time);
+        }
         assert_kernels_agree(&g, "bail first");
         match Solver::new(SolverChoice::Howard).solve(&g).unwrap() {
             CycleRatioOutcome::Infinite { others, .. } => assert!(others.is_empty()),

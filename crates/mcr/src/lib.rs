@@ -5,10 +5,11 @@
 //! on a bi-valued event graph (Section 3.3 of the paper). This crate provides:
 //!
 //! * [`RatioGraph`] — a directed graph whose arcs carry a cost `L(e)` and a
-//!   time `H(e)`;
+//!   time `H(e)`: a plain arc store that keeps no adjacency index;
 //! * [`Solver`] / [`SolverChoice`] — the solver-selection layer with
-//!   reusable scratch buffers (CSR adjacency, SCC decomposition, component
-//!   views — nothing is allocated per solve after warm-up): Howard's policy
+//!   reusable scratch buffers (the CSR adjacency index every solve builds
+//!   from the arcs, SCC decomposition, component views — nothing is
+//!   allocated per solve after warm-up): Howard's policy
 //!   iteration (the fast solver on large event graphs) and the exact
 //!   parametric method. `SolverChoice::Auto` picks per strongly connected
 //!   component and is what K-Iter uses. Components are solved one after
@@ -23,7 +24,8 @@
 //!   which K-Iter uses to warm-start each iteration from the last;
 //! * [`maximum_cycle_ratio`] — one-shot parametric solve returning the
 //!   maximum ratio and a critical circuit ([`CycleRatioOutcome`]);
-//! * [`SccDecomposition`] — Tarjan's strongly connected components.
+//! * [`SccDecomposition`] — Tarjan's strongly connected components, on a
+//!   CSR index of its own.
 //!
 //! Every solver choice, and every Howard start policy ([`Policy`],
 //! [`Solver::solve_from`]), returns the same outcome variant and ratio on

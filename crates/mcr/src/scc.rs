@@ -2,8 +2,8 @@
 //!
 //! Two entry points share one implementation:
 //!
-//! * [`SccDecomposition`] — the public, self-contained API (allocates its
-//!   result vectors);
+//! * [`SccDecomposition`] — the public, self-contained API (builds its own
+//!   CSR index and allocates its result vectors);
 //! * [`SccBuffers`] — the solver-internal reusable state: flat member /
 //!   offset arrays plus the Tarjan work stacks, all of which keep their
 //!   allocation across [`SccBuffers::compute`] calls, so the K-Iter hot loop
@@ -139,20 +139,22 @@ impl SccBuffers {
 pub struct SccDecomposition {
     component_of: Vec<usize>,
     components: Vec<Vec<NodeId>>,
+    /// Per component: whether it can hold a cycle, read from the CSR index
+    /// the decomposition was computed on.
+    cyclic: Vec<bool>,
 }
 
 impl SccDecomposition {
-    /// Computes the strongly connected components of `graph`. Works whether
-    /// or not the graph's own CSR adjacency is current (a temporary index is
-    /// built when it is not).
+    /// Computes the strongly connected components of `graph` on a CSR index
+    /// built for this call, and records which components can hold a cycle.
     pub fn compute(graph: &RatioGraph) -> Self {
         let mut buffers = SccBuffers::default();
-        let mut temporary = Csr::default();
-        let csr = graph.csr().unwrap_or_else(|| {
-            temporary.build(graph.node_count(), graph.columns());
-            &temporary
-        });
-        buffers.compute(graph.node_count(), csr);
+        let mut csr = Csr::default();
+        csr.build(graph.node_count(), graph.columns());
+        buffers.compute(graph.node_count(), &csr);
+        let cyclic = (0..buffers.component_count())
+            .map(|component| buffers.is_cyclic_component(component, &csr))
+            .collect();
         let components = (0..buffers.component_count())
             .map(|component| {
                 buffers
@@ -169,6 +171,7 @@ impl SccDecomposition {
                 .map(|&component| component as usize)
                 .collect(),
             components,
+            cyclic,
         }
     }
 
@@ -192,22 +195,12 @@ impl SccDecomposition {
         self.components.iter().map(Vec::as_slice)
     }
 
-    /// Returns `true` when the component containing `node` can hold a cycle:
-    /// it has more than one node, or its single node has a self-arc.
-    pub fn is_cyclic_component(&self, graph: &RatioGraph, index: usize) -> bool {
-        let members = &self.components[index];
-        if members.len() > 1 {
-            return true;
-        }
-        let node = members[0];
-        // Use the CSR index when current (O(out-degree)); fall back to the
-        // flat-arc scan only on a stale index.
-        if let Some(csr) = graph.csr() {
-            return has_self_arc(csr, node.index());
-        }
-        graph
-            .arcs()
-            .any(|(_, arc)| arc.from() == node && arc.to() == node)
+    /// Returns `true` when component `index` can hold a cycle: it has more
+    /// than one node, or its single node has a self-arc. O(1): the answer
+    /// was recorded by [`SccDecomposition::compute`] on `graph`, which must
+    /// be the graph the decomposition was computed from.
+    pub fn is_cyclic_component(&self, _graph: &RatioGraph, index: usize) -> bool {
+        self.cyclic[index]
     }
 }
 
@@ -286,7 +279,8 @@ mod tests {
     }
 
     /// The reusable buffers and the public decomposition agree on component
-    /// numbering and member order (the solver's tie-breaks depend on it).
+    /// numbering, member order and cyclicity (the solver's tie-breaks depend
+    /// on it).
     #[test]
     fn buffers_match_public_decomposition() {
         let mut state = 0xDEC0DEu64 | 1;
@@ -306,10 +300,10 @@ mod tests {
                 arc(&mut g, from, to);
             }
             let public = SccDecomposition::compute(&g);
-            g.rebuild_adjacency();
-            let csr = g.csr().expect("just rebuilt");
+            let mut csr = Csr::default();
+            csr.build(g.node_count(), g.columns());
             let mut buffers = SccBuffers::default();
-            buffers.compute(g.node_count(), csr);
+            buffers.compute(g.node_count(), &csr);
             assert_eq!(buffers.component_count(), public.component_count());
             for component in 0..public.component_count() {
                 let expected: Vec<u32> = public
@@ -318,42 +312,49 @@ mod tests {
                     .map(|node| node.index() as u32)
                     .collect();
                 assert_eq!(buffers.component(component), expected.as_slice());
+                let members = public.component(component);
+                let self_arc = g
+                    .arcs()
+                    .any(|(_, arc)| arc.from() == members[0] && arc.to() == members[0]);
                 assert_eq!(
-                    buffers.is_cyclic_component(component, csr),
+                    public.is_cyclic_component(&g, component),
+                    members.len() > 1 || self_arc
+                );
+                assert_eq!(
+                    buffers.is_cyclic_component(component, &csr),
                     public.is_cyclic_component(&g, component)
                 );
             }
         }
     }
 
-    /// A stale CSR index is never read: the decomposition of a graph whose
-    /// index predates an endpoint patch equals the one of the same graph
-    /// with its index rebuilt, and both match a fresh build.
+    /// A patched arc is read where it now is: moving 2 -> 3 to 3 -> 2 and
+    /// adding a new 2 -> 3 closes the circuit {2, 3}, and the decomposition
+    /// equals the one of a fresh build of the same arcs.
     #[test]
-    fn stale_adjacency_gives_the_same_components_as_a_current_one() {
+    fn patched_graphs_decompose_like_fresh_builds() {
         let mut g = RatioGraph::new(4);
         arc(&mut g, 0, 1);
         arc(&mut g, 1, 0);
         let moved = g.add_arc(g.node(2), g.node(3), Rational::ONE, Rational::ONE);
         arc(&mut g, 3, 3);
-        g.rebuild_adjacency();
-        // The arc 2 -> 3 moves to 3 -> 2 and a new 2 -> 3 closes the circuit
-        // {2, 3}. The stale index still records the moved arc as 2 -> 3 and
-        // lacks the new one, so reading it would split {2, 3}.
+        let before = SccDecomposition::compute(&g);
+        assert_ne!(
+            before.component_of(g.node(2)),
+            before.component_of(g.node(3))
+        );
         g.patch_arc(moved, g.node(3), g.node(2), Rational::ONE, Rational::ONE);
         arc(&mut g, 2, 3);
-        assert!(!g.adjacency_current());
-        let stale = SccDecomposition::compute(&g);
-        let stale_cyclic: Vec<bool> = (0..stale.component_count())
-            .map(|component| stale.is_cyclic_component(&g, component))
-            .collect();
-        let mut current = g.clone();
-        current.rebuild_adjacency();
-        let fresh = SccDecomposition::compute(&current);
-        assert_eq!(stale, fresh);
-        assert_eq!(stale.component_of(g.node(2)), stale.component_of(g.node(3)));
-        for (component, &cyclic) in stale_cyclic.iter().enumerate() {
-            assert_eq!(fresh.is_cyclic_component(&current, component), cyclic);
+        let patched = SccDecomposition::compute(&g);
+        let mut fresh = RatioGraph::new(4);
+        for (from, to) in [(0, 1), (1, 0), (3, 2), (3, 3), (2, 3)] {
+            arc(&mut fresh, from, to);
         }
+        assert_eq!(patched, SccDecomposition::compute(&fresh));
+        assert_eq!(
+            patched.component_of(g.node(2)),
+            patched.component_of(g.node(3))
+        );
+        assert!(patched.is_cyclic_component(&g, patched.component_of(g.node(2))));
     }
 }

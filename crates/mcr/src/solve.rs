@@ -309,8 +309,8 @@ impl Policy {
 pub struct Solver {
     choice: SolverChoice,
     scratch: Scratch,
-    /// Reusable SCC state and CSR adjacency for graphs whose own index is
-    /// stale.
+    /// Reusable SCC state and the CSR adjacency index of the graph being
+    /// solved, rebuilt by every solve into arrays kept warm across solves.
     scc: SccBuffers,
     csr: Csr,
 }
@@ -389,21 +389,12 @@ impl Solver {
             choice,
             scratch,
             scc,
-            csr: own_csr,
+            csr,
         } = self;
         if scratch.cancel.is_cancelled() {
             return Err(McrError::Cancelled);
         }
-        // Adjacency: borrow the graph's CSR index when current (the arena
-        // rebuilds it after every patch), otherwise build one into the
-        // solver-owned arrays (kept warm across solves).
-        let csr: &Csr = match graph.csr() {
-            Some(csr) => csr,
-            None => {
-                own_csr.build(graph.node_count(), graph.columns());
-                own_csr
-            }
-        };
+        csr.build(graph.node_count(), graph.columns());
         scc.compute(graph.node_count(), csr);
         scratch.prepare(graph.node_count());
         // The start is read per component; the final policy is written into
