@@ -45,6 +45,7 @@ use crate::builder::CsdfGraphBuilder;
 use crate::error::CsdfError;
 use crate::graph::CsdfGraph;
 use crate::source::SourceMap;
+use crate::transform::{bound_buffers, BufferCapacity};
 use crate::BufferId;
 
 /// One scanned XML tag: `<name attr="v" ...>`, `</name>` or `<name ... />`.
@@ -232,9 +233,9 @@ struct XmlChannel {
 ///
 /// Buffer capacities come from `<channelProperties channel="...">` /
 /// `<bufferSize sz="..."/>` annotations. They are *requests*, not part of
-/// the dataflow semantics: feed them to
-/// [`crate::transform::bound_buffers_tracked`] (or an explicit reverse
-/// channel) to actually constrain the graph.
+/// the dataflow semantics: [`Sdf3Import::into_bounded`] (or
+/// [`crate::transform::bound_buffers_tracked`], or an explicit reverse
+/// channel) actually constrains the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sdf3Import {
     /// The imported graph, ids in document order (see [`parse_sdf3_xml`]).
@@ -245,6 +246,31 @@ pub struct Sdf3Import {
     /// The `<actor>` / `<channel>` declaration lines, per task and buffer
     /// id — the spans `csdf-lint` attaches to its diagnostics.
     pub source_map: SourceMap,
+}
+
+impl Sdf3Import {
+    /// The imported graph with every annotated channel bounded to its
+    /// `bufferSize` ([`crate::transform::bound_buffers`]: one reverse
+    /// buffer appended per annotation), and the source map, in which the
+    /// appended buffers have no line. An import without annotations comes
+    /// back as it is.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`crate::transform::bound_buffers`], such as
+    /// [`CsdfError::CapacityBelowMarking`] for a `bufferSize` below its
+    /// channel's initial tokens.
+    pub fn into_bounded(self) -> Result<(CsdfGraph, SourceMap), CsdfError> {
+        if self.buffer_capacities.is_empty() {
+            return Ok((self.graph, self.source_map));
+        }
+        let capacities: Vec<BufferCapacity> = self
+            .buffer_capacities
+            .iter()
+            .map(|&(buffer, capacity)| BufferCapacity { buffer, capacity })
+            .collect();
+        Ok((bound_buffers(&self.graph, &capacities)?, self.source_map))
+    }
 }
 
 /// Parses an SDF3 `<sdf>`/`<csdf>` XML document into a [`CsdfGraph`].

@@ -1,7 +1,7 @@
 //! `csdf-lint` — static analysis of CSDF graph files.
 //!
 //! ```text
-//! csdf-lint [--json] [--format text|sdf3] [--max-cycles N] [--budget N] FILE...
+//! csdf-lint [--json] [--format text|sdf3] FILE...
 //! csdf-lint --codes
 //! ```
 //!
@@ -10,15 +10,14 @@
 
 use std::process::ExitCode;
 
-use csdf_lint::{lint_source, throughput_wire, InputFormat, LintCode, LintOptions, LintReport};
+use csdf_lint::{lint_source, throughput_wire, InputFormat, LintCode, LintReport};
 
-const USAGE: &str = "usage: csdf-lint [--json] [--format text|sdf3] [--max-cycles N] \
-                     [--budget N] FILE...\n       csdf-lint --codes";
+const USAGE: &str =
+    "usage: csdf-lint [--json] [--format text|sdf3] FILE...\n       csdf-lint --codes";
 
 struct Args {
     json: bool,
     format: Option<InputFormat>,
-    options: LintOptions,
     files: Vec<String>,
 }
 
@@ -26,7 +25,6 @@ fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         json: false,
         format: None,
-        options: LintOptions::default(),
         files: Vec::new(),
     };
     let mut iter = raw.iter();
@@ -44,18 +42,6 @@ fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
                     "sdf3" => InputFormat::Sdf3,
                     other => return Err(format!("unknown format `{other}` (text|sdf3)")),
                 });
-            }
-            "--max-cycles" => {
-                let value = iter.next().ok_or("--max-cycles needs a value")?;
-                args.options.max_cycles_per_scc = value
-                    .parse()
-                    .map_err(|_| format!("invalid --max-cycles value `{value}`"))?;
-            }
-            "--budget" => {
-                let value = iter.next().ok_or("--budget needs a value")?;
-                args.options.simulation_budget = value
-                    .parse()
-                    .map_err(|_| format!("invalid --budget value `{value}`"))?;
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -176,7 +162,7 @@ fn main() -> ExitCode {
             }
         };
         let format = args.format.unwrap_or_else(|| InputFormat::from_path(file));
-        let report = lint_source(&source, format, &args.options);
+        let report = lint_source(&source, format);
         if args.json {
             println!("{}", report_json(file, &report));
         } else {

@@ -31,14 +31,17 @@ use csdf::{BufferId, CsdfGraph, Rational, RationalSum, RepetitionVector, TaskId,
 use crate::diag::{Diagnostic, LintCode, LintReport, ThroughputBounds};
 use crate::graphops;
 use crate::liveness::LivenessOutcome;
-use crate::{LintOptions, Spans};
+use crate::Spans;
+
+/// Upper bound on the witness cycles sampled per strongly connected
+/// component for the `W001`/`B002` passes.
+const MAX_CYCLES_PER_SCC: usize = 64;
 
 /// Computes the bracket and pushes `W001` + `B0xx` diagnostics.
 pub(crate) fn compute(
     graph: &CsdfGraph,
     q: &RepetitionVector,
     liveness: &LivenessOutcome,
-    options: &LintOptions,
     spans: &Spans<'_>,
     report: &mut LintReport,
 ) -> ThroughputBounds {
@@ -64,8 +67,7 @@ pub(crate) fn compute(
         if !scc.cyclic || scc.members.len() < 2 {
             continue;
         }
-        let cycles =
-            graphops::sample_cycles(&liveness.digraph, &scc.members, options.max_cycles_per_scc);
+        let cycles = graphops::sample_cycles(&liveness.digraph, &scc.members, MAX_CYCLES_PER_SCC);
         let mut nearest: Option<(Rational, Vec<usize>)> = None;
         for cycle in cycles {
             let Some(stats) = cycle_stats(graph, q, &cycle) else {
@@ -300,16 +302,8 @@ mod tests {
         let q = graph.repetition_vector().unwrap();
         let self_loop_ok = vec![true; graph.task_count()];
         let mut report = LintReport::new();
-        let options = LintOptions::default();
-        let outcome = liveness::check(
-            graph,
-            &q,
-            &self_loop_ok,
-            &options,
-            &Spans::none(),
-            &mut report,
-        );
-        let bounds = compute(graph, &q, &outcome, &options, &Spans::none(), &mut report);
+        let outcome = liveness::check(graph, &q, &self_loop_ok, &Spans::none(), &mut report);
+        let bounds = compute(graph, &q, &outcome, &Spans::none(), &mut report);
         (bounds, report)
     }
 

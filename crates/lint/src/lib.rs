@@ -57,30 +57,7 @@ mod structure;
 pub use diag::{Diagnostic, LintCode, LintReport, Severity, ThroughputBounds};
 
 use csdf::text;
-use csdf::transform::{bound_buffers, BufferCapacity};
 use csdf::{CsdfError, CsdfGraph, SourceMap, Throughput};
-
-/// Tuning knobs of the analysis. The defaults hold for every graph in the
-/// paper's benchmark; they only matter on generated graphs with huge
-/// repetition vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LintOptions {
-    /// Upper bound on witness cycles sampled per strongly-connected
-    /// component for the `W001`/`B002` passes.
-    pub max_cycles_per_scc: usize,
-    /// Upper bound on the phase firings one liveness simulation may need;
-    /// components above it are skipped with `W004` instead of simulated.
-    pub simulation_budget: u64,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            max_cycles_per_scc: 64,
-            simulation_budget: 1 << 20,
-        }
-    }
-}
 
 /// Source spans to attach to diagnostics; absent when the graph was built
 /// programmatically.
@@ -104,27 +81,27 @@ impl Spans<'_> {
     }
 }
 
-/// Analyzes a graph with default options and no source spans.
+/// Analyzes a graph with no source spans.
 pub fn analyze(graph: &CsdfGraph) -> LintReport {
-    analyze_with(graph, &LintOptions::default(), None)
+    analyze_with(graph, None)
 }
 
-/// Analyzes a graph with default options, attaching declaration lines from
-/// `sources` (see [`csdf::text::parse_with_sources`] and
+/// Analyzes a graph, attaching declaration lines from `sources` (see
+/// [`csdf::text::parse_with_sources`] and
 /// [`csdf::text::parse_sdf3_xml_import`]).
 pub fn analyze_with_sources(graph: &CsdfGraph, sources: &SourceMap) -> LintReport {
-    analyze_with(graph, &LintOptions::default(), Some(sources))
+    analyze_with(graph, Some(sources))
 }
 
 /// Analyzes a graph. Passes run in a fixed order — consistency (`L001`),
 /// components (`W002`), durations (`W003`), capacities (`L003`), self-loops
 /// (`L004`), liveness (`L002`/`W004`), cycles and bounds (`W001`/`B0xx`) —
-/// so the report is deterministic.
-pub fn analyze_with(
-    graph: &CsdfGraph,
-    options: &LintOptions,
-    sources: Option<&SourceMap>,
-) -> LintReport {
+/// so the report is deterministic. Two fixed limits bound the work on
+/// generated graphs with huge repetition vectors: a component whose
+/// liveness simulation needs more than 2^20 phase firings is skipped with
+/// `W004`, and at most 64 witness cycles are sampled per strongly connected
+/// component for `W001`/`B002`.
+pub fn analyze_with(graph: &CsdfGraph, sources: Option<&SourceMap>) -> LintReport {
     let spans = Spans { map: sources };
     let mut report = LintReport::new();
     let q = consistency::check(graph, &spans, &mut report);
@@ -133,15 +110,8 @@ pub fn analyze_with(
     structure::check_capacity_pairs(graph, &spans, &mut report);
     let self_loop_ok = structure::check_self_loops(graph, &spans, &mut report);
     if let Some(q) = q {
-        let outcome = liveness::check(graph, &q, &self_loop_ok, options, &spans, &mut report);
-        report.bounds = Some(bounds::compute(
-            graph,
-            &q,
-            &outcome,
-            options,
-            &spans,
-            &mut report,
-        ));
+        let outcome = liveness::check(graph, &q, &self_loop_ok, &spans, &mut report);
+        report.bounds = Some(bounds::compute(graph, &q, &outcome, &spans, &mut report));
     }
     report
 }
@@ -171,9 +141,9 @@ impl InputFormat {
 
 /// Loads a graph plus its source spans from either supported format. SDF3
 /// `bufferSize` annotations are materialised as reverse buffers
-/// ([`csdf::transform::bound_buffers`]), so capacity contradictions are
-/// visible to the `L003` pass; the appended reverse buffers simply have no
-/// source line.
+/// ([`csdf::text::Sdf3Import::into_bounded`]), so capacity contradictions
+/// are visible to the `L003` pass; the appended reverse buffers simply have
+/// no source line.
 ///
 /// # Errors
 ///
@@ -181,30 +151,24 @@ impl InputFormat {
 pub fn load_source(source: &str, format: InputFormat) -> Result<(CsdfGraph, SourceMap), CsdfError> {
     match format {
         InputFormat::Text => text::parse_with_sources(source),
-        InputFormat::Sdf3 => {
-            let import = text::parse_sdf3_xml_import(source)?;
-            if import.buffer_capacities.is_empty() {
-                return Ok((import.graph, import.source_map));
-            }
-            let capacities: Vec<BufferCapacity> = import
-                .buffer_capacities
-                .iter()
-                .map(|&(buffer, capacity)| BufferCapacity { buffer, capacity })
-                .collect();
-            let bounded = bound_buffers(&import.graph, &capacities)?;
-            Ok((bounded, import.source_map))
-        }
+        InputFormat::Sdf3 => text::parse_sdf3_xml_import(source)?.into_bounded(),
     }
 }
 
-/// Lints a source file in one step: load, then [`analyze_with`]. Import
-/// failures become a report with a single error diagnostic (`L000`, or
-/// `L003` when a declared capacity already contradicts the marking), so
-/// callers can treat broken files uniformly.
-pub fn lint_source(source: &str, format: InputFormat, options: &LintOptions) -> LintReport {
-    match load_source(source, format) {
-        Ok((graph, sources)) => analyze_with(&graph, options, Some(&sources)),
-        Err(err) => import_failure_report(&err),
+/// Lints a source file in one step: [`load_source`], then
+/// [`lint_loaded`].
+pub fn lint_source(source: &str, format: InputFormat) -> LintReport {
+    lint_loaded(&load_source(source, format))
+}
+
+/// Lints what [`load_source`] returned: a loaded graph is analysed with
+/// its source spans, and an import failure becomes a report with a single
+/// error diagnostic (`L000`, or `L003` when a declared capacity already
+/// contradicts the marking), so callers can treat broken files uniformly.
+pub fn lint_loaded(loaded: &Result<(CsdfGraph, SourceMap), CsdfError>) -> LintReport {
+    match loaded {
+        Ok((graph, sources)) => analyze_with(graph, Some(sources)),
+        Err(err) => import_failure_report(err),
     }
 }
 
@@ -264,7 +228,7 @@ mod tests {
 
     #[test]
     fn lint_source_attaches_declaration_lines() {
-        let report = lint_source(SAMPLE, InputFormat::Text, &LintOptions::default());
+        let report = lint_source(SAMPLE, InputFormat::Text);
         assert!(!report.has_errors());
         let bounds = report.bounds.expect("consistent graph has bounds");
         assert!(bounds.lower <= bounds.upper);
@@ -279,11 +243,7 @@ mod tests {
 
     #[test]
     fn import_failure_becomes_l000_with_line() {
-        let report = lint_source(
-            "graph g\nnot a directive\n",
-            InputFormat::Text,
-            &LintOptions::default(),
-        );
+        let report = lint_source("graph g\nnot a directive\n", InputFormat::Text);
         assert!(report.has_errors());
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].code, LintCode::ImportError);
@@ -306,7 +266,7 @@ mod tests {
     </sdfProperties>
   </applicationGraph>
 </sdf3>"#;
-        let report = lint_source(xml, InputFormat::Sdf3, &LintOptions::default());
+        let report = lint_source(xml, InputFormat::Sdf3);
         assert!(report.has_code(LintCode::CapacityContradiction));
         assert!(report.certain_deadlock());
     }
@@ -331,12 +291,10 @@ mod tests {
 
     #[test]
     fn reports_are_bit_identical_across_threads() {
-        let baseline = lint_source(SAMPLE, InputFormat::Text, &LintOptions::default());
+        let baseline = lint_source(SAMPLE, InputFormat::Text);
         let reports: Vec<LintReport> = std::thread::scope(|scope| {
             (0..4)
-                .map(|_| {
-                    scope.spawn(|| lint_source(SAMPLE, InputFormat::Text, &LintOptions::default()))
-                })
+                .map(|_| scope.spawn(|| lint_source(SAMPLE, InputFormat::Text)))
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().unwrap())

@@ -19,7 +19,11 @@ use csdf::{BufferId, CsdfGraph, RepetitionVector, TaskId};
 
 use crate::diag::{Diagnostic, LintCode, LintReport};
 use crate::graphops::{self, Scc, TaskDigraph};
-use crate::{LintOptions, Spans};
+use crate::Spans;
+
+/// Upper bound on the phase firings one liveness simulation may need;
+/// components above it are skipped with `W004` instead of simulated.
+const SIMULATION_BUDGET: u64 = 1 << 20;
 
 /// What the pass learned about each SCC, reused by the bounds pass.
 pub(crate) struct LivenessOutcome {
@@ -48,7 +52,6 @@ pub(crate) fn check(
     graph: &CsdfGraph,
     q: &RepetitionVector,
     self_loop_ok: &[bool],
-    options: &LintOptions,
     spans: &Spans<'_>,
     report: &mut LintReport,
 ) -> LivenessOutcome {
@@ -71,7 +74,7 @@ pub(crate) fn check(
             scc_live.push(self_loop_ok[scc.members[0]]);
             continue;
         }
-        match simulate(graph, q, &scc.members, options.simulation_budget) {
+        match simulate(graph, q, &scc.members, SIMULATION_BUDGET) {
             SimResult::Completed => scc_live.push(true),
             SimResult::BudgetExceeded { firings_needed } => {
                 budget_exhausted = true;
@@ -83,7 +86,7 @@ pub(crate) fn check(
                          {firings_needed} firings per iteration, above the budget of {} — \
                          liveness not established statically",
                         scc.members.len(),
-                        options.simulation_budget
+                        SIMULATION_BUDGET
                     ),
                 ));
             }
@@ -299,14 +302,7 @@ mod tests {
         let q = graph.repetition_vector().unwrap();
         let self_loop_ok = vec![true; graph.task_count()];
         let mut report = LintReport::new();
-        let outcome = check(
-            graph,
-            &q,
-            &self_loop_ok,
-            &LintOptions::default(),
-            &Spans::none(),
-            &mut report,
-        );
+        let outcome = check(graph, &q, &self_loop_ok, &Spans::none(), &mut report);
         (outcome, report)
     }
 
@@ -374,19 +370,19 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported_not_misjudged() {
+        // A live ring whose one iteration takes 1 + 2^21 firings, above the
+        // budget: it is skipped before any simulation, not judged.
+        let many = 1 << 21;
         let mut b = CsdfGraphBuilder::new();
         let x = b.add_sdf_task("x", 1);
         let y = b.add_sdf_task("y", 1);
-        b.add_sdf_buffer(x, y, 1, 1, 0);
-        b.add_sdf_buffer(y, x, 1, 1, 1);
+        b.add_sdf_buffer(x, y, many, 1, 0);
+        b.add_sdf_buffer(y, x, 1, many, many);
         let g = b.build().unwrap();
         let q = g.repetition_vector().unwrap();
+        assert!(q.get(y) > SIMULATION_BUDGET);
         let mut report = LintReport::new();
-        let options = LintOptions {
-            simulation_budget: 1,
-            ..LintOptions::default()
-        };
-        let outcome = check(&g, &q, &[true, true], &options, &Spans::none(), &mut report);
+        let outcome = check(&g, &q, &[true, true], &Spans::none(), &mut report);
         assert!(!outcome.live_proven());
         assert!(outcome.budget_exhausted);
         assert!(report.has_code(LintCode::AnalysisBudgetExceeded));

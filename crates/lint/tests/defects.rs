@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use csdf_lint::{lint_source, InputFormat, LintCode, LintOptions, Severity};
+use csdf_lint::{lint_source, InputFormat, LintCode, Severity};
 
 fn fixtures() -> Vec<PathBuf> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -38,7 +38,7 @@ fn every_seeded_defect_triggers_its_expected_code() {
         let code = expected_code(path);
         let source = std::fs::read_to_string(path).expect("readable fixture");
         let format = InputFormat::from_path(path.to_str().unwrap());
-        let report = lint_source(&source, format, &LintOptions::default());
+        let report = lint_source(&source, format);
         assert!(
             report.has_code(code),
             "{}: expected {code} but got:\n{}",

@@ -30,13 +30,13 @@ use csdf_baselines::{expansion_throughput, Budget, EvaluationStatus};
 use csdf_explore::{
     min_storage_for_throughput_on, uniform_slack_capacity, ParetoSweep, ScenarioSet,
 };
-use csdf_lint::{LintOptions, LintReport};
+use csdf_lint::LintReport;
 use kperiodic::{AnalysisError, AnalysisSession, CancelToken, KIterResult, PoolStats, SessionPool};
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::json::Json;
-use crate::protocol::{parse_request, throughput_to_string, GraphFormat, GraphSpec, RequestBody};
+use crate::protocol::{parse_request, throughput_to_string, GraphSpec, RequestBody};
 
 /// Wall-clock budget of each `verify` cross-check when the request has no
 /// deadline of its own (also the expansion baseline's time budget).
@@ -785,7 +785,10 @@ impl Daemon {
                     .collect();
                 Ok(vec![("scenarios".to_string(), Json::Array(rendered))])
             }
-            RequestBody::Lint { graph } => Ok(lint_fields(&lint_spec(graph))),
+            RequestBody::Lint { graph } => Ok(lint_fields(&csdf_lint::lint_source(
+                &graph.source,
+                graph.format,
+            ))),
             RequestBody::Verify {
                 graph: spec,
                 max_expansion,
@@ -847,17 +850,19 @@ impl Daemon {
         max_expansion: u64,
         deadline: &CancelToken,
     ) -> Result<Vec<(String, Json)>, ServiceError> {
-        let report = lint_spec(spec);
+        // One load serves both lint (with the source spans) and the solve.
+        let loaded = csdf_lint::load_source(&spec.source, spec.format);
+        let report = csdf_lint::lint_loaded(&loaded);
         let mut fields = lint_fields(&report);
         let mut checks: Vec<(&'static str, bool)> = Vec::new();
-        match spec.load() {
+        match loaded {
             Err(error) => {
                 // The importer rejected the graph: lint must have an error
                 // diagnostic for the same input.
-                fields.push(("solver_error".to_string(), Json::Str(error)));
+                fields.push(("solver_error".to_string(), Json::Str(error.to_string())));
                 checks.push(("lint_flags_unloadable", report.has_errors()));
             }
-            Ok(graph) => {
+            Ok((graph, _)) => {
                 self.admit(&graph)?;
                 let check_token = if deadline.is_detached() {
                     CancelToken::with_deadline(VERIFY_CHECK_BUDGET)
@@ -1059,16 +1064,6 @@ fn baseline_check(
         }
         _ => field("skipped".to_string()),
     }
-}
-
-/// Maps a [`GraphSpec`] through the static analyzer; importer failures come
-/// back as `L000`/`L003` diagnostics rather than errors.
-fn lint_spec(spec: &GraphSpec) -> LintReport {
-    let format = match spec.format {
-        GraphFormat::Sdf3 => csdf_lint::InputFormat::Sdf3,
-        GraphFormat::Text => csdf_lint::InputFormat::Text,
-    };
-    csdf_lint::lint_source(&spec.source, format, &LintOptions::default())
 }
 
 /// The payload fields shared by `lint` responses and the lint part of

@@ -38,6 +38,6 @@ pub use daemon::{Daemon, ErrorKind, ServiceConfig, ServiceError, ServiceStats};
 pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use json::Json;
 pub use protocol::{
-    parse_request, parse_throughput, throughput_to_string, GraphFormat, GraphSpec, Request,
-    RequestBody, ScenarioSpec,
+    parse_request, parse_throughput, throughput_to_string, GraphSpec, Request, RequestBody,
+    ScenarioSpec,
 };

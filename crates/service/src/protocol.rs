@@ -25,25 +25,18 @@
 //! or `"deadlock"` — never floats, so responses can be compared bit-for-bit
 //! against direct library calls.
 
-use csdf::transform::{bound_buffers, BufferCapacity};
 use csdf::{BufferId, CsdfGraph, Rational, Throughput};
+use csdf_lint::InputFormat;
 
 use crate::json::Json;
-
-/// The serialisation format of an inline graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphFormat {
-    /// SDF3 XML ([`csdf::text::parse_sdf3_xml_import`]).
-    Sdf3,
-    /// The workspace line format ([`csdf::text::parse`]).
-    Text,
-}
 
 /// A graph shipped inline with a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphSpec {
-    /// How `source` is encoded.
-    pub format: GraphFormat,
+    /// How `source` is encoded: SDF3 XML
+    /// ([`csdf::text::parse_sdf3_xml_import`]) or the workspace line format
+    /// ([`csdf::text::parse`]).
+    pub format: InputFormat,
     /// The serialised graph.
     pub source: String,
 }
@@ -52,36 +45,26 @@ impl GraphSpec {
     /// Parses the inline source into the graph the request is about. SDF3
     /// `bufferSize` annotations are applied on the spot: the annotated
     /// channels are bounded to their capacities
-    /// ([`csdf::transform::bound_buffers_tracked`]), so the returned graph
+    /// ([`csdf::text::Sdf3Import::into_bounded`]), so the returned graph
     /// is exactly what a direct library call on the bounded design would
-    /// analyse.
+    /// analyse, and what [`csdf_lint::load_source`] loads.
     ///
     /// # Errors
     ///
     /// The rendered parse/model error.
     pub fn load(&self) -> Result<CsdfGraph, String> {
-        match self.format {
-            GraphFormat::Text => csdf::text::parse(&self.source).map_err(|error| error.to_string()),
-            GraphFormat::Sdf3 => {
-                let import = csdf::text::parse_sdf3_xml_import(&self.source)
-                    .map_err(|error| error.to_string())?;
-                if import.buffer_capacities.is_empty() {
-                    return Ok(import.graph);
-                }
-                let assignments: Vec<BufferCapacity> = import
-                    .buffer_capacities
-                    .iter()
-                    .map(|&(buffer, capacity)| BufferCapacity { buffer, capacity })
-                    .collect();
-                bound_buffers(&import.graph, &assignments).map_err(|error| error.to_string())
-            }
-        }
+        let graph = match self.format {
+            InputFormat::Text => csdf::text::parse(&self.source),
+            InputFormat::Sdf3 => csdf::text::parse_sdf3_xml_import(&self.source)
+                .and_then(|import| import.into_bounded().map(|(graph, _)| graph)),
+        };
+        graph.map_err(|error| error.to_string())
     }
 
     fn from_json(value: &Json) -> Result<GraphSpec, String> {
         let format = match value.get("format").and_then(Json::as_str) {
-            Some("sdf3") => GraphFormat::Sdf3,
-            Some("text") => GraphFormat::Text,
+            Some("sdf3") => InputFormat::Sdf3,
+            Some("text") => InputFormat::Text,
             Some(other) => return Err(format!("unknown graph format `{other}`")),
             None => return Err("`graph.format` must be \"sdf3\" or \"text\"".to_string()),
         };
@@ -447,14 +430,14 @@ mod tests {
     #[test]
     fn graphs_load_from_both_formats() {
         let spec = GraphSpec {
-            format: GraphFormat::Text,
+            format: InputFormat::Text,
             source: text_graph(),
         };
         let graph = spec.load().unwrap();
         assert_eq!(graph.task_count(), 2);
 
         let sdf3 = GraphSpec {
-            format: GraphFormat::Sdf3,
+            format: InputFormat::Sdf3,
             source: csdf::text::write_sdf3_xml(&graph),
         };
         assert_eq!(sdf3.load().unwrap(), graph);
@@ -463,14 +446,14 @@ mod tests {
     #[test]
     fn sdf3_buffer_sizes_bound_the_loaded_graph() {
         let base = GraphSpec {
-            format: GraphFormat::Text,
+            format: InputFormat::Text,
             source: text_graph(),
         }
         .load()
         .unwrap();
         let annotated = csdf::text::write_sdf3_xml_with_capacities(&base, &[(BufferId::new(0), 3)]);
         let loaded = GraphSpec {
-            format: GraphFormat::Sdf3,
+            format: InputFormat::Sdf3,
             source: annotated,
         }
         .load()
