@@ -56,9 +56,9 @@ fn chain_ring(tasks: usize, tokens: u64) -> CsdfGraph {
 }
 
 fn graph_spec(graph: &CsdfGraph) -> Json {
-    Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(graph))),
+    Json::object([
+        ("format", "text".into()),
+        ("source", csdf::text::to_text(graph).into()),
     ])
 }
 
@@ -283,21 +283,28 @@ fn main() -> ExitCode {
         ));
     }
 
-    println!(
-        "{{\"table\":\"chaos_smoke\",\"requests\":{},\"all_answered\":{},\"transport_identical\":{},\"panics_caught\":{},\"rejected\":{},\"deadline_exceeded\":{},\"quarantined\":{},\"pool_poison_recoveries\":{},\"cache_poison_recoveries\":{},\"session_leaks\":{},\"heavy_ms\":{:.1},\"passed\":{}}}",
-        requests.len(),
-        responses.len() == requests.len(),
-        transport_identical,
-        service.panics_caught,
-        service.rejected,
-        service.deadline_exceeded,
-        pool.quarantined,
-        service.pool_poison_recoveries,
-        service.cache_poison_recoveries,
-        if leaked { 1 } else { 0 },
-        heavy_ms,
-        failures.is_empty(),
-    );
+    let summary = Json::object([
+        ("table", "chaos_smoke".into()),
+        ("requests", requests.len().into()),
+        ("all_answered", (responses.len() == requests.len()).into()),
+        ("transport_identical", transport_identical.into()),
+        ("panics_caught", service.panics_caught.into()),
+        ("rejected", service.rejected.into()),
+        ("deadline_exceeded", service.deadline_exceeded.into()),
+        ("quarantined", pool.quarantined.into()),
+        (
+            "pool_poison_recoveries",
+            service.pool_poison_recoveries.into(),
+        ),
+        (
+            "cache_poison_recoveries",
+            service.cache_poison_recoveries.into(),
+        ),
+        ("session_leaks", usize::from(leaked).into()),
+        ("heavy_ms", Json::rounded(heavy_ms, 1)),
+        ("passed", failures.is_empty().into()),
+    ]);
+    println!("{summary}");
     for failure in &failures {
         eprintln!("chaos_smoke: {failure}");
     }

@@ -22,11 +22,11 @@
 
 use std::time::Instant;
 
+use csdf::json::Json;
 use csdf::transform::bound_all_buffers;
 use csdf::CsdfGraph;
 use csdf_explore::{uniform_slack_capacity, ParetoSweep};
 use csdf_generators::{apps, dsp};
-use kiter_bench::json_escape;
 use kperiodic::{optimal_throughput, KIterResult, PipelineStats};
 
 /// Timed repetitions of every app's cold baseline and sweep.
@@ -94,29 +94,39 @@ fn main() {
         .unwrap_or(1);
 
     for (index, (name, graph)) in applications.iter().enumerate() {
-        let field = |value: fn(&AppRun) -> f64| median(runs.iter().map(|apps| value(&apps[index])));
+        let median_ms = |value: fn(&AppRun) -> f64| {
+            Json::rounded(median(runs.iter().map(|apps| value(&apps[index]))), 1)
+        };
         // Counters are deterministic per run; times are medians.
         let first = &runs[0][index];
-        println!(
-            "{{\"table\":\"explore_smoke\",\"app\":\"{}\",\"tasks\":{},\"buffers\":{},\
-             \"points\":{points},\"repeats\":{REPEATS},\"sessions\":{},\"frontier\":{},\
-             \"cold_ms\":{:.1},\"sweep_ms\":{:.1},\"construction_ms\":{:.1},\
-             \"solve_ms\":{:.1},\"evaluations\":{},\"full_builds\":{},\"patched\":{},\
-             \"identical\":{}}}",
-            json_escape(name),
-            graph.task_count(),
-            graph.buffer_count(),
-            first.sessions,
-            first.frontier,
-            field(|run| run.cold_ms),
-            field(|run| run.sweep_ms),
-            field(|run| run.stats.total_construction_time().as_secs_f64() * 1e3),
-            field(|run| run.stats.solve_time.as_secs_f64() * 1e3),
-            first.stats.evaluations,
-            first.stats.full_builds,
-            first.stats.patched,
-            runs.iter().all(|apps| apps[index].identical),
-        );
+        let line = Json::object([
+            ("table", "explore_smoke".into()),
+            ("app", (*name).into()),
+            ("tasks", graph.task_count().into()),
+            ("buffers", graph.buffer_count().into()),
+            ("points", points.into()),
+            ("repeats", REPEATS.into()),
+            ("sessions", first.sessions.into()),
+            ("frontier", first.frontier.into()),
+            ("cold_ms", median_ms(|run| run.cold_ms)),
+            ("sweep_ms", median_ms(|run| run.sweep_ms)),
+            (
+                "construction_ms",
+                median_ms(|run| run.stats.total_construction_time().as_secs_f64() * 1e3),
+            ),
+            (
+                "solve_ms",
+                median_ms(|run| run.stats.solve_time.as_secs_f64() * 1e3),
+            ),
+            ("evaluations", first.stats.evaluations.into()),
+            ("full_builds", first.stats.full_builds.into()),
+            ("patched", first.stats.patched.into()),
+            (
+                "identical",
+                runs.iter().all(|apps| apps[index].identical).into(),
+            ),
+        ]);
+        println!("{line}");
     }
 
     let total = |apps: &[AppRun], value: fn(&AppRun) -> f64| apps.iter().map(value).sum::<f64>();
@@ -131,12 +141,20 @@ fn main() {
     let ratio_max = ratios.iter().copied().fold(0.0, f64::max);
     let cold_total = median(runs.iter().map(|apps| total(apps, |run| run.cold_ms)));
     let sweep_total = median(runs.iter().map(|apps| total(apps, |run| run.sweep_ms)));
-    println!(
-        "{{\"table\":\"explore_smoke\",\"points\":{points},\"repeats\":{REPEATS},\
-         \"sessions\":{sessions},\"cold_ms\":{cold_total:.1},\"sweep_ms\":{sweep_total:.1},\
-         \"ratio\":{ratio:.3},\"ratio_min\":{ratio_min:.3},\"ratio_max\":{ratio_max:.3},\
-         \"identical\":{all_identical},\"completed\":true}}",
-    );
+    let summary = Json::object([
+        ("table", "explore_smoke".into()),
+        ("points", points.into()),
+        ("repeats", REPEATS.into()),
+        ("sessions", sessions.into()),
+        ("cold_ms", Json::rounded(cold_total, 1)),
+        ("sweep_ms", Json::rounded(sweep_total, 1)),
+        ("ratio", Json::rounded(ratio, 3)),
+        ("ratio_min", Json::rounded(ratio_min, 3)),
+        ("ratio_max", Json::rounded(ratio_max, 3)),
+        ("identical", all_identical.into()),
+        ("completed", true.into()),
+    ]);
+    println!("{summary}");
 
     if !all_identical {
         eprintln!("explore smoke failed: sweep results differ from cold evaluations");

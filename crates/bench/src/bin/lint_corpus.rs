@@ -20,6 +20,7 @@
 
 use std::process::ExitCode;
 
+use csdf::json::Json;
 use csdf::CsdfGraph;
 use csdf_generators::{apps, dsp, random_graph, sdf3, RandomGraphConfig};
 use csdf_lint::{analyze, Severity};
@@ -124,15 +125,22 @@ fn main() -> ExitCode {
                 None => failures.push(format!("{category}/{index}: no bounds computed")),
             }
         }
-        println!(
-            "{{\"table\":\"lint_corpus\",\"category\":\"{category}\",\"graphs\":{},\"diagnostics\":{diagnostics},\"confirmed_deadlocks\":{confirmed_deadlocks}}}",
-            graphs.len(),
-        );
+        let line = Json::object([
+            ("table", "lint_corpus".into()),
+            ("category", category.into()),
+            ("graphs", graphs.len().into()),
+            ("diagnostics", diagnostics.into()),
+            ("confirmed_deadlocks", confirmed_deadlocks.into()),
+        ]);
+        println!("{line}");
     }
-    println!(
-        "{{\"table\":\"lint_corpus\",\"category\":\"summary\",\"graphs\":{total},\"passed\":{}}}",
-        failures.is_empty(),
-    );
+    let summary = Json::object([
+        ("table", "lint_corpus".into()),
+        ("category", "summary".into()),
+        ("graphs", total.into()),
+        ("passed", failures.is_empty().into()),
+    ]);
+    println!("{summary}");
     for failure in &failures {
         eprintln!("lint_corpus: {failure}");
     }

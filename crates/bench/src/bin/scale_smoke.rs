@@ -34,9 +34,9 @@
 
 use std::time::{Duration, Instant};
 
+use csdf::json::Json;
 use csdf::Throughput;
 use csdf_generators::{random_graph, RandomGraphConfig};
-use kiter_bench::json_escape;
 use kperiodic::{kiter_with_pipeline, AnalysisOptions, EvaluationPipeline, KIterOptions};
 
 /// A solve split or a total slower than `baseline × CHECK_FACTOR` fails
@@ -99,12 +99,14 @@ fn main() {
     let result = match result {
         Ok(result) => result,
         Err(err) => {
-            println!(
-                "{{\"tasks\":{},\"nproc\":{nproc},\"error\":\"{}\",\"total_ms\":{total_ms:.1},\
-                 \"completed\":false}}",
-                graph.task_count(),
-                json_escape(&err.to_string()),
-            );
+            let line = Json::object([
+                ("tasks", graph.task_count().into()),
+                ("nproc", nproc.into()),
+                ("error", err.to_string().into()),
+                ("total_ms", Json::rounded(total_ms, 1)),
+                ("completed", false.into()),
+            ]);
+            println!("{line}");
             std::process::exit(1);
         }
     };
@@ -113,34 +115,40 @@ fn main() {
         (arena.node_count(), arena.arc_count(), arena.heap_bytes())
     });
     let solve_ms = stats.solve_time.as_secs_f64() * 1e3;
-    let lanes = format!(
-        "{{\"i64\":{},\"i128\":{},\"scalar\":{},\"parametric\":{}}}",
-        stats.lanes.int64, stats.lanes.int128, stats.lanes.scalar, stats.lanes.parametric,
-    );
-    let peak_rss_mb = peak_rss_mb();
-    println!(
-        "{{\"tasks\":{},\"buffers\":{},\"nproc\":{nproc},\"throughput\":\"{}\",\
-         \"iterations\":{},\"event_graph\":[{nodes},{arcs}],\"parse_ms\":{parse_ms:.2},\
-         \"repetition_ms\":{repetition_ms:.2},\"total_ms\":{total_ms:.1},\
-         \"build_ms\":{:.1},\"patch_ms\":{:.1},\"solve_ms\":{solve_ms:.1},\
-         \"last_solve_ms\":{:.2},\"howard_rounds\":{},\"lanes\":{lanes},\"patched\":{},\
-         \"rebuilt_buffers\":{},\"reused_buffers\":{},\"peak_rss_mb\":{peak_rss_mb:.1},\
-         \"event_graph_bytes\":{heap_bytes},\"bytes_per_node\":{:.1},\
-         \"bytes_per_arc\":{:.1},\"completed\":true}}",
-        graph.task_count(),
-        graph.buffer_count(),
-        json_escape(&result.throughput.to_string()),
-        result.iterations,
-        stats.build_time.as_secs_f64() * 1e3,
-        stats.patch_time.as_secs_f64() * 1e3,
-        stats.last_solve_time.as_secs_f64() * 1e3,
-        stats.howard_rounds,
-        stats.patched,
-        stats.rebuilt_buffers,
-        stats.reused_buffers,
-        heap_bytes as f64 / nodes.max(1) as f64,
-        heap_bytes as f64 / arcs.max(1) as f64,
-    );
+    let ms = |time: Duration, decimals| Json::rounded(time.as_secs_f64() * 1e3, decimals);
+    let per = |count: usize| Json::rounded(heap_bytes as f64 / count.max(1) as f64, 1);
+    let lanes = Json::object([
+        ("i64", stats.lanes.int64.into()),
+        ("i128", stats.lanes.int128.into()),
+        ("scalar", stats.lanes.scalar.into()),
+        ("parametric", stats.lanes.parametric.into()),
+    ]);
+    let row = Json::object([
+        ("tasks", graph.task_count().into()),
+        ("buffers", graph.buffer_count().into()),
+        ("nproc", nproc.into()),
+        ("throughput", result.throughput.to_string().into()),
+        ("iterations", result.iterations.into()),
+        ("event_graph", Json::Array(vec![nodes.into(), arcs.into()])),
+        ("parse_ms", Json::rounded(parse_ms, 2)),
+        ("repetition_ms", Json::rounded(repetition_ms, 2)),
+        ("total_ms", Json::rounded(total_ms, 1)),
+        ("build_ms", ms(stats.build_time, 1)),
+        ("patch_ms", ms(stats.patch_time, 1)),
+        ("solve_ms", Json::rounded(solve_ms, 1)),
+        ("last_solve_ms", ms(stats.last_solve_time, 2)),
+        ("howard_rounds", stats.howard_rounds.into()),
+        ("lanes", lanes),
+        ("patched", stats.patched.into()),
+        ("rebuilt_buffers", stats.rebuilt_buffers.into()),
+        ("reused_buffers", stats.reused_buffers.into()),
+        ("peak_rss_mb", Json::rounded(peak_rss_mb(), 1)),
+        ("event_graph_bytes", heap_bytes.into()),
+        ("bytes_per_node", per(nodes)),
+        ("bytes_per_arc", per(arcs)),
+        ("completed", true.into()),
+    ]);
+    println!("{row}");
     // Non-vacuous outcome: the generated graph is strongly connected and
     // serialised, so its throughput must be finite.
     if !matches!(result.throughput, Throughput::Finite(_)) {
@@ -152,18 +160,13 @@ fn main() {
         check_against_baseline(
             &path,
             tasks,
+            &row,
             &[
                 ("parse", "parse_ms", parse_ms),
                 ("repetition vector", "repetition_ms", repetition_ms),
                 ("solve split", "solve_ms", solve_ms),
                 ("total", "total_ms", total_ms),
             ],
-            Measured {
-                iterations: result.iterations,
-                howard_rounds: stats.howard_rounds,
-                lanes: &lanes,
-                event_graph_bytes: heap_bytes,
-            },
         );
     }
 }
@@ -181,15 +184,30 @@ fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// What `--check` compares exactly: iterations, Howard rounds, the lane
-/// census as printed and the event graph's heap bytes.
-#[derive(Clone, Copy)]
-struct Measured<'a> {
-    iterations: usize,
-    howard_rounds: u64,
-    lanes: &'a str,
-    event_graph_bytes: usize,
-}
+/// The fields `--check` requires equal to the baseline row's, each with
+/// why it is deterministic.
+const EXACT_FIELDS: [(&str, &str); 4] = [
+    (
+        "iterations",
+        "the K-Iter trajectory is deterministic: regenerate the baseline if the change is \
+         intended",
+    ),
+    (
+        "howard_rounds",
+        "the count is deterministic: a solver change that alters it changed a decision; \
+         regenerate the baseline only if that is intended",
+    ),
+    (
+        "lanes",
+        "the census is deterministic: a change moved a component to another solver lane; \
+         regenerate the baseline only if that is intended",
+    ),
+    (
+        "event_graph_bytes",
+        "the figure is deterministic: a change moved the event graph's layout or \
+         capacities; regenerate the baseline only if that is intended",
+    ),
+];
 
 /// Runs `load` at least [`LOAD_REPEATS`] times and until [`LOAD_BUDGET`]
 /// has passed; returns the last result and the fastest time in
@@ -211,22 +229,12 @@ fn fastest_timed<T>(mut load: impl FnMut() -> T) -> (T, f64) {
 }
 
 /// Compares the measured times — `(what, baseline key, milliseconds)` —
-/// against the committed baseline (the `"table":"scale_smoke"` JSON line
-/// whose `"tasks"` matches), failing the process on a regression beyond
-/// [`CHECK_FACTOR`], or on any change of the iteration count, the Howard
-/// round count, the lane census or the event graph's heap bytes.
-fn check_against_baseline(
-    path: &str,
-    tasks: usize,
-    timings: &[(&str, &str, f64)],
-    run: Measured<'_>,
-) {
-    let Measured {
-        iterations,
-        howard_rounds,
-        lanes,
-        event_graph_bytes,
-    } = run;
+/// against the committed baseline row ([`baseline_row`]), failing the
+/// process on a regression beyond [`CHECK_FACTOR`], or when any of
+/// [`EXACT_FIELDS`] of `row` differs from the baseline's: the iteration
+/// count and the Howard round count, the lane census and the event graph's
+/// heap bytes.
+fn check_against_baseline(path: &str, tasks: usize, row: &Json, timings: &[(&str, &str, f64)]) {
     let contents = match std::fs::read_to_string(path) {
         Ok(contents) => contents,
         Err(err) => {
@@ -234,66 +242,30 @@ fn check_against_baseline(
             std::process::exit(1);
         }
     };
-    let baseline = baseline_line(&contents, tasks);
-    let baseline_times: Option<Vec<f64>> = timings
-        .iter()
-        .map(|&(_, key, _)| baseline.and_then(|line| extract_number(line, key)))
-        .collect();
-    let (
-        Some(baseline_times),
-        Some(baseline_iterations),
-        Some(baseline_rounds),
-        Some(baseline_lanes),
-        Some(baseline_bytes),
-    ) = (
-        baseline_times,
-        baseline.and_then(|line| extract_number(line, "iterations")),
-        baseline.and_then(|line| extract_number(line, "howard_rounds")),
-        baseline.and_then(|line| extract_object(line, "lanes")),
-        baseline.and_then(|line| extract_number(line, "event_graph_bytes")),
-    )
-    else {
+    let Some(baseline) = baseline_row(&contents, tasks) else {
         eprintln!(
             "check failed: no \"table\":\"scale_smoke\" baseline for {tasks} tasks in {path}"
         );
         std::process::exit(1);
     };
-    if iterations as f64 != baseline_iterations {
-        eprintln!(
-            "perf-smoke gate failed: {iterations} K-Iter iterations, the committed baseline \
-             has {baseline_iterations} at {tasks} tasks (the trajectory is deterministic: \
-             regenerate the baseline if the change is intended)"
-        );
-        std::process::exit(1);
+    for (key, why) in EXACT_FIELDS {
+        let (measured, committed) = (row.get(key), baseline.get(key));
+        if measured != committed {
+            let show = |value: Option<&Json>| value.map_or("nothing".to_string(), Json::to_string);
+            eprintln!(
+                "perf-smoke gate failed: {key} {}, the committed baseline has {} at {tasks} \
+                 tasks ({why})",
+                show(measured),
+                show(committed),
+            );
+            std::process::exit(1);
+        }
     }
-    if howard_rounds as f64 != baseline_rounds {
-        eprintln!(
-            "perf-smoke gate failed: {howard_rounds} Howard rounds, the committed baseline \
-             has {baseline_rounds} at {tasks} tasks (the count is deterministic: a solver \
-             change that alters it changed a decision; regenerate the baseline only if that \
-             is intended)"
-        );
-        std::process::exit(1);
-    }
-    if lanes != baseline_lanes {
-        eprintln!(
-            "perf-smoke gate failed: lane census {lanes}, the committed baseline has \
-             {baseline_lanes} at {tasks} tasks (the census is deterministic: a change moved \
-             a component to another solver lane; regenerate the baseline only if that is \
-             intended)"
-        );
-        std::process::exit(1);
-    }
-    if event_graph_bytes as f64 != baseline_bytes {
-        eprintln!(
-            "perf-smoke gate failed: the event graph holds {event_graph_bytes} heap bytes, \
-             the committed baseline has {baseline_bytes} at {tasks} tasks (the figure is \
-             deterministic: a change moved the event graph's layout or capacities; \
-             regenerate the baseline only if that is intended)"
-        );
-        std::process::exit(1);
-    }
-    for (&(what, _, measured), baseline) in timings.iter().zip(baseline_times) {
+    for &(what, key, measured) in timings {
+        let Some(baseline) = baseline.get(key).and_then(Json::as_f64) else {
+            eprintln!("check failed: the {tasks}-task baseline in {path} has no {key}");
+            std::process::exit(1);
+        };
         let limit = baseline * CHECK_FACTOR;
         if measured > limit {
             eprintln!(
@@ -310,29 +282,54 @@ fn check_against_baseline(
     }
 }
 
-/// Minimal JSONL scan (the stand-in environment has no serde): finds the
-/// `scale_smoke` line for `tasks`.
-fn baseline_line(contents: &str, tasks: usize) -> Option<&str> {
+/// The `"table":"scale_smoke"` row for `tasks` in a JSON Lines baseline
+/// file. Lines that are not JSON are skipped; the committed files have
+/// none (see the tests).
+fn baseline_row(contents: &str, tasks: usize) -> Option<Json> {
     contents
         .lines()
-        .filter(|line| line.contains("\"table\":\"scale_smoke\""))
-        .find(|line| line.contains(&format!("\"tasks\":{tasks},")))
+        .filter_map(|line| Json::parse(line).ok())
+        .find(|row| {
+            row.get("table").and_then(Json::as_str) == Some("scale_smoke")
+                && row.get("tasks").and_then(Json::as_u64) == Some(tasks as u64)
+        })
 }
 
-/// The `{...}` value of `key` (a flat object) in `line`, braces included.
-fn extract_object<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\":{{");
-    let start = line.find(&marker)? + marker.len() - 1;
-    let end = start + line[start..].find('}')?;
-    Some(&line[start..=end])
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn extract_number(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    const BASELINES: [&str; 2] = [
+        include_str!("../../../../BENCH_TABLE1.json"),
+        include_str!("../../../../BENCH_TABLE2.json"),
+    ];
+
+    #[test]
+    fn every_committed_baseline_line_parses() {
+        for contents in BASELINES {
+            for line in contents.lines() {
+                assert!(
+                    Json::parse(line).is_ok(),
+                    "unparsable baseline line: {line}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_finds_the_committed_scale_smoke_rows() {
+        for tasks in [1_000, 10_000, 100_000] {
+            let row = baseline_row(BASELINES[0], tasks).expect("a committed row");
+            assert_eq!(row.get("tasks").and_then(Json::as_u64), Some(tasks as u64));
+            let lanes = row.get("lanes").expect("a lane census");
+            for lane in ["i64", "i128", "scalar", "parametric"] {
+                assert!(lanes.get(lane).and_then(Json::as_u64).is_some(), "{lane}");
+            }
+            for (key, _) in EXACT_FIELDS {
+                assert!(row.get(key).is_some(), "{key} at {tasks} tasks");
+            }
+        }
+        assert!(baseline_row(BASELINES[0], 1).is_none());
+        assert!(baseline_row(BASELINES[1], 10_000).is_none());
+    }
 }

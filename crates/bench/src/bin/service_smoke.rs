@@ -83,9 +83,9 @@ fn ring(tasks: usize, tokens: u64) -> CsdfGraph {
 }
 
 fn graph_spec(graph: &CsdfGraph) -> Json {
-    Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(graph))),
+    Json::object([
+        ("format", "text".into()),
+        ("source", csdf::text::to_text(graph).into()),
     ])
 }
 
@@ -332,22 +332,23 @@ fn main() -> ExitCode {
     let transport_identical = transport_failures.is_empty();
     failures.extend(transport_failures);
 
-    println!(
-        "{{\"table\":\"service_smoke\",\"requests\":{},\"unique_graphs\":{},\"warm_ms\":{:.1},\"cold_ms\":{:.1},\"speedup\":{:.2},\"checkouts\":{},\"warm_hit_rate\":{:.4},\"cache_hits\":{},\"cache_misses\":{},\"bit_identical\":{},\"lint_verify_requests\":{},\"transport_identical\":{},\"passed\":{}}}",
-        batch.requests.len(),
-        batch.unique_evaluates.len(),
-        warm_ms,
-        cold_ms,
-        speedup,
-        pool.checkouts,
-        pool.warm_hit_rate(),
-        cache.hits,
-        cache.misses,
-        bit_identical,
-        lint_verify.len(),
-        transport_identical,
-        failures.is_empty(),
-    );
+    let summary = Json::object([
+        ("table", "service_smoke".into()),
+        ("requests", batch.requests.len().into()),
+        ("unique_graphs", batch.unique_evaluates.len().into()),
+        ("warm_ms", Json::rounded(warm_ms, 1)),
+        ("cold_ms", Json::rounded(cold_ms, 1)),
+        ("speedup", Json::rounded(speedup, 2)),
+        ("checkouts", pool.checkouts.into()),
+        ("warm_hit_rate", Json::rounded(pool.warm_hit_rate(), 4)),
+        ("cache_hits", cache.hits.into()),
+        ("cache_misses", cache.misses.into()),
+        ("bit_identical", bit_identical.into()),
+        ("lint_verify_requests", lint_verify.len().into()),
+        ("transport_identical", transport_identical.into()),
+        ("passed", failures.is_empty().into()),
+    ]);
+    println!("{summary}");
     for failure in &failures {
         eprintln!("service_smoke: {failure}");
     }

@@ -11,10 +11,11 @@
 //! `BENCH_TABLE1.json` reference file is produced this way); `--only <name>`
 //! filters categories by name substring (e.g. `--only sized`).
 
+use csdf::json::Json;
 use csdf::CsdfGraph;
 use csdf_baselines::Budget;
 use csdf_generators::sdf3::{generate_category, generate_category_sized, Sdf3Category};
-use kiter_bench::{category_row, graphs_per_category, json_escape, Method, TableArgs};
+use kiter_bench::{category_row, graphs_per_category, Method, TableArgs};
 
 fn main() {
     let budget = Budget::benchmark();
@@ -65,36 +66,24 @@ fn main() {
     for (name, graphs) in rows {
         let row = category_row(&name, &graphs, &methods, &budget);
         if args.json {
-            let methods_json: Vec<String> = row
-                .averages
-                .iter()
-                .map(|(method, avg, failures)| {
-                    format!(
-                        "\"{}\":{{\"avg_ms\":{:.3},\"failures\":{}}}",
-                        json_escape(method.label()),
-                        avg.as_secs_f64() * 1e3,
-                        failures
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"table\":\"table1\",\"category\":\"{}\",\"graphs\":{},\"tasks\":[{},{},{}],\"buffers\":[{},{},{}],\"sum_q\":[{},{},{}],\"copies\":[{},{},{}],\"methods\":{{{}}}}}",
-                json_escape(&row.name),
-                row.graphs,
-                row.tasks.0,
-                row.tasks.1,
-                row.tasks.2,
-                row.buffers.0,
-                row.buffers.1,
-                row.buffers.2,
-                row.repetition_sum.0,
-                row.repetition_sum.1,
-                row.repetition_sum.2,
-                row.expansion_copies.0,
-                row.expansion_copies.1,
-                row.expansion_copies.2,
-                methods_json.join(","),
-            );
+            let methods = row.averages.iter().map(|(method, avg, failures)| {
+                let cell = Json::object([
+                    ("avg_ms", Json::rounded(avg.as_secs_f64() * 1e3, 3)),
+                    ("failures", (*failures).into()),
+                ]);
+                (method.label(), cell)
+            });
+            let line = Json::object([
+                ("table", "table1".into()),
+                ("category", row.name.as_str().into()),
+                ("graphs", row.graphs.into()),
+                ("tasks", triple(row.tasks)),
+                ("buffers", triple(row.buffers)),
+                ("sum_q", triple(row.repetition_sum)),
+                ("copies", triple(row.expansion_copies)),
+                ("methods", Json::object(methods)),
+            ]);
+            println!("{line}");
             continue;
         }
         let cells: Vec<String> = row
@@ -130,4 +119,9 @@ fn main() {
     if !args.json {
         println!("\n(NNx) marks the number of graphs a method failed to finish within its budget.");
     }
+}
+
+/// A `(min, avg, max)` statistic as a JSON array.
+fn triple<T: Into<Json>>((min, avg, max): (T, T, T)) -> Json {
+    Json::Array(vec![min.into(), avg.into(), max.into()])
 }

@@ -14,11 +14,12 @@
 //! `--section sized --only JPEG2000 --json` under a hard timeout to guard the
 //! buffer-sized pathology that Howard's policy iteration fixed.
 
+use csdf::json::Json;
 use csdf::CsdfGraph;
 use csdf_baselines::Budget;
 use csdf_generators::apps::{industrial_app, industrial_specs, synthetic_specs, AppSpec};
 use csdf_generators::buffer_sized;
-use kiter_bench::{json_escape, run_method, Method, TableArgs};
+use kiter_bench::{run_method, Method, TableArgs};
 
 fn main() {
     let budget = Budget::default();
@@ -96,12 +97,13 @@ fn main() {
 /// structured object in `--json` mode, the plain line otherwise.
 fn generation_failed(args: &TableArgs, section: &str, name: &str, err: &impl std::fmt::Display) {
     if args.json {
-        println!(
-            "{{\"table\":\"table2\",\"section\":\"{}\",\"name\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(section),
-            json_escape(name),
-            json_escape(&err.to_string()),
-        );
+        let line = Json::object([
+            ("table", "table2".into()),
+            ("section", section.into()),
+            ("name", name.into()),
+            ("error", err.to_string().into()),
+        ]);
+        println!("{line}");
     } else {
         println!("{name:<14} generation failed: {err}");
     }
@@ -138,17 +140,18 @@ fn row(args: &TableArgs, section: &str, name: &str, graph: &CsdfGraph, budget: &
     let reference = kiter.throughput;
 
     if args.json {
-        println!(
-            "{{\"table\":\"table2\",\"section\":\"{}\",\"name\":\"{}\",\"tasks\":{},\"buffers\":{},\"sum_q\":\"{}\",\"periodic\":{},\"kiter\":{},\"symbolic\":{}}}",
-            json_escape(section),
-            json_escape(name),
-            graph.task_count(),
-            graph.buffer_count(),
-            json_escape(&sum),
-            periodic.json_fragment(),
-            kiter.json_fragment(),
-            symbolic.json_fragment(),
-        );
+        let line = Json::object([
+            ("table", "table2".into()),
+            ("section", section.into()),
+            ("name", name.into()),
+            ("tasks", graph.task_count().into()),
+            ("buffers", graph.buffer_count().into()),
+            ("sum_q", sum.as_str().into()),
+            ("periodic", periodic.json()),
+            ("kiter", kiter.json()),
+            ("symbolic", symbolic.json()),
+        ]);
+        println!("{line}");
         return;
     }
 

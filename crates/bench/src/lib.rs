@@ -9,6 +9,7 @@
 
 use std::time::{Duration, Instant};
 
+use csdf::json::Json;
 use csdf::{CsdfGraph, Throughput};
 use csdf_baselines::{
     expansion_throughput, periodic_throughput, symbolic_execution_throughput, Budget,
@@ -300,37 +301,21 @@ impl TableArgs {
     }
 }
 
-/// Minimal JSON string escaping (the emitted names are plain ASCII, but stay
-/// correct regardless).
-pub fn json_escape(text: &str) -> String {
-    let mut escaped = String::with_capacity(text.len());
-    for character in text.chars() {
-        match character {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            control if (control as u32) < 0x20 => {
-                escaped.push_str(&format!("\\u{:04x}", control as u32));
-            }
-            other => escaped.push(other),
-        }
-    }
-    escaped
-}
-
 impl MethodOutcome {
-    /// JSON fragment describing this outcome, e.g.
-    /// `{"throughput":"1/42","time_ms":3.14,"completed":true}`.
-    pub fn json_fragment(&self) -> String {
-        let throughput = match self.throughput {
-            Some(value) => format!("\"{}\"", json_escape(&value.to_string())),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"throughput\":{},\"time_ms\":{:.3},\"completed\":{}}}",
-            throughput,
-            self.duration.as_secs_f64() * 1e3,
-            self.completed
-        )
+    /// This outcome as a JSON object, e.g.
+    /// `{"throughput":"1/42","time_ms":3.142,"completed":true}`.
+    pub fn json(&self) -> Json {
+        let throughput = self
+            .throughput
+            .map_or(Json::Null, |value| value.to_string().into());
+        Json::object([
+            ("throughput", throughput),
+            (
+                "time_ms",
+                Json::rounded(self.duration.as_secs_f64() * 1e3, 3),
+            ),
+            ("completed", self.completed.into()),
+        ])
     }
 }
 

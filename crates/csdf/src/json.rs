@@ -1,13 +1,22 @@
-//! A minimal JSON value, parser and writer.
+//! The workspace's JSON codec: a value, its parser and writer, and the
+//! wire form of a throughput.
 //!
-//! The build environment is offline, so the service protocol is carried by
-//! this hand-rolled implementation instead of a JSON crate. It covers the
-//! full JSON grammar with two deliberate choices: numbers without a
-//! fraction or exponent are kept exact as [`Json::Int`] (`i128`, so request
-//! ids and token counts never round), and object keys keep their document
-//! order (responses render deterministically).
+//! The build environment is offline, so the service protocol, the
+//! `csdf-lint --json` lines and the bench rows are all carried by this
+//! hand-rolled implementation instead of a JSON crate. It covers the full
+//! JSON grammar with two deliberate choices: numbers without a fraction or
+//! exponent are kept exact as [`Json::Int`] (`i128`, so request ids and
+//! token counts never round), and object keys keep their document order
+//! (responses render deterministically). A [`Json::Float`] always renders
+//! with a fraction or an exponent, so rendering and parsing again gives the
+//! same variant back.
+//!
+//! Throughputs cross the wire as exact strings ([`throughput_to_string`],
+//! [`parse_throughput`]), never floats.
 
 use std::fmt;
+
+use crate::{Rational, Throughput};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +60,23 @@ impl Json {
         Ok(value)
     }
 
+    /// An object with the given entries, in order.
+    pub fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(
+            entries
+                .into_iter()
+                .map(|(key, value)| (key.into(), value))
+                .collect(),
+        )
+    }
+
+    /// `value` rounded to `decimals` decimal places, for measured times and
+    /// ratios whose further digits are noise.
+    pub fn rounded(value: f64, decimals: i32) -> Json {
+        let scale = 10f64.powi(decimals);
+        Json::Float((value * scale).round() / scale)
+    }
+
     /// Looks up a key of an object (`None` for other variants too).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -83,6 +109,15 @@ impl Json {
         self.as_i128().and_then(|value| u64::try_from(value).ok())
     }
 
+    /// The number as an `f64`, if this is an integer or any other number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(value) => Some(*value as f64),
+            Json::Float(value) => Some(*value),
+            _ => None,
+        }
+    }
+
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -100,6 +135,36 @@ impl Json {
     }
 }
 
+impl From<bool> for Json {
+    fn from(value: bool) -> Json {
+        Json::Bool(value)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(value: &str) -> Json {
+        Json::Str(value.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(value: String) -> Json {
+        Json::Str(value)
+    }
+}
+
+macro_rules! from_integer {
+    ($($integer:ty),*) => {$(
+        impl From<$integer> for Json {
+            fn from(value: $integer) -> Json {
+                Json::Int(value as i128)
+            }
+        }
+    )*};
+}
+
+from_integer!(u64, u128, usize);
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -108,7 +173,7 @@ impl fmt::Display for Json {
             Json::Int(value) => write!(f, "{value}"),
             Json::Float(value) => {
                 if value.is_finite() {
-                    write!(f, "{value}")
+                    write!(f, "{value:?}")
                 } else {
                     // JSON has no NaN/Infinity; degrade to null like most
                     // serialisers do.
@@ -159,6 +224,52 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, value: &str) -> fmt::Result {
     }
     f.write_str(rest)?;
     f.write_str("\"")
+}
+
+/// Renders a throughput as its exact wire string: `"num/den"` (always with
+/// the denominator, even when 1), `"unbounded"` or `"deadlock"`.
+pub fn throughput_to_string(value: Throughput) -> String {
+    match value {
+        Throughput::Finite(value) => format!("{}/{}", value.numer(), value.denom()),
+        Throughput::Unbounded => "unbounded".to_string(),
+        Throughput::Deadlocked => "deadlock".to_string(),
+    }
+}
+
+/// Parses the wire form accepted for throughputs: `"num/den"`, a plain
+/// integer string, `"unbounded"` or `"deadlock"`.
+///
+/// # Errors
+///
+/// A human-readable message for anything else (including zero denominators).
+pub fn parse_throughput(text: &str) -> Result<Throughput, String> {
+    match text.trim() {
+        "unbounded" => Ok(Throughput::Unbounded),
+        "deadlock" => Ok(Throughput::Deadlocked),
+        trimmed => {
+            let (numer, denom) = match trimmed.split_once('/') {
+                Some((numer, denom)) => (
+                    numer
+                        .trim()
+                        .parse::<i128>()
+                        .map_err(|_| format!("invalid throughput numerator in `{trimmed}`"))?,
+                    denom
+                        .trim()
+                        .parse::<i128>()
+                        .map_err(|_| format!("invalid throughput denominator in `{trimmed}`"))?,
+                ),
+                None => (
+                    trimmed
+                        .parse::<i128>()
+                        .map_err(|_| format!("invalid throughput `{trimmed}`"))?,
+                    1,
+                ),
+            };
+            let rational = Rational::new(numer, denom)
+                .map_err(|error| format!("invalid throughput `{trimmed}`: {error}"))?;
+            Ok(Throughput::Finite(rational))
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -440,6 +551,42 @@ mod tests {
         let source = r#"{"id":7,"type":"sweep","graph":{"format":"text","source":"graph g\ntask a durations=1\n"},"slacks":[1,2,3]}"#;
         let parsed = Json::parse(source).unwrap();
         assert_eq!(parsed.to_string(), source);
+    }
+
+    #[test]
+    fn floats_keep_their_variant_through_a_round_trip() {
+        for value in [0.0, 3.0, 5.33, -0.25, 1e20, 1e-7] {
+            let rendered = Json::Float(value).to_string();
+            assert_eq!(Json::parse(&rendered).unwrap(), Json::Float(value));
+        }
+        assert_eq!(Json::Float(3.0).to_string(), "3.0");
+        assert_eq!(Json::rounded(2.0 / 3.0, 2).to_string(), "0.67");
+        assert_eq!(Json::Float(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn objects_build_from_pairs_and_conversions() {
+        let object = Json::object([("a", 1usize.into()), ("b", "x".into()), ("c", true.into())]);
+        assert_eq!(object.to_string(), r#"{"a":1,"b":"x","c":true}"#);
+        assert_eq!(object.get("a").and_then(Json::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn throughput_strings_round_trip() {
+        for text in ["3/4", "unbounded", "deadlock", "5/1"] {
+            let value = parse_throughput(text).unwrap();
+            assert_eq!(throughput_to_string(value), text);
+        }
+        assert_eq!(
+            throughput_to_string(Throughput::Finite(Rational::new(3, 6).unwrap())),
+            "1/2"
+        );
+        assert_eq!(
+            parse_throughput("7").unwrap(),
+            Throughput::Finite(Rational::from_integer(7))
+        );
+        assert!(parse_throughput("1/0").is_err());
+        assert!(parse_throughput("fast").is_err());
     }
 
     #[test]

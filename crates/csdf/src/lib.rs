@@ -12,7 +12,10 @@
 //! * [`Throughput`] and [`Rational`] — exact result types (Section 2.3);
 //! * [`transform`] — buffer-capacity modelling, auto-concurrency
 //!   serialisation and the SDF → HSDF expansion used by baseline methods;
-//! * [`dot`] / [`text`] — serialisation helpers.
+//! * [`dot`] / [`text`] — serialisation helpers;
+//! * [`json`] — the workspace's JSON codec and the exact wire form of a
+//!   throughput, shared by the service protocol, `csdf-lint --json` and the
+//!   bench rows.
 //!
 //! # Examples
 //!
@@ -48,6 +51,7 @@ mod task;
 mod throughput;
 
 pub mod dot;
+pub mod json;
 pub mod text;
 pub mod transform;
 

@@ -199,6 +199,19 @@ pub fn bound_buffers_tracked(
     })
 }
 
+/// The capacity the uniform-slack convention assigns to a buffer: `slack`
+/// (at least 1) times the tokens one producer plus one consumer iteration
+/// moves, `slack · (i_b + o_b)`, never below the initial marking. This is
+/// the sizing rule of the paper's Table 2 "fixed buffer size" rows; pass it
+/// to [`bound_all_buffers`] as `|_, buffer| uniform_slack_capacity(buffer,
+/// slack)`.
+pub fn uniform_slack_capacity(buffer: crate::Buffer<'_>, slack: u64) -> u64 {
+    slack
+        .max(1)
+        .saturating_mul(buffer.total_production() + buffer.total_consumption())
+        .max(buffer.initial_tokens())
+}
+
 /// Bounds every non-self-loop buffer of the graph to the capacity returned by
 /// `capacity_of`, which receives the buffer id and the buffer itself.
 ///

@@ -20,7 +20,7 @@ mod serialize;
 
 pub use buffer_capacity::{
     bound_all_buffers, bound_all_buffers_tracked, bound_buffers, bound_buffers_tracked,
-    BoundedGraph, BufferCapacity,
+    uniform_slack_capacity, BoundedGraph, BufferCapacity,
 };
 pub use hsdf::{expand_to_hsdf, HsdfExpansion};
 pub use serialize::serialize_tasks;

@@ -36,12 +36,14 @@ mod scenario;
 mod storage;
 mod sweep;
 
+/// Re-exported from [`csdf::transform`], where the rule is defined once.
+pub use csdf::transform::uniform_slack_capacity;
 pub use scenario::{Scenario, ScenarioOutcome, ScenarioSet};
 pub use storage::{
     min_storage_for_throughput, min_storage_for_throughput_on, tighten_capacities,
     MinStorageOutcome,
 };
-pub use sweep::{uniform_slack_capacity, CapacityPoint, ParetoSweep, SweepOutcome, SweepPoint};
+pub use sweep::{CapacityPoint, ParetoSweep, SweepOutcome, SweepPoint};
 
 #[cfg(test)]
 mod tests {

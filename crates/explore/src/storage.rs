@@ -1,11 +1,10 @@
 //! Storage minimisation under a throughput constraint.
 
-use csdf::transform::{bound_all_buffers_tracked, BoundedGraph};
+use csdf::transform::{bound_all_buffers_tracked, uniform_slack_capacity, BoundedGraph};
 use csdf::{BufferId, CsdfError, CsdfGraph, Throughput};
 use kperiodic::{AnalysisError, AnalysisSession, KIterOptions, KIterResult};
 
 use crate::runner::reverse_of;
-use crate::sweep::uniform_slack_capacity;
 
 /// The result of a storage-minimisation search.
 #[derive(Debug, Clone, PartialEq, Eq)]

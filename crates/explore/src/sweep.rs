@@ -1,7 +1,7 @@
 //! Throughput vs. storage Pareto sweeps over bounded graphs.
 
-use csdf::transform::{bound_all_buffers_tracked, BoundedGraph};
-use csdf::{Buffer, BufferId, CsdfGraph, Throughput};
+use csdf::transform::{bound_all_buffers_tracked, uniform_slack_capacity, BoundedGraph};
+use csdf::{BufferId, CsdfGraph, Throughput};
 use kperiodic::{AnalysisError, KIterResult, PipelineStats};
 
 use crate::runner::{machine_width, reverse_of, run_points};
@@ -79,19 +79,6 @@ impl SweepOutcome {
         }
         frontier
     }
-}
-
-/// The capacity the uniform-slack convention assigns to a buffer: `slack`
-/// times the tokens one producer plus one consumer iteration moves,
-/// `slack · (i_b + o_b)`, never below the initial marking. This is exactly
-/// the sizing rule of the paper's Table 2 "fixed buffer size" rows (and of
-/// `csdf_generators::buffer_sized`), so sweep points line up with the
-/// published benchmark convention.
-pub fn uniform_slack_capacity(buffer: Buffer<'_>, slack: u64) -> u64 {
-    slack
-        .max(1)
-        .saturating_mul(buffer.total_production() + buffer.total_consumption())
-        .max(buffer.initial_tokens())
 }
 
 /// A list of capacity assignments evaluated over one bounded design.

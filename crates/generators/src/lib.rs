@@ -25,13 +25,13 @@ pub mod sdf3;
 
 pub use random::{random_graph, RandomGraphConfig};
 
-use csdf::transform::bound_all_buffers;
+use csdf::transform::{bound_all_buffers, uniform_slack_capacity};
 use csdf::{CsdfError, CsdfGraph};
 
 /// Returns the "fixed buffer size" variant of `graph`, in which every data
 /// buffer is bounded to `slack` times the tokens moved by one producer and
 /// one consumer iteration (`slack · (i_b + o_b)`, at least the initial
-/// marking). This doubles the buffer count exactly as in the bottom half of
+/// marking: [`csdf::transform::uniform_slack_capacity`]). This doubles the buffer count exactly as in the bottom half of
 /// the paper's Table 2 and turns buffer capacity into additional feedback
 /// cycles that the throughput analysis must take into account.
 ///
@@ -55,12 +55,7 @@ use csdf::{CsdfError, CsdfGraph};
 /// # Ok::<(), csdf::CsdfError>(())
 /// ```
 pub fn buffer_sized(graph: &CsdfGraph, slack: u64) -> Result<CsdfGraph, CsdfError> {
-    bound_all_buffers(graph, |_, buffer| {
-        slack
-            .max(1)
-            .saturating_mul(buffer.total_production() + buffer.total_consumption())
-            .max(buffer.initial_tokens())
-    })
+    bound_all_buffers(graph, |_, buffer| uniform_slack_capacity(buffer, slack))
 }
 
 #[cfg(test)]

@@ -5,12 +5,17 @@
 //! csdf-lint --codes
 //! ```
 //!
+//! `--json` prints one JSON object per file: `file`, then the report's
+//! fields ([`csdf_lint::LintReport::json_fields`], the same fields the
+//! service's `lint` responses carry).
+//!
 //! Exit status is 1 when any file has an error-severity diagnostic (or could
 //! not be read), 0 otherwise; warnings and notes do not fail the run.
 
 use std::process::ExitCode;
 
-use csdf_lint::{lint_source, throughput_wire, InputFormat, LintCode, LintReport};
+use csdf::json::Json;
+use csdf_lint::{lint_source, InputFormat, LintCode};
 
 const USAGE: &str =
     "usage: csdf-lint [--json] [--format text|sdf3] FILE...\n       csdf-lint --codes";
@@ -65,80 +70,6 @@ fn print_codes() {
     }
 }
 
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn report_json(file: &str, report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"file\":\"{}\",", json_escape(file)));
-    out.push_str("\"diagnostics\":[");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-            d.code,
-            d.severity(),
-            json_escape(&d.message)
-        ));
-        if let Some(line) = d.line {
-            out.push_str(&format!(",\"line\":{line}"));
-        }
-        if !d.tasks.is_empty() {
-            let tasks: Vec<String> = d
-                .tasks
-                .iter()
-                .map(|t| format!("\"{}\"", json_escape(t)))
-                .collect();
-            out.push_str(&format!(",\"tasks\":[{}]", tasks.join(",")));
-        }
-        if !d.buffers.is_empty() {
-            let buffers: Vec<String> = d
-                .buffers
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"index\":{},\"source\":\"{}\",\"target\":\"{}\"}}",
-                        b.index,
-                        json_escape(&b.source),
-                        json_escape(&b.target)
-                    )
-                })
-                .collect();
-            out.push_str(&format!(",\"buffers\":[{}]", buffers.join(",")));
-        }
-        out.push('}');
-    }
-    out.push(']');
-    if let Some(bounds) = &report.bounds {
-        out.push_str(&format!(
-            ",\"bounds\":{{\"lower\":\"{}\",\"upper\":\"{}\"}}",
-            throughput_wire(&bounds.lower),
-            throughput_wire(&bounds.upper)
-        ));
-    }
-    out.push_str(&format!(
-        ",\"errors\":{},\"warnings\":{}}}",
-        report.error_count(),
-        report.warning_count()
-    ));
-    out
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&raw) {
@@ -164,7 +95,9 @@ fn main() -> ExitCode {
         let format = args.format.unwrap_or_else(|| InputFormat::from_path(file));
         let report = lint_source(&source, format);
         if args.json {
-            println!("{}", report_json(file, &report));
+            let mut line = vec![("file".to_string(), Json::from(file.as_str()))];
+            line.extend(report.json_fields());
+            println!("{}", Json::Object(line));
         } else {
             print!("{}", report.render(Some(file)));
         }

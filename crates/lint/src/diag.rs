@@ -3,6 +3,7 @@
 
 use std::fmt;
 
+use csdf::json::{throughput_to_string, Json};
 use csdf::{BufferRef, Throughput};
 
 /// How serious a diagnostic is.
@@ -224,6 +225,34 @@ impl Diagnostic {
         ));
         out
     }
+
+    /// The diagnostic as a JSON object: `code`, `severity` and `message`,
+    /// then `line`, `tasks` and `buffers` only when set.
+    fn to_json(&self) -> Json {
+        let mut entries = vec![
+            ("code".to_string(), self.code.as_str().into()),
+            ("severity".to_string(), self.severity().to_string().into()),
+            ("message".to_string(), self.message.as_str().into()),
+        ];
+        if let Some(line) = self.line {
+            entries.push(("line".to_string(), line.into()));
+        }
+        if !self.tasks.is_empty() {
+            let tasks = self.tasks.iter().map(|task| task.as_str().into());
+            entries.push(("tasks".to_string(), Json::Array(tasks.collect())));
+        }
+        if !self.buffers.is_empty() {
+            let buffers = self.buffers.iter().map(|buffer| {
+                Json::object([
+                    ("index", buffer.index.into()),
+                    ("source", buffer.source.as_str().into()),
+                    ("target", buffer.target.as_str().into()),
+                ])
+            });
+            entries.push(("buffers".to_string(), Json::Array(buffers.collect())));
+        }
+        Json::Object(entries)
+    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -321,6 +350,33 @@ impl LintReport {
     /// must agree with [`Throughput::Deadlocked`]).
     pub fn certain_deadlock(&self) -> bool {
         self.diagnostics.iter().any(|d| d.code.proves_deadlock())
+    }
+
+    /// The report as the entries of a JSON object, in this order:
+    /// `diagnostics`, `errors`, `warnings`, `certain_deadlock` and, when
+    /// the graph is consistent, `bounds` (`lower`/`upper` in the exact
+    /// throughput wire form). This is the report's one JSON rendering: the
+    /// service's `lint` and `verify` responses carry these entries after
+    /// their header, and `csdf-lint --json` prints them after `file`.
+    pub fn json_fields(&self) -> Vec<(String, Json)> {
+        let diagnostics = self.diagnostics.iter().map(Diagnostic::to_json).collect();
+        let mut fields = vec![
+            ("diagnostics".to_string(), Json::Array(diagnostics)),
+            ("errors".to_string(), self.error_count().into()),
+            ("warnings".to_string(), self.warning_count().into()),
+            (
+                "certain_deadlock".to_string(),
+                self.certain_deadlock().into(),
+            ),
+        ];
+        if let Some(bounds) = &self.bounds {
+            let bounds = Json::object([
+                ("lower", throughput_to_string(bounds.lower).into()),
+                ("upper", throughput_to_string(bounds.upper).into()),
+            ]);
+            fields.push(("bounds".to_string(), bounds));
+        }
+        fields
     }
 
     /// Renders every diagnostic plus a summary line, the CLI text format.

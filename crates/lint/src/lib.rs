@@ -57,7 +57,7 @@ mod structure;
 pub use diag::{Diagnostic, LintCode, LintReport, Severity, ThroughputBounds};
 
 use csdf::text;
-use csdf::{CsdfError, CsdfGraph, SourceMap, Throughput};
+use csdf::{CsdfError, CsdfGraph, SourceMap};
 
 /// Source spans to attach to diagnostics; absent when the graph was built
 /// programmatically.
@@ -201,17 +201,6 @@ fn import_failure_report(err: &CsdfError) -> LintReport {
     report
 }
 
-/// The wire form of a throughput used in machine-readable lint output and
-/// the service protocol: `"deadlock"`, `"unbounded"`, or the exact fraction
-/// `"num/den"` (always with the denominator, even when 1).
-pub fn throughput_wire(throughput: &Throughput) -> String {
-    match throughput {
-        Throughput::Finite(value) => format!("{}/{}", value.numer(), value.denom()),
-        Throughput::Unbounded => "unbounded".to_string(),
-        Throughput::Deadlocked => "deadlock".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,17 +265,6 @@ mod tests {
         assert_eq!(InputFormat::from_path("g.csdf"), InputFormat::Text);
         assert_eq!(InputFormat::from_path("G.XML"), InputFormat::Sdf3);
         assert_eq!(InputFormat::from_path("g.sdf3"), InputFormat::Sdf3);
-    }
-
-    #[test]
-    fn throughput_wire_forms() {
-        use csdf::Rational;
-        assert_eq!(throughput_wire(&Throughput::Deadlocked), "deadlock");
-        assert_eq!(throughput_wire(&Throughput::Unbounded), "unbounded");
-        assert_eq!(
-            throughput_wire(&Throughput::Finite(Rational::new(3, 6).unwrap())),
-            "1/2"
-        );
     }
 
     #[test]

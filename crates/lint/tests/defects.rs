@@ -6,6 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
+use csdf::json::Json;
 use csdf_lint::{lint_source, InputFormat, LintCode, Severity};
 
 fn fixtures() -> Vec<PathBuf> {
@@ -77,4 +78,41 @@ fn corpus_covers_every_error_code_and_all_structural_warnings() {
             );
         }
     }
+}
+
+/// `csdf-lint --json` prints one line per file: `file`, then exactly the
+/// report's one JSON rendering ([`csdf_lint::LintReport::json_fields`]).
+#[test]
+fn cli_json_lines_are_the_file_then_the_report_fields() {
+    let clean = Path::new(env!("CARGO_MANIFEST_DIR")).join("../csdf/tests/fixtures/modem.sdf3.xml");
+    let mut paths = fixtures();
+    paths.push(clean);
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_csdf-lint"))
+        .arg("--json")
+        .args(&paths)
+        .output()
+        .expect("csdf-lint runs");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "the error fixtures fail the run"
+    );
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    assert_eq!(stdout.lines().count(), paths.len());
+    for (line, path) in stdout.lines().zip(&paths) {
+        let file = path.to_str().unwrap();
+        let report = lint_source(
+            &std::fs::read_to_string(path).unwrap(),
+            InputFormat::from_path(file),
+        );
+        let mut expected = vec![("file".to_string(), Json::from(file))];
+        expected.extend(report.json_fields());
+        assert_eq!(Json::parse(line), Ok(Json::Object(expected)), "{file}");
+    }
+    let clean = Json::parse(stdout.lines().last().unwrap()).unwrap();
+    assert_eq!(
+        clean.get("errors"),
+        Some(&Json::Int(0)),
+        "the modem lints clean"
+    );
 }

@@ -16,7 +16,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use csdf_service::{Daemon, ServiceConfig};
+use csdf_service::{Daemon, Json, ServiceConfig};
 
 struct Args {
     socket: Option<std::path::PathBuf>,
@@ -91,22 +91,28 @@ fn main() -> ExitCode {
     let pool = daemon.pool_stats();
     let cache = daemon.cache_stats();
     let service = daemon.service_stats();
-    eprintln!(
-        "{{\"checkouts\":{},\"warm\":{},\"cold\":{},\"warm_hit_rate\":{:.4},\"returned\":{},\"quarantined\":{},\"cache_hits\":{},\"cache_misses\":{},\"panics_caught\":{},\"deadline_exceeded\":{},\"rejected\":{},\"pool_poison_recoveries\":{},\"cache_poison_recoveries\":{}}}",
-        pool.checkouts,
-        pool.warm,
-        pool.cold,
-        pool.warm_hit_rate(),
-        pool.returned,
-        pool.quarantined,
-        cache.hits,
-        cache.misses,
-        service.panics_caught,
-        service.deadline_exceeded,
-        service.rejected,
-        service.pool_poison_recoveries,
-        service.cache_poison_recoveries
-    );
+    let stats = Json::object([
+        ("checkouts", pool.checkouts.into()),
+        ("warm", pool.warm.into()),
+        ("cold", pool.cold.into()),
+        ("warm_hit_rate", Json::rounded(pool.warm_hit_rate(), 4)),
+        ("returned", pool.returned.into()),
+        ("quarantined", pool.quarantined.into()),
+        ("cache_hits", cache.hits.into()),
+        ("cache_misses", cache.misses.into()),
+        ("panics_caught", service.panics_caught.into()),
+        ("deadline_exceeded", service.deadline_exceeded.into()),
+        ("rejected", service.rejected.into()),
+        (
+            "pool_poison_recoveries",
+            service.pool_poison_recoveries.into(),
+        ),
+        (
+            "cache_poison_recoveries",
+            service.cache_poison_recoveries.into(),
+        ),
+    ]);
+    eprintln!("{stats}");
     match served {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {

@@ -42,9 +42,6 @@ pub struct CacheStats {
     pub misses: usize,
     /// Entries evicted over capacity.
     pub evicted: usize,
-    /// Inserts refused because the key exceeded the entry-size limit
-    /// ([`ResultCache::with_entry_limit`]).
-    pub rejected: usize,
 }
 
 #[derive(Debug)]
@@ -63,35 +60,20 @@ struct Entry {
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
-    /// Largest marking vector an inserted key may carry; larger keys are
-    /// refused and counted in [`CacheStats::rejected`].
-    max_markings: usize,
     entries: Vec<Entry>,
     next_stamp: u64,
     stats: CacheStats,
 }
 
 impl ResultCache {
-    /// Creates a cache keeping at most `capacity` results (`0` is `1`),
-    /// with no entry-size limit.
+    /// Creates a cache keeping at most `capacity` results (`0` is `1`).
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
             capacity: capacity.max(1),
-            max_markings: usize::MAX,
             entries: Vec::new(),
             next_stamp: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Caps the size of an insertable key at `max_markings` marking entries
-    /// (one per buffer of the evaluated graph); oversized inserts are
-    /// refused and counted in [`CacheStats::rejected`] instead of letting a
-    /// handful of giant graphs dominate the cache's memory.
-    #[must_use]
-    pub fn with_entry_limit(mut self, max_markings: usize) -> ResultCache {
-        self.max_markings = max_markings;
-        self
     }
 
     /// Looks a key up, refreshing its recency on a hit.
@@ -119,10 +101,6 @@ impl ResultCache {
     /// Panics only if the eviction invariant breaks (an over-capacity cache
     /// with no entry to evict).
     pub fn insert(&mut self, key: CacheKey, result: KIterResult) {
-        if key.markings.len() > self.max_markings {
-            self.stats.rejected += 1;
-            return;
-        }
         if let Some(entry) = self.entries.iter_mut().find(|entry| entry.key == key) {
             entry.result = result;
             entry.stamp = self.next_stamp;
@@ -205,16 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn entry_limit_rejects_oversized_keys_and_clear_keeps_counters() {
-        // The ring has two buffers; a one-marking limit refuses its key.
-        let mut cache = ResultCache::new(8).with_entry_limit(1);
+    fn clear_empties_the_cache_and_keeps_counters() {
+        let mut cache = ResultCache::new(8);
         let graph = ring(2, 3);
         let result = optimal_throughput(&graph).unwrap();
-        cache.insert(CacheKey::new(&graph), result.clone());
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().rejected, 1);
-
-        let mut cache = ResultCache::new(8).with_entry_limit(2);
         cache.insert(CacheKey::new(&graph), result);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&CacheKey::new(&graph)).is_some());

@@ -24,19 +24,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use csdf::json::{throughput_to_string, Json};
 use csdf::transform::bound_all_buffers_tracked;
 use csdf::{CsdfGraph, TaskId, Throughput};
 use csdf_baselines::{expansion_throughput, Budget, EvaluationStatus};
 use csdf_explore::{
     min_storage_for_throughput_on, uniform_slack_capacity, ParetoSweep, ScenarioSet,
 };
-use csdf_lint::LintReport;
 use kperiodic::{AnalysisError, AnalysisSession, CancelToken, KIterResult, PoolStats, SessionPool};
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::json::Json;
-use crate::protocol::{parse_request, throughput_to_string, GraphSpec, RequestBody};
+use crate::protocol::{parse_request, GraphSpec, RequestBody};
 
 /// Wall-clock budget of each `verify` cross-check when the request has no
 /// deadline of its own (also the expansion baseline's time budget).
@@ -63,9 +62,9 @@ pub struct ServiceConfig {
     pub max_line_bytes: usize,
     /// Largest admitted task count of a request's graph.
     pub max_tasks: usize,
-    /// Largest admitted buffer count of a request's graph. Also caps the
-    /// result cache's entry size (a cache key stores one marking per
-    /// buffer).
+    /// Largest admitted buffer count of a request's graph. Only admitted
+    /// graphs are evaluated and cached, so this also bounds a result cache
+    /// key, which stores one marking per buffer.
     pub max_buffers: usize,
     /// Requests allowed past parsing concurrently; excess load is shed with
     /// a `rejected` error instead of queueing without bound.
@@ -253,9 +252,7 @@ impl Daemon {
     pub fn new(config: ServiceConfig) -> Daemon {
         Daemon {
             pool: Mutex::new(SessionPool::new(config.pool_capacity)),
-            cache: Mutex::new(
-                ResultCache::new(config.cache_capacity).with_entry_limit(config.max_buffers),
-            ),
+            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             config,
             fault_plan: None,
             panics_caught: AtomicUsize::new(0),
@@ -692,36 +689,25 @@ impl Daemon {
                 let outcome = self.with_session(sweep.bounded().graph(), deadline, |session| {
                     sweep.run_on_session(session).map_err(ServiceError::from)
                 })?;
-                let points: Vec<Json> = outcome
-                    .points
-                    .iter()
-                    .map(|point| {
-                        Json::Object(vec![
-                            ("slack".to_string(), Json::Int(point.label.into())),
-                            (
-                                "total_storage".to_string(),
-                                Json::Int(point.total_storage.into()),
-                            ),
-                            (
-                                "throughput".to_string(),
-                                Json::Str(throughput_to_string(point.throughput())),
-                            ),
-                            (
-                                "iterations".to_string(),
-                                Json::Int(point.result.iterations as i128),
-                            ),
-                        ])
-                    })
-                    .collect();
-                let frontier: Vec<Json> = outcome
+                let points = outcome.points.iter().map(|point| {
+                    Json::object([
+                        ("slack", point.label.into()),
+                        ("total_storage", point.total_storage.into()),
+                        (
+                            "throughput",
+                            throughput_to_string(point.throughput()).into(),
+                        ),
+                        ("iterations", point.result.iterations.into()),
+                    ])
+                });
+                let frontier = outcome
                     .pareto_frontier()
-                    .iter()
-                    .map(|point| Json::Int(point.label.into()))
-                    .collect();
-                Ok(vec![
-                    ("points".to_string(), Json::Array(points)),
-                    ("frontier".to_string(), Json::Array(frontier)),
-                ])
+                    .into_iter()
+                    .map(|point| point.label.into());
+                Ok(fields([
+                    ("points", Json::Array(points.collect())),
+                    ("frontier", Json::Array(frontier.collect())),
+                ]))
             }
             RequestBody::MinStorage {
                 graph,
@@ -739,23 +725,17 @@ impl Daemon {
                         .map_err(ServiceError::from)
                 })?;
                 match outcome {
-                    None => Ok(vec![("feasible".to_string(), Json::Bool(false))]),
-                    Some(outcome) => Ok(vec![
-                        ("feasible".to_string(), Json::Bool(true)),
-                        ("slack".to_string(), Json::Int(outcome.slack.into())),
+                    None => Ok(fields([("feasible", false.into())])),
+                    Some(outcome) => Ok(fields([
+                        ("feasible", true.into()),
+                        ("slack", outcome.slack.into()),
+                        ("total_storage", outcome.total_storage.into()),
                         (
-                            "total_storage".to_string(),
-                            Json::Int(outcome.total_storage.into()),
+                            "throughput",
+                            throughput_to_string(outcome.result.throughput).into(),
                         ),
-                        (
-                            "throughput".to_string(),
-                            Json::Str(throughput_to_string(outcome.result.throughput)),
-                        ),
-                        (
-                            "evaluations".to_string(),
-                            Json::Int(outcome.evaluations as i128),
-                        ),
-                    ]),
+                        ("evaluations", outcome.evaluations.into()),
+                    ])),
                 }
             }
             RequestBody::ScenarioSet { graph, scenarios } => {
@@ -767,28 +747,21 @@ impl Daemon {
                 let outcomes = self.with_session(set.base(), deadline, |session| {
                     set.run_on_session(session).map_err(ServiceError::from)
                 })?;
-                let rendered: Vec<Json> = outcomes
-                    .iter()
-                    .map(|outcome| {
-                        Json::Object(vec![
-                            ("name".to_string(), Json::Str(outcome.name.clone())),
-                            (
-                                "throughput".to_string(),
-                                Json::Str(throughput_to_string(outcome.result.throughput)),
-                            ),
-                            (
-                                "iterations".to_string(),
-                                Json::Int(outcome.result.iterations as i128),
-                            ),
-                        ])
-                    })
-                    .collect();
-                Ok(vec![("scenarios".to_string(), Json::Array(rendered))])
+                let rendered = outcomes.iter().map(|outcome| {
+                    Json::object([
+                        ("name", outcome.name.as_str().into()),
+                        (
+                            "throughput",
+                            throughput_to_string(outcome.result.throughput).into(),
+                        ),
+                        ("iterations", outcome.result.iterations.into()),
+                    ])
+                });
+                Ok(fields([("scenarios", Json::Array(rendered.collect()))]))
             }
-            RequestBody::Lint { graph } => Ok(lint_fields(&csdf_lint::lint_source(
-                &graph.source,
-                graph.format,
-            ))),
+            RequestBody::Lint { graph } => {
+                Ok(csdf_lint::lint_source(&graph.source, graph.format).json_fields())
+            }
             RequestBody::Verify {
                 graph: spec,
                 max_expansion,
@@ -853,13 +826,13 @@ impl Daemon {
         // One load serves both lint (with the source spans) and the solve.
         let loaded = csdf_lint::load_source(&spec.source, spec.format);
         let report = csdf_lint::lint_loaded(&loaded);
-        let mut fields = lint_fields(&report);
+        let mut fields = report.json_fields();
         let mut checks: Vec<(&'static str, bool)> = Vec::new();
         match loaded {
             Err(error) => {
                 // The importer rejected the graph: lint must have an error
                 // diagnostic for the same input.
-                fields.push(("solver_error".to_string(), Json::Str(error.to_string())));
+                fields.push(("solver_error".to_string(), error.to_string().into()));
                 checks.push(("lint_flags_unloadable", report.has_errors()));
             }
             Ok((graph, _)) => {
@@ -871,7 +844,7 @@ impl Daemon {
                 };
                 match self.evaluate_cached(&graph, &check_token) {
                     Err(error) => {
-                        fields.push(("solver_error".to_string(), Json::Str(error.message)));
+                        fields.push(("solver_error".to_string(), error.message.into()));
                         // A solver rejection is predicted by lint only when
                         // lint found an error; budget-type failures are
                         // unpredictable, so no check is recorded for them and
@@ -881,10 +854,8 @@ impl Daemon {
                         }
                     }
                     Ok((result, _)) => {
-                        fields.push((
-                            "throughput".to_string(),
-                            Json::Str(throughput_to_string(result.throughput)),
-                        ));
+                        let throughput = throughput_to_string(result.throughput);
+                        fields.push(("throughput".to_string(), throughput.into()));
                         if let Some(bounds) = &report.bounds {
                             checks.push(("bounds_bracket", bounds.brackets(&result.throughput)));
                         }
@@ -906,17 +877,11 @@ impl Daemon {
         } else {
             "agree"
         };
-        let rendered: Vec<Json> = checks
-            .iter()
-            .map(|&(name, passed)| {
-                Json::Object(vec![
-                    ("check".to_string(), Json::Str(name.to_string())),
-                    ("passed".to_string(), Json::Bool(passed)),
-                ])
-            })
-            .collect();
-        fields.push(("checks".to_string(), Json::Array(rendered)));
-        fields.push(("verdict".to_string(), Json::Str(verdict.to_string())));
+        let rendered = checks.iter().map(|&(name, passed)| {
+            Json::object([("check", name.into()), ("passed", passed.into())])
+        });
+        fields.push(("checks".to_string(), Json::Array(rendered.collect())));
+        fields.push(("verdict".to_string(), verdict.into()));
         Ok(fields)
     }
 }
@@ -928,31 +893,21 @@ fn render_response(
     kind: Option<&str>,
     outcome: Result<Vec<(String, Json)>, ServiceError>,
 ) -> String {
-    let id_value = match id {
-        Some(id) => Json::Int(id),
-        None => Json::Null,
-    };
-    let mut entries = vec![("id".to_string(), id_value)];
+    let mut entries = fields([("id", id.map_or(Json::Null, Json::Int))]);
     if let Some(kind) = kind {
-        entries.push(("type".to_string(), Json::Str(kind.to_string())));
+        entries.push(("type".to_string(), kind.into()));
     }
     match outcome {
-        Ok(fields) => {
-            entries.push(("status".to_string(), Json::Str("ok".to_string())));
-            entries.extend(fields);
+        Ok(payload) => {
+            entries.push(("status".to_string(), "ok".into()));
+            entries.extend(payload);
         }
         Err(error) => {
-            entries.push(("status".to_string(), Json::Str("error".to_string())));
-            entries.push((
-                "error".to_string(),
-                Json::Object(vec![
-                    (
-                        "kind".to_string(),
-                        Json::Str(error.kind.as_str().to_string()),
-                    ),
-                    ("message".to_string(), Json::Str(error.message)),
-                ]),
-            ));
+            let error = Json::object([
+                ("kind", error.kind.as_str().into()),
+                ("message", error.message.into()),
+            ]);
+            entries.extend(fields([("status", "error".into()), ("error", error)]));
         }
     }
     Json::Object(entries).to_string()
@@ -1035,7 +990,7 @@ fn baseline_check(
     max_expansion: u64,
     checks: &mut Vec<(&'static str, bool)>,
 ) -> (String, Json) {
-    let field = |value: String| ("baseline".to_string(), Json::Str(value));
+    let field = |value: String| ("baseline".to_string(), value.into());
     let size = graph.repetition_vector().ok().map(|q| {
         graph
             .tasks()
@@ -1066,107 +1021,26 @@ fn baseline_check(
     }
 }
 
-/// The payload fields shared by `lint` responses and the lint part of
-/// `verify` responses.
-fn lint_fields(report: &LintReport) -> Vec<(String, Json)> {
-    let diagnostics: Vec<Json> = report.diagnostics.iter().map(diagnostic_json).collect();
-    let mut fields = vec![
-        ("diagnostics".to_string(), Json::Array(diagnostics)),
-        (
-            "errors".to_string(),
-            Json::Int(report.error_count() as i128),
-        ),
-        (
-            "warnings".to_string(),
-            Json::Int(report.warning_count() as i128),
-        ),
-        (
-            "certain_deadlock".to_string(),
-            Json::Bool(report.certain_deadlock()),
-        ),
-    ];
-    if let Some(bounds) = &report.bounds {
-        fields.push((
-            "bounds".to_string(),
-            Json::Object(vec![
-                (
-                    "lower".to_string(),
-                    Json::Str(throughput_to_string(bounds.lower)),
-                ),
-                (
-                    "upper".to_string(),
-                    Json::Str(throughput_to_string(bounds.upper)),
-                ),
-            ]),
-        ));
-    }
-    fields
-}
-
-/// One diagnostic as a JSON object (`line`/`tasks`/`buffers` only when set).
-fn diagnostic_json(diagnostic: &csdf_lint::Diagnostic) -> Json {
-    let mut entries = vec![
-        (
-            "code".to_string(),
-            Json::Str(diagnostic.code.as_str().to_string()),
-        ),
-        (
-            "severity".to_string(),
-            Json::Str(diagnostic.severity().to_string()),
-        ),
-        ("message".to_string(), Json::Str(diagnostic.message.clone())),
-    ];
-    if let Some(line) = diagnostic.line {
-        entries.push(("line".to_string(), Json::Int(line as i128)));
-    }
-    if !diagnostic.tasks.is_empty() {
-        let tasks: Vec<Json> = diagnostic
-            .tasks
-            .iter()
-            .map(|task| Json::Str(task.clone()))
-            .collect();
-        entries.push(("tasks".to_string(), Json::Array(tasks)));
-    }
-    if !diagnostic.buffers.is_empty() {
-        let buffers: Vec<Json> = diagnostic
-            .buffers
-            .iter()
-            .map(|buffer| {
-                Json::Object(vec![
-                    ("index".to_string(), Json::Int(buffer.index as i128)),
-                    ("source".to_string(), Json::Str(buffer.source.clone())),
-                    ("target".to_string(), Json::Str(buffer.target.clone())),
-                ])
-            })
-            .collect();
-        entries.push(("buffers".to_string(), Json::Array(buffers)));
-    }
-    Json::Object(entries)
-}
-
 /// The payload fields of an evaluate response.
 fn evaluate_fields(result: &KIterResult, cache: &str) -> Vec<(String, Json)> {
-    let periodicity: Vec<Json> = (0..result.periodicity.len())
-        .map(|index| Json::Int(result.periodicity.get(TaskId::new(index)).into()))
-        .collect();
-    let critical: Vec<Json> = result
-        .critical_tasks
-        .iter()
-        .map(|task| Json::Int(task.index() as i128))
-        .collect();
-    vec![
-        ("cache".to_string(), Json::Str(cache.to_string())),
-        (
-            "throughput".to_string(),
-            Json::Str(throughput_to_string(result.throughput)),
-        ),
-        (
-            "iterations".to_string(),
-            Json::Int(result.iterations as i128),
-        ),
-        ("periodicity".to_string(), Json::Array(periodicity)),
-        ("critical_tasks".to_string(), Json::Array(critical)),
-    ]
+    let periodicity = (0..result.periodicity.len())
+        .map(|index| result.periodicity.get(TaskId::new(index)).into());
+    let critical = result.critical_tasks.iter().map(|task| task.index().into());
+    fields([
+        ("cache", cache.into()),
+        ("throughput", throughput_to_string(result.throughput).into()),
+        ("iterations", result.iterations.into()),
+        ("periodicity", Json::Array(periodicity.collect())),
+        ("critical_tasks", Json::Array(critical.collect())),
+    ])
+}
+
+/// Response payload fields from `(key, value)` pairs, in order.
+fn fields<const N: usize>(entries: [(&str, Json); N]) -> Vec<(String, Json)> {
+    entries
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 //! long-running daemon so that cost is paid once per graph *structure*, not
 //! once per request:
 //!
-//! - [`protocol`]: line-delimited JSON requests/responses (hand-rolled in
-//!   [`json`], no dependencies), with SDF3 XML or the workspace text format
-//!   as inline graph encodings and exact `"num/den"` throughput strings.
+//! - [`protocol`]: line-delimited JSON requests/responses (carried by the
+//!   workspace codec [`csdf::json`], no dependencies), with SDF3 XML or the
+//!   workspace text format as inline graph encodings and exact `"num/den"`
+//!   throughput strings.
 //! - [`Daemon`]: owns a [`kperiodic::SessionPool`] (warm
 //!   [`kperiodic::AnalysisSession`]s routed by structure fingerprint) and a
 //!   bounded LRU [`ResultCache`] of evaluate results, and fans batches over
@@ -30,14 +31,10 @@
 pub mod cache;
 pub mod daemon;
 pub mod fault;
-pub mod json;
 pub mod protocol;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
+pub use csdf::json::{parse_throughput, throughput_to_string, Json};
 pub use daemon::{Daemon, ErrorKind, ServiceConfig, ServiceError, ServiceStats};
 pub use fault::{FaultAction, FaultPlan, FaultSite};
-pub use json::Json;
-pub use protocol::{
-    parse_request, parse_throughput, throughput_to_string, GraphSpec, Request, RequestBody,
-    ScenarioSpec,
-};
+pub use protocol::{parse_request, GraphSpec, Request, RequestBody, ScenarioSpec};

@@ -23,12 +23,13 @@
 //!
 //! Throughputs cross the wire as exact strings — `"num/den"`, `"unbounded"`
 //! or `"deadlock"` — never floats, so responses can be compared bit-for-bit
-//! against direct library calls.
+//! against direct library calls. [`csdf::json`] writes and reads that form
+//! ([`csdf::json::throughput_to_string`], [`csdf::json::parse_throughput`])
+//! along with the JSON itself.
 
-use csdf::{BufferId, CsdfGraph, Rational, Throughput};
+use csdf::json::{parse_throughput, Json};
+use csdf::{BufferId, CsdfGraph, Throughput};
 use csdf_lint::InputFormat;
-
-use crate::json::Json;
 
 /// A graph shipped inline with a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +121,9 @@ pub enum RequestBody {
         scenarios: Vec<ScenarioSpec>,
     },
     /// Static analysis only ([`csdf_lint::analyze_with_sources`]): structured
-    /// diagnostics plus the pre-solve throughput bounds, no solver run.
+    /// diagnostics plus the pre-solve throughput bounds, no solver run; the
+    /// response carries the report's fields
+    /// ([`csdf_lint::LintReport::json_fields`], as `csdf-lint --json` does).
     /// Unparseable graphs are reported as an `L000` diagnostic, not a
     /// protocol error.
     Lint {
@@ -129,7 +132,7 @@ pub enum RequestBody {
     },
     /// Cross-check the analysis stack on one graph: lint, then K-Iter, then
     /// (on small graphs) the HSDF-expansion baseline, and compare all
-    /// verdicts.
+    /// verdicts. The response starts with the same report fields as `lint`.
     Verify {
         /// The graph to verify.
         graph: GraphSpec,
@@ -200,7 +203,7 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<i128>, String)> {
                 .and_then(Json::as_array)
                 .ok_or_else(|| fail("`slacks` must be an array of integers".to_string()))?
                 .iter()
-                .map(super::json::Json::as_u64)
+                .map(Json::as_u64)
                 .collect::<Option<Vec<u64>>>()
                 .ok_or_else(|| {
                     fail("`slacks` entries must be non-negative integers".to_string())
@@ -294,63 +297,17 @@ fn parse_scenario(value: &Json) -> Result<ScenarioSpec, String> {
     Ok(ScenarioSpec { name, markings })
 }
 
-/// Renders a throughput as its exact wire string: `"num/den"` (always with
-/// the denominator, even when 1), `"unbounded"` or `"deadlock"` — the same
-/// form as [`csdf_lint::throughput_wire`].
-pub fn throughput_to_string(value: Throughput) -> String {
-    csdf_lint::throughput_wire(&value)
-}
-
-/// Parses the wire form accepted for throughput targets: `"num/den"`, a
-/// plain integer string, `"unbounded"` or `"deadlock"`.
-///
-/// # Errors
-///
-/// A human-readable message for anything else (including zero denominators).
-pub fn parse_throughput(text: &str) -> Result<Throughput, String> {
-    match text.trim() {
-        "unbounded" => Ok(Throughput::Unbounded),
-        "deadlock" => Ok(Throughput::Deadlocked),
-        trimmed => {
-            let (numer, denom) = match trimmed.split_once('/') {
-                Some((numer, denom)) => (
-                    numer
-                        .trim()
-                        .parse::<i128>()
-                        .map_err(|_| format!("invalid throughput numerator in `{trimmed}`"))?,
-                    denom
-                        .trim()
-                        .parse::<i128>()
-                        .map_err(|_| format!("invalid throughput denominator in `{trimmed}`"))?,
-                ),
-                None => (
-                    trimmed
-                        .parse::<i128>()
-                        .map_err(|_| format!("invalid throughput `{trimmed}`"))?,
-                    1,
-                ),
-            };
-            let rational = Rational::new(numer, denom)
-                .map_err(|error| format!("invalid throughput `{trimmed}`: {error}"))?;
-            Ok(Throughput::Finite(rational))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csdf::Rational;
 
     fn text_graph() -> String {
         "graph g\ntask a durations=1\ntask b durations=2\nbuffer a -> b prod=1 cons=1 tokens=0\nbuffer b -> a prod=1 cons=1 tokens=2\n".to_string()
     }
 
     fn graph_json(source: &str) -> String {
-        Json::Object(vec![
-            ("format".to_string(), Json::Str("text".to_string())),
-            ("source".to_string(), Json::Str(source.to_string())),
-        ])
-        .to_string()
+        Json::object([("format", "text".into()), ("source", source.into())]).to_string()
     }
 
     #[test]
@@ -469,19 +426,5 @@ mod tests {
         assert!(message.contains("unknown request type"));
         let (id, _) = parse_request("not json").unwrap_err();
         assert_eq!(id, None);
-    }
-
-    #[test]
-    fn throughput_strings_round_trip() {
-        for text in ["3/4", "unbounded", "deadlock", "5/1"] {
-            let value = parse_throughput(text).unwrap();
-            assert_eq!(throughput_to_string(value), text);
-        }
-        assert_eq!(
-            parse_throughput("7").unwrap(),
-            Throughput::Finite(Rational::from_integer(7))
-        );
-        assert!(parse_throughput("1/0").is_err());
-        assert!(parse_throughput("fast").is_err());
     }
 }

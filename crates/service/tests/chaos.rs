@@ -20,9 +20,9 @@ fn ring(tokens: u64) -> CsdfGraph {
 }
 
 fn evaluate_request(id: usize, graph: &CsdfGraph) -> String {
-    let spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(graph))),
+    let spec = Json::object([
+        ("format", "text".into()),
+        ("source", csdf::text::to_text(graph).into()),
     ]);
     format!(r#"{{"id":{id},"type":"evaluate","graph":{spec}}}"#)
 }

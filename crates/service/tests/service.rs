@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 
 use csdf::{CsdfGraph, CsdfGraphBuilder};
+use csdf_lint::{InputFormat, LintCode};
 use csdf_service::{throughput_to_string, Daemon, Json, ServiceConfig};
 
 /// A three-task ring whose feedback marking (and hence throughput) is
@@ -39,11 +40,17 @@ fn serialized_ring(tokens: u64) -> CsdfGraph {
 }
 
 fn evaluate_request(id: usize, graph: &CsdfGraph) -> String {
-    let spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(graph))),
-    ]);
+    let spec = text_spec(graph);
     format!(r#"{{"id":{id},"type":"evaluate","graph":{spec}}}"#)
+}
+
+/// An inline graph: `{"format":format,"source":source}`.
+fn graph_spec(format: &str, source: String) -> Json {
+    Json::object([("format", format.into()), ("source", source.into())])
+}
+
+fn text_spec(graph: &CsdfGraph) -> Json {
+    graph_spec("text", csdf::text::to_text(graph))
 }
 
 fn field<'a>(response: &'a Json, name: &str) -> &'a Json {
@@ -53,10 +60,7 @@ fn field<'a>(response: &'a Json, name: &str) -> &'a Json {
 #[test]
 fn batch_serves_all_request_types_in_request_order() {
     let graph = ring(2);
-    let spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(&graph))),
-    ]);
+    let spec = text_spec(&graph);
     let batch = [
         format!(r#"{{"id":10,"type":"evaluate","graph":{spec}}}"#),
         format!(r#"{{"id":11,"type":"sweep","graph":{spec},"slacks":[1,2,4]}}"#),
@@ -202,14 +206,45 @@ fn cache_hits_never_outlive_a_structure_change() {
     assert_eq!((stats.hits, stats.misses), (1, 3));
 }
 
+/// A `lint` response is its header (`id`, `type`, `status`) followed by
+/// exactly the report's one JSON rendering.
+#[test]
+fn lint_responses_carry_the_reports_json_fields() {
+    let daemon = Daemon::new(ServiceConfig::default());
+    let live = csdf::text::to_text(&ring(2));
+    let deadlocked = include_str!("../../lint/tests/fixtures/l002_deadlock_cycle.csdf");
+    let unparsable = "graph g\nnonsense\n";
+    for source in [live.as_str(), deadlocked, unparsable] {
+        let report = csdf_lint::lint_source(source, InputFormat::Text);
+        let spec = Json::object([("format", "text".into()), ("source", source.into())]);
+        let request = Json::object([
+            ("id", 1usize.into()),
+            ("type", "lint".into()),
+            ("graph", spec),
+        ]);
+        let mut expected = vec![
+            ("id".to_string(), Json::Int(1)),
+            ("type".to_string(), "lint".into()),
+            ("status".to_string(), "ok".into()),
+        ];
+        expected.extend(report.json_fields());
+        let response = daemon.handle_line(&request.to_string());
+        assert_eq!(
+            Json::parse(&response),
+            Ok(Json::Object(expected)),
+            "{source}"
+        );
+    }
+    let lint = |source| csdf_lint::lint_source(source, InputFormat::Text);
+    assert!(lint(deadlocked).has_code(LintCode::DeadlockedCycle));
+    assert!(lint(unparsable).has_code(LintCode::ImportError));
+}
+
 #[test]
 fn lint_and_verify_cross_check_the_solver() {
     let daemon = Daemon::new(ServiceConfig::default());
     let graph = ring(2);
-    let spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(&graph))),
-    ]);
+    let spec = text_spec(&graph);
 
     // Lint on a live graph: no errors, bounds bracket the exact answer.
     let lint =
@@ -224,13 +259,7 @@ fn lint_and_verify_cross_check_the_solver() {
     // Verify on the fully serialised ring: lint's bounds are sound for the
     // solver's model, so solver, bounds and expansion baseline all agree.
     let serialized = serialized_ring(2);
-    let serialized_spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        (
-            "source".to_string(),
-            Json::Str(csdf::text::to_text(&serialized)),
-        ),
-    ]);
+    let serialized_spec = text_spec(&serialized);
     let verify = Json::parse(&daemon.handle_line(&format!(
         r#"{{"id":2,"type":"verify","graph":{serialized_spec}}}"#
     )))
@@ -282,10 +311,7 @@ fn lint_and_verify_cross_check_the_solver() {
     // (Serialised for the same reason as above: on the non-serialised ring
     // the solver's event graph misses the empty cycle and reports unbounded.)
     let dead = serialized_ring(0);
-    let dead_spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(&dead))),
-    ]);
+    let dead_spec = text_spec(&dead);
     let verify = Json::parse(&daemon.handle_line(&format!(
         r#"{{"id":3,"type":"verify","graph":{dead_spec}}}"#
     )))
@@ -316,24 +342,12 @@ fn verify_reports_sources_that_fail_to_load() {
         Json::parse(&daemon.handle_line(&format!(r#"{{"id":8,"type":"verify","graph":{spec}}}"#)))
             .unwrap()
     };
-    let unparsable = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        (
-            "source".to_string(),
-            Json::Str("graph g\nnonsense\n".to_string()),
-        ),
-    ]);
+    let unparsable = graph_spec("text", "graph g\nnonsense\n".to_string());
     // The feedback buffer z -> x holds 2 tokens; a `bufferSize` of 1 cannot.
-    let undersized = Json::Object(vec![
-        ("format".to_string(), Json::Str("sdf3".to_string())),
-        (
-            "source".to_string(),
-            Json::Str(csdf::text::write_sdf3_xml_with_capacities(
-                &ring(2),
-                &[(csdf::BufferId::new(2), 1)],
-            )),
-        ),
-    ]);
+    let undersized = graph_spec(
+        "sdf3",
+        csdf::text::write_sdf3_xml_with_capacities(&ring(2), &[(csdf::BufferId::new(2), 1)]),
+    );
     for (spec, code, solver_error) in [
         (
             &unparsable,
@@ -377,10 +391,7 @@ fn verify_reports_sources_that_fail_to_load() {
 #[test]
 fn unix_socket_responses_are_bit_identical_to_the_batch_transport() {
     let graph = ring(2);
-    let spec = Json::Object(vec![
-        ("format".to_string(), Json::Str("text".to_string())),
-        ("source".to_string(), Json::Str(csdf::text::to_text(&graph))),
-    ]);
+    let spec = text_spec(&graph);
     let requests = [
         format!(r#"{{"id":1,"type":"evaluate","graph":{spec}}}"#),
         format!(r#"{{"id":2,"type":"sweep","graph":{spec},"slacks":[1,3]}}"#),
